@@ -20,7 +20,9 @@ from .graded_cover import (
     PathWeights,
     component_correspondence,
     compute_path_weights,
+    conditional_triples,
     detect_coherent,
+    propagate_signs,
 )
 from .operators import SymmetricOperator, build_conditional, eigen
 
@@ -101,26 +103,20 @@ def build_aux(
         if len(comp) < 2:
             raise ValueError("down auxiliary graph requires at least two faces")
     pos = {q: i for i, q in enumerate(comp)}
-    edges, signs, weights = [], [], []
-    for i, a in enumerate(comp):
-        for b in comp[i + 1:]:
-            mids = (
-                cover.shared_parents(a, b) if direction == "up" else cover.shared_children(a, b)
-            )
-            if not mids:
-                continue
-            if len(mids) != 1:
+    mid: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b, v, s in conditional_triples(cover, k, direction, comp):
+        if a < b and a in pos and b in pos:
+            if (pos[a], pos[b]) in mid:
                 raise ValueError("auxiliary weights need a unique shared mid-node")
-            v = mids[0]
-            if direction == "up":
-                s = cover.sign_ref[(a, v)] * cover.sign_ref[(b, v)]
-                w = Fraction(pw.lp[v])
-            else:
-                s = cover.sign_ref[(v, a)] * cover.sign_ref[(v, b)]
-                w = Fraction(pw.lp[a] * pw.lp[b], pw.lp[v])
-            edges.append((pos[a], pos[b]))
-            signs.append(s)
-            weights.append(w)
+            mid[(pos[a], pos[b])] = (v, s)
+    edges = sorted(mid)
+    signs = [mid[e][1] for e in edges]
+    if direction == "up":
+        weights = [Fraction(pw.lp[mid[e][0]]) for e in edges]
+    else:
+        weights = [
+            Fraction(pw.lp[comp[i]] * pw.lp[comp[j]], pw.lp[mid[(i, j)][0]]) for i, j in edges
+        ]
     measure = tuple(Fraction(pw.lp[q]) for q in comp)
     if direction == "up":
         degree_term = Fraction(k + 1)
@@ -244,27 +240,11 @@ def _signed_best_orientation(members, pairs_in):
     incrementally through each node's incident pairs.
     """
     m = len(members)
-    adj = {i: [] for i in range(m)}
     incident = [[] for _ in range(m)]
-    for pi, (i, j, w, s) in enumerate(pairs_in):
-        adj[i].append(j)
-        adj[j].append(i)
+    for pi, (i, j, _w, _s) in enumerate(pairs_in):
         incident[i].append(pi)
         incident[j].append(pi)
-    pieces, seen = [], set()
-    for start in range(m):
-        if start in seen:
-            continue
-        stack, piece = [start], []
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            piece.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        pieces.append(sorted(piece))
+    pieces = propagate_signs(range(m), [(i, j, 1) for (i, j, _w, _s) in pairs_in])[1]
     free = [x for piece in pieces for x in piece[1:]]
     x = [1] * m
     bad = [s == -1 for (_i, _j, _w, s) in pairs_in]
@@ -291,62 +271,6 @@ def _signed_best_orientation(members, pairs_in):
     return best, best_x
 
 
-def _balanced_orientation(aux: AuxiliaryGraph):
-    """Sign-propagation balance check over the whole auxiliary graph.
-
-    Returns the orientation flips making every edge sign positive, or
-    None when the graph is frustrated.
-    """
-    n = aux.n
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for (i, j), s in zip(aux.edges, aux.sign):
-        adj[i].append((j, s))
-        adj[j].append((i, s))
-    x = [0] * n
-    for start in range(n):
-        if x[start]:
-            continue
-        x[start] = 1
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b, s in adj[a]:
-                if not x[b]:
-                    x[b] = x[a] * s
-                    stack.append(b)
-    for (i, j), s in zip(aux.edges, aux.sign):
-        if x[i] * x[j] != s:
-            return None
-    return x
-
-
-def _propagated_frustration(aux: AuxiliaryGraph, wints) -> int:
-    """Frustrated weight of the spanning-tree-propagated orientation (both
-    ordered pairs counted); an upper bound for the full-set beta numerator."""
-    n = aux.n
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for (i, j), s in zip(aux.edges, aux.sign):
-        adj[i].append((j, s))
-        adj[j].append((i, s))
-    x = [0] * n
-    for start in range(n):
-        if x[start]:
-            continue
-        x[start] = 1
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b, s in adj[a]:
-                if not x[b]:
-                    x[b] = x[a] * s
-                    stack.append(b)
-    return sum(
-        2 * w
-        for (i, j), w, s in zip(aux.edges, wints, aux.sign)
-        if x[i] * x[j] * s == -1
-    )
-
-
 def cheeger_signed(aux: AuxiliaryGraph, threads: int = 1):
     """Exact signed Cheeger constant with a (subset, orientation) witness.
 
@@ -363,17 +287,18 @@ def cheeger_signed(aux: AuxiliaryGraph, threads: int = 1):
     if n == 0:
         raise ValueError("empty auxiliary graph")
     _guard(n)
-    balanced = _balanced_orientation(aux)
-    if balanced is not None:
-        witness_nodes = tuple(aux.nodes)
-        orientation = {aux.nodes[i]: (xi == -1) for i, xi in enumerate(balanced)}
-        return Fraction(0), (witness_nodes, orientation)
+    x, _pieces, frustrated = propagate_signs(
+        range(n), [(i, j, s) for (i, j), s in zip(aux.edges, aux.sign)]
+    )
+    if not frustrated:
+        orientation = {aux.nodes[i]: (x[i] == -1) for i in range(n)}
+        return Fraction(0), (tuple(aux.nodes), orientation)
     wints, wden, mints, mden = _integerized(aux)
     pairs = [(i, j, w, s) for (i, j), w, s in zip(aux.edges, wints, aux.sign)]
     # a cheap upper bound on the minimum strengthens pruning from the start:
-    # the full set under the best propagated orientation, and every singleton
-    prop = _propagated_frustration(aux, wints)
-    bound_num, bound_den = prop, sum(mints)
+    # the full set under the propagated orientation, and every singleton
+    bound_num = sum(2 * wints[e] for e in frustrated)
+    bound_den = sum(mints)
     for i in range(n):
         deg = sum(w for (a, b, w, _s) in pairs if i in (a, b))
         if deg * bound_den < bound_num * mints[i]:

@@ -47,19 +47,24 @@ def emit(rows, header, fmt_name: str) -> None:
         print("\t".join(fmt(v) for v in row))
 
 
-def load_input(path: str):
+def load_input(path: str, k: int | None = None):
     """Parse a complex file or a cover-spec file (detected by line syntax).
 
-    Returns (cover, complex_or_None).
+    A given dimension ``k`` must be one that has nodes.  Returns (cover,
+    complex_or_None).
     """
     text = Path(path).read_text(encoding="utf-8")
     body = [
         ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")
     ]
     if body and all(ln.split()[0] in ("node", "edge") for ln in body):
-        return graded_cover.parse_cover_spec(text), None
-    cx = complex_core.parse_complex(text)
-    return graded_cover.cover_from_complex(cx), cx
+        cover, cx = graded_cover.parse_cover_spec(text), None
+    else:
+        cx = complex_core.parse_complex(text)
+        cover = graded_cover.cover_from_complex(cx)
+    if k is not None and k not in cover.nodes_by_dim:
+        raise ValueError(f"k={k} out of range {min(cover.dims)}..{max(cover.dims)}")
+    return cover, cx
 
 
 def rationalize(x: float) -> Fraction:
@@ -82,7 +87,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    cover, _ = load_input(args.input)
+    cover, _ = load_input(args.input, args.k)
     pw = graded_cover.compute_path_weights(cover)
     rows = []
     if args.k is None:
@@ -136,7 +141,7 @@ def cmd_walk_sim(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cover, _ = load_input(args.input)
+    cover, _ = load_input(args.input, args.k)
     pw = graded_cover.compute_path_weights(cover)
     rows = []
     if args.k is None:
@@ -164,7 +169,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_laplacian(args) -> int:
-    cover, cx = load_input(args.input)
+    cover, cx = load_input(args.input, args.k)
     if cx is None:
         print("error: laplacian requires a simplicial complex input", file=sys.stderr)
         return EXIT_INVALID
@@ -196,7 +201,7 @@ def cmd_hodge(args) -> int:
 
 
 def cmd_coherent(args) -> int:
-    cover, _ = load_input(args.input)
+    cover, _ = load_input(args.input, args.k)
     cs = graded_cover.components(
         cover, f"quotient-{args.direction}", args.k, with_coherence=True
     )
@@ -212,7 +217,7 @@ def cmd_coherent(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    cover, cx = load_input(args.input)
+    cover, cx = load_input(args.input, args.k)
     if cx is None:
         print("error: partition requires a simplicial complex input", file=sys.stderr)
         return EXIT_INVALID
@@ -229,7 +234,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_cheeger(args) -> int:
-    cover, _ = load_input(args.input)
+    cover, _ = load_input(args.input, args.k)
     pw = graded_cover.compute_path_weights(cover)
     rows = []
     for direction in ("up", "down") if args.direction is None else (args.direction,):
@@ -303,7 +308,7 @@ def _bound_table_rows(cover, pw, threads):
 
 
 def cmd_report(args) -> int:
-    cover, _ = load_input(args.input)
+    cover, _ = load_input(args.input, args.k)
     pw = graded_cover.compute_path_weights(cover)
     header = (
         "table", "k", "d_down", "h_up", "h_down",
@@ -347,17 +352,17 @@ def _verify_checks(cover, cx, threads):
     """The full invariant suite for one input; yields (name, ok, detail)."""
     pw = graded_cover.compute_path_weights(cover)
     # transition structure
-    for view in ("quotient", "cover"):
-        P = walks.transition_full(cover, view, pw)
+    full = {view: walks.transition_full(cover, view, pw) for view in ("quotient", "cover")}
+    for view, P in full.items():
         yield f"row_stochastic_{view}", all(s == 1 for s in P.row_sums()), ""
-    P = walks.transition_full(cover, "quotient", pw)
+    P = full["quotient"]
     balanced = all(
         pw.through(a) * P.entries[a, b] == pw.through(b) * P.entries[b, a]
         for a in range(cover.n_quotient)
         for b in range(cover.n_quotient)
     )
     yield "detailed_balance_quotient", balanced, ""
-    Pc = walks.transition_full(cover, "cover", pw).entries
+    Pc = full["cover"].entries
     n = cover.n_quotient
     flip = lambda u: (u + n) % (2 * n)
     yield "flip_commutation", all(
@@ -409,8 +414,8 @@ def _adjacency_consistent(cover, cx) -> bool:
     from .complex_core import adjacency
 
     for k in range(cx.dimension + 1):
-        for direction, adj_of in (("up", cover.up_adjacency), ("down", cover.down_adjacency)):
-            mine = adj_of(k)
+        for direction in ("up", "down"):
+            mine = cover.adjacency(k, direction)
             theirs = adjacency(cx, k, direction)
             for face, neighbors in theirs.items():
                 q = cx.index_of(face)
@@ -484,57 +489,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-VERB_OPERATIONS = {
-    "lp": ["parse_complex", "parse_cover_spec", "cover_from_complex",
-           "compute_path_weights", "leaves_and_roots"],
-    "stationary": ["components", "stationary", "expected_path_length"],
-    "walk-sim": ["simulate"],
-    "spectrum": ["build_bundle", "build_conditional", "eigen", "min_eigenvalue_bound",
-                 "convergence_rate"],
-    "laplacian": ["hodge", "boundary_matrix", "incidence_sign"],
-    "hodge": ["hodge_decomposition"],
-    "coherent": ["detect_coherent"],
-    "partition": ["find_partition"],
-    "cheeger": ["build_aux", "cheeger_quotient", "cheeger_signed"],
-    "report": ["combined_report", "component_correspondence"],
-    "verify": ["verify_split", "verify_hodge_properties", "check_laplacian_walk_identity",
-               "aux_laplacian", "adjacency", "transition_full", "transition_conditional",
-               "coherent_spectrum_check"],
-    "self-test": ["run"],
-}
-
-ALL_OPERATIONS = [
-    "parse_complex", "incidence_sign", "boundary_matrix", "adjacency",
-    "cover_from_complex", "parse_cover_spec", "compute_path_weights",
-    "leaves_and_roots", "components", "component_correspondence",
-    "detect_coherent", "find_partition",
-    "transition_full", "transition_conditional", "stationary",
-    "expected_path_length", "simulate", "convergence_rate",
-    "build_bundle", "build_conditional", "eigen", "verify_split",
-    "min_eigenvalue_bound", "coherent_spectrum_check",
-    "hodge", "hodge_decomposition", "verify_hodge_properties",
-    "check_laplacian_walk_identity",
-    "build_aux", "aux_laplacian", "cheeger_quotient", "cheeger_signed",
-    "combined_report", "run",
-]
-
-
-def cmd_self_test(args) -> int:
-    covered = {op: [] for op in ALL_OPERATIONS}
-    unknown = []
-    for verb, ops in VERB_OPERATIONS.items():
-        for op in ops:
-            if op in covered:
-                covered[op].append(verb)
-            else:
-                unknown.append((verb, op))
-    rows = [(op, bool(verbs), " ".join(verbs)) for op, verbs in covered.items()]
-    ok = all(verbs for verbs in covered.values()) and not unknown
-    rows.append(("TOTAL", ok, f"{len(ALL_OPERATIONS)} operations"))
-    emit(rows, ("operation", "reachable", "verbs"), args.format)
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hodgewalk",
@@ -542,10 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, func, needs_input=True, **extra):
+    def add(name, func):
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("input", help="complex (.cx) or cover-spec file")
+        p.add_argument("input", help="complex (.cx) or cover-spec file")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         p.set_defaults(func=func)
         return p
@@ -585,9 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p = add("verify", cmd_verify)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--tolerance", type=float, default=1e-8,
-                   help="accepted for interface stability; exact checks ignore it")
-    add("self-test", cmd_self_test, needs_input=False)
     return parser
 
 

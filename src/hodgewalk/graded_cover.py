@@ -113,27 +113,40 @@ class GradedSignedDoubleCover:
     def shared_children(self, a: int, b: int) -> tuple[int, ...]:
         return tuple(sorted(set(self.children[a]) & set(self.children[b])))
 
-    def up_adjacency(self, k: int) -> dict[int, set[int]]:
+    def adjacency(self, k: int, direction: str) -> dict[int, set[int]]:
+        """Dimension-k nodes sharing a parent ('up') or a child ('down')."""
         self.require_strong()
         adj: dict[int, set[int]] = {q: set() for q in self.nodes_by_dim.get(k, ())}
-        for v in self.nodes_by_dim.get(k + 1, ()):
-            kids = self.children[v]
-            for i, a in enumerate(kids):
-                for b in kids[i + 1:]:
-                    adj[a].add(b)
-                    adj[b].add(a)
+        for a, b, _v, _s in conditional_triples(self, k, direction):
+            if a != b:
+                adj[a].add(b)
         return adj
 
-    def down_adjacency(self, k: int) -> dict[int, set[int]]:
-        self.require_strong()
-        adj: dict[int, set[int]] = {q: set() for q in self.nodes_by_dim.get(k, ())}
-        for t in self.nodes_by_dim.get(k - 1, ()):
-            ups = self.parents[t]
-            for i, a in enumerate(ups):
-                for b in ups[i + 1:]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-        return adj
+
+def conditional_triples(cover: GradedSignedDoubleCover, k: int, direction: str, near=None):
+    """Two-step moves of the conditional walk in dimension k, one per mid-node.
+
+    For each mid-node v (dimension k+1 for 'up', k-1 for 'down') and each
+    ordered pair (a, b) of its k-dimensional children (resp. parents),
+    a == b included, yields (a, b, v, s_a * s_b), the product of the two
+    incidence signs.  Mid-nodes come in ascending order, and so do a and b.
+    Given dimension-k nodes ``near`` (one component, say), only the
+    mid-nodes next to them are visited, so the cost follows their size.
+    """
+    up = direction == "up"
+    mid_dim = k + 1 if up else k - 1
+    mids = cover.nodes_by_dim.get(mid_dim, ())
+    if near is not None:
+        links = cover.parents if up else cover.children
+        mids = sorted({v for a in near for v in links[a] if cover.dims[v] == mid_dim})
+    for v in mids:
+        if up:
+            ends = [(a, cover.sign_ref[(a, v)]) for a in cover.children[v] if cover.dims[a] == k]
+        else:
+            ends = [(a, cover.sign_ref[(v, a)]) for a in cover.parents[v] if cover.dims[a] == k]
+        for a, sa in ends:
+            for b, sb in ends:
+                yield a, b, v, sa * sb
 
 
 def cover_from_complex(complex: SimplicialComplex) -> GradedSignedDoubleCover:
@@ -265,23 +278,37 @@ class ComponentSet:
     coherent: tuple[tuple[tuple[int, bool], ...] | None, ...] | None = field(default=None)
 
 
-def _connected_parts(nodes, neighbors) -> list[tuple[int, ...]]:
-    seen: set[int] = set()
-    parts = []
-    for start in nodes:
-        if start in seen:
+def propagate_signs(nodes, edges):
+    """Sign propagation over a signed graph (Harary's balance test).
+
+    ``edges`` are (a, b, s) triples asking for x_a * x_b == s.  Each
+    connected piece is started at its smallest member with x = +1 and the
+    labels spread along a depth-first spanning forest.  Returns (x, pieces,
+    frustrated): the label per node, the pieces as ascending tuples ordered
+    by smallest member, and the indices of the edges the labels leave
+    frustrated (none exactly when the graph is balanced).
+    """
+    adj: dict[int, list[tuple[int, int]]] = {q: [] for q in sorted(nodes)}
+    for a, b, s in edges:
+        adj[a].append((b, s))
+        adj[b].append((a, s))
+    x: dict[int, int] = {}
+    pieces = []
+    for start in adj:
+        if start in x:
             continue
-        stack, part = [start], set()
-        seen.add(start)
+        x[start] = 1
+        stack, piece = [start], [start]
         while stack:
-            x = stack.pop()
-            part.add(x)
-            for y in neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        parts.append(tuple(sorted(part)))
-    return sorted(parts)
+            a = stack.pop()
+            for b, s in adj[a]:
+                if b not in x:
+                    x[b] = x[a] * s
+                    stack.append(b)
+                    piece.append(b)
+        pieces.append(tuple(sorted(piece)))
+    frustrated = [i for i, (a, b, s) in enumerate(edges) if x[a] * x[b] != s]
+    return x, pieces, frustrated
 
 
 def components(
@@ -303,47 +330,36 @@ def components(
         raise ValueError("coherence flags apply to quotient up/down kinds only")
     n = cover.n_quotient
     if kind == "quotient":
-        neigh = lambda q: list(cover.parents[q]) + list(cover.children[q])
-        return ComponentSet(kind, None, tuple(_connected_parts(range(n), neigh)))
+        edges = [(c, p, 1) for (c, p) in cover.sign_ref]
+        return ComponentSet(kind, None, tuple(propagate_signs(range(n), edges)[1]))
     if kind == "cover":
-        def neigh(u):
-            q, flip = u % n, u >= n
-            out = []
-            for p in cover.parents[q]:
-                out.extend((p, p + n))
-            for c in cover.children[q]:
-                out.extend((c, c + n))
-            return out
-        parts = _connected_parts(range(2 * n), neigh)
-        merged = _merge_pairs(parts, n, cover.is_isolated)
-        return ComponentSet(kind, None, merged)
+        edges = [
+            (c + n * fc, p + n * fp, 1)
+            for (c, p) in cover.sign_ref
+            for fc in (0, 1)
+            for fp in (0, 1)
+        ]
+        parts = propagate_signs(range(2 * n), edges)[1]
+        return ComponentSet(kind, None, _merge_pairs(parts, n, cover.is_isolated))
     if k is None:
         raise ValueError("up/down component kinds require a dimension k")
-    cover.require_strong()
-    if kind in ("quotient-up", "quotient-down"):
-        adj = cover.up_adjacency(k) if kind == "quotient-up" else cover.down_adjacency(k)
-        members = tuple(_connected_parts(sorted(adj), lambda q: adj[q]))
+    direction = kind.split("-")[1]
+    adj = cover.adjacency(k, direction)
+    pairs = [(a, b) for a in adj for b in adj[a] if a < b]
+    if kind.startswith("quotient"):
+        members = tuple(propagate_signs(adj, [(a, b, 1) for a, b in pairs])[1])
         coherent = None
         if with_coherence:
-            direction = "up" if kind == "quotient-up" else "down"
             coherent = tuple(
                 _orientation_items(detect_coherent(cover, comp, direction))
                 for comp in members
             )
         return ComponentSet(kind, k, members, coherent)
-    adj = cover.up_adjacency(k) if kind == "cover-up" else cover.down_adjacency(k)
-    lonely = cover.is_leaf if kind == "cover-up" else cover.is_root
-    def neigh(u):
-        q = u % n
-        out = []
-        for b in adj[q]:
-            out.extend((b, b + n))
-        if not lonely(q):
-            # a node with a parent (resp. child) shares it with its own flip
-            out.append(u + n if u < n else u - n)
-        return out
-    nodes = [q for q in sorted(adj)] + [q + n for q in sorted(adj)]
-    parts = _connected_parts(nodes, neigh)
+    lonely = cover.is_leaf if direction == "up" else cover.is_root
+    edges = [(a + n * fa, b + n * fb, 1) for a, b in pairs for fa in (0, 1) for fb in (0, 1)]
+    # a node with a parent (resp. child) shares it with its own flip
+    edges += [(q, q + n, 1) for q in adj if not lonely(q)]
+    parts = propagate_signs(list(adj) + [q + n for q in adj], edges)[1]
     return ComponentSet(kind, k, _merge_pairs(parts, n, lonely))
 
 
@@ -404,9 +420,9 @@ def detect_coherent(cover: GradedSignedDoubleCover, component, direction: str):
     Returns a dict {quotient index -> flipped} on the component's nodes, or
     None when the component is not coherent.  Leaf (resp. root) singleton
     components are not coherent by definition; other singletons are, with
-    the trivial witness.  Detection is linear-time sign propagation over
-    the adjacency; two shared mid-nodes forcing contradictory pair signs
-    make the component incoherent immediately.
+    the trivial witness.  Detection is sign propagation over the
+    shared-mid-node pairs; two shared mid-nodes asking for contradictory
+    pair signs leave one of their edges frustrated.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -415,43 +431,15 @@ def detect_coherent(cover: GradedSignedDoubleCover, component, direction: str):
         q = comp[0]
         lonely = cover.is_leaf(q) if direction == "up" else cover.is_root(q)
         return None if lonely else {q: False}
-    shared = cover.shared_parents if direction == "up" else cover.shared_children
-    # collapse each adjacent pair to a single required sign x_a * x_b
-    pair_sign: dict[tuple[int, int], int] = {}
-    for i, a in enumerate(comp):
-        for b in comp[i + 1:]:
-            mids = shared(a, b)
-            if not mids:
-                continue
-            sgns = set()
-            for m in mids:
-                if direction == "up":
-                    sgns.add(cover.sign_ref[(a, m)] * cover.sign_ref[(b, m)])
-                else:
-                    sgns.add(cover.sign_ref[(m, a)] * cover.sign_ref[(m, b)])
-            if len(sgns) > 1:
-                return None
-            pair_sign[(a, b)] = sgns.pop()
-    # propagate x over a spanning tree, then check every constraint
-    x: dict[int, int] = {}
-    adj: dict[int, list[tuple[int, int]]] = {q: [] for q in comp}
-    for (a, b), s in pair_sign.items():
-        adj[a].append((b, s))
-        adj[b].append((a, s))
-    for start in comp:
-        if start in x:
-            continue
-        x[start] = 1
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b, s in adj[a]:
-                if b not in x:
-                    x[b] = x[a] * s
-                    stack.append(b)
-    for (a, b), s in pair_sign.items():
-        if x[a] * x[b] != s:
-            return None
+    members = set(comp)
+    edges = [
+        (a, b, s)
+        for a, b, _v, s in conditional_triples(cover, cover.dims[comp[0]], direction, comp)
+        if a < b and a in members and b in members
+    ]
+    x, _pieces, frustrated = propagate_signs(comp, edges)
+    if frustrated:
+        return None
     return {q: x[q] == -1 for q in comp}
 
 
@@ -465,8 +453,9 @@ def find_partition(cover: GradedSignedDoubleCover, component):
     vertex-to-class assignments in lexicographic vertex order, pruning on
     the constraint that the vertices of every member face take pairwise
     distinct classes; classes are introduced in first-use order so the
-    first witness found is canonical.  Returns k+1 vertex-label lists or
-    None.
+    first witness found is canonical.  The backtracking keeps its own
+    cursor instead of recursing, so long vertex lists cannot exhaust the
+    interpreter stack.  Returns k+1 vertex-label lists or None.
     """
     if cover.faces is None:
         raise ValueError("partitions are only defined for simplicial covers")
@@ -486,21 +475,22 @@ def find_partition(cover: GradedSignedDoubleCover, component):
                 constraints[b].add(a)
     n_classes = k + 1
     assign = [-1] * len(vertices)
-
-    def backtrack(i: int, used: int) -> bool:
-        if i == len(vertices):
-            return True
-        forbidden = {assign[j] for j in constraints[i] if assign[j] >= 0}
-        for cls in range(min(used + 1, n_classes)):
-            if cls in forbidden:
-                continue
+    # used[i]: number of classes taken by the vertices before i
+    used = [0] * (len(vertices) + 1)
+    i = 0
+    while 0 <= i < len(vertices):
+        forbidden = {assign[j] for j in constraints[i] if j < i}
+        cls = assign[i] + 1
+        while cls in forbidden:
+            cls += 1
+        if cls < min(used[i] + 1, n_classes):
             assign[i] = cls
-            if backtrack(i + 1, max(used, cls + 1)):
-                return True
+            used[i + 1] = max(used[i], cls + 1)
+            i += 1
+        else:
             assign[i] = -1
-        return False
-
-    if not backtrack(0, 0):
+            i -= 1
+    if i < 0:
         return None
     classes: list[list[str]] = [[] for _ in range(n_classes)]
     for i, v in enumerate(vertices):

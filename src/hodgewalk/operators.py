@@ -20,6 +20,7 @@ from .graded_cover import (
     PathWeights,
     components,
     compute_path_weights,
+    conditional_triples,
     detect_coherent,
 )
 
@@ -276,75 +277,40 @@ def build_conditional(
     nodes = cover.nodes_by_dim.get(k, ())
     pos = {q: i for i, q in enumerate(nodes)}
     m = len(nodes)
-    n = cover.n_quotient
     up = direction == "up"
-    hq = [pw.h(q) for q in range(n)]
-
-    def mids(a, b):
-        return cover.shared_parents(a, b) if up else cover.shared_children(a, b)
-
-    if flavor == "quotient":
-        body = rat_zeros(m, m)
-        for a in nodes:
-            lonely = cover.is_leaf(a) if up else cover.is_root(a)
-            if lonely:
-                body[pos[a], pos[a]] = Fraction(1)
-                continue
-            for b in nodes:
-                total = Fraction(0)
-                for v in mids(a, b):
-                    total += hq[v] / hq[a] if up else hq[b] / hq[v]
-                if total:
-                    body[pos[a], pos[b]] += total
-        sm = ScaledMatrix([hq[q] for q in nodes], [1 / hq[q] for q in nodes], body)
+    hq = [pw.h(q) for q in range(cover.n_quotient)]
+    lonely = cover.is_leaf if up else cover.is_root
+    size = 2 * m if flavor == "cover" else m
+    body = rat_zeros(size, size)
+    # a lonely node has no mid-node to pass through: it stays put (quotient)
+    # or moves to either of its lifts (cover)
+    for i in [pos[a] for a in nodes if lonely(a)]:
+        if flavor == "quotient":
+            body[i, i] = Fraction(1)
+        elif flavor == "cover":
+            body[i, i] = body[i, i + m] = body[i + m, i] = body[i + m, i + m] = Fraction(1, 2)
+    for a, b, v, s in conditional_triples(cover, k, direction):
+        w = hq[v] / hq[a] if up else hq[b] / hq[v]
+        i, j = pos[a], pos[b]
+        if flavor == "quotient":
+            body[i, j] += w
+        elif flavor == "signed":
+            body[i, j] -= w * (-s if orient[a] != orient[b] else s)
+        else:
+            # two conditioned steps pick up opposite signs overall
+            for fa in (0, 1):
+                body[i + m * fa, j + m * (fa ^ (s == 1))] += w
+    h_row = [hq[q] for q in nodes]
+    h_col = [1 / hq[q] for q in nodes]
+    if flavor != "cover":
         labels = tuple(cover.labels[q] for q in nodes)
-        return SymmetricOperator(f"A-{direction}-{k}-quotient", labels, tuple(nodes), sm)
-
-    if flavor == "signed":
-        body = rat_zeros(m, m)
-        for a in nodes:
-            for b in nodes:
-                total = Fraction(0)
-                for v in mids(a, b):
-                    if up:
-                        s = cover.sign_ref[(a, v)] * cover.sign_ref[(b, v)]
-                    else:
-                        s = cover.sign_ref[(v, a)] * cover.sign_ref[(v, b)]
-                    if orient[a] != orient[b]:
-                        s = -s
-                    total += s * (hq[v] / hq[a] if up else hq[b] / hq[v])
-                if total:
-                    body[pos[a], pos[b]] = -total
-        sm = ScaledMatrix([hq[q] for q in nodes], [1 / hq[q] for q in nodes], body)
-        labels = tuple(cover.labels[q] for q in nodes)
-        return SymmetricOperator(f"A-{direction}-{k}-signed", labels, tuple(nodes), sm)
-
-    body = rat_zeros(2 * m, 2 * m)
-    for a in nodes:
-        for fa in (0, 1):
-            row = pos[a] + m * fa
-            lonely = cover.is_leaf(a) if up else cover.is_root(a)
-            if lonely:
-                body[row, pos[a]] = Fraction(1, 2)
-                body[row, pos[a] + m] = Fraction(1, 2)
-                continue
-            for b in nodes:
-                for v in mids(a, b):
-                    if up:
-                        pair = cover.sign_ref[(a, v)] * cover.sign_ref[(b, v)]
-                        w = hq[v] / hq[a]
-                    else:
-                        pair = cover.sign_ref[(v, a)] * cover.sign_ref[(v, b)]
-                        w = hq[b] / hq[v]
-                    fb = fa ^ (pair == 1)
-                    body[row, pos[b] + m * fb] += w
-    scale_r = [hq[q] for q in nodes] * 2
-    scale_c = [1 / hq[q] for q in nodes] * 2
-    sm = ScaledMatrix(scale_r, scale_c, body)
+        sm = ScaledMatrix(h_row, h_col, body)
+        return SymmetricOperator(f"A-{direction}-{k}-{flavor}", labels, tuple(nodes), sm)
     labels = tuple(
         ("-" if flip else "+") + cover.labels[q] for flip in (0, 1) for q in nodes
     )
-    cover_nodes = tuple(nodes) + tuple(q + n for q in nodes)
+    cover_nodes = tuple(nodes) + tuple(q + cover.n_quotient for q in nodes)
+    sm = ScaledMatrix(h_row * 2, h_col * 2, body)
     return SymmetricOperator(f"A-{direction}-{k}-cover", labels, cover_nodes, sm)
 
 

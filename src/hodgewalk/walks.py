@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import rat_zeros
+from . import operators
+from .exact import ScaledMatrix
 from .graded_cover import (
     GradedSignedDoubleCover,
     PathWeights,
@@ -65,6 +66,15 @@ def _leaf_root_status(cover: GradedSignedDoubleCover, q: int) -> tuple[bool, boo
     return cover.is_leaf(q), cover.is_root(q)
 
 
+def _from_operator(sm: ScaledMatrix, through) -> np.ndarray:
+    """Transition matrix of the walk operator ``sm`` of weights D = LP*RP.
+
+    Each walk operator is A = D^(-1/2) P^T D^(1/2), so P = D^(-1/2) A^T D^(1/2);
+    the rebase is exact because every conversion factor is a ratio of LP counts.
+    """
+    return sm.T.rebase(through, [1 / d for d in through]).body
+
+
 def transition_full(
     cover: GradedSignedDoubleCover,
     view: str = "quotient",
@@ -75,50 +85,20 @@ def transition_full(
     Quotient rows: 1/2 * LP(v)/LP(u) up, 1/2 * RP(t)/RP(u) down, with lazy
     mass 1/2 (leaf xor root) or 1 (isolated) on the diagonal.  Cover rows
     move up to the coherently oriented lift and down to the oppositely
-    oriented one, with the lazy mass split over both lifts.
+    oriented one, with the lazy mass split over both lifts.  Derived from
+    the quotient (resp. cover) operator of the bundle.
     """
+    if view not in ("quotient", "cover"):
+        raise ValueError("view must be 'quotient' or 'cover'")
     if pw is None:
         pw = compute_path_weights(cover)
     n = cover.n_quotient
+    bundle = operators.build_bundle(cover, pw)
+    through = [Fraction(pw.through(q)) for q in range(n)]
     if view == "quotient":
-        mat = rat_zeros(n, n)
-        for q in range(n):
-            leaf, root = _leaf_root_status(cover, q)
-            if leaf and root:
-                mat[q, q] = Fraction(1)
-                continue
-            if leaf != root:
-                mat[q, q] = Fraction(1, 2)
-            if not leaf:
-                for v in cover.parents[q]:
-                    mat[q, v] += Fraction(pw.lp[v], 2 * pw.lp[q])
-            if not root:
-                for t in cover.children[q]:
-                    mat[q, t] += Fraction(pw.rp[t], 2 * pw.rp[q])
+        mat = _from_operator(bundle.a_quotient, through)
         return TransitionMatrix(mat, tuple(cover.labels), tuple(range(n)), "full-quotient")
-    if view != "cover":
-        raise ValueError("view must be 'quotient' or 'cover'")
-    mat = rat_zeros(2 * n, 2 * n)
-    for u in range(2 * n):
-        q, flip = u % n, u >= n
-        leaf, root = _leaf_root_status(cover, q)
-        if leaf and root:
-            mat[u, q] = Fraction(1, 2)
-            mat[u, q + n] = Fraction(1, 2)
-            continue
-        if leaf != root:
-            mat[u, q] += Fraction(1, 4)
-            mat[u, q + n] += Fraction(1, 4)
-        if not leaf:
-            for v in cover.parents[q]:
-                # move to the lift with [v : u] = +1
-                target_flip = flip ^ (cover.sign_ref[(q, v)] == -1)
-                mat[u, v + n * target_flip] += Fraction(pw.lp[v], 2 * pw.lp[q])
-        if not root:
-            for t in cover.children[q]:
-                # move to the lift with [u : t] = -1
-                target_flip = flip ^ (cover.sign_ref[(t, q)] == 1)
-                mat[u, t + n * target_flip] += Fraction(pw.rp[t], 2 * pw.rp[q])
+    mat = _from_operator(bundle.a_cover, through * 2)
     labels = tuple(cover.cover_label(u) for u in range(2 * n))
     return TransitionMatrix(mat, labels, tuple(range(2 * n)), "full-cover")
 
@@ -130,75 +110,16 @@ def transition_conditional(
     view: str = "quotient",
     pw: PathWeights | None = None,
 ) -> TransitionMatrix:
-    """Transition matrix of the conditional up- or down-walk in dimension k."""
-    cover.require_strong()
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
+    """Transition matrix of the conditional up- or down-walk in dimension k,
+    derived from the conditional operator of the matching flavor."""
+    if view not in ("quotient", "cover"):
+        raise ValueError("view must be 'quotient' or 'cover'")
     if pw is None:
         pw = compute_path_weights(cover)
-    nodes = cover.nodes_by_dim.get(k, ())
-    pos = {q: i for i, q in enumerate(nodes)}
-    m = len(nodes)
-    up = direction == "up"
-
-    def quotient_entry(a: int, b: int) -> Fraction:
-        mids = cover.shared_parents(a, b) if up else cover.shared_children(a, b)
-        total = Fraction(0)
-        for v in mids:
-            if up:
-                total += Fraction(pw.lp[v] * pw.rp[b], pw.lp[a] * pw.rp[v])
-            else:
-                total += Fraction(pw.rp[v] * pw.lp[b], pw.rp[a] * pw.lp[v])
-        return total
-
-    if view == "quotient":
-        mat = rat_zeros(m, m)
-        for a in nodes:
-            lonely = cover.is_leaf(a) if up else cover.is_root(a)
-            if lonely:
-                mat[pos[a], pos[a]] = Fraction(1)
-                continue
-            for b in nodes:
-                val = quotient_entry(a, b)
-                if val:
-                    mat[pos[a], pos[b]] = val
-        labels = tuple(cover.labels[q] for q in nodes)
-        return TransitionMatrix(mat, labels, tuple(nodes), f"{direction}-{k}-quotient")
-    if view != "cover":
-        raise ValueError("view must be 'quotient' or 'cover'")
+    op = operators.build_conditional(cover, k, direction, view, pw=pw)
     n = cover.n_quotient
-    mat = rat_zeros(2 * m, 2 * m)
-
-    def cpos(q: int, flip: bool) -> int:
-        return pos[q] + m * flip
-
-    for a in nodes:
-        for fa in (False, True):
-            row = cpos(a, fa)
-            lonely = cover.is_leaf(a) if up else cover.is_root(a)
-            if lonely:
-                mat[row, cpos(a, False)] = Fraction(1, 2)
-                mat[row, cpos(a, True)] = Fraction(1, 2)
-                continue
-            for b in nodes:
-                mids = cover.shared_parents(a, b) if up else cover.shared_children(a, b)
-                for v in mids:
-                    if up:
-                        pair = cover.sign_ref[(a, v)] * cover.sign_ref[(b, v)]
-                        w = Fraction(pw.lp[v] * pw.rp[b], pw.lp[a] * pw.rp[v])
-                    else:
-                        pair = cover.sign_ref[(v, a)] * cover.sign_ref[(v, b)]
-                        w = Fraction(pw.rp[v] * pw.lp[b], pw.rp[a] * pw.lp[v])
-                    # two conditioned steps pick up opposite signs overall
-                    fb = fa ^ (pair == 1)
-                    mat[row, cpos(b, fb)] += w
-    labels = tuple(
-        ("-" if flip else "+") + cover.labels[q]
-        for flip in (False, True)
-        for q in nodes
-    )
-    cover_nodes = tuple(q for q in nodes) + tuple(q + n for q in nodes)
-    return TransitionMatrix(mat, labels, cover_nodes, f"{direction}-{k}-cover")
+    mat = _from_operator(op.sm, [Fraction(pw.through(u % n)) for u in op.nodes])
+    return TransitionMatrix(mat, op.index, op.nodes, f"{direction}-{k}-{view}")
 
 
 def stationary(
@@ -351,8 +272,6 @@ def convergence_rate(
     Raises CoherentComponentError when any paired component is coherent
     (the conditional walk is then not aperiodic).
     """
-    from . import operators
-
     cover.require_strong()
     if pw is None:
         pw = compute_path_weights(cover)

@@ -108,6 +108,51 @@ def naive_cheeger_signed(aux):
     return best
 
 
+def one_step_transition(cover, view):
+    """Exact one-step transition matrix from the S/U/D action rules.
+
+    The action is drawn by leaf/root status, each allowed action with
+    probability 1/2 (S alone on an isolated node).  S moves to either lift
+    with probability 1/2; U picks a parent v with odds LP(v)/LP(q) and moves
+    to its lift u' with [u' : u] = +1; D picks a child t with odds
+    RP(t)/RP(q) and moves to its lift u' with [u : u'] = -1.  Path counts
+    come from path enumeration.  The quotient view folds the two lifts of
+    each target together.
+    """
+    n = cover.n_quotient
+    lp = [len(ascending_paths(cover, q)) for q in range(n)]
+    rp = [len(descending_paths(cover, q)) for q in range(n)]
+    P = np.empty((2 * n, 2 * n), dtype=object)
+    P[:, :] = Fraction(0)
+    for u in range(2 * n):
+        q = u % n
+        leaf, root = cover.is_leaf(q), cover.is_root(q)
+        if leaf and root:
+            actions = ("S",)
+        elif leaf:
+            actions = ("S", "D")
+        elif root:
+            actions = ("S", "U")
+        else:
+            actions = ("U", "D")
+        p_action = Fraction(1, len(actions))
+        for action in actions:
+            if action == "S":
+                P[u, q] += p_action / 2
+                P[u, q + n] += p_action / 2
+            elif action == "U":
+                for v in cover.parents[q]:
+                    (lift,) = [x for x in (v, v + n) if cover.cover_sign(u, x) == 1]
+                    P[u, lift] += p_action * Fraction(lp[v], lp[q])
+            else:
+                for t in cover.children[q]:
+                    (lift,) = [x for x in (t, t + n) if cover.cover_sign(x, u) == -1]
+                    P[u, lift] += p_action * Fraction(rp[t], rp[q])
+    if view == "cover":
+        return P
+    return P[:n, :n] + P[:n, n:]
+
+
 def two_step_conditional(P, dims, k, direction, lonely):
     """Conditional walk matrix from the full quotient transition matrix.
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hodgewalk.cli import run
 
 from conftest import FIXTURES
@@ -146,7 +148,30 @@ def test_nonstrong_guard(capsys):
     assert code == 2
 
 
-def test_self_test(capsys):
-    code, out = run_cli(capsys, "self-test")
+@pytest.mark.parametrize("k", ["9", "-1"])
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["stationary"],
+        ["spectrum"],
+        ["laplacian"],
+        ["coherent", "--direction", "up"],
+        ["partition"],
+        ["cheeger"],
+        ["report"],
+    ],
+)
+def test_k_out_of_range_exit_one(verb, k, capsys):
+    code = run([verb[0], TET, "--k", k, *verb[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: k={k} out of range 0..3\n"
+
+
+def test_partition_long_cycle(tmp_path, capsys):
+    cycle = tmp_path / "cycle1200.cx"
+    cycle.write_text("\n".join(f"c{i} c{(i + 1) % 1200}" for i in range(1200)))
+    code, out = run_cli(capsys, "partition", str(cycle), "--k", "1")
     assert code == 0
-    assert out.strip().splitlines()[-1].startswith("TOTAL\tyes\t34")
+    assert out.splitlines()[1].startswith("0\t1200\tc0 c10 c100 c1000 ")

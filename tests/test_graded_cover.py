@@ -352,6 +352,8 @@ def test_random_cover_walk_invariants(seed):
         assert pw.rp[q] == len(oracles.descending_paths(cov, q))
     P = transition_full(cov, "quotient", pw)
     Pc = transition_full(cov, "cover", pw)
+    assert (P.entries == oracles.one_step_transition(cov, "quotient")).all()
+    assert (Pc.entries == oracles.one_step_transition(cov, "cover")).all()
     assert all(s == 1 for s in P.row_sums())
     assert all(s == 1 for s in Pc.row_sums())
     for a in range(cov.n_quotient):
@@ -373,6 +375,69 @@ def test_random_cover_split_exact(seed):
     assert all(ok for ok, _ in report.values()), {
         k: v for k, v in report.items() if not v[0]
     }
+
+
+def random_strong_cover_spec(seed):
+    """Random strongly graded cover spec: every edge goes from dimension d to d+1.
+
+    Dense edges make two nodes share several mid-nodes, which simplicial
+    fixtures never do.
+    """
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    dims = [rng.randint(0, 2) for _ in range(n)]
+    lines = [f"node s{i} {dims[i]}" for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if dims[j] == dims[i] + 1 and rng.random() < 0.8:
+                lines.append(f"edge s{i} s{j} {rng.choice(('+1', '-1'))}")
+    return parse_cover_spec("\n".join(lines))
+
+
+STRONG_SEEDS = range(24)
+
+
+def test_random_strong_covers_share_several_mid_nodes():
+    multi = 0
+    for seed in STRONG_SEEDS:
+        cov = random_strong_cover_spec(seed)
+        assert cov.strong
+        for a in range(cov.n_quotient):
+            for b in range(a + 1, cov.n_quotient):
+                multi += len(cov.shared_parents(a, b)) > 1
+                multi += len(cov.shared_children(a, b)) > 1
+    assert multi >= 20
+
+
+@pytest.mark.parametrize("seed", STRONG_SEEDS)
+def test_random_strong_cover_properties(seed):
+    from hodgewalk.operators import verify_split
+    from hodgewalk.walks import transition_conditional
+
+    cov = random_strong_cover_spec(seed)
+    pw = compute_path_weights(cov)
+    report = verify_split(cov, pw)
+    assert all(ok for ok, _ in report.values()), {
+        k: v for k, v in report.items() if not v[0]
+    }
+    P = oracles.one_step_transition(cov, "quotient")
+    Pc = oracles.one_step_transition(cov, "cover")
+    for k in sorted(cov.nodes_by_dim):
+        for direction in ("up", "down"):
+            for comp in components(cov, f"quotient-{direction}", k).members:
+                got = detect_coherent(cov, comp, direction) is not None
+                assert got == oracles.coherence_by_enumeration(cov, comp, direction)
+            lonely = cov.is_leaf if direction == "up" else cov.is_root
+            nodes, want = oracles.two_step_conditional(P, cov.dims, k, direction, lonely)
+            got = transition_conditional(cov, k, direction, "quotient", pw)
+            assert list(got.nodes) == nodes and (got.entries == want).all()
+            cnodes, cwant = oracles.two_step_conditional_cover(
+                Pc, cov.dims, cov.n_quotient, k, direction, lonely
+            )
+            cgot = transition_conditional(cov, k, direction, "cover", pw)
+            assert list(cgot.nodes) == cnodes and (cgot.entries == cwant).all()
 
 
 def test_components_with_coherence_flags():

@@ -51,6 +51,16 @@ def test_row_stochastic(name, view, covers, weights):
     assert all(s == 1 for s in P.row_sums())
 
 
+@pytest.mark.parametrize("name", COMPLEX_NAMES + ["nonstrong"])
+@pytest.mark.parametrize("view", ["quotient", "cover"])
+def test_transition_full_matches_action_oracle(name, view):
+    from conftest import fixture_text
+
+    cov = parse_cover_spec(fixture_text(name)) if name == "nonstrong" else load_cover(name)
+    want = oracles.one_step_transition(cov, view)
+    assert (transition_full(cov, view).entries == want).all()
+
+
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_flip_commutation(name, covers, weights):
     cov = covers[name]
