@@ -394,18 +394,22 @@ def _verify_checks(cover, cx, threads):
 
 
 def _path_count_oracle(cover, pw) -> bool:
-    def count_up(q):
-        if cover.is_leaf(q):
-            return 1
-        return sum(count_up(v) for v in cover.parents[q])
+    """LP/RP against a walk of every path up to a leaf and down to a root,
+    one explicit stack entry per partial path (no recursion)."""
 
-    def count_down(q):
-        if cover.is_root(q):
-            return 1
-        return sum(count_down(t) for t in cover.children[q])
+    def count_paths(q, step, at_end):
+        total, stack = 0, [q]
+        while stack:
+            x = stack.pop()
+            if at_end(x):
+                total += 1
+            else:
+                stack.extend(step[x])
+        return total
 
     return all(
-        pw.lp[q] == count_up(q) and pw.rp[q] == count_down(q)
+        pw.lp[q] == count_paths(q, cover.parents, cover.is_leaf)
+        and pw.rp[q] == count_paths(q, cover.children, cover.is_root)
         for q in range(cover.n_quotient)
     )
 
@@ -449,6 +453,8 @@ def _verify_cheeger_checks(cover, pw, threads):
         # up in dimension m scales by m+2, down in dimension m by m+1
         for direction, kk in (("up", k - 1), ("down", k)):
             comps = graded_cover.components(cover, f"quotient-{direction}", kk).members
+            quot = operators.build_conditional(cover, kk, direction, "quotient", pw=pw)
+            sgn = operators.build_conditional(cover, kk, direction, "signed", pw=pw)
             for comp in comps:
                 try:
                     aux = cheeger_mod.build_aux(cover, comp, direction, pw)
@@ -456,16 +462,8 @@ def _verify_cheeger_checks(cover, pw, threads):
                     continue
                 factor = Fraction(kk + 2 if direction == "up" else kk + 1)
                 eye = ScaledMatrix.identity(aux.n)
-                a_q = (
-                    operators.build_conditional(cover, kk, direction, "quotient", pw=pw)
-                    .restrict(comp)
-                    .sm
-                )
-                a_s = (
-                    operators.build_conditional(cover, kk, direction, "signed", pw=pw)
-                    .restrict(comp)
-                    .sm
-                )
+                a_q = quot.restrict(comp).sm
+                a_s = sgn.restrict(comp).sm
                 lap_q = cheeger_mod.aux_laplacian(aux, "quotient").sm
                 lap_s = cheeger_mod.aux_laplacian(aux, "signed").sm
                 ok = lap_q.equals((eye - a_q).scale(factor)) and lap_s.equals(
@@ -549,6 +547,9 @@ def run(argv) -> int:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except operators.EigenResidualError as exc:
+        print(f"guard: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except (ComplexFormatError, CoverSpecError, FileNotFoundError, ValueError) as exc:
         if isinstance(exc, (BruteForceGuardError, NonStrongGradingError, CoherentComponentError)):
             print(f"guard: {exc}", file=sys.stderr)

@@ -8,6 +8,8 @@ with q, a_i, a_j rational.  They are stored exactly as
 with a rational ``body`` and positive rational scale vectors.  Products,
 sums, transposes and equality checks then stay in rational arithmetic; the
 square roots only materialize in the floating-point mirror ``to_float``.
+The body is a dense object array of Fractions, but the operations read and
+write only its nonzero entries, so their cost follows the nonzero count.
 """
 
 from __future__ import annotations
@@ -55,16 +57,43 @@ def rat_eye(n: int) -> np.ndarray:
     return out
 
 
-def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool((a == b).all())
+def nonzeros(a: np.ndarray) -> tuple[list[int], list[int], list]:
+    """Row-major (rows, cols, values) of the nonzero entries of an object array."""
+    rows, cols = np.nonzero(a.astype(bool))
+    return rows.tolist(), cols.tolist(), a[rows, cols].tolist()
+
+
+def rat_from_entries(shape: tuple[int, int], rows, cols, values) -> np.ndarray:
+    """Rational matrix of the given shape, Fraction(0) off the listed entries."""
+    out = rat_zeros(*shape)
+    if values:
+        out[rows, cols] = values
+    return out
+
+
+def _fractions(xs: Iterable) -> tuple[Fraction, ...]:
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+
+
+def _add_bodies(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for rational bodies of one shape, adding over b's nonzeros only."""
+    out = a.copy()
+    rows, cols, values = nonzeros(b)
+    if values:
+        out[rows, cols] = [x + y for x, y in zip(a[rows, cols].tolist(), values)]
+    return out
 
 
 def mat_is_zero(a: np.ndarray) -> bool:
-    return all(v == 0 for v in a.flat)
+    return not np.count_nonzero(a)
 
 
 def mat_to_float(a: np.ndarray) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in a], dtype=float)
+    out = np.zeros(a.shape)
+    rows, cols, values = nonzeros(a)
+    if values:
+        out[rows, cols] = [float(v) for v in values]
+    return out
 
 
 def bareiss_rank(mat: Sequence[Sequence[int]]) -> int:
@@ -98,10 +127,14 @@ def rational_rank(mat: np.ndarray) -> int:
     """Rank of a matrix with Fraction entries, computed exactly."""
     if mat.size == 0:
         return 0
-    rows = []
-    for row in mat:
-        den = math.lcm(*(Fraction(v).denominator for v in row))
-        rows.append([int(Fraction(v) * den) for v in row])
+    r, c, values = nonzeros(mat)
+    values = [Fraction(v) for v in values]
+    den = [1] * mat.shape[0]
+    for i, v in zip(r, values):
+        den[i] = math.lcm(den[i], v.denominator)
+    rows = [[0] * mat.shape[1] for _ in range(mat.shape[0])]
+    for i, j, v in zip(r, c, values):
+        rows[i][j] = v.numerator * (den[i] // v.denominator)
     return bareiss_rank(rows)
 
 
@@ -111,8 +144,8 @@ class ScaledMatrix:
     __slots__ = ("row_scale", "col_scale", "body")
 
     def __init__(self, row_scale: Iterable, col_scale: Iterable, body: np.ndarray):
-        self.row_scale = tuple(Fraction(x) for x in row_scale)
-        self.col_scale = tuple(Fraction(x) for x in col_scale)
+        self.row_scale = _fractions(row_scale)
+        self.col_scale = _fractions(col_scale)
         if any(x <= 0 for x in self.row_scale) or any(x <= 0 for x in self.col_scale):
             raise ValueError("scales must be positive")
         if body.shape != (len(self.row_scale), len(self.col_scale)):
@@ -141,7 +174,8 @@ class ScaledMatrix:
         return ScaledMatrix(self.col_scale, self.row_scale, self.body.T.copy())
 
     def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "ScaledMatrix":
-        body = self.body[np.ix_(rows, cols)].copy() if rows and cols else rat_zeros(len(rows), len(cols))
+        # a gather of object references: no per-entry arithmetic
+        body = self.body[np.ix_(rows, cols)] if rows and cols else rat_zeros(len(rows), len(cols))
         return ScaledMatrix(
             [self.row_scale[i] for i in rows],
             [self.col_scale[j] for j in cols],
@@ -163,61 +197,77 @@ class ScaledMatrix:
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
-        mid = []
-        for i, (cs, rs) in enumerate(zip(self.col_scale, other.row_scale)):
-            root = frac_sqrt(cs * rs)
+        left = [[] for _ in range(self.shape[0])]
+        for i, k, a in zip(*nonzeros(self.body)):
+            left[i].append((k, a))
+        contracted = {k for row in left for k, _ in row}
+        # rows of the right factor times their inner factor sqrt(c_k * r_k);
+        # an irrational inner factor is harmless when nothing contracts
+        # through index k
+        right = [[] for _ in range(other.shape[0])]
+        roots = {}
+        for k, j, v in zip(*nonzeros(other.body)):
+            if k not in contracted:
+                continue
+            root = roots.get(k)
             if root is None:
-                # an irrational inner factor is harmless when nothing
-                # contracts through this index
-                if all(v == 0 for v in self.body[:, i]) or all(
-                    v == 0 for v in other.body[i, :]
-                ):
-                    root = Fraction(1)
-                else:
+                root = frac_sqrt(self.col_scale[k] * other.row_scale[k])
+                if root is None:
                     raise ValueError("inner scales do not compose exactly")
-            mid.append(root)
-        scaled = np.empty_like(other.body)
-        for i, m in enumerate(mid):
-            scaled[i, :] = other.body[i, :] * m
-        return ScaledMatrix(self.row_scale, other.col_scale, self.body @ scaled)
+                roots[k] = root
+            right[k].append((j, v if root == 1 else v * root))
+        body = rat_zeros(self.shape[0], other.shape[1])
+        for i, row in enumerate(left):
+            acc: dict[int, Fraction] = {}
+            for k, a in row:
+                for j, b in right[k]:
+                    p = a * b
+                    acc[j] = acc[j] + p if j in acc else p
+            for j, v in acc.items():
+                body[i, j] = v
+        return ScaledMatrix(self.row_scale, other.col_scale, body)
 
     def rebase(self, row_scale: Iterable, col_scale: Iterable) -> "ScaledMatrix":
         """Re-express with new scales; needs each nonzero entry's conversion
         factor sqrt((r_old*c_old)/(r_new*c_new)) to be rational."""
-        row_scale = tuple(Fraction(x) for x in row_scale)
-        col_scale = tuple(Fraction(x) for x in col_scale)
+        row_scale = _fractions(row_scale)
+        col_scale = _fractions(col_scale)
+        if (len(row_scale), len(col_scale)) != self.shape:
+            raise ValueError("body shape does not match scales")
         rr = [a / b for a, b in zip(self.row_scale, row_scale)]
         cc = [a / b for a, b in zip(self.col_scale, col_scale)]
-        body = np.empty_like(self.body)
-        for i, ri in enumerate(rr):
-            for j, cj in enumerate(cc):
-                v = self.body[i, j]
-                if v == 0:
-                    body[i, j] = Fraction(0)
-                    continue
-                f = frac_sqrt(ri * cj)
-                if f is None:
-                    raise ValueError("scales are not compatible")
-                body[i, j] = v * f
-        return ScaledMatrix(row_scale, col_scale, body)
+        rows, cols, values = nonzeros(self.body)
+        for n, (i, j) in enumerate(zip(rows, cols)):
+            f = frac_sqrt(rr[i] * cc[j])
+            if f is None:
+                raise ValueError("scales are not compatible")
+            if f != 1:
+                values[n] *= f
+        return ScaledMatrix(row_scale, col_scale, rat_from_entries(self.shape, rows, cols, values))
 
     def __add__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         try:
             other = other.rebase(self.row_scale, self.col_scale)
         except ValueError:
             rebased = self.rebase(other.row_scale, other.col_scale)
-            return ScaledMatrix(other.row_scale, other.col_scale, rebased.body + other.body)
-        return ScaledMatrix(self.row_scale, self.col_scale, self.body + other.body)
+            return ScaledMatrix(other.row_scale, other.col_scale, _add_bodies(rebased.body, other.body))
+        return ScaledMatrix(self.row_scale, self.col_scale, _add_bodies(self.body, other.body))
 
     def __sub__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         return self + (-other)
 
     def __neg__(self) -> "ScaledMatrix":
-        return ScaledMatrix(self.row_scale, self.col_scale, -self.body)
+        return self._map(lambda v: -v)
 
     def scale(self, factor) -> "ScaledMatrix":
         factor = Fraction(factor)
-        return ScaledMatrix(self.row_scale, self.col_scale, self.body * factor)
+        return self._map(lambda v: v * factor)
+
+    def _map(self, fn) -> "ScaledMatrix":
+        """Same scales, ``fn`` applied to every nonzero body entry."""
+        rows, cols, values = nonzeros(self.body)
+        body = rat_from_entries(self.shape, rows, cols, [fn(v) for v in values])
+        return ScaledMatrix(self.row_scale, self.col_scale, body)
 
     # -- predicates ---------------------------------------------------
 
@@ -225,18 +275,20 @@ class ScaledMatrix:
         """Exact entrywise equality, independent of the chosen scales."""
         if self.shape != other.shape:
             return False
-        for i in range(self.shape[0]):
-            ri, si = self.row_scale[i], other.row_scale[i]
-            for j in range(self.shape[1]):
-                a, b = self.body[i, j], other.body[i, j]
-                if (a == 0) != (b == 0):
+        rows, cols, mine = nonzeros(self.body)
+        o_rows, o_cols, theirs = nonzeros(other.body)
+        if rows != o_rows or cols != o_cols:
+            return False
+        same_row = [x == y for x, y in zip(self.row_scale, other.row_scale)]
+        same_col = [x == y for x, y in zip(self.col_scale, other.col_scale)]
+        for i, j, a, b in zip(rows, cols, mine, theirs):
+            if same_row[i] and same_col[j]:
+                if a != b:
                     return False
-                if a == 0:
-                    continue
-                if (a > 0) != (b > 0):
-                    return False
-                if a * a * ri * self.col_scale[j] != b * b * si * other.col_scale[j]:
-                    return False
+            elif (a > 0) != (b > 0) or a * a * self.row_scale[i] * self.col_scale[j] != (
+                b * b * other.row_scale[i] * other.col_scale[j]
+            ):
+                return False
         return True
 
     def __eq__(self, other) -> bool:
@@ -257,3 +309,4 @@ class ScaledMatrix:
         r = np.sqrt(np.array([float(x) for x in self.row_scale]))
         c = np.sqrt(np.array([float(x) for x in self.col_scale]))
         return mat_to_float(self.body) * np.outer(r, c)
+

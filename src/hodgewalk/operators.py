@@ -340,7 +340,11 @@ def jacobi_eigh(mat: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
                 if abs(apq) < 1e-300:
                     continue
                 theta = (a[q, q] - a[p, p]) / (2 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
+                if abs(theta) > 1e150:
+                    # theta * theta would overflow; sqrt(theta^2 + 1) = |theta|
+                    t = np.sign(theta) / (2 * abs(theta))
+                else:
+                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
                 if theta == 0:
                     t = 1.0
                 c = 1 / np.sqrt(t * t + 1)
@@ -557,14 +561,15 @@ def _verify_transfer_dim(cover, pw, b: OperatorBundle, k: int, check) -> None:
 
     worst = 0.0
     pairs = component_correspondence(cover, k)
-    for down_comp, up_comp in pairs:
-        for flavor in ("quotient", "signed"):
-            a_up = build_conditional(cover, k - 1, "up", flavor, pw=pw)
-            a_dn = build_conditional(cover, k, "down", flavor, pw=pw)
+    for flavor in ("quotient", "signed") if pairs else ():
+        a_up = build_conditional(cover, k - 1, "up", flavor, pw=pw)
+        a_dn = build_conditional(cover, k, "down", flavor, pw=pw)
+        delta = b.delta_block(flavor, k - 1)
+        for down_comp, up_comp in pairs:
             up_idx = [a_up.nodes.index(q) for q in up_comp]
             dn_idx = [a_dn.nodes.index(q) for q in down_comp]
             down_set, up_set = set(down_comp), set(up_comp)
-            dblock = b.delta_block(flavor, k - 1).restrict(
+            dblock = delta.restrict(
                 [i for i, q in enumerate(cover.nodes_by_dim[k]) if q in down_set],
                 [i for i, q in enumerate(cover.nodes_by_dim[k - 1]) if q in up_set],
             )

@@ -279,13 +279,13 @@ def convergence_rate(
     if not pairs:
         raise ValueError(f"no paired components in dimensions {k - 1}/{k}")
     rate = 0.0
+    quot = operators.build_conditional(cover, k - 1, "up", "quotient", pw=pw)
+    sgn = operators.build_conditional(cover, k - 1, "up", "signed", pw=pw)
     for _down_comp, up_comp in pairs:
         if detect_coherent(cover, up_comp, "up") is not None:
             raise CoherentComponentError(
                 "conditional walk is not aperiodic on a coherent component"
             )
-        quot = operators.build_conditional(cover, k - 1, "up", "quotient", pw=pw)
-        sgn = operators.build_conditional(cover, k - 1, "up", "signed", pw=pw)
         idx = [quot.nodes.index(q) for q in up_comp]
         ev_quot = operators.eigen(quot.sm.restrict(idx, idx).to_float()).eigenvalues
         ev_sgn = operators.eigen(sgn.sm.restrict(idx, idx).to_float()).eigenvalues

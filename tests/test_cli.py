@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from hodgewalk.cli import run
+from hodgewalk import graded_cover, operators
+from hodgewalk.cli import _path_count_oracle, run
 
 from conftest import FIXTURES
 
@@ -175,3 +177,26 @@ def test_partition_long_cycle(tmp_path, capsys):
     code, out = run_cli(capsys, "partition", str(cycle), "--k", "1")
     assert code == 0
     assert out.splitlines()[1].startswith("0\t1200\tc0 c10 c100 c1000 ")
+
+
+def test_eigen_residual_failure_is_a_guard_exit(monkeypatch, capsys):
+    def wrong_eigenpairs(mat):
+        n = len(mat)
+        return np.zeros(n), np.eye(n)
+
+    monkeypatch.setattr(operators, "jacobi_eigh", wrong_eigenpairs)
+    code = run(["spectrum", TET])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("guard: residual ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_path_count_oracle_long_chain():
+    n = 1100
+    spec = [f"node n{i} {i}" for i in range(n)]
+    spec += [f"edge n{i} n{i + 1} +1" for i in range(n - 1)]
+    cover = graded_cover.parse_cover_spec("\n".join(spec))
+    assert _path_count_oracle(cover, graded_cover.compute_path_weights(cover))

@@ -135,6 +135,15 @@ def test_eigen_rejects_asymmetric():
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_jacobi_tiny_off_diagonal_does_not_overflow():
+    # theta = gap / (2 * 1e-200): theta * theta is beyond the float range
+    m = np.array([[0.0, 1e-200, 0.0], [1e-200, 1.0, 0.5], [0.0, 0.5, 2.0]])
+    with np.errstate(over="raise"):
+        vals, vecs = jacobi_eigh(m)
+    assert np.allclose(np.sort(vals), np.linalg.eigvalsh(m), atol=1e-12)
+    assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_jacobi_matches_numpy(seed):
     rng = np.random.default_rng(seed)
