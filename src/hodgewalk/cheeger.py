@@ -5,10 +5,19 @@ nonempty subsets; the signed constant additionally minimizes over
 orientations of the chosen subset (the subset may be everything).  Both
 searches are exact: comparisons are done by integer cross-multiplication
 after clearing denominators once.  Enumeration is capped at 24 nodes.
+
+Both scans visit subsets in ascending bitmask order and carry cut weight
+and measure from one mask to the next through the flipped bits, so the
+witness is the lowest mask attaining the minimum.  The signed scan skips
+subsets whose cross weight alone cannot win and searches the orientations
+of the rest by a branch-and-bound over the Gray-code rank, budgeted by
+what would still beat the incumbent; its orientation witness is the
+lowest-rank minimizer, the first one a plain Gray-code walk would meet.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +40,11 @@ BRUTE_FORCE_CAP = 24
 
 class BruteForceGuardError(ValueError):
     """Raised when a cut enumeration would exceed the 2**24 guard."""
+
+
+class SharedMidNodeError(ValueError):
+    """Raised when two faces share several mid-nodes, so the auxiliary
+    edge weight (defined through the unique shared face) is undefined."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,10 @@ def build_aux(
     for a, b, v, s in conditional_triples(cover, k, direction, comp):
         if a < b and a in pos and b in pos:
             if (pos[a], pos[b]) in mid:
-                raise ValueError("auxiliary weights need a unique shared mid-node")
+                raise SharedMidNodeError(
+                    f"auxiliary weights need a unique shared mid-node: {cover.labels[a]} and"
+                    f" {cover.labels[b]} share several"
+                )
             mid[(pos[a], pos[b])] = (v, s)
     edges = sorted(mid)
     signs = [mid[e][1] for e in edges]
@@ -169,24 +186,48 @@ def _guard(n: int) -> None:
         )
 
 
+def _neighbours(n: int, edges, wints):
+    """Per-node (other end, integer weight) lists of the auxiliary edges."""
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (i, j), w in zip(edges, wints):
+        nbrs[i].append((j, w))
+        nbrs[j].append((i, w))
+    return nbrs
+
+
+def _mask_scan(nbrs, mints, lo, hi):
+    """Yield (mask, cut, mu) for the masks in [lo, hi), ascending.
+
+    Cut weight and measure are carried from one mask to the next through
+    the bits of ``mask ^ prev``: flipping node i changes the cut by the
+    weight of each incident edge, in O(degree).
+    """
+    cur = cut = mu = 0
+    for mask in range(lo, hi):
+        flips = mask ^ cur
+        while flips:
+            low = flips & -flips
+            flips ^= low
+            i = low.bit_length() - 1
+            cur ^= low
+            inside = (cur >> i) & 1
+            mu += mints[i] if inside else -mints[i]
+            for j, w in nbrs[i]:
+                if (cur >> j) & 1 == inside:
+                    cut -= w
+                else:
+                    cut += w
+        yield mask, cut, mu
+
+
 def _quotient_scan(args):
     """Minimize cut/min-measure over masks in [lo, hi); exact integer compare."""
-    pairs, mints, total_m, lo, hi, full = args
+    nbrs, mints, total_m, lo, hi, full = args
     best_num = best_den = None
     best_mask = None
-    for mask in range(lo, hi):
+    for mask, cut, mu in _mask_scan(nbrs, mints, lo, hi):
         if mask == 0 or mask == full:
             continue
-        mu = 0
-        m = mask
-        while m:
-            low = m & -m
-            mu += mints[low.bit_length() - 1]
-            m ^= low
-        cut = 0
-        for i, j, w in pairs:
-            if ((mask >> i) & 1) != ((mask >> j) & 1):
-                cut += w
         den = min(mu, total_m - mu)
         if best_num is None or cut * best_den < best_num * den:
             best_num, best_den, best_mask = cut, den, mask
@@ -198,21 +239,23 @@ def cheeger_quotient(aux: AuxiliaryGraph, threads: int = 1):
 
     Minimizes over the 2**n - 2 proper nonempty subsets; ties resolve to
     the lexicographically smallest bitmask.  With threads > 1 the mask
-    space is split across processes (the min-reduction is order-free).
+    space is split across at most ``os.cpu_count()`` processes (the
+    min-reduction is order-free).
     """
     n = aux.n
     if n < 2:
         raise ValueError("quotient Cheeger constant needs at least two nodes")
     _guard(n)
     wints, wden, mints, mden = _integerized(aux)
-    pairs = [(i, j, w) for (i, j), w in zip(aux.edges, wints)]
+    nbrs = _neighbours(n, aux.edges, wints)
     total_m = sum(mints)
     full = (1 << n) - 1
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1 and n > 12:
         chunks = []
         step = (full + threads) // threads
         for lo in range(0, full + 1, step):
-            chunks.append((pairs, mints, total_m, lo, min(lo + step, full + 1), full))
+            chunks.append((nbrs, mints, total_m, lo, min(lo + step, full + 1), full))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = [r for r in pool.map(_quotient_scan, chunks) if r[0] is not None]
         best_num, best_den, best_mask = None, None, None
@@ -224,51 +267,71 @@ def cheeger_quotient(aux: AuxiliaryGraph, threads: int = 1):
             ):
                 best_num, best_den, best_mask = num, den, mask
     else:
-        best_num, best_den, best_mask = _quotient_scan((pairs, mints, total_m, 0, full + 1, full))
+        best_num, best_den, best_mask = _quotient_scan((nbrs, mints, total_m, 0, full + 1, full))
     h = Fraction(best_num, wden) / Fraction(best_den, mden)
     witness = tuple(aux.nodes[i] for i in range(n) if (best_mask >> i) & 1)
     return h, witness
 
 
-def _signed_best_orientation(members, pairs_in):
-    """Minimal within-subset negative weight over orientations, with witness.
+def _signed_best_orientation(members, pairs_in, limit):
+    """Least within-subset negative weight below ``limit``, with witness.
 
-    Orientations are enumerated per connected piece of the induced graph
-    with one node fixed per piece (switching equivalence); the negative
-    pair weight counts both ordered pairs, hence the factor 2.  The scan
-    walks a Gray code over the free nodes, updating the frustrated weight
-    incrementally through each node's incident pairs.
+    Orientations fix one node per connected piece of the induced graph
+    (switching equivalence); the negative pair weight counts both ordered
+    pairs, hence the factor 2.  The remaining free nodes are decided by a
+    depth-first branch-and-bound over the Gray-code rank t of the
+    orientation (node ``free[b]`` is flipped when bit b of t ^ (t >> 1) is
+    set), most significant bit first and 0 before 1, so leaves come in
+    ascending t.  An edge's frustrated weight is added once both ends are
+    decided, and a branch whose partial weight is not below the current
+    limit is cut.  Each leaf that gets through lowers the limit, so the
+    result is the lowest-rank minimizer.  Returns (neg, x), or None when
+    no orientation has neg < limit.
     """
-    m = len(members)
-    incident = [[] for _ in range(m)]
-    for pi, (i, j, _w, _s) in enumerate(pairs_in):
-        incident[i].append(pi)
-        incident[j].append(pi)
-    pieces = propagate_signs(range(m), [(i, j, 1) for (i, j, _w, _s) in pairs_in])[1]
+    pieces = propagate_signs(range(len(members)), [(i, j, 1) for (i, j, _w, _s) in pairs_in])[1]
     free = [x for piece in pieces for x in piece[1:]]
-    x = [1] * m
-    bad = [s == -1 for (_i, _j, _w, s) in pairs_in]
-    neg = sum(2 * w for (_i, _j, w, _s), b in zip(pairs_in, bad) if b)
-    best, best_x = neg, list(x)
-    if best == 0 or not free:
-        return best, best_x
-    gray_prev = 0
-    for t in range(1, 1 << len(free)):
-        gray = t ^ (t >> 1)
-        node = free[(gray ^ gray_prev).bit_length() - 1]
-        gray_prev = gray
-        x[node] = -x[node]
-        for pi in incident[node]:
-            i, j, w, s = pairs_in[pi]
-            now_bad = x[i] * x[j] * s == -1
-            if now_bad != bad[pi]:
-                neg += 2 * w if now_bad else -2 * w
-                bad[pi] = now_bad
-        if neg < best:
-            best, best_x = neg, list(x)
-            if best == 0:
-                break
-    return best, best_x
+    # an edge is decided at the level of its later-decided end; piece roots
+    # are fixed at +1 from the start (and no edge joins two of them)
+    rank = {node: b for b, node in enumerate(free)}
+    edges_at: list[list[tuple[int, int, int]]] = [[] for _ in free]
+    for i, j, w, s in pairs_in:
+        bi, bj = rank.get(i, len(free)), rank.get(j, len(free))
+        if bi < bj:
+            edges_at[bi].append((j, 2 * w, s))
+        else:
+            edges_at[bj].append((i, 2 * w, s))
+    level_total = [sum(w2 for _o, w2, _s in es) for es in edges_at]
+    x = [1] * len(members)
+    best_neg, best_x = limit, None
+
+    def descend(b, t_prev, partial):
+        nonlocal best_neg, best_x
+        if b < 0:
+            best_neg, best_x = partial, list(x)
+            return
+        # frustrated weight added by x = +1 (x_o * s == -1); x = -1 frustrates the rest
+        plus = 0
+        for o, w2, s in edges_at[b]:
+            if x[o] != s:
+                plus += w2
+        minus = level_total[b] - plus
+        # Gray bit b is t_b ^ t_prev: t_b = 0 gives x = +1 exactly when t_prev is 0
+        if t_prev == 0:
+            children = ((0, 1, plus), (1, -1, minus))
+        else:
+            children = ((0, -1, minus), (1, 1, plus))
+        for t_b, v, add in children:
+            if partial + add < best_neg:
+                x[free[b]] = v
+                descend(b - 1, t_b, partial + add)
+
+    # each branch is checked against the limit before it is entered; the
+    # root has weight 0
+    if limit > 0:
+        descend(len(free) - 1, 0, 0)
+    if best_x is None:
+        return None
+    return best_neg, best_x
 
 
 def cheeger_signed(aux: AuxiliaryGraph, threads: int = 1):
@@ -278,10 +341,13 @@ def cheeger_signed(aux: AuxiliaryGraph, threads: int = 1):
     subset is irrelevant.  Zero exactly when the component is coherent
     (beta = 0 forces the full set with a balanced orientation, which is
     checked directly by sign propagation).  Otherwise subsets are scanned
-    in ascending bitmask order; the orientation search inside a subset
-    fixes one node per connected piece (switching equivalence) and is
-    skipped entirely when the cross weight alone cannot beat the
-    incumbent.
+    in ascending bitmask order with incrementally updated cut and measure.
+    A subset is skipped when its cross weight alone exceeds a precomputed
+    upper bound or cannot beat the incumbent; otherwise its orientation
+    search is budgeted by the largest negative weight that would still
+    beat the incumbent strictly (or reach the upper bound, before the
+    first incumbent).  The witness is the lowest-mask minimizer with its
+    lowest-Gray-rank orientation.
     """
     n = aux.n
     if n == 0:
@@ -295,36 +361,38 @@ def cheeger_signed(aux: AuxiliaryGraph, threads: int = 1):
         return Fraction(0), (tuple(aux.nodes), orientation)
     wints, wden, mints, mden = _integerized(aux)
     pairs = [(i, j, w, s) for (i, j), w, s in zip(aux.edges, wints, aux.sign)]
+    nbrs = _neighbours(n, aux.edges, wints)
     # a cheap upper bound on the minimum strengthens pruning from the start:
     # the full set under the propagated orientation, and every singleton
     bound_num = sum(2 * wints[e] for e in frustrated)
     bound_den = sum(mints)
     for i in range(n):
-        deg = sum(w for (a, b, w, _s) in pairs if i in (a, b))
+        deg = sum(w for _j, w in nbrs[i])
         if deg * bound_den < bound_num * mints[i]:
             bound_num, bound_den = deg, mints[i]
     best_num = best_den = None
-    best_mask = best_x = None
-    for mask in range(1, 1 << n):
-        members = [i for i in range(n) if (mask >> i) & 1]
-        member_pos = {node: p for p, node in enumerate(members)}
-        mu = sum(mints[i] for i in members)
-        cut = 0
-        pairs_in = []
-        for (i, j, w, s) in pairs:
-            ini, inj = (mask >> i) & 1, (mask >> j) & 1
-            if ini != inj:
-                cut += w
-            elif ini:
-                pairs_in.append((member_pos[i], member_pos[j], w, s))
+    best_x = None
+    for mask, cut, mu in _mask_scan(nbrs, mints, 1, 1 << n):
         if cut * bound_den > bound_num * mu:
             continue
-        if best_num is not None and cut * best_den >= best_num * mu:
+        if best_num is None:
+            # reach the upper bound: (cut + neg) / mu <= bound
+            limit = (bound_num * mu - cut * bound_den) // bound_den + 1
+        elif cut * best_den >= best_num * mu:
             continue
-        neg, x = _signed_best_orientation(members, pairs_in)
-        num = cut + neg
-        if best_num is None or num * best_den < best_num * mu:
-            best_num, best_den, best_mask, best_x = num, mu, mask, (members, x)
+        else:
+            # beat the incumbent strictly: (cut + neg) / mu < best
+            limit = -((cut * best_den - best_num * mu) // best_den)
+        members = [i for i in range(n) if (mask >> i) & 1]
+        member_pos = {node: p for p, node in enumerate(members)}
+        pairs_in = [
+            (member_pos[i], member_pos[j], w, s)
+            for (i, j, w, s) in pairs
+            if (mask >> i) & (mask >> j) & 1
+        ]
+        found = _signed_best_orientation(members, pairs_in, limit)
+        if found is not None:
+            best_num, best_den, best_x = cut + found[0], mu, (members, found[1])
     h = Fraction(best_num, wden) / Fraction(best_den, mden)
     members, x = best_x
     witness_nodes = tuple(aux.nodes[i] for i in members)
@@ -332,9 +400,8 @@ def cheeger_signed(aux: AuxiliaryGraph, threads: int = 1):
     return h, (witness_nodes, witness_orientation)
 
 
-def _restricted_gap(cover, pw, k, direction, flavor, comp) -> float:
-    op = build_conditional(cover, k, direction, flavor, pw=pw).restrict(comp)
-    ev = eigen(op.sm).eigenvalues
+def _restricted_gap(op: SymmetricOperator, flavor: str, comp) -> float:
+    ev = eigen(op.restrict(comp).sm).eigenvalues
     if flavor == "quotient":
         return 1.0 - ev[-2]
     return 1.0 - (-ev[0])
@@ -357,7 +424,15 @@ def combined_report(
     if pw is None:
         pw = compute_path_weights(cover)
     reports = []
-    for down_comp, up_comp in component_correspondence(cover, k):
+    pairs = component_correspondence(cover, k)
+    # the dim-(k-1) up operators, built once and restricted per up-component
+    up_ops = {}
+    if any(len(up_comp) >= 2 for _down, up_comp in pairs):
+        up_ops = {
+            flavor: build_conditional(cover, k - 1, "up", flavor, pw=pw)
+            for flavor in ("quotient", "signed")
+        }
+    for down_comp, up_comp in pairs:
         coherent = detect_coherent(cover, down_comp, "down") is not None
         witnesses: dict = {}
         d_up = Fraction(k + 1)
@@ -378,8 +453,8 @@ def combined_report(
             witnesses["quotient_up"] = wit
             h_s_up, wit = cheeger_signed(aux_up, threads)
             witnesses["signed_up"] = wit
-            gap_q = _restricted_gap(cover, pw, k - 1, "up", "quotient", up_comp)
-            gap_s = _restricted_gap(cover, pw, k - 1, "up", "signed", up_comp)
+            gap_q = _restricted_gap(up_ops["quotient"], "quotient", up_comp)
+            gap_s = _restricted_gap(up_ops["signed"], "signed", up_comp)
         if aux_down is not None:
             h_q_down, wit = cheeger_quotient(aux_down, threads)
             witnesses["quotient_down"] = wit

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import cheeger as cheeger_mod
 from . import complex_core, graded_cover, laplacians, operators, walks
-from .cheeger import BruteForceGuardError
+from .cheeger import BruteForceGuardError, SharedMidNodeError
 from .complex_core import ComplexFormatError
 from .exact import ScaledMatrix
 from .graded_cover import CoverSpecError, NonStrongGradingError
@@ -242,6 +242,8 @@ def cmd_cheeger(args) -> int:
         for ci, comp in enumerate(comps):
             try:
                 aux = cheeger_mod.build_aux(cover, comp, direction, pw)
+            except SharedMidNodeError:
+                raise
             except ValueError:
                 rows.append((direction, ci, len(comp), "", "", "", ""))
                 continue
@@ -433,7 +435,7 @@ def _verify_cheeger_checks(cover, pw, threads):
     for k in range(1, dim + 1):
         try:
             reports = cheeger_mod.combined_report(cover, k, pw, threads)
-        except BruteForceGuardError as exc:
+        except (BruteForceGuardError, SharedMidNodeError) as exc:
             yield f"cheeger_k{k}", True, f"skipped: {exc}"
             continue
         for rep in reports:
@@ -546,12 +548,20 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except operators.EigenResidualError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ComplexFormatError, CoverSpecError, FileNotFoundError, ValueError) as exc:
-        if isinstance(exc, (BruteForceGuardError, NonStrongGradingError, CoherentComponentError)):
+        guards = (
+            BruteForceGuardError,
+            SharedMidNodeError,
+            NonStrongGradingError,
+            CoherentComponentError,
+        )
+        if isinstance(exc, guards):
             print(f"guard: {exc}", file=sys.stderr)
             return EXIT_GUARD
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,20 @@
 
 Everything here is written straight from the definitions (path
 enumeration, exhaustive orientation search, naive double loops) and does
-not share code with the library implementations it checks.
+not share code with the library implementations it checks.  The one
+exception is the reference cut searches at the end: the plain ascending
+mask scans and the Gray-code orientation walk that the pruned searches
+replaced, kept to pin the witnesses (lowest mask, lowest Gray rank);
+they share the weight integerization and sign propagation with the library.
 """
 
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from hodgewalk.cheeger import _integerized
+from hodgewalk.graded_cover import propagate_signs
 
 
 def ascending_paths(cover, q):
@@ -256,3 +263,132 @@ def normalized_graph_laplacian(complex):
         body[i, i] = deg[i]
     inv = [Fraction(1) / d for d in deg]
     return ScaledMatrix(inv, inv, body)
+
+
+# -- reference cut searches: the full ascending scans and Gray-code walk --
+
+
+def _quotient_scan(args):
+    """Minimize cut/min-measure over masks in [lo, hi); exact integer compare."""
+    pairs, mints, total_m, lo, hi, full = args
+    best_num = best_den = None
+    best_mask = None
+    for mask in range(lo, hi):
+        if mask == 0 or mask == full:
+            continue
+        mu = 0
+        m = mask
+        while m:
+            low = m & -m
+            mu += mints[low.bit_length() - 1]
+            m ^= low
+        cut = 0
+        for i, j, w in pairs:
+            if ((mask >> i) & 1) != ((mask >> j) & 1):
+                cut += w
+        den = min(mu, total_m - mu)
+        if best_num is None or cut * best_den < best_num * den:
+            best_num, best_den, best_mask = cut, den, mask
+    return best_num, best_den, best_mask
+
+
+def reference_cheeger_quotient(aux):
+    """(h, witness subset) by the full ascending mask scan; lowest mask wins ties."""
+    n = aux.n
+    wints, wden, mints, mden = _integerized(aux)
+    pairs = [(i, j, w) for (i, j), w in zip(aux.edges, wints)]
+    total_m = sum(mints)
+    full = (1 << n) - 1
+    best_num, best_den, best_mask = _quotient_scan((pairs, mints, total_m, 0, full + 1, full))
+    h = Fraction(best_num, wden) / Fraction(best_den, mden)
+    witness = tuple(aux.nodes[i] for i in range(n) if (best_mask >> i) & 1)
+    return h, witness
+
+
+def reference_signed_best_orientation(members, pairs_in):
+    """Minimal within-subset negative weight over orientations, with witness.
+
+    Orientations are enumerated per connected piece of the induced graph
+    with one node fixed per piece (switching equivalence); the negative
+    pair weight counts both ordered pairs, hence the factor 2.  The scan
+    walks a Gray code over the free nodes, updating the frustrated weight
+    incrementally through each node's incident pairs.
+    """
+    m = len(members)
+    incident = [[] for _ in range(m)]
+    for pi, (i, j, _w, _s) in enumerate(pairs_in):
+        incident[i].append(pi)
+        incident[j].append(pi)
+    pieces = propagate_signs(range(m), [(i, j, 1) for (i, j, _w, _s) in pairs_in])[1]
+    free = [x for piece in pieces for x in piece[1:]]
+    x = [1] * m
+    bad = [s == -1 for (_i, _j, _w, s) in pairs_in]
+    neg = sum(2 * w for (_i, _j, w, _s), b in zip(pairs_in, bad) if b)
+    best, best_x = neg, list(x)
+    if best == 0 or not free:
+        return best, best_x
+    gray_prev = 0
+    for t in range(1, 1 << len(free)):
+        gray = t ^ (t >> 1)
+        node = free[(gray ^ gray_prev).bit_length() - 1]
+        gray_prev = gray
+        x[node] = -x[node]
+        for pi in incident[node]:
+            i, j, w, s = pairs_in[pi]
+            now_bad = x[i] * x[j] * s == -1
+            if now_bad != bad[pi]:
+                neg += 2 * w if now_bad else -2 * w
+                bad[pi] = now_bad
+        if neg < best:
+            best, best_x = neg, list(x)
+            if best == 0:
+                break
+    return best, best_x
+
+
+def reference_cheeger_signed(aux):
+    """(h, (subset, orientation)) by the ascending mask scan with the Gray walk."""
+    n = aux.n
+    x, _pieces, frustrated = propagate_signs(
+        range(n), [(i, j, s) for (i, j), s in zip(aux.edges, aux.sign)]
+    )
+    if not frustrated:
+        orientation = {aux.nodes[i]: (x[i] == -1) for i in range(n)}
+        return Fraction(0), (tuple(aux.nodes), orientation)
+    wints, wden, mints, mden = _integerized(aux)
+    pairs = [(i, j, w, s) for (i, j), w, s in zip(aux.edges, wints, aux.sign)]
+    # a cheap upper bound on the minimum strengthens pruning from the start:
+    # the full set under the propagated orientation, and every singleton
+    bound_num = sum(2 * wints[e] for e in frustrated)
+    bound_den = sum(mints)
+    for i in range(n):
+        deg = sum(w for (a, b, w, _s) in pairs if i in (a, b))
+        if deg * bound_den < bound_num * mints[i]:
+            bound_num, bound_den = deg, mints[i]
+    best_num = best_den = None
+    best_mask = best_x = None
+    for mask in range(1, 1 << n):
+        members = [i for i in range(n) if (mask >> i) & 1]
+        member_pos = {node: p for p, node in enumerate(members)}
+        mu = sum(mints[i] for i in members)
+        cut = 0
+        pairs_in = []
+        for (i, j, w, s) in pairs:
+            ini, inj = (mask >> i) & 1, (mask >> j) & 1
+            if ini != inj:
+                cut += w
+            elif ini:
+                pairs_in.append((member_pos[i], member_pos[j], w, s))
+        if cut * bound_den > bound_num * mu:
+            continue
+        if best_num is not None and cut * best_den >= best_num * mu:
+            continue
+        neg, x = reference_signed_best_orientation(members, pairs_in)
+        num = cut + neg
+        if best_num is None or num * best_den < best_num * mu:
+            best_num, best_den, best_mask, best_x = num, mu, mask, (members, x)
+    h = Fraction(best_num, wden) / Fraction(best_den, mden)
+    members, x = best_x
+    witness_nodes = tuple(aux.nodes[i] for i in members)
+    witness_orientation = {aux.nodes[i]: (xi == -1) for i, xi in zip(members, x)}
+    return h, (witness_nodes, witness_orientation)

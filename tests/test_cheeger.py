@@ -275,8 +275,10 @@ def test_up_down_gap_equality(name, covers, weights):
             if len(up_comp) < 2 or len(down_comp) < 2:
                 continue
             for flavor in ("quotient", "signed"):
-                g_up = _restricted_gap(cov, pw, k - 1, "up", flavor, up_comp)
-                g_down = _restricted_gap(cov, pw, k, "down", flavor, down_comp)
+                up = build_conditional(cov, k - 1, "up", flavor, pw=pw)
+                down = build_conditional(cov, k, "down", flavor, pw=pw)
+                g_up = _restricted_gap(up, flavor, up_comp)
+                g_down = _restricted_gap(down, flavor, down_comp)
                 assert abs(g_up - g_down) < 1e-9
 
 
@@ -314,3 +316,83 @@ def test_random_complex_sandwich(seed):
                 assert rep.sandwich_quotient_ok
             if rep.sandwich_signed_ok is not None:
                 assert rep.sandwich_signed_ok
+
+
+# -- the pruned searches against the full scans they replaced ----------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodgewalk.cheeger import AuxiliaryGraph, _signed_best_orientation
+
+SMALL_WEIGHTS = st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)])
+
+
+@st.composite
+def random_aux(draw):
+    """Auxiliary graph on up to 8 nodes, few distinct weights (ties are common)."""
+    n = draw(st.integers(1, 8))
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else []
+    return AuxiliaryGraph(
+        direction="down",
+        k=1,
+        nodes=tuple(range(10, 10 + n)),
+        labels=tuple(f"q{i}" for i in range(n)),
+        edges=tuple(edges),
+        sign=tuple(draw(st.sampled_from([1, -1])) for _ in edges),
+        weight=tuple(draw(SMALL_WEIGHTS) for _ in edges),
+        measure=tuple(draw(SMALL_WEIGHTS) for _ in range(n)),
+        degree_term=Fraction(1),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_aux())
+def test_cut_searches_match_references(aux):
+    """Same value, witness subset and orientation as the full scans."""
+    signed = cheeger_signed(aux)
+    assert signed == oracles.reference_cheeger_signed(aux)
+    if aux.n <= 6:
+        assert signed[0] == oracles.naive_cheeger_signed(aux)
+    if aux.n >= 2:
+        quotient = cheeger_quotient(aux)
+        assert quotient == oracles.reference_cheeger_quotient(aux)
+        if aux.n <= 6:
+            assert quotient[0] == oracles.naive_cheeger_quotient(aux)
+
+
+def test_budgeted_orientation_search():
+    # K4, negative triangle on 1, 2, 3: three orientations tie at weight 4;
+    # the Gray walk meets (+, -, +, +) first (rank 1 flips node 1)
+    pairs_in = [
+        (0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 1, 1), (1, 2, 1, -1), (1, 3, 1, -1), (2, 3, 1, -1),
+    ]
+    members = [0, 1, 2, 3]
+    best, best_x = oracles.reference_signed_best_orientation(members, pairs_in)
+    assert (best, best_x) == (4, [1, -1, 1, 1])
+    assert _signed_best_orientation(members, pairs_in, best + 1) == (best, best_x)
+    assert _signed_best_orientation(members, pairs_in, 10**6) == (best, best_x)
+    assert _signed_best_orientation(members, pairs_in, best) is None
+    assert _signed_best_orientation(members, pairs_in, 0) is None
+
+
+@st.composite
+def induced_graph(draw):
+    """(members, pairs_in) on up to 8 nodes, weights 1 or 2: many tied minima."""
+    m = draw(st.integers(1, 8))
+    all_pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = sorted(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else []
+    pairs_in = [
+        (i, j, draw(st.sampled_from([1, 1, 2])), draw(st.sampled_from([1, -1]))) for i, j in edges
+    ]
+    return list(range(m)), pairs_in
+
+
+@settings(max_examples=300, deadline=None)
+@given(induced_graph())
+def test_budgeted_orientation_matches_gray_walk(graph):
+    members, pairs_in = graph
+    best, best_x = oracles.reference_signed_best_orientation(members, pairs_in)
+    assert _signed_best_orientation(members, pairs_in, best + 1) == (best, best_x)
+    assert _signed_best_orientation(members, pairs_in, best) is None

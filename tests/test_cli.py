@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hodgewalk import graded_cover, operators
+from hodgewalk import cheeger, graded_cover, operators
 from hodgewalk.cli import _path_count_oracle, run
 
 from conftest import FIXTURES
@@ -200,3 +200,80 @@ def test_path_count_oracle_long_chain():
     spec += [f"edge n{i} n{i + 1} +1" for i in range(n - 1)]
     cover = graded_cover.parse_cover_spec("\n".join(spec))
     assert _path_count_oracle(cover, graded_cover.compute_path_weights(cover))
+
+
+# two 0-nodes sharing two 1-nodes, which share the 2-node t
+SHARED_MID = """\
+node a 0
+node b 0
+node e 1
+node f 1
+node t 2
+edge a e +1
+edge b e -1
+edge a f +1
+edge b f -1
+edge e t +1
+edge f t -1
+"""
+
+
+@pytest.mark.parametrize("argv", [["cheeger", "--k", "1"], ["report", "--k", "1"]])
+def test_shared_mid_node_is_a_guard_exit(argv, tmp_path, capsys):
+    spec = tmp_path / "shared.cover"
+    spec.write_text(SHARED_MID)
+    code = run([argv[0], str(spec), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("guard: auxiliary weights need a unique shared mid-node")
+    assert captured.err.count("\n") == 1
+
+
+def test_shared_mid_node_verify_skips_cheeger(tmp_path, capsys):
+    spec = tmp_path / "shared.cover"
+    spec.write_text(SHARED_MID)
+    code = run(["verify", str(spec)])
+    captured = capsys.readouterr()
+    assert code in (0, 3)
+    assert captured.err == ""
+    assert "\ncheeger_k1\tyes\tskipped: auxiliary weights need a unique shared mid-node" in (
+        captured.out
+    )
+    assert captured.out.splitlines()[-1].startswith("TOTAL\t")
+
+
+@pytest.mark.parametrize("verb", [["cheeger", "--k", "1"], ["report"], ["verify"]])
+def test_threads_below_one_exit_one(verb, capsys):
+    code = run([verb[0], TET, *verb[1:], "--threads", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --threads must be at least 1, got 0\n"
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(cheeger, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cheeger.os, "cpu_count", lambda: 3)
+    code = run(["cheeger", RING, "--k", "1", "--direction", "down", "--threads", "1000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert workers == [3]
+    monkeypatch.undo()
+    assert run(["cheeger", RING, "--k", "1", "--direction", "down"]) == 0
+    assert capsys.readouterr().out == out
