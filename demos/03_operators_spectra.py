@@ -3,7 +3,7 @@
 The walk operator on the 2N oriented faces block-diagonalizes through
 the even/odd function decomposition into an N x N symmetric quotient
 operator and an N x N antisymmetric signed operator.  The projections
-satisfy exact rational identities; eigenvalues come from a cyclic Jacobi
+satisfy exact rational identities; eigenvalues come from numpy's LAPACK
 eigensolver run on floating mirrors.
 """
 

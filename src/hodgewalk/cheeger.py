@@ -18,7 +18,6 @@ lowest-rank minimizer, the first one a plain Gray-code walk would meet.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -252,6 +251,9 @@ def cheeger_quotient(aux: AuxiliaryGraph, threads: int = 1):
     full = (1 << n) - 1
     threads = min(threads, os.cpu_count() or 1)
     if threads > 1 and n > 12:
+        # imported here: multiprocessing stays unloaded unless a pool starts
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = []
         step = (full + threads) // threads
         for lo in range(0, full + 1, step):

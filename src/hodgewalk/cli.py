@@ -551,7 +551,7 @@ def run(argv) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
-    except operators.EigenResidualError as exc:
+    except (operators.EigenResidualError, OverflowError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ComplexFormatError, CoverSpecError, FileNotFoundError, ValueError) as exc:

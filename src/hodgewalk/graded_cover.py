@@ -23,13 +23,6 @@ class NonStrongGradingError(ValueError):
     """Raised when dimension-k machinery is requested on a non-strong grading."""
 
 
-@dataclass(frozen=True)
-class CoverNode:
-    quotient_index: int
-    flipped: bool
-    dimension: int
-
-
 class GradedSignedDoubleCover:
     """Quotient view of a double cover of a graded signed graph."""
 
@@ -82,10 +75,6 @@ class GradedSignedDoubleCover:
 
     def is_isolated(self, q: int) -> bool:
         return self.is_leaf(q) and self.is_root(q)
-
-    def cover_node(self, u: int) -> CoverNode:
-        n = self.n_quotient
-        return CoverNode(u % n, u >= n, self.dims[u % n])
 
     def cover_label(self, u: int) -> str:
         n = self.n_quotient
@@ -230,9 +219,6 @@ class PathWeights:
 
     def h(self, q: int) -> Fraction:
         return Fraction(self.lp[q], self.rp[q])
-
-    def h_vector(self, nodes) -> list[Fraction]:
-        return [self.h(q) for q in nodes]
 
     def through(self, q: int) -> int:
         """Number of root-to-leaf paths passing through q."""

@@ -156,6 +156,11 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
     cover = cover_from_complex(complex)
     dim = complex.dimension
     laps = {(k, nrm): hodge(complex, k, nrm) for k in range(dim + 1) for nrm in (False, True)}
+    # one (up, down) spectrum per Laplacian, shared by every check below
+    spectra = {
+        key: (eigen(lap.up).eigenvalues, eigen(lap.down).eigenvalues)
+        for key, lap in laps.items()
+    }
     for k in range(dim + 1):
         for nrm in (False, True):
             lap = laps[(k, nrm)]
@@ -168,8 +173,7 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
                 f"symmetry {tag}",
                 lap.up.is_symmetric() and lap.down.is_symmetric(),
             )
-            ev_up = eigen(lap.up.to_float()).eigenvalues if lap.up.shape[0] else ()
-            ev_dn = eigen(lap.down.to_float()).eigenvalues if lap.down.shape[0] else ()
+            ev_up, ev_dn = spectra[(k, nrm)]
             check(
                 f"positive_semidefinite {tag}",
                 all(v >= -1e-10 for v in ev_up) and all(v >= -1e-10 for v in ev_dn),
@@ -177,7 +181,7 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
             if nrm:
                 check(
                     f"spectrum_bounded_by_one {tag}",
-                    all(v <= 1 + 1e-10 for v in list(ev_up) + list(ev_dn)),
+                    all(v <= 1 + 1e-10 for v in ev_up + ev_dn),
                 )
         check(
             f"normalized_harmonic_dim k={k}",
@@ -187,12 +191,12 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
     for k in range(1, dim + 1):
         for nrm in (False, True):
             tag = f"k={k}" + (" normalized" if nrm else "")
-            up_prev = [v for v in eigen(laps[(k - 1, nrm)].up.to_float()).eigenvalues if abs(v) > 1e-8]
-            down_k = [v for v in eigen(laps[(k, nrm)].down.to_float()).eigenvalues if abs(v) > 1e-8]
+            up_prev = [v for v in spectra[(k - 1, nrm)][0] if abs(v) > 1e-8]
+            down_k = [v for v in spectra[(k, nrm)][1] if abs(v) > 1e-8]
             check(f"nonzero_spectra_match {tag}", multiset_match(up_prev, down_k))
         # multiplicity of eigenvalue 1 counts coherent components
-        up_prev = eigen(laps[(k - 1, True)].up.to_float()).eigenvalues
-        down_k = eigen(laps[(k, True)].down.to_float()).eigenvalues
+        up_prev = spectra[(k - 1, True)][0]
+        down_k = spectra[(k, True)][1]
         mult_up = eigenvalue_multiplicity(up_prev, 1.0)
         mult_down = eigenvalue_multiplicity(down_k, 1.0)
         n_coherent = sum(

@@ -4,7 +4,7 @@ Every operator is stored exactly as a ScaledMatrix: its entries are
 rational multiples of sqrt(H(u)) * sqrt(H(u'))^(-1) factors, where
 H = LP/RP.  Algebraic identities between operators are therefore checked
 in rational arithmetic with zero tolerance, while spectra come from a
-floating-point mirror fed to a cyclic Jacobi eigensolver.
+floating-point mirror fed to numpy's LAPACK ``eigh``.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ class SymmetricOperator:
     index: tuple[str, ...]
     nodes: tuple[int, ...]
     sm: ScaledMatrix
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.sm.to_float()
 
     def restrict(self, quotient_nodes) -> "SymmetricOperator":
         pos = [self.nodes.index(q) for q in sorted(quotient_nodes)]
@@ -317,76 +313,29 @@ def build_conditional(
 # -- eigensolver ------------------------------------------------------------
 
 
-def jacobi_eigh(mat: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a dense symmetric matrix."""
-    a = np.array(mat, dtype=float)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-12 * (1 + np.abs(a).max(initial=0.0))):
-        raise ValueError("matrix must be symmetric")
-    a = (a + a.T) / 2
-    n = a.shape[0]
-    v = np.eye(n)
-    if n <= 1:
-        return np.diag(a).copy(), v
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2)
-        if off < tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2 * apq)
-                if abs(theta) > 1e150:
-                    # theta * theta would overflow; sqrt(theta^2 + 1) = |theta|
-                    t = np.sign(theta) / (2 * abs(theta))
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                if theta == 0:
-                    t = 1.0
-                c = 1 / np.sqrt(t * t + 1)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
-
-
 def eigen(operator, tol: float = 1e-9) -> Spectrum:
-    """Full spectral decomposition with deterministic ordering.
+    """Full spectral decomposition of a ScaledMatrix or a float array.
 
     Eigenvalues ascend; each eigenvector is normalized so its largest
     absolute entry is positive.  The residual max|Av - lambda v| must meet
     the tolerance contract or EigenResidualError is raised.
     """
-    if isinstance(operator, SymmetricOperator):
-        mat = operator.mat
-    elif isinstance(operator, ScaledMatrix):
+    if isinstance(operator, ScaledMatrix):
         mat = operator.to_float()
     else:
         mat = np.array(operator, dtype=float)
-    vals, vecs = jacobi_eigh(mat)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.allclose(mat, mat.T, atol=1e-12 * (1 + np.abs(mat).max(initial=0.0))):
+        raise ValueError("matrix must be symmetric")
+    vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
     for j in range(vecs.shape[1]):
         col = vecs[:, j]
         i = int(np.argmax(np.abs(col)))
         if col[i] < 0:
             vecs[:, j] = -col
-    residual = 0.0
-    if mat.shape[0]:
-        residual = float(np.abs(mat @ vecs - vecs * vals[None, :]).max(initial=0.0))
-    bound = tol * (1 + (max(abs(vals[0]), abs(vals[-1])) if len(vals) else 0.0))
+    residual = float(np.abs(mat @ vecs - vecs * vals).max(initial=0.0))
+    bound = tol * (1 + np.abs(vals).max(initial=0.0))
     if residual > bound:
         raise EigenResidualError(f"residual {residual} exceeds {bound}")
     return Spectrum(tuple(float(x) for x in vals), vecs, residual)

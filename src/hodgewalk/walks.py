@@ -62,10 +62,6 @@ class WalkTrace:
     step_rule: str
 
 
-def _leaf_root_status(cover: GradedSignedDoubleCover, q: int) -> tuple[bool, bool]:
-    return cover.is_leaf(q), cover.is_root(q)
-
-
 def _from_operator(sm: ScaledMatrix, through) -> np.ndarray:
     """Transition matrix of the walk operator ``sm`` of weights D = LP*RP.
 
@@ -204,7 +200,7 @@ def simulate(
     dn_cum: list[list[int]] = []
     dn_tgt: list[list[tuple[int, int]]] = []
     for q in range(n):
-        leaf, root = _leaf_root_status(cover, q)
+        leaf, root = cover.is_leaf(q), cover.is_root(q)
         status.append(0 if (leaf and root) else 1 if leaf else 2 if root else 3)
         cum, tgt, acc = [], [], 0
         for v in cover.parents[q]:

@@ -1,9 +1,15 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hodgewalk import cheeger, graded_cover, operators
+import hodgewalk
+from hodgewalk import cheeger, graded_cover
 from hodgewalk.cli import _path_count_oracle, run
 
 from conftest import FIXTURES
@@ -184,7 +190,7 @@ def test_eigen_residual_failure_is_a_guard_exit(monkeypatch, capsys):
         n = len(mat)
         return np.zeros(n), np.eye(n)
 
-    monkeypatch.setattr(operators, "jacobi_eigh", wrong_eigenpairs)
+    monkeypatch.setattr(np.linalg, "eigh", wrong_eigenpairs)
     code = run(["spectrum", TET])
     captured = capsys.readouterr()
     assert code == 2
@@ -192,6 +198,35 @@ def test_eigen_residual_failure_is_a_guard_exit(monkeypatch, capsys):
     assert captured.err.startswith("guard: residual ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_float_mirror_overflow_is_a_guard_exit(tmp_path, capsys):
+    # two nodes per layer, each joined to both nodes of the next layer:
+    # a bottom node has H = 2**1029, beyond the float range
+    layers = 1030
+    spec = [f"node n{i}_{j} {i}" for i in range(layers) for j in (0, 1)]
+    spec += [
+        f"edge n{i}_{a} n{i + 1}_{b} +1"
+        for i in range(layers - 1) for a in (0, 1) for b in (0, 1)
+    ]
+    path = tmp_path / "layers.cover"
+    path.write_text("\n".join(spec))
+    code = run(["spectrum", str(path), "--k", "0", "--direction", "up"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("guard: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    probe = "import sys, hodgewalk.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(hodgewalk.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out == "False\n"
 
 
 def test_path_count_oracle_long_chain():
@@ -268,7 +303,7 @@ def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(cheeger, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cheeger.os, "cpu_count", lambda: 3)
     code = run(["cheeger", RING, "--k", "1", "--direction", "down", "--threads", "1000"])
     out = capsys.readouterr().out

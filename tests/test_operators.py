@@ -12,7 +12,6 @@ from hodgewalk.operators import (
     coherent_spectrum_check,
     eigen,
     eigenvalue_multiplicity,
-    jacobi_eigh,
     min_eigenvalue_bound,
     multiset_match,
     verify_split,
@@ -131,30 +130,41 @@ def test_eigen_identity_and_ordering():
 
 
 def test_eigen_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        eigen(np.zeros((2, 3)))
 
 
-def test_jacobi_tiny_off_diagonal_does_not_overflow():
-    # theta = gap / (2 * 1e-200): theta * theta is beyond the float range
-    m = np.array([[0.0, 1e-200, 0.0], [1e-200, 1.0, 0.5], [0.0, 0.5, 2.0]])
-    with np.errstate(over="raise"):
-        vals, vecs = jacobi_eigh(m)
-    assert np.allclose(np.sort(vals), np.linalg.eigvalsh(m), atol=1e-12)
-    assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+def random_symmetric(rng, n, repeated):
+    """A random symmetric n x n matrix; ``repeated`` gives Q diag(1, 1, 2, ...) Q^T."""
+    if repeated:
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        return q @ np.diag([1.0, 1.0, *range(2, n)][:n]) @ q.T
+    m = rng.normal(size=(n, n))
+    return (m + m.T) / 2
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_jacobi_matches_numpy(seed):
+    # the contract of eigen on random symmetric matrices of every size up to
+    # 10, 0 x 0 and 1 x 1 included, with and without a repeated eigenvalue
     rng = np.random.default_rng(seed)
-    n = rng.integers(2, 12)
-    m = rng.normal(size=(n, n))
-    m = (m + m.T) / 2
-    spec = eigen(m)
-    want = np.linalg.eigvalsh(m)
-    assert np.allclose(spec.eigenvalues, want, atol=1e-9)
-    assert spec.residual < 1e-9 * (1 + np.abs(want).max())
-    assert np.allclose(spec.eigenvectors.T @ spec.eigenvectors, np.eye(n), atol=1e-9)
+    for n in range(11):
+        for repeated in (False, True):
+            m = random_symmetric(rng, n, repeated)
+            spec = eigen(m)
+            vals, vecs = np.array(spec.eigenvalues), spec.eigenvectors
+            assert vals.shape == (n,) and vecs.shape == (n, n)
+            assert np.all(np.diff(vals) >= 0)
+            assert np.allclose(vals, np.linalg.eigvalsh(m), atol=1e-9)
+            if repeated and n >= 2:
+                assert vals[:2] == pytest.approx([1.0, 1.0])
+            for col in vecs.T:
+                assert col[np.argmax(np.abs(col))] > 0
+            assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-9)
+            assert spec.residual == np.abs(m @ vecs - vecs * vals).max(initial=0.0)
+            assert spec.residual <= 1e-9 * (1 + np.abs(vals).max(initial=0.0))
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
