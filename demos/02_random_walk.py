@@ -22,17 +22,17 @@ from hodgewalk import (
 cover = cover_from_complex(parse_complex("x0 x1 x2 x3"))
 pw = compute_path_weights(cover)
 
-P = transition_full(cover, "quotient", pw)
+P = transition_full(cover, "quotient")
 print("row sums all equal 1:", all(s == 1 for s in P.row_sums()))
 
 comp = components(cover, "quotient").members[0]
-pi = stationary(cover, comp, "full", "quotient", pw)
+pi = stationary(cover, comp, "full", "quotient")
 print("stationary weight by dimension:")
 for k in range(4):
     q = cover.nodes_by_dim[k][0]
     print(f"  dim {k}: {pi.weights[q]}  (x {len(cover.nodes_by_dim[k])} faces)")
 print("normalizer:", pi.normalizer, "= 24 paths x (E[len]+1), E[len] =",
-      expected_path_length(cover, comp, pw))
+      expected_path_length(cover, comp))
 
 # detailed balance holds exactly on the quotient
 ok = all(
@@ -42,9 +42,9 @@ ok = all(
 )
 print("detailed balance (exact):", ok)
 
-pi_cover = stationary(cover, comp, "full", "cover", pw)
-trace, empirical = simulate(cover, start=0, steps=10**6, seed=7, pw=pw)
+pi_cover = stationary(cover, comp, "full", "cover")
+trace, empirical = simulate(cover, start=0, steps=10**6, seed=7)
 tv = total_variation(empirical, pi_cover.weights)
 print(f"10^6 seeded steps: total variation to stationary = {float(tv):.4f}")
-trace2, _ = simulate(cover, start=0, steps=10**6, seed=7, pw=pw)
+trace2, _ = simulate(cover, start=0, steps=10**6, seed=7)
 print("same seed, identical trace:", trace.states == trace2.states)

@@ -12,7 +12,6 @@ from fractions import Fraction
 from hodgewalk import (
     build_bundle,
     build_conditional,
-    compute_path_weights,
     cover_from_complex,
     eigen,
     min_eigenvalue_bound,
@@ -22,8 +21,7 @@ from hodgewalk import (
 from hodgewalk.exact import ScaledMatrix
 
 cover = cover_from_complex(parse_complex("x0 x1 x2 x3"))
-pw = compute_path_weights(cover)
-b = build_bundle(cover, pw)
+b = build_bundle(cover)
 
 print("A on the cover:", b.a_cover.shape, " quotient:", b.a_quotient.shape)
 print("exact: 1/2 Qsym A Qsym^T equals the quotient operator:",
@@ -31,16 +29,16 @@ print("exact: 1/2 Qsym A Qsym^T equals the quotient operator:",
 eye = ScaledMatrix.identity(cover.n_cover)
 print("exact: (Qsym)^T Qsym = I + R:", (b.q_sym.T @ b.q_sym).equals(eye + b.r))
 
-checks = verify_split(cover, pw)
+checks = verify_split(cover)
 print(f"verify_split: {sum(ok for ok, _ in checks.values())}/{len(checks)} checks pass")
 
 spec = eigen(b.a_quotient)
 print("quotient eigenvalues:", [round(v, 6) for v in spec.eigenvalues])
-bound, holds = min_eigenvalue_bound(cover, pw)
+bound, holds = min_eigenvalue_bound(cover)
 print(f"minimal eigenvalue {spec.eigenvalues[0]:.6f} <= -1 + {bound}: {holds}")
 
 # conditional up-walk operators in dimension 0: quotient in [0,1], signed in [-1,0]
-up_q = build_conditional(cover, 0, "up", "quotient", pw=pw)
-up_s = build_conditional(cover, 0, "up", "signed", pw=pw)
+up_q = build_conditional(cover, 0, "up", "quotient")
+up_s = build_conditional(cover, 0, "up", "signed")
 print("dim-0 up quotient eigenvalues:", [round(v, 6) for v in eigen(up_q.sm).eigenvalues])
 print("dim-0 up signed eigenvalues:  ", [round(v, 6) for v in eigen(up_s.sm).eigenvalues])

@@ -25,11 +25,11 @@ from math import lcm
 from .exact import ScaledMatrix, rat_zeros
 from .graded_cover import (
     GradedSignedDoubleCover,
-    PathWeights,
     component_correspondence,
     compute_path_weights,
     conditional_triples,
     detect_coherent,
+    memoized,
     propagate_signs,
 )
 from .operators import SymmetricOperator, build_conditional, eigen
@@ -44,6 +44,11 @@ class BruteForceGuardError(ValueError):
 class SharedMidNodeError(ValueError):
     """Raised when two faces share several mid-nodes, so the auxiliary
     edge weight (defined through the unique shared face) is undefined."""
+
+
+class ChildCountError(ValueError):
+    """Raised when a node of a dimension-k down-component has other than
+    k+1 children, the count the combined bounds' constants assume."""
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,8 @@ class CheegerReport:
     witnesses: dict
 
 
-def build_aux(
-    cover: GradedSignedDoubleCover,
-    component,
-    direction: str,
-    pw: PathWeights | None = None,
-) -> AuxiliaryGraph:
+@memoized
+def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> AuxiliaryGraph:
     """Auxiliary weighted signed graph of one up- or down-component.
 
     Up: nodes weighted by LP, edges by LP of the shared coface, signs by
@@ -103,8 +104,7 @@ def build_aux(
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    if pw is None:
-        pw = compute_path_weights(cover)
+    pw = compute_path_weights(cover)
     comp = tuple(sorted(component))
     k = cover.dims[comp[0]]
     if any(cover.dims[q] != k for q in comp):
@@ -410,37 +410,32 @@ def _restricted_gap(op: SymmetricOperator, flavor: str, comp) -> float:
 
 
 def combined_report(
-    cover: GradedSignedDoubleCover,
-    k: int,
-    pw: PathWeights | None = None,
-    threads: int = 1,
+    cover: GradedSignedDoubleCover, k: int, threads: int = 1
 ) -> list[CheegerReport]:
     """Combined Cheeger bounds for every paired component in dimensions k-1/k.
 
     Emits, per flavor, lower bound max(h_up^2/k, h_down^2/d_down)/(2(k+1)),
     the shared spectral gap, and upper bound 2*min(h_up, h_down)/(k+1).
     Coherent or singleton pairs get the all-zero signed triple; a singleton
-    down-component additionally drops the quotient down-constant.
+    down-component additionally drops the quotient down-constant.  Raises
+    ChildCountError when a down-component node has other than k+1 children.
     """
     cover.require_strong()
-    if pw is None:
-        pw = compute_path_weights(cover)
+    pw = compute_path_weights(cover)
     reports = []
-    pairs = component_correspondence(cover, k)
-    # the dim-(k-1) up operators, built once and restricted per up-component
-    up_ops = {}
-    if any(len(up_comp) >= 2 for _down, up_comp in pairs):
-        up_ops = {
-            flavor: build_conditional(cover, k - 1, "up", flavor, pw=pw)
-            for flavor in ("quotient", "signed")
-        }
-    for down_comp, up_comp in pairs:
+    for down_comp, up_comp in component_correspondence(cover, k):
+        for q in down_comp:
+            if len(cover.children[q]) != k + 1:
+                raise ChildCountError(
+                    f"combined bounds need {k + 1} children per {k}-dimensional node:"
+                    f" {cover.labels[q]} has {len(cover.children[q])}"
+                )
         coherent = detect_coherent(cover, down_comp, "down") is not None
         witnesses: dict = {}
         d_up = Fraction(k + 1)
         aux_down = None
         if len(down_comp) >= 2:
-            aux_down = build_aux(cover, down_comp, "down", pw)
+            aux_down = build_aux(cover, down_comp, "down")
             d_down = aux_down.degree_term
         else:
             q = down_comp[0]
@@ -450,13 +445,15 @@ def combined_report(
         h_q_up = h_q_down = h_s_up = h_s_down = None
         gap_q = gap_s = None
         if len(up_comp) >= 2:
-            aux_up = build_aux(cover, up_comp, "up", pw)
+            aux_up = build_aux(cover, up_comp, "up")
             h_q_up, wit = cheeger_quotient(aux_up, threads)
             witnesses["quotient_up"] = wit
             h_s_up, wit = cheeger_signed(aux_up, threads)
             witnesses["signed_up"] = wit
-            gap_q = _restricted_gap(up_ops["quotient"], "quotient", up_comp)
-            gap_s = _restricted_gap(up_ops["signed"], "signed", up_comp)
+            up_q = build_conditional(cover, k - 1, "up", "quotient")
+            gap_q = _restricted_gap(up_q, "quotient", up_comp)
+            up_s = build_conditional(cover, k - 1, "up", "signed")
+            gap_s = _restricted_gap(up_s, "signed", up_comp)
         if aux_down is not None:
             h_q_down, wit = cheeger_quotient(aux_down, threads)
             witnesses["quotient_down"] = wit

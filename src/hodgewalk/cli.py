@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import cheeger as cheeger_mod
 from . import complex_core, graded_cover, laplacians, operators, walks
-from .cheeger import BruteForceGuardError, SharedMidNodeError
+from .cheeger import BruteForceGuardError, ChildCountError, SharedMidNodeError
 from .complex_core import ComplexFormatError
 from .exact import ScaledMatrix
 from .graded_cover import CoverSpecError, NonStrongGradingError
@@ -88,13 +88,12 @@ def cmd_lp(args) -> int:
 
 def cmd_stationary(args) -> int:
     cover, _ = load_input(args.input, args.k)
-    pw = graded_cover.compute_path_weights(cover)
     rows = []
     if args.k is None:
         comps = graded_cover.components(cover, "quotient").members
         for ci, comp in enumerate(comps):
-            pi = walks.stationary(cover, comp, "full", args.view, pw)
-            e_len = walks.expected_path_length(cover, comp, pw)
+            pi = walks.stationary(cover, comp, "full", args.view)
+            e_len = walks.expected_path_length(cover, comp)
             for node in pi.support:
                 label = cover.labels[node] if args.view == "quotient" else cover.cover_label(node)
                 rows.append((ci, label, pi.weights[node], pi.normalizer, e_len))
@@ -103,7 +102,7 @@ def cmd_stationary(args) -> int:
         kind = f"quotient-{args.direction}"
         comps = graded_cover.components(cover, kind, args.k).members
         for ci, comp in enumerate(comps):
-            pi = walks.stationary(cover, comp, args.direction, args.view, pw)
+            pi = walks.stationary(cover, comp, args.direction, args.view)
             for node in pi.support:
                 label = cover.labels[node] if args.view == "quotient" else cover.cover_label(node)
                 rows.append((ci, label, pi.weights[node], pi.normalizer, ""))
@@ -113,7 +112,6 @@ def cmd_stationary(args) -> int:
 
 def cmd_walk_sim(args) -> int:
     cover, _ = load_input(args.input)
-    pw = graded_cover.compute_path_weights(cover)
     start = 0
     if args.start is not None:
         labels = [cover.cover_label(u) for u in range(cover.n_cover)]
@@ -121,14 +119,14 @@ def cmd_walk_sim(args) -> int:
             print(f"error: unknown start node {args.start!r}", file=sys.stderr)
             return EXIT_INVALID
         start = labels.index(args.start)
-    trace, empirical = walks.simulate(cover, start, args.steps, args.seed, pw=pw)
+    trace, empirical = walks.simulate(cover, start, args.steps, args.seed)
     comp = next(
         c
         for c in graded_cover.components(cover, "cover").members
         if trace.states[0] in c
     )
     quot_comp = sorted({u % cover.n_quotient for u in comp})
-    pi = walks.stationary(cover, quot_comp, "full", "cover", pw)
+    pi = walks.stationary(cover, quot_comp, "full", "cover")
     rows = []
     for u in sorted(comp):
         emp = empirical.get(u, Fraction(0))
@@ -142,18 +140,17 @@ def cmd_walk_sim(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cover, _ = load_input(args.input, args.k)
-    pw = graded_cover.compute_path_weights(cover)
     rows = []
     if args.k is None:
-        bundle = operators.build_bundle(cover, pw)
+        bundle = operators.build_bundle(cover)
         spec = operators.eigen(bundle.a_quotient)
         name = "full-quotient"
         for i, v in enumerate(spec.eigenvalues):
             rows.append((name, i, v))
-        bound, holds = operators.min_eigenvalue_bound(cover, pw)
+        bound, holds = operators.min_eigenvalue_bound(cover)
         rows.append(("min-eigenvalue-bound", "-1 + " + str(bound), holds))
     else:
-        op = operators.build_conditional(cover, args.k, args.direction, args.flavor, pw=pw)
+        op = operators.build_conditional(cover, args.k, args.direction, args.flavor)
         spec = operators.eigen(op.sm)
         for i, v in enumerate(spec.eigenvalues):
             rows.append((op.kind, i, v))
@@ -161,7 +158,7 @@ def cmd_spectrum(args) -> int:
             # the rate pairs the dim-k up-walk with the dim-(k+1) down-walk
             rate_k = args.k + 1 if args.direction == "up" else args.k
             try:
-                rows.append(("convergence-rate", "", walks.convergence_rate(cover, rate_k, pw)))
+                rows.append(("convergence-rate", "", walks.convergence_rate(cover, rate_k)))
             except CoherentComponentError as exc:
                 rows.append(("convergence-rate", "", f"undefined: {exc}"))
     emit(rows, ("operator", "i", "value"), args.format)
@@ -235,13 +232,12 @@ def cmd_partition(args) -> int:
 
 def cmd_cheeger(args) -> int:
     cover, _ = load_input(args.input, args.k)
-    pw = graded_cover.compute_path_weights(cover)
     rows = []
     for direction in ("up", "down") if args.direction is None else (args.direction,):
         comps = graded_cover.components(cover, f"quotient-{direction}", args.k).members
         for ci, comp in enumerate(comps):
             try:
-                aux = cheeger_mod.build_aux(cover, comp, direction, pw)
+                aux = cheeger_mod.build_aux(cover, comp, direction)
             except SharedMidNodeError:
                 raise
             except ValueError:
@@ -263,7 +259,7 @@ def cmd_cheeger(args) -> int:
     return EXIT_OK
 
 
-def _bound_table_rows(cover, pw, threads):
+def _bound_table_rows(cover, threads):
     """Bound-table rows, one pair of tables over all k with complete pairs.
 
     Degenerate pairs (a singleton component on either side) are omitted:
@@ -272,7 +268,7 @@ def _bound_table_rows(cover, pw, threads):
     dim = max(cover.dims)
     quotient_rows, signed_rows = [], []
     for k in range(1, dim + 1):
-        for rep in cheeger_mod.combined_report(cover, k, pw, threads):
+        for rep in cheeger_mod.combined_report(cover, k, threads):
             if rep.h_quotient_up is None or rep.h_quotient_down is None:
                 continue
             quotient_rows.append(
@@ -311,20 +307,19 @@ def _bound_table_rows(cover, pw, threads):
 
 def cmd_report(args) -> int:
     cover, _ = load_input(args.input, args.k)
-    pw = graded_cover.compute_path_weights(cover)
     header = (
         "table", "k", "d_down", "h_up", "h_down",
         "lower_up", "lower_down", "gap", "upper_up", "upper_down",
     )
     if args.paper_tables:
-        qrows, srows = _bound_table_rows(cover, pw, args.threads)
+        qrows, srows = _bound_table_rows(cover, args.threads)
         rows = [("quotient",) + r for r in qrows] + [("signed",) + r for r in srows]
         emit(rows, header, args.format)
         return EXIT_OK
     ks = [args.k] if args.k is not None else list(range(1, max(cover.dims) + 1))
     rows = []
     for k in ks:
-        for rep in cheeger_mod.combined_report(cover, k, pw, args.threads):
+        for rep in cheeger_mod.combined_report(cover, k, args.threads):
             rows.append(
                 (
                     k,
@@ -354,7 +349,7 @@ def _verify_checks(cover, cx, threads):
     """The full invariant suite for one input; yields (name, ok, detail)."""
     pw = graded_cover.compute_path_weights(cover)
     # transition structure
-    full = {view: walks.transition_full(cover, view, pw) for view in ("quotient", "cover")}
+    full = {view: walks.transition_full(cover, view) for view in ("quotient", "cover")}
     for view, P in full.items():
         yield f"row_stochastic_{view}", all(s == 1 for s in P.row_sums()), ""
     P = full["quotient"]
@@ -371,7 +366,7 @@ def _verify_checks(cover, cx, threads):
         Pc[u, v] == Pc[flip(u), flip(v)] for u in range(2 * n) for v in range(2 * n)
     ), ""
     for comp in graded_cover.components(cover, "quotient").members:
-        pi = walks.stationary(cover, comp, "full", "quotient", pw)
+        pi = walks.stationary(cover, comp, "full", "quotient")
         vec = [pi.weights.get(q, Fraction(0)) for q in range(n)]
         fixed = all(
             sum(vec[a] * P.entries[a, b] for a in range(n)) == vec[b] for b in range(n)
@@ -380,24 +375,25 @@ def _verify_checks(cover, cx, threads):
     # path-count oracle (brute force) on small covers
     total_paths = sum(pw.lp[q] for q in range(n) if cover.is_root(q))
     if total_paths <= 10**4:
-        ok = _path_count_oracle(cover, pw)
+        ok = _path_count_oracle(cover)
         yield "path_count_oracle", ok, f"{total_paths} root-to-leaf paths"
     # operator identities and spectra
-    for name, (ok, detail) in operators.verify_split(cover, pw).items():
+    for name, (ok, detail) in operators.verify_split(cover).items():
         yield name, ok, detail
-    bound, holds = operators.min_eigenvalue_bound(cover, pw)
+    bound, holds = operators.min_eigenvalue_bound(cover)
     yield "min_eigenvalue_bound", holds, f"lambda_min <= -1 + {bound}"
     if cx is not None:
         for name, (ok, detail) in laplacians.verify_hodge_properties(cx).items():
             yield name, ok, detail
         yield "complex_adjacency_consistent", _adjacency_consistent(cover, cx), ""
     if cover.strong:
-        yield from _verify_cheeger_checks(cover, pw, threads)
+        yield from _verify_cheeger_checks(cover, threads)
 
 
-def _path_count_oracle(cover, pw) -> bool:
+def _path_count_oracle(cover) -> bool:
     """LP/RP against a walk of every path up to a leaf and down to a root,
     one explicit stack entry per partial path (no recursion)."""
+    pw = graded_cover.compute_path_weights(cover)
 
     def count_paths(q, step, at_end):
         total, stack = 0, [q]
@@ -430,14 +426,18 @@ def _adjacency_consistent(cover, cx) -> bool:
     return True
 
 
-def _verify_cheeger_checks(cover, pw, threads):
+def _verify_cheeger_checks(cover, threads):
     dim = max(cover.dims)
     for k in range(1, dim + 1):
         try:
-            reports = cheeger_mod.combined_report(cover, k, pw, threads)
+            reports = cheeger_mod.combined_report(cover, k, threads)
         except (BruteForceGuardError, SharedMidNodeError) as exc:
             yield f"cheeger_k{k}", True, f"skipped: {exc}"
             continue
+        except ChildCountError as exc:
+            # only the bounds need k+1 children; the identities below do not
+            yield f"cheeger_k{k}", True, f"skipped: {exc}"
+            reports = []
         for rep in reports:
             tag = f"k{k}_comp{rep.down_component[0]}"
             if rep.sandwich_quotient_ok is not None:
@@ -451,18 +451,25 @@ def _verify_cheeger_checks(cover, pw, threads):
                     (rep.h_signed_down == 0) == coherent,
                     f"h_signed_down = {rep.h_signed_down}",
                 )
-        # auxiliary Laplacian affine identities, per eligible component:
-        # up in dimension m scales by m+2, down in dimension m by m+1
+        # auxiliary Laplacian affine identities, per eligible component: the
+        # factor is the child count of the mid-nodes (up) or of the component's
+        # own nodes (down), m+2 and m+1 in dimension m of a simplicial complex
         for direction, kk in (("up", k - 1), ("down", k)):
             comps = graded_cover.components(cover, f"quotient-{direction}", kk).members
-            quot = operators.build_conditional(cover, kk, direction, "quotient", pw=pw)
-            sgn = operators.build_conditional(cover, kk, direction, "signed", pw=pw)
+            quot = operators.build_conditional(cover, kk, direction, "quotient")
+            sgn = operators.build_conditional(cover, kk, direction, "signed")
             for comp in comps:
                 try:
-                    aux = cheeger_mod.build_aux(cover, comp, direction, pw)
+                    aux = cheeger_mod.build_aux(cover, comp, direction)
                 except ValueError:
                     continue
-                factor = Fraction(kk + 2 if direction == "up" else kk + 1)
+                name = f"aux_laplacian_identity_{direction}_{kk}_{comp[0]}"
+                mids = {v for q in comp for v in cover.parents[q]}
+                counts = {len(cover.children[v]) for v in (mids if direction == "up" else comp)}
+                if len(counts) != 1:
+                    yield name, True, "skipped: child counts differ across the component"
+                    continue
+                factor = Fraction(counts.pop())
                 eye = ScaledMatrix.identity(aux.n)
                 a_q = quot.restrict(comp).sm
                 a_s = sgn.restrict(comp).sm
@@ -471,9 +478,7 @@ def _verify_cheeger_checks(cover, pw, threads):
                 ok = lap_q.equals((eye - a_q).scale(factor)) and lap_s.equals(
                     (eye + a_s).scale(factor)
                 )
-                yield f"aux_laplacian_identity_{direction}_{kk}_{comp[0]}", ok, (
-                    f"factor {factor}"
-                )
+                yield name, ok, f"factor {factor}"
 
 
 def cmd_verify(args) -> int:
@@ -557,6 +562,7 @@ def run(argv) -> int:
     except (ComplexFormatError, CoverSpecError, FileNotFoundError, ValueError) as exc:
         guards = (
             BruteForceGuardError,
+            ChildCountError,
             SharedMidNodeError,
             NonStrongGradingError,
             CoherentComponentError,

@@ -5,10 +5,16 @@ graded nodes, dimension-increasing edges, and one reference sign per
 quotient edge.  The 2N cover nodes are indexed as q (unflipped) and
 q + N (flipped); signs between arbitrary lifts follow from the
 compatibility rules  [-v : u] = [v : -u] = -[v : u].
+
+Everything derived from one parsed input (path weights, components,
+operators, Laplacians, auxiliary graphs) is built by a ``memoized``
+function of that cover or complex, so no caller passes such objects on.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,6 +27,40 @@ class CoverSpecError(ValueError):
 
 class NonStrongGradingError(ValueError):
     """Raised when dimension-k machinery is requested on a non-strong grading."""
+
+
+def memoized(fn):
+    """Compute ``fn`` once per parsed input and arguments.
+
+    The result is kept in a dict on the first argument (a cover or a
+    complex), keyed by ``fn`` and the remaining arguments with their
+    defaults filled in, so it lives exactly as long as that input.  Every
+    caller gets the same object back and must not mutate it.  A call with
+    an unhashable argument (an orientation dict) is computed afresh.  The
+    builder itself stays reachable as ``uncached``; ``__wrapped__`` is not
+    set, because tracers mark their own wrappers with it.
+    """
+    sig = inspect.signature(fn)
+
+    def wrapper(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        owner, *rest = bound.arguments.values()
+        key = (fn, *rest)
+        try:
+            hash(key)
+        except TypeError:
+            return fn(*args, **kwargs)
+        memo = vars(owner).setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = fn(*args, **kwargs)
+        return memo[key]
+
+    functools.update_wrapper(wrapper, fn)
+    del wrapper.__wrapped__
+    wrapper.__signature__ = sig
+    wrapper.uncached = fn
+    return wrapper
 
 
 class GradedSignedDoubleCover:
@@ -138,6 +178,7 @@ def conditional_triples(cover: GradedSignedDoubleCover, k: int, direction: str, 
                 yield a, b, v, sa * sb
 
 
+@memoized
 def cover_from_complex(complex: SimplicialComplex) -> GradedSignedDoubleCover:
     """The double cover associated with a simplicial complex.
 
@@ -225,6 +266,7 @@ class PathWeights:
         return self.lp[q] * self.rp[q]
 
 
+@memoized
 def compute_path_weights(cover: GradedSignedDoubleCover) -> PathWeights:
     """LP/RP by the defining recursions, processing nodes by dimension."""
     order = sorted(range(cover.n_quotient), key=lambda q: cover.dims[q])
@@ -297,6 +339,7 @@ def propagate_signs(nodes, edges):
     return x, pieces, frustrated
 
 
+@memoized
 def components(
     cover: GradedSignedDoubleCover,
     kind: str,
@@ -369,6 +412,7 @@ def _merge_pairs(parts, n, is_lonely) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(merged))
 
 
+@memoized
 def component_correspondence(cover: GradedSignedDoubleCover, k: int):
     """Pairs (down-component in dim k, up-component in dim k-1).
 

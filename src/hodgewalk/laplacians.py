@@ -19,6 +19,7 @@ from .graded_cover import (
     compute_path_weights,
     cover_from_complex,
     detect_coherent,
+    memoized,
 )
 from .operators import build_conditional, eigen, eigenvalue_multiplicity, multiset_match
 
@@ -49,9 +50,9 @@ class HodgeReport:
     n_k: int
 
 
+@memoized
 def normalization_weights(complex: SimplicialComplex) -> NormalizationWeights:
-    cover = cover_from_complex(complex)
-    pw = compute_path_weights(cover)
+    pw = compute_path_weights(cover_from_complex(complex))
     w: dict[int, tuple[Fraction, ...]] = {}
     for k in range(complex.dimension + 1):
         w[k] = tuple(
@@ -68,12 +69,9 @@ def _coboundary(complex: SimplicialComplex, k: int) -> ScaledMatrix:
     return ScaledMatrix.from_rational(boundary_matrix(complex, k + 1).T.copy())
 
 
-def normalized_coboundary(
-    complex: SimplicialComplex, k: int, weights: NormalizationWeights | None = None
-) -> ScaledMatrix:
+def normalized_coboundary(complex: SimplicialComplex, k: int) -> ScaledMatrix:
     """W_{k+1}^(1/2) @ coboundary @ W_k^(-1/2), exactly."""
-    if weights is None:
-        weights = normalization_weights(complex)
+    weights = normalization_weights(complex)
     if k >= complex.dimension:
         return ScaledMatrix(
             [], [Fraction(1) / w for w in weights.w[k]], rat_zeros(0, complex.n_faces(k))
@@ -85,19 +83,19 @@ def normalized_coboundary(
     )
 
 
+@memoized
 def hodge(complex: SimplicialComplex, k: int, normalized: bool = False) -> HodgeLaplacian:
     """Up and down Hodge Laplacians in dimension k."""
     if not 0 <= k <= complex.dimension:
         raise ValueError(f"k={k} out of range 0..{complex.dimension}")
     if normalized:
-        weights = normalization_weights(complex)
-        dk = normalized_coboundary(complex, k, weights)
+        dk = normalized_coboundary(complex, k)
         up = dk.T @ dk
         if k == 0:
-            n0 = complex.n_faces(0)
-            down = ScaledMatrix(weights.w[0], weights.w[0], rat_zeros(n0, n0))
+            w0 = normalization_weights(complex).w[0]
+            down = ScaledMatrix(w0, w0, rat_zeros(len(w0), len(w0)))
         else:
-            dkm1 = normalized_coboundary(complex, k - 1, weights)
+            dkm1 = normalized_coboundary(complex, k - 1)
             down = dkm1 @ dkm1.T
         return HodgeLaplacian(up, down, k, True)
     dk = _coboundary(complex, k)
@@ -118,11 +116,8 @@ def hodge_decomposition(
         raise ValueError(f"k={k} out of range 0..{complex.dimension}")
     n_k = complex.n_faces(k)
     if normalized:
-        weights = normalization_weights(complex)
-        rank_up = rational_rank(normalized_coboundary(complex, k, weights).body)
-        rank_down = (
-            rational_rank(normalized_coboundary(complex, k - 1, weights).body) if k else 0
-        )
+        rank_up = rational_rank(normalized_coboundary(complex, k).body)
+        rank_down = rational_rank(normalized_coboundary(complex, k - 1).body) if k else 0
     else:
         rank_up = rational_rank(boundary_matrix(complex, k + 1)) if k < complex.dimension else 0
         rank_down = rational_rank(boundary_matrix(complex, k)) if k else 0
@@ -140,9 +135,8 @@ def check_laplacian_walk_identity(complex: SimplicialComplex, k: int) -> bool:
     """Normalized Laplacians equal the negated signed conditional operators, exactly."""
     lap = hodge(complex, k, normalized=True)
     cover = cover_from_complex(complex)
-    pw = compute_path_weights(cover)
-    a_up = build_conditional(cover, k, "up", "signed", pw=pw)
-    a_down = build_conditional(cover, k, "down", "signed", pw=pw)
+    a_up = build_conditional(cover, k, "up", "signed")
+    a_down = build_conditional(cover, k, "down", "signed")
     return lap.up.equals(-a_up.sm) and lap.down.equals(-a_down.sm)
 
 

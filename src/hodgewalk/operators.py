@@ -17,11 +17,11 @@ import numpy as np
 from .exact import ScaledMatrix, rat_zeros
 from .graded_cover import (
     GradedSignedDoubleCover,
-    PathWeights,
     components,
     compute_path_weights,
     conditional_triples,
     detect_coherent,
+    memoized,
 )
 
 
@@ -56,8 +56,6 @@ class Spectrum:
 @dataclass(frozen=True)
 class OperatorBundle:
     cover: GradedSignedDoubleCover
-    pw: PathWeights
-    orientation: tuple[bool, ...]
     a_cover: ScaledMatrix
     a_sym: ScaledMatrix
     a_alt: ScaledMatrix
@@ -93,13 +91,6 @@ class OperatorBundle:
         return mat.restrict(rows, cols)
 
 
-def _h_vectors(cover: GradedSignedDoubleCover, pw: PathWeights):
-    hq = [pw.h(q) for q in range(cover.n_quotient)]
-    hc = hq + hq
-    inv = [Fraction(1) / x for x in hq]
-    return hq, hc, inv, inv + inv
-
-
 def _orient_tuple(cover: GradedSignedDoubleCover, orientation) -> tuple[bool, ...]:
     if orientation is None:
         return tuple([False] * cover.n_quotient)
@@ -108,30 +99,18 @@ def _orient_tuple(cover: GradedSignedDoubleCover, orientation) -> tuple[bool, ..
     return tuple(bool(x) for x in orientation)
 
 
-def build_bundle(
-    cover: GradedSignedDoubleCover,
-    pw: PathWeights | None = None,
-    orientation=None,
-) -> OperatorBundle:
+@memoized
+def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
     """All walk operators of the cover, the quotient and the oriented graph.
 
-    The orientation (default: every reference lift) only enters the signed
-    matrices; all its choices are switching-equivalent.
+    The signed matrices use the reference lift of every node; all other
+    orientations are switching-equivalent to it.
     """
-    if pw is None:
-        pw = compute_path_weights(cover)
-    orient = _orient_tuple(cover, orientation)
+    pw = compute_path_weights(cover)
     n = cover.n_quotient
-    hq, hc, ihq, ihc = _h_vectors(cover, pw)
-
-    def osign(child: int, parent: int) -> int:
-        # sign between the oriented lifts O(child) and O(parent)
-        s = cover.sign_ref[(child, parent)]
-        if orient[child]:
-            s = -s
-        if orient[parent]:
-            s = -s
-        return s
+    hq = [pw.h(q) for q in range(n)]
+    ihq = [Fraction(1) / x for x in hq]
+    hc, ihc = hq + hq, ihq + ihq
 
     a_cover = rat_zeros(2 * n, 2 * n)
     a_sym = rat_zeros(2 * n, 2 * n)
@@ -202,32 +181,28 @@ def build_bundle(
         for t in cover.children[q]:
             a_quot[q, t] += half
             d_quot[q, t] += Fraction(1)
-            d_signed[q, t] += Fraction(osign(t, q))
+            d_signed[q, t] += Fraction(cover.sign_ref[(t, q)])
         for v in cover.parents[q]:
             a_quot[q, v] += half * (hq[v] / hq[q])
 
     a_signed = rat_zeros(n, n)
     for q in range(n):
         for t in cover.children[q]:
-            a_signed[q, t] += Fraction(osign(t, q), 2)
+            a_signed[q, t] += Fraction(cover.sign_ref[(t, q)], 2)
         for v in cover.parents[q]:
-            a_signed[q, v] += Fraction(-osign(q, v), 2) * (hq[v] / hq[q])
+            a_signed[q, v] += Fraction(-cover.sign_ref[(q, v)], 2) * (hq[v] / hq[q])
 
     q_sym = rat_zeros(n, 2 * n)
     q_alt = rat_zeros(n, 2 * n)
     for q in range(n):
         q_sym[q, q] = q_sym[q, q + n] = Fraction(1)
-        chosen = q + n if orient[q] else q
-        other = q if orient[q] else q + n
-        q_alt[q, chosen] = Fraction(1)
-        q_alt[q, other] = Fraction(-1)
+        q_alt[q, q] = Fraction(1)
+        q_alt[q, q + n] = Fraction(-1)
 
     sm_c = lambda body: ScaledMatrix(hc, ihc, body)
     sm_q = lambda body: ScaledMatrix(hq, ihq, body)
     return OperatorBundle(
         cover=cover,
-        pw=pw,
-        orientation=orient,
         a_cover=sm_c(a_cover),
         a_sym=sm_c(a_sym),
         a_alt=sm_c(a_alt),
@@ -248,12 +223,12 @@ def build_bundle(
     )
 
 
+@memoized
 def build_conditional(
     cover: GradedSignedDoubleCover,
     k: int,
     direction: str,
     flavor: str,
-    pw: PathWeights | None = None,
     orientation=None,
 ) -> SymmetricOperator:
     """Symmetric operator of the conditional up/down walk in dimension k.
@@ -267,8 +242,7 @@ def build_conditional(
         raise ValueError("direction must be 'up' or 'down'")
     if flavor not in ("quotient", "signed", "cover"):
         raise ValueError("flavor must be 'quotient', 'signed' or 'cover'")
-    if pw is None:
-        pw = compute_path_weights(cover)
+    pw = compute_path_weights(cover)
     orient = _orient_tuple(cover, orientation)
     nodes = cover.nodes_by_dim.get(k, ())
     pos = {q: i for i, q in enumerate(nodes)}
@@ -355,16 +329,14 @@ def eigenvalue_multiplicity(values, target: float, gap: float = 1e-7) -> int:
 # -- verification -----------------------------------------------------------
 
 
-def verify_split(cover: GradedSignedDoubleCover, pw: PathWeights | None = None) -> dict:
+def verify_split(cover: GradedSignedDoubleCover) -> dict:
     """Check the spectrum-split identities, exactly where possible.
 
     Exact block-diagonalization of the cover operator through the
     symmetric/alternating projections proves the multiset split; the
     floating checks confirm eigenfunction transfer residuals.
     """
-    if pw is None:
-        pw = compute_path_weights(cover)
-    b = build_bundle(cover, pw)
+    b = build_bundle(cover)
     n = cover.n_quotient
     report: dict[str, tuple[bool, str]] = {}
 
@@ -430,10 +402,10 @@ def verify_split(cover: GradedSignedDoubleCover, pw: PathWeights | None = None) 
     if cover.strong:
         dims = sorted(cover.nodes_by_dim)
         for k in dims:
-            _verify_conditional_dim(cover, pw, b, k, check)
+            _verify_conditional_dim(cover, b, k, check)
         for k in dims:
             if k - 1 in cover.nodes_by_dim:
-                _verify_transfer_dim(cover, pw, b, k, check)
+                _verify_transfer_dim(cover, b, k, check)
     return report
 
 
@@ -444,7 +416,7 @@ def _restrict_cover_block(cover, mat: ScaledMatrix, k: int) -> ScaledMatrix:
     return mat.restrict(idx, idx)
 
 
-def _verify_conditional_dim(cover, pw, b: OperatorBundle, k: int, check) -> None:
+def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
     half = Fraction(1, 2)
     r_k = _restrict_cover_block(cover, b.r, k)
     theta_l_k = _restrict_cover_block(cover, b.theta_l, k)
@@ -453,9 +425,9 @@ def _verify_conditional_dim(cover, pw, b: OperatorBundle, k: int, check) -> None
     pi_l_k = b.pi_l.restrict(nodes, nodes)
     pi_r_k = b.pi_r.restrict(nodes, nodes)
     for direction in ("up", "down"):
-        a_cov = build_conditional(cover, k, direction, "cover", pw=pw).sm
-        a_quot = build_conditional(cover, k, direction, "quotient", pw=pw).sm
-        a_sgn = build_conditional(cover, k, direction, "signed", pw=pw).sm
+        a_cov = build_conditional(cover, k, direction, "cover").sm
+        a_quot = build_conditional(cover, k, direction, "quotient").sm
+        a_sgn = build_conditional(cover, k, direction, "signed").sm
         if direction == "up":
             dc = b.delta_block("cover", k)
             ds = b.delta_block("sym", k)
@@ -504,15 +476,15 @@ def _verify_conditional_dim(cover, pw, b: OperatorBundle, k: int, check) -> None
         )
 
 
-def _verify_transfer_dim(cover, pw, b: OperatorBundle, k: int, check) -> None:
+def _verify_transfer_dim(cover, b: OperatorBundle, k: int, check) -> None:
     """Eigenfunction transfer between dim k-1 up and dim k down operators."""
     from .graded_cover import component_correspondence
 
     worst = 0.0
     pairs = component_correspondence(cover, k)
     for flavor in ("quotient", "signed") if pairs else ():
-        a_up = build_conditional(cover, k - 1, "up", flavor, pw=pw)
-        a_dn = build_conditional(cover, k, "down", flavor, pw=pw)
+        a_up = build_conditional(cover, k - 1, "up", flavor)
+        a_dn = build_conditional(cover, k, "down", flavor)
         delta = b.delta_block(flavor, k - 1)
         for down_comp, up_comp in pairs:
             up_idx = [a_up.nodes.index(q) for q in up_comp]
@@ -540,23 +512,16 @@ def _verify_transfer_dim(cover, pw, b: OperatorBundle, k: int, check) -> None:
     check(f"delta_transfer_{k}", worst < 1e-8, f"max residual {worst:.2e}")
 
 
-def min_eigenvalue_bound(
-    cover: GradedSignedDoubleCover, pw: PathWeights | None = None
-) -> tuple[Fraction, bool]:
+def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool]:
     """Bound on how far the minimal quotient eigenvalue sits above -1.
 
     Returns (min over components of 2/(E[len]+1), bound holds numerically).
     """
     from .walks import expected_path_length
 
-    if pw is None:
-        pw = compute_path_weights(cover)
     comps = components(cover, "quotient").members
-    bound = min(
-        Fraction(2) / (expected_path_length(cover, comp, pw) + 1) for comp in comps
-    )
-    b = build_bundle(cover, pw)
-    lam_min = eigen(b.a_quotient).eigenvalues[0]
+    bound = min(Fraction(2) / (expected_path_length(cover, comp) + 1) for comp in comps)
+    lam_min = eigen(build_bundle(cover).a_quotient).eigenvalues[0]
     holds = lam_min <= float(-1 + bound) + 1e-9
     return bound, holds
 
@@ -565,7 +530,6 @@ def coherent_spectrum_check(
     cover: GradedSignedDoubleCover,
     component,
     direction: str,
-    pw: PathWeights | None = None,
 ) -> dict:
     """Spectral consequences of coherence for one up/down component.
 
@@ -575,24 +539,20 @@ def coherent_spectrum_check(
     the rational body).  Not coherent: the minimal signed eigenvalue stays
     strictly above -1.
     """
-    if pw is None:
-        pw = compute_path_weights(cover)
     comp = tuple(sorted(component))
     k = cover.dims[comp[0]]
     report: dict[str, tuple[bool, str]] = {}
     witness = detect_coherent(cover, comp, direction)
-    quot = build_conditional(cover, k, direction, "quotient", pw=pw).restrict(comp)
+    quot = build_conditional(cover, k, direction, "quotient").restrict(comp)
     if witness is None:
-        sgn = build_conditional(cover, k, direction, "signed", pw=pw).restrict(comp)
+        sgn = build_conditional(cover, k, direction, "signed").restrict(comp)
         lam_min = eigen(sgn.sm).eigenvalues[0]
         report["not_coherent_gap"] = (
             lam_min > -1 + 1e-10,
             f"lambda_min = {lam_min:.12g} > -1",
         )
         return report
-    sgn = build_conditional(
-        cover, k, direction, "signed", pw=pw, orientation=witness
-    ).restrict(comp)
+    sgn = build_conditional(cover, k, direction, "signed", orientation=witness).restrict(comp)
     report["opposite_operators_exact"] = (
         sgn.sm.equals(-quot.sm),
         "signed operator equals minus the quotient operator under the witness",
@@ -607,6 +567,7 @@ def coherent_spectrum_check(
         eigenvalue_multiplicity(ev_s, -1.0) == 1,
         "-1 attained with multiplicity one",
     )
+    pw = compute_path_weights(cover)
     w = np.empty(len(comp), dtype=object)
     for i, q in enumerate(comp):
         w[i] = Fraction(pw.rp[q])

@@ -17,7 +17,6 @@ from . import operators
 from .exact import ScaledMatrix
 from .graded_cover import (
     GradedSignedDoubleCover,
-    PathWeights,
     compute_path_weights,
     component_correspondence,
     detect_coherent,
@@ -74,7 +73,6 @@ def _from_operator(sm: ScaledMatrix, through) -> np.ndarray:
 def transition_full(
     cover: GradedSignedDoubleCover,
     view: str = "quotient",
-    pw: PathWeights | None = None,
 ) -> TransitionMatrix:
     """Transition matrix of the root-to-leaf path random walk.
 
@@ -86,10 +84,9 @@ def transition_full(
     """
     if view not in ("quotient", "cover"):
         raise ValueError("view must be 'quotient' or 'cover'")
-    if pw is None:
-        pw = compute_path_weights(cover)
+    pw = compute_path_weights(cover)
     n = cover.n_quotient
-    bundle = operators.build_bundle(cover, pw)
+    bundle = operators.build_bundle(cover)
     through = [Fraction(pw.through(q)) for q in range(n)]
     if view == "quotient":
         mat = _from_operator(bundle.a_quotient, through)
@@ -104,15 +101,13 @@ def transition_conditional(
     k: int,
     direction: str,
     view: str = "quotient",
-    pw: PathWeights | None = None,
 ) -> TransitionMatrix:
     """Transition matrix of the conditional up- or down-walk in dimension k,
     derived from the conditional operator of the matching flavor."""
     if view not in ("quotient", "cover"):
         raise ValueError("view must be 'quotient' or 'cover'")
-    if pw is None:
-        pw = compute_path_weights(cover)
-    op = operators.build_conditional(cover, k, direction, view, pw=pw)
+    pw = compute_path_weights(cover)
+    op = operators.build_conditional(cover, k, direction, view)
     n = cover.n_quotient
     mat = _from_operator(op.sm, [Fraction(pw.through(u % n)) for u in op.nodes])
     return TransitionMatrix(mat, op.index, op.nodes, f"{direction}-{k}-{view}")
@@ -123,15 +118,13 @@ def stationary(
     component,
     walk_kind: str = "full",
     view: str = "quotient",
-    pw: PathWeights | None = None,
 ) -> StationaryDistribution:
     """Closed-form stationary distribution pi proportional to LP * RP.
 
     ``component`` is a quotient component of the matching walk kind.  The
     cover view halves each quotient weight over the two lifts.
     """
-    if pw is None:
-        pw = compute_path_weights(cover)
+    pw = compute_path_weights(cover)
     comp = tuple(sorted(component))
     normalizer = Fraction(sum(pw.through(q) for q in comp))
     if view == "quotient":
@@ -152,15 +145,13 @@ def stationary(
 def expected_path_length(
     cover: GradedSignedDoubleCover,
     component,
-    pw: PathWeights | None = None,
 ) -> Fraction:
     """Mean length of a uniformly sampled root-to-leaf path in the component.
 
     Uses the identity K = #paths * (E[len] + 1), where K is the sum of
     LP * RP over the component and #paths is the LP-sum over its roots.
     """
-    if pw is None:
-        pw = compute_path_weights(cover)
+    pw = compute_path_weights(cover)
     comp = tuple(sorted(component))
     K = sum(pw.through(q) for q in comp)
     n_paths = sum(pw.lp[q] for q in comp if cover.is_root(q))
@@ -173,7 +164,6 @@ def simulate(
     steps: int,
     seed: int,
     walk_kind: str = "full",
-    pw: PathWeights | None = None,
 ) -> tuple[WalkTrace, dict[int, Fraction]]:
     """Simulate the root-to-leaf path random walk on the cover.
 
@@ -191,8 +181,7 @@ def simulate(
     n = cover.n_quotient
     if not 0 <= start < 2 * n:
         raise ValueError(f"start node {start} not in cover")
-    if pw is None:
-        pw = compute_path_weights(cover)
+    pw = compute_path_weights(cover)
     # status: 0 isolated, 1 leaf-only, 2 root-only, 3 interior
     status = []
     up_cum: list[list[int]] = []
@@ -259,7 +248,6 @@ def total_variation(p: dict[int, Fraction], q: dict[int, Fraction]) -> Fraction:
 def convergence_rate(
     cover: GradedSignedDoubleCover,
     k: int,
-    pw: PathWeights | None = None,
 ) -> float:
     """Shared convergence rate of the dim-(k-1) up-walk and dim-k down-walk.
 
@@ -269,14 +257,12 @@ def convergence_rate(
     (the conditional walk is then not aperiodic).
     """
     cover.require_strong()
-    if pw is None:
-        pw = compute_path_weights(cover)
     pairs = component_correspondence(cover, k)
     if not pairs:
         raise ValueError(f"no paired components in dimensions {k - 1}/{k}")
     rate = 0.0
-    quot = operators.build_conditional(cover, k - 1, "up", "quotient", pw=pw)
-    sgn = operators.build_conditional(cover, k - 1, "up", "signed", pw=pw)
+    quot = operators.build_conditional(cover, k - 1, "up", "quotient")
+    sgn = operators.build_conditional(cover, k - 1, "up", "signed")
     for _down_comp, up_comp in pairs:
         if detect_coherent(cover, up_comp, "up") is not None:
             raise CoherentComponentError(

@@ -111,11 +111,11 @@ def test_criterion_3_exact_identity_suite(covers, weights, capsys):
                     assert (lap.up @ lap.down).is_zero()
                     assert (lap.down @ lap.up).is_zero()
                 assert check_laplacian_walk_identity(cx, k)
-            P = transition_full(cov, "quotient", pw).entries
+            P = transition_full(cov, "quotient").entries
             for a in range(cov.n_quotient):
                 for b in range(cov.n_quotient):
                     assert pw.through(a) * P[a, b] == pw.through(b) * P[b, a]
-            b = build_bundle(cov, pw)
+            b = build_bundle(cov)
             i2n = ScaledMatrix.identity(cov.n_cover)
             assert (b.a_sym + b.a_alt).equals(b.a_cover)
             assert (b.delta_cover.scale(half) + (b.delta_cover.T @ b.r).scale(half)
@@ -126,28 +126,28 @@ def test_criterion_3_exact_identity_suite(covers, weights, capsys):
                 for direction, kk in (("up", k - 1), ("down", k)):
                     for comp in components(cov, f"quotient-{direction}", kk).members:
                         try:
-                            aux = build_aux(cov, comp, direction, pw)
+                            aux = build_aux(cov, comp, direction)
                         except ValueError:
                             continue
                         from hodgewalk.cheeger import aux_laplacian
 
                         factor = Fraction(kk + 2 if direction == "up" else kk + 1)
                         eye = ScaledMatrix.from_rational(rat_eye(aux.n))
-                        a_q = build_conditional(cov, kk, direction, "quotient", pw=pw).restrict(comp).sm
-                        a_s = build_conditional(cov, kk, direction, "signed", pw=pw).restrict(comp).sm
+                        a_q = build_conditional(cov, kk, direction, "quotient").restrict(comp).sm
+                        a_s = build_conditional(cov, kk, direction, "signed").restrict(comp).sm
                         assert aux_laplacian(aux, "quotient").sm.equals((eye - a_q).scale(factor))
                         assert aux_laplacian(aux, "signed").sm.equals((eye + a_s).scale(factor))
         report(3, True, f"exact identities hold on all {len(COMPLEX_NAMES)} fixtures")
 
 
-def test_criterion_4_spectral_transfer_suite(covers, weights, capsys):
+def test_criterion_4_spectral_transfer_suite(covers, capsys):
     """Split equalities, transfer residuals < 1e-8, normalized spectra in range."""
     with capsys.disabled():
         from conftest import load_complex
 
         for name in COMPLEX_NAMES:
-            cov, pw = covers[name], weights[name]
-            split = verify_split(cov, pw)
+            cov = covers[name]
+            split = verify_split(cov)
             assert all(ok for ok, _ in split.values()), {
                 k: v for k, v in split.items() if not v[0]
             }
@@ -201,23 +201,23 @@ def test_criterion_6_oracle_equivalence(covers, weights, capsys):
             for q in range(cov.n_quotient):
                 assert pw.lp[q] == len(oracles.ascending_paths(cov, q))
                 assert pw.rp[q] == len(oracles.descending_paths(cov, q))
-            P = transition_full(cov, "quotient", pw).entries
+            P = transition_full(cov, "quotient").entries
             for k in sorted(cov.nodes_by_dim):
                 for direction in ("up", "down"):
                     lonely = cov.is_leaf if direction == "up" else cov.is_root
                     nodes, want = oracles.two_step_conditional(P, cov.dims, k, direction, lonely)
-                    got = transition_conditional(cov, k, direction, "quotient", pw)
+                    got = transition_conditional(cov, k, direction, "quotient")
                     assert list(got.nodes) == nodes and (got.entries == want).all()
         checked = 0
         for name in ("tetrahedron", "cycle5", "cycle6", "hollow_triangle", "branched"):
-            cov, pw = covers[name], weights[name]
+            cov = covers[name]
             for k in sorted(cov.nodes_by_dim):
                 for direction in ("up", "down"):
                     for comp in components(cov, f"quotient-{direction}", k).members:
                         if len(comp) > 12:
                             continue
                         try:
-                            aux = build_aux(cov, comp, direction, pw)
+                            aux = build_aux(cov, comp, direction)
                         except ValueError:
                             continue
                         if aux.n >= 2:
@@ -228,27 +228,27 @@ def test_criterion_6_oracle_equivalence(covers, weights, capsys):
         report(6, True, f"oracle agreement (including {checked} Cheeger searches)")
 
 
-def test_criterion_7_monte_carlo(covers, weights, capsys):
+def test_criterion_7_monte_carlo(covers, capsys):
     """Seeded 10^6-step walk: TV to stationary < 0.02, traces reproducible."""
     with capsys.disabled():
-        cov, pw = covers["tetrahedron"], weights["tetrahedron"]
+        cov = covers["tetrahedron"]
         comp = components(cov, "quotient").members[0]
-        pi = stationary(cov, comp, "full", "cover", pw)
-        trace1, emp1 = simulate(cov, 0, 10**6, seed=7, pw=pw)
-        trace2, emp2 = simulate(cov, 0, 10**6, seed=7, pw=pw)
+        pi = stationary(cov, comp, "full", "cover")
+        trace1, emp1 = simulate(cov, 0, 10**6, seed=7)
+        trace2, emp2 = simulate(cov, 0, 10**6, seed=7)
         tv = float(total_variation(emp1, pi.weights))
         ok = tv < 0.02 and trace1.states == trace2.states and emp1 == emp2
         report(7, ok, f"TV = {tv:.4f} < 0.02 (tolerance is an artifact choice), traces identical")
 
 
-def test_criterion_8_min_eigenvalue_bound(covers, weights, capsys):
+def test_criterion_8_min_eigenvalue_bound(covers, capsys):
     """lambda_min <= -1 + min_C 2/(E[len]+1) with 1e-9 slack, all fixtures."""
     with capsys.disabled():
         for name in COMPLEX_NAMES:
-            bound, holds = min_eigenvalue_bound(covers[name], weights[name])
+            bound, holds = min_eigenvalue_bound(covers[name])
             assert holds, name
-        cov, pw = covers["tetrahedron"], weights["tetrahedron"]
-        bound, holds = min_eigenvalue_bound(cov, pw)
-        lam_min = eigen(build_bundle(cov, pw).a_quotient).eigenvalues[0]
+        cov = covers["tetrahedron"]
+        bound, holds = min_eigenvalue_bound(cov)
+        lam_min = eigen(build_bundle(cov).a_quotient).eigenvalues[0]
         ok = bound == Fraction(1, 2) and holds and lam_min <= -0.5 + 1e-9
         report(8, ok, f"tetrahedron bound 1/2, lambda_min = {lam_min:.6f} <= -1/2")

@@ -11,7 +11,7 @@ from hodgewalk.cheeger import (
     combined_report,
 )
 from hodgewalk.exact import ScaledMatrix, rat_eye
-from hodgewalk.graded_cover import components, compute_path_weights, detect_coherent
+from hodgewalk.graded_cover import components, detect_coherent
 from hodgewalk.operators import build_conditional
 
 import oracles
@@ -80,19 +80,18 @@ def test_build_aux_preconditions():
 
 def test_aux_laplacian_affine_identities():
     cov = load_cover("tetrahedron")
-    pw = compute_path_weights(cov)
     # up in dimension m scales by m+2, down by m+1
     comp = the_component(cov, "quotient-up", 1)
-    aux = build_aux(cov, comp, "up", pw)
+    aux = build_aux(cov, comp, "up")
     eye = ScaledMatrix.from_rational(rat_eye(aux.n))
-    a_q = build_conditional(cov, 1, "up", "quotient", pw=pw).restrict(comp).sm
+    a_q = build_conditional(cov, 1, "up", "quotient").restrict(comp).sm
     assert aux_laplacian(aux, "quotient").sm.equals((eye - a_q).scale(3))
-    a_s = build_conditional(cov, 1, "up", "signed", pw=pw).restrict(comp).sm
+    a_s = build_conditional(cov, 1, "up", "signed").restrict(comp).sm
     assert aux_laplacian(aux, "signed").sm.equals((eye + a_s).scale(3))
 
     comp = the_component(cov, "quotient-down", 1)
-    aux = build_aux(cov, comp, "down", pw)
-    a_q = build_conditional(cov, 1, "down", "quotient", pw=pw).restrict(comp).sm
+    aux = build_aux(cov, comp, "down")
+    a_q = build_conditional(cov, 1, "down", "quotient").restrict(comp).sm
     assert aux_laplacian(aux, "quotient").sm.equals((eye - a_q).scale(2))
 
 
@@ -148,13 +147,13 @@ def test_even_cycle_signed_zero():
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_signed_zero_iff_coherent(name, covers, weights):
-    cov, pw = covers[name], weights[name]
+def test_signed_zero_iff_coherent(name, covers):
+    cov = covers[name]
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
             for comp in components(cov, f"quotient-{direction}", k).members:
                 try:
-                    aux = build_aux(cov, comp, direction, pw)
+                    aux = build_aux(cov, comp, direction)
                 except ValueError:
                     continue
                 h, _ = cheeger_signed(aux)
@@ -162,17 +161,17 @@ def test_signed_zero_iff_coherent(name, covers, weights):
                 assert (h == 0) == coherent, (name, k, direction)
 
 
-def test_naive_oracle_equivalence(covers, weights):
+def test_naive_oracle_equivalence(covers):
     """Optimized searches agree with the plain double loops (<= 12 nodes)."""
     for name in ("tetrahedron", "cycle5", "cycle6", "hollow_triangle", "branched"):
-        cov, pw = covers[name], weights[name]
+        cov = covers[name]
         for k in sorted(cov.nodes_by_dim):
             for direction in ("up", "down"):
                 for comp in components(cov, f"quotient-{direction}", k).members:
                     if len(comp) > 12:
                         continue
                     try:
-                        aux = build_aux(cov, comp, direction, pw)
+                        aux = build_aux(cov, comp, direction)
                     except ValueError:
                         continue
                     if aux.n >= 2:
@@ -253,10 +252,10 @@ def test_combined_report_coherent_cycle():
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_sandwich_everywhere(name, covers, weights):
-    cov, pw = covers[name], weights[name]
+def test_sandwich_everywhere(name, covers):
+    cov = covers[name]
     for k in range(1, max(cov.dims) + 1):
-        for rep in combined_report(cov, k, pw):
+        for rep in combined_report(cov, k):
             if rep.sandwich_quotient_ok is not None:
                 assert rep.sandwich_quotient_ok, (name, k)
             if rep.sandwich_signed_ok is not None:
@@ -264,19 +263,19 @@ def test_sandwich_everywhere(name, covers, weights):
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_up_down_gap_equality(name, covers, weights):
+def test_up_down_gap_equality(name, covers):
     """The dim-(k-1) up gap equals the dim-k down gap on paired components."""
     from hodgewalk.cheeger import _restricted_gap
     from hodgewalk.graded_cover import component_correspondence
 
-    cov, pw = covers[name], weights[name]
+    cov = covers[name]
     for k in range(1, max(cov.dims) + 1):
         for down_comp, up_comp in component_correspondence(cov, k):
             if len(up_comp) < 2 or len(down_comp) < 2:
                 continue
             for flavor in ("quotient", "signed"):
-                up = build_conditional(cov, k - 1, "up", flavor, pw=pw)
-                down = build_conditional(cov, k, "down", flavor, pw=pw)
+                up = build_conditional(cov, k - 1, "up", flavor)
+                down = build_conditional(cov, k, "down", flavor)
                 g_up = _restricted_gap(up, flavor, up_comp)
                 g_down = _restricted_gap(down, flavor, down_comp)
                 assert abs(g_up - g_down) < 1e-9
@@ -309,9 +308,8 @@ def test_random_complex_sandwich(seed):
     from hodgewalk.graded_cover import cover_from_complex
 
     cov = cover_from_complex(random_complex(seed + 700))
-    pw = compute_path_weights(cov)
     for k in range(1, max(cov.dims) + 1):
-        for rep in combined_report(cov, k, pw):
+        for rep in combined_report(cov, k):
             if rep.sandwich_quotient_ok is not None:
                 assert rep.sandwich_quotient_ok
             if rep.sandwich_signed_ok is not None:

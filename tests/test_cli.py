@@ -1,4 +1,8 @@
+import collections
 import concurrent.futures
+import functools
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -234,7 +238,7 @@ def test_path_count_oracle_long_chain():
     spec = [f"node n{i} {i}" for i in range(n)]
     spec += [f"edge n{i} n{i + 1} +1" for i in range(n - 1)]
     cover = graded_cover.parse_cover_spec("\n".join(spec))
-    assert _path_count_oracle(cover, graded_cover.compute_path_weights(cover))
+    assert _path_count_oracle(cover)
 
 
 # two 0-nodes sharing two 1-nodes, which share the 2-node t
@@ -270,12 +274,44 @@ def test_shared_mid_node_verify_skips_cheeger(tmp_path, capsys):
     spec.write_text(SHARED_MID)
     code = run(["verify", str(spec)])
     captured = capsys.readouterr()
-    assert code in (0, 3)
+    assert code == 0
     assert captured.err == ""
     assert "\ncheeger_k1\tyes\tskipped: auxiliary weights need a unique shared mid-node" in (
         captured.out
     )
     assert captured.out.splitlines()[-1].startswith("TOTAL\t")
+
+
+def test_child_count_other_than_k_plus_one_is_a_guard_exit(tmp_path, capsys):
+    # t has two children, where the combined bounds' constants assume three
+    spec = tmp_path / "shared.cover"
+    spec.write_text(SHARED_MID)
+    code = run(["report", str(spec), "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "guard: combined bounds need 3 children per 2-dimensional node: t has 2\n"
+    )
+    assert run(["verify", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert "\ncheeger_k2\tyes\tskipped: combined bounds need 3 children" in out
+    # the auxiliary Laplacian identity holds with t's actual child count
+    assert "\naux_laplacian_identity_up_1_2\tyes\tfactor 2\n" in out
+
+
+def test_child_counts_differing_in_a_component_skip_the_identity(tmp_path, capsys):
+    # t has three children and s two; they share g, so no single factor fits
+    spec = tmp_path / "mixed.cover"
+    spec.write_text(
+        "node e 1\nnode f 1\nnode g 1\nnode h 1\nnode t 2\nnode s 2\n"
+        "edge e t +1\nedge f t -1\nedge g t +1\nedge g s +1\nedge h s -1\n"
+    )
+    assert run(["verify", str(spec)]) == 0
+    out = capsys.readouterr().out
+    skipped = "\tyes\tskipped: child counts differ across the component\n"
+    assert "\naux_laplacian_identity_up_1_0" + skipped in out
+    assert "\naux_laplacian_identity_down_2_4" + skipped in out
 
 
 @pytest.mark.parametrize("verb", [["cheeger", "--k", "1"], ["report"], ["verify"]])
@@ -312,3 +348,68 @@ def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
     monkeypatch.undo()
     assert run(["cheeger", RING, "--k", "1", "--direction", "down"]) == 0
     assert capsys.readouterr().out == out
+
+
+# every memoized builder, by module and public name
+MEMOIZED = (
+    ("graded_cover", "cover_from_complex"),
+    ("graded_cover", "compute_path_weights"),
+    ("graded_cover", "components"),
+    ("graded_cover", "component_correspondence"),
+    ("operators", "build_bundle"),
+    ("operators", "build_conditional"),
+    ("laplacians", "normalization_weights"),
+    ("laplacians", "hodge"),
+    ("cheeger", "build_aux"),
+)
+
+VERB_RUNS = (
+    ["lp"],
+    ["stationary"],
+    ["stationary", "--k", "1", "--direction", "down", "--view", "cover"],
+    ["walk-sim", "--steps", "1000"],
+    ["spectrum"],
+    ["spectrum", "--k", "1", "--direction", "up", "--flavor", "cover", "--rate"],
+    ["laplacian", "--k", "1", "--normalized"],
+    ["hodge", "--normalized"],
+    ["coherent", "--k", "1", "--direction", "down"],
+    ["partition", "--k", "1"],
+    ["cheeger", "--k", "1"],
+    ["report"],
+    ["report", "--paper-tables"],
+    ["verify"],
+)
+
+
+@pytest.mark.parametrize("verb", VERB_RUNS, ids=" ".join)
+@pytest.mark.parametrize("name", ["tetrahedron", "branched", "triangle_ring"])
+def test_each_build_runs_once_per_key(name, verb, monkeypatch, capsys):
+    runs = collections.Counter()
+
+    def counting(fn):
+        sig = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            owner, *rest = bound.arguments.values()
+            # one CLI run parses one input: equal arguments on another cover
+            # or complex object would be a rebuild as well
+            runs[(fn.__name__, type(owner).__name__, repr(rest))] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    package = [m for n, m in sys.modules.items() if n.split(".")[0] == "hodgewalk"]
+    for mod_name, attr in MEMOIZED:
+        builder = getattr(importlib.import_module(f"hodgewalk.{mod_name}"), attr)
+        fresh = graded_cover.memoized(counting(builder.uncached))
+        for mod in package:
+            for alias, value in list(vars(mod).items()):
+                if value is builder:
+                    monkeypatch.setattr(mod, alias, fresh)
+    assert run([verb[0], str(FIXTURES / f"{name}.cx"), *verb[1:]]) == 0
+    capsys.readouterr()
+    assert ("cover_from_complex", 1) in {(key[0], n) for key, n in runs.items()}
+    assert {key: n for key, n in runs.items() if n > 1} == {}

@@ -350,8 +350,8 @@ def test_random_cover_walk_invariants(seed):
     for q in range(cov.n_quotient):
         assert pw.lp[q] == len(oracles.ascending_paths(cov, q))
         assert pw.rp[q] == len(oracles.descending_paths(cov, q))
-    P = transition_full(cov, "quotient", pw)
-    Pc = transition_full(cov, "cover", pw)
+    P = transition_full(cov, "quotient")
+    Pc = transition_full(cov, "cover")
     assert (P.entries == oracles.one_step_transition(cov, "quotient")).all()
     assert (Pc.entries == oracles.one_step_transition(cov, "cover")).all()
     assert all(s == 1 for s in P.row_sums())
@@ -360,7 +360,7 @@ def test_random_cover_walk_invariants(seed):
         for b in range(cov.n_quotient):
             assert pw.through(a) * P.entries[a, b] == pw.through(b) * P.entries[b, a]
     for comp in components(cov, "quotient").members:
-        pi = stationary(cov, comp, "full", "quotient", pw)
+        pi = stationary(cov, comp, "full", "quotient")
         vec = [pi.weights.get(q, Fraction(0)) for q in range(cov.n_quotient)]
         for b in range(cov.n_quotient):
             assert sum(vec[a] * P.entries[a, b] for a in range(cov.n_quotient)) == vec[b]
@@ -417,8 +417,7 @@ def test_random_strong_cover_properties(seed):
     from hodgewalk.walks import transition_conditional
 
     cov = random_strong_cover_spec(seed)
-    pw = compute_path_weights(cov)
-    report = verify_split(cov, pw)
+    report = verify_split(cov)
     assert all(ok for ok, _ in report.values()), {
         k: v for k, v in report.items() if not v[0]
     }
@@ -431,12 +430,12 @@ def test_random_strong_cover_properties(seed):
                 assert got == oracles.coherence_by_enumeration(cov, comp, direction)
             lonely = cov.is_leaf if direction == "up" else cov.is_root
             nodes, want = oracles.two_step_conditional(P, cov.dims, k, direction, lonely)
-            got = transition_conditional(cov, k, direction, "quotient", pw)
+            got = transition_conditional(cov, k, direction, "quotient")
             assert list(got.nodes) == nodes and (got.entries == want).all()
             cnodes, cwant = oracles.two_step_conditional_cover(
                 Pc, cov.dims, cov.n_quotient, k, direction, lonely
             )
-            cgot = transition_conditional(cov, k, direction, "cover", pw)
+            cgot = transition_conditional(cov, k, direction, "cover")
             assert list(cgot.nodes) == cnodes and (cgot.entries == cwant).all()
 
 

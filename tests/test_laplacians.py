@@ -120,10 +120,9 @@ def test_saturation_multiplicity_examples():
 def test_coboundary_squared_zero():
     for name in ("tetrahedron", "branched"):
         cx = load_complex(name)
-        w = normalization_weights(cx)
         for k in range(cx.dimension):
-            d1 = normalized_coboundary(cx, k, w)
-            d2 = normalized_coboundary(cx, k + 1, w)
+            d1 = normalized_coboundary(cx, k)
+            d2 = normalized_coboundary(cx, k + 1)
             assert (d2 @ d1).is_zero()
 
 

@@ -54,13 +54,13 @@ def test_operators_are_similar_to_transitions():
     for name in ("tetrahedron", "branched", "cycle5"):
         cov = load_cover(name)
         pw = compute_path_weights(cov)
-        b = build_bundle(cov, pw)
+        b = build_bundle(cov)
         d = [Fraction(pw.through(q)) for q in range(cov.n_quotient)]
-        P = transition_full(cov, "quotient", pw).entries
+        P = transition_full(cov, "quotient").entries
         assert ScaledMatrix(d, [1 / x for x in d], P).equals(b.a_quotient)
         assert ScaledMatrix([1 / x for x in d], d, P.T.copy()).equals(b.a_quotient)
         dc = d + d
-        Pc = transition_full(cov, "cover", pw).entries
+        Pc = transition_full(cov, "cover").entries
         simc = ScaledMatrix([1 / x for x in dc], dc, Pc.T.copy())
         assert simc.equals(b.a_cover)
 
@@ -69,12 +69,12 @@ def test_conditional_similar_to_transitions():
     cov = load_cover("tetrahedron")
     pw = compute_path_weights(cov)
     for k, direction in ((0, "up"), (1, "up"), (1, "down"), (2, "down"), (3, "down")):
-        op = build_conditional(cov, k, direction, "quotient", pw=pw)
-        P = transition_conditional(cov, k, direction, "quotient", pw)
+        op = build_conditional(cov, k, direction, "quotient")
+        P = transition_conditional(cov, k, direction, "quotient")
         d = [Fraction(pw.through(q)) for q in P.nodes]
         assert ScaledMatrix(d, [1 / x for x in d], P.entries).equals(op.sm)
-        opc = build_conditional(cov, k, direction, "cover", pw=pw)
-        Pc = transition_conditional(cov, k, direction, "cover", pw)
+        opc = build_conditional(cov, k, direction, "cover")
+        Pc = transition_conditional(cov, k, direction, "cover")
         n = cov.n_quotient
         dc = [Fraction(pw.through(u % n)) for u in Pc.nodes]
         assert ScaledMatrix(dc, [1 / x for x in dc], Pc.entries).equals(opc.sm)
@@ -91,14 +91,13 @@ def test_conditional_tetrahedron_k0_diagonal():
 def test_signed_flavors_semidefinite():
     for name in COMPLEX_NAMES:
         cov = load_cover(name)
-        pw = compute_path_weights(cov)
         for k in sorted(cov.nodes_by_dim):
             for direction in ("up", "down"):
-                sgn = build_conditional(cov, k, direction, "signed", pw=pw)
+                sgn = build_conditional(cov, k, direction, "signed")
                 ev = eigen(sgn.sm).eigenvalues
                 assert all(v <= 1e-12 for v in ev)
                 assert all(v >= -1 - 1e-10 for v in ev)
-                quot = build_conditional(cov, k, direction, "quotient", pw=pw)
+                quot = build_conditional(cov, k, direction, "quotient")
                 evq = eigen(quot.sm).eigenvalues
                 assert all(-1e-10 <= v <= 1 + 1e-10 for v in evq)
 
@@ -109,7 +108,7 @@ def test_quotient_eigenvalue_one_eigenvector():
     pw = compute_path_weights(cov)
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
-            op = build_conditional(cov, k, direction, "quotient", pw=pw)
+            op = build_conditional(cov, k, direction, "quotient")
             for comp in components(cov, f"quotient-{direction}", k).members:
                 idx = [op.nodes.index(q) for q in comp]
                 body = op.sm.restrict(idx, idx).body
@@ -146,7 +145,7 @@ def random_symmetric(rng, n, repeated):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_jacobi_matches_numpy(seed):
+def test_eigen_contract(seed):
     # the contract of eigen on random symmetric matrices of every size up to
     # 10, 0 x 0 and 1 x 1 included, with and without a repeated eigenvalue
     rng = np.random.default_rng(seed)
@@ -168,8 +167,8 @@ def test_jacobi_matches_numpy(seed):
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_verify_split_all_fixtures(name, covers, weights):
-    report = verify_split(covers[name], weights[name])
+def test_verify_split_all_fixtures(name, covers):
+    report = verify_split(covers[name])
     failures = {k: v for k, v in report.items() if not v[0]}
     assert not failures
 
@@ -184,9 +183,8 @@ def test_split_counts_tetrahedron():
 
 def test_signed_up_down_share_nonzero_spectrum():
     cov = load_cover("tetrahedron")
-    pw = compute_path_weights(cov)
-    up = eigen(build_conditional(cov, 0, "up", "signed", pw=pw).sm).eigenvalues
-    down = eigen(build_conditional(cov, 1, "down", "signed", pw=pw).sm).eigenvalues
+    up = eigen(build_conditional(cov, 0, "up", "signed").sm).eigenvalues
+    down = eigen(build_conditional(cov, 1, "down", "signed").sm).eigenvalues
     up_nz = [v for v in up if abs(v) > 1e-8]
     down_nz = [v for v in down if abs(v) > 1e-8]
     assert multiset_match(up_nz, down_nz)
@@ -211,8 +209,8 @@ def test_min_eigenvalue_bound_examples():
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_min_eigenvalue_bound_all_fixtures(name, covers, weights):
-    _, holds = min_eigenvalue_bound(covers[name], weights[name])
+def test_min_eigenvalue_bound_all_fixtures(name, covers):
+    _, holds = min_eigenvalue_bound(covers[name])
     assert holds
 
 
@@ -272,10 +270,9 @@ def test_alt_operator_antisymmetric_and_imaginary():
 
 def test_orientation_changes_are_switching_equivalent():
     cov = load_cover("tetrahedron")
-    pw = compute_path_weights(cov)
-    base = build_conditional(cov, 1, "up", "signed", pw=pw)
+    base = build_conditional(cov, 1, "up", "signed")
     flipped = build_conditional(
-        cov, 1, "up", "signed", pw=pw, orientation={4: True, 7: True}
+        cov, 1, "up", "signed", orientation={4: True, 7: True}
     )
     assert multiset_match(eigen(base.sm).eigenvalues, eigen(flipped.sm).eigenvalues)
     assert not base.sm.equals(flipped.sm)

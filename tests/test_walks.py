@@ -46,8 +46,8 @@ def test_transition_cover_isolated_pair():
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 @pytest.mark.parametrize("view", ["quotient", "cover"])
-def test_row_stochastic(name, view, covers, weights):
-    P = transition_full(covers[name], view, weights[name])
+def test_row_stochastic(name, view, covers):
+    P = transition_full(covers[name], view)
     assert all(s == 1 for s in P.row_sums())
 
 
@@ -62,9 +62,9 @@ def test_transition_full_matches_action_oracle(name, view):
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_flip_commutation(name, covers, weights):
+def test_flip_commutation(name, covers):
     cov = covers[name]
-    P = transition_full(cov, "cover", weights[name]).entries
+    P = transition_full(cov, "cover").entries
     n = cov.n_quotient
     flip = lambda u: (u + n) % (2 * n)
     for u in range(2 * n):
@@ -75,7 +75,7 @@ def test_flip_commutation(name, covers, weights):
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_detailed_balance_quotient(name, covers, weights):
     cov, pw = covers[name], weights[name]
-    P = transition_full(cov, "quotient", pw).entries
+    P = transition_full(cov, "quotient").entries
     for a in range(cov.n_quotient):
         for b in range(cov.n_quotient):
             assert pw.through(a) * P[a, b] == pw.through(b) * P[b, a]
@@ -83,9 +83,8 @@ def test_detailed_balance_quotient(name, covers, weights):
 
 def test_cover_breaks_detailed_balance():
     cov = load_cover("single_edge")
-    pw = compute_path_weights(cov)
-    P = transition_full(cov, "cover", pw).entries
-    pi = stationary(cov, range(cov.n_quotient), "full", "cover", pw).weights
+    P = transition_full(cov, "cover").entries
+    pi = stationary(cov, range(cov.n_quotient), "full", "cover").weights
     violated = any(
         pi[a] * P[a, b] != pi[b] * P[b, a]
         for a in range(cov.n_cover)
@@ -102,8 +101,7 @@ def test_stationary_examples():
     assert pi.normalizer == 4
 
     tet = load_cover("tetrahedron")
-    pw = compute_path_weights(tet)
-    pi = stationary(tet, range(15), "full", "quotient", pw)
+    pi = stationary(tet, range(15), "full", "quotient")
     by_dim = {tet.dims[q]: v for q, v in pi.weights.items()}
     assert by_dim == {
         0: Fraction(1, 16),
@@ -119,12 +117,12 @@ def test_stationary_examples():
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_stationary_fixed_point(name, covers, weights):
-    cov, pw = covers[name], weights[name]
+def test_stationary_fixed_point(name, covers):
+    cov = covers[name]
     for view in ("quotient", "cover"):
-        P = transition_full(cov, view, pw)
+        P = transition_full(cov, view)
         for comp in components(cov, "quotient").members:
-            pi = stationary(cov, comp, "full", view, pw)
+            pi = stationary(cov, comp, "full", view)
             assert pi.total() == 1
             vec = [pi.weights.get(u, Fraction(0)) for u in P.nodes]
             for b in range(P.n):
@@ -133,11 +131,10 @@ def test_stationary_fixed_point(name, covers, weights):
 
 def test_conditional_stationary_fixed_point_on_cover():
     cov = load_cover("tetrahedron")
-    pw = compute_path_weights(cov)
     for k, direction in ((0, "up"), (1, "up"), (1, "down"), (2, "down")):
-        P = transition_conditional(cov, k, direction, "cover", pw)
+        P = transition_conditional(cov, k, direction, "cover")
         comp = components(cov, f"quotient-{direction}", k).members[0]
-        pi = stationary(cov, comp, direction, "cover", pw)
+        pi = stationary(cov, comp, direction, "cover")
         vec = [pi.weights.get(u, Fraction(0)) for u in P.nodes]
         for b in range(P.n):
             assert sum(vec[a] * P.entries[a, b] for a in range(P.n)) == vec[b]
@@ -172,32 +169,32 @@ def test_conditional_leaf_row_is_identity():
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_conditional_matches_two_step_oracle(name, covers, weights):
-    cov, pw = covers[name], weights[name]
-    P = transition_full(cov, "quotient", pw).entries
-    Pc = transition_full(cov, "cover", pw).entries
+def test_conditional_matches_two_step_oracle(name, covers):
+    cov = covers[name]
+    P = transition_full(cov, "quotient").entries
+    Pc = transition_full(cov, "cover").entries
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
             lonely = cov.is_leaf if direction == "up" else cov.is_root
             nodes, want = oracles.two_step_conditional(P, cov.dims, k, direction, lonely)
-            got = transition_conditional(cov, k, direction, "quotient", pw)
+            got = transition_conditional(cov, k, direction, "quotient")
             assert list(got.nodes) == nodes
             assert (got.entries == want).all()
             cnodes, cwant = oracles.two_step_conditional_cover(
                 Pc, cov.dims, cov.n_quotient, k, direction, lonely
             )
-            cgot = transition_conditional(cov, k, direction, "cover", pw)
+            cgot = transition_conditional(cov, k, direction, "cover")
             assert list(cgot.nodes) == cnodes
             assert (cgot.entries == cwant).all()
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_conditional_row_stochastic(name, covers, weights):
-    cov, pw = covers[name], weights[name]
+def test_conditional_row_stochastic(name, covers):
+    cov = covers[name]
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
             for view in ("quotient", "cover"):
-                P = transition_conditional(cov, k, direction, view, pw)
+                P = transition_conditional(cov, k, direction, view)
                 assert all(s == 1 for s in P.row_sums())
 
 
@@ -244,7 +241,7 @@ def test_one_step_frequencies_match_path_sampling():
     match the transition matrix within 3 sigma."""
     cov = load_cover("branched")
     pw = compute_path_weights(cov)
-    P = transition_full(cov, "cover", pw).entries
+    P = transition_full(cov, "cover").entries
     rng = SplitMix64(2024)
     n_trials = 4000
     for u in (0, 9, cov.n_quotient + 2):
