@@ -1,7 +1,7 @@
 """Cheeger constants and the combined spectral bounds on the tetrahedron.
 
 Each dimension produces weighted signed auxiliary graphs on its faces;
-brute-force cut searches give exact rational Cheeger constants, and the
+exact branch-and-bound cut searches give rational Cheeger constants, and the
 up/down constants combine into two-sided bounds on the shared spectral
 gap.  The tighter side alternates between up and down.
 """

@@ -1,23 +1,20 @@
-"""Auxiliary graphs, brute-force Cheeger constants, and combined bounds.
+"""Auxiliary graphs, exact Cheeger constants, and combined bounds.
 
 The quotient constant minimizes cut-weight over measure across all proper
 nonempty subsets; the signed constant additionally minimizes over
 orientations of the chosen subset (the subset may be everything).  Both
 searches are exact: comparisons are done by integer cross-multiplication
-after clearing denominators once.  Enumeration is capped at 24 nodes.
+after clearing denominators once.
 
-Both scans visit subsets in ascending bitmask order and carry cut weight
-and measure from one mask to the next through the flipped bits, so the
-witness is the lowest mask attaining the minimum.  The signed scan skips
-subsets whose cross weight alone cannot win and searches the orientations
-of the rest by a branch-and-bound over the Gray-code rank, budgeted by
-what would still beat the incumbent; its orientation witness is the
-lowest-rank minimizer, the first one a plain Gray-code walk would meet.
+Each constant comes from one depth-first branch-and-bound over node
+states (out/in, or out/+/- for the signed constant) on an explicit stack.
+The witness is the lowest mask attaining the minimum and, for the signed
+constant, the lowest-Gray-rank orientation of that subset.  A search that
+would visit more than SEARCH_BUDGET nodes raises BruteForceGuardError.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -34,11 +31,12 @@ from .graded_cover import (
 )
 from .operators import SymmetricOperator, build_conditional, eigen
 
-BRUTE_FORCE_CAP = 24
+# Search nodes one cut search may visit before it gives up.
+SEARCH_BUDGET = 4_000_000
 
 
 class BruteForceGuardError(ValueError):
-    """Raised when a cut enumeration would exceed the 2**24 guard."""
+    """Raised when a cut search would visit more than SEARCH_BUDGET nodes."""
 
 
 class SharedMidNodeError(ValueError):
@@ -178,98 +176,65 @@ def _integerized(aux: AuxiliaryGraph):
     return wints, wden, mints, mden
 
 
-def _guard(n: int) -> None:
-    if n > BRUTE_FORCE_CAP:
-        raise BruteForceGuardError(
-            f"component has {n} nodes; brute-force search is capped at {BRUTE_FORCE_CAP}"
-        )
+def _over_budget() -> BruteForceGuardError:
+    return BruteForceGuardError(f"cut search exceeds its budget of {SEARCH_BUDGET} search nodes")
 
 
-def _neighbours(n: int, edges, wints):
-    """Per-node (other end, integer weight) lists of the auxiliary edges."""
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (i, j), w in zip(edges, wints):
-        nbrs[i].append((j, w))
-        nbrs[j].append((i, w))
-    return nbrs
+def _search_graph(aux: AuxiliaryGraph):
+    """What both searches read: integer weights and measures, each node's
+    edges to higher-index nodes as (other end, weight, 1 if the sign is
+    negative else 0), and ``below[i]``, the measure of the nodes under i."""
+    wints, wden, mints, mden = _integerized(aux)
+    above: list[list[tuple[int, int, int]]] = [[] for _ in range(aux.n)]
+    for (i, j), w, s in zip(aux.edges, wints, aux.sign):
+        above[min(i, j)].append((max(i, j), w, int(s == -1)))
+    below = [0]
+    for m in mints:
+        below.append(below[-1] + m)
+    return wints, wden, mints, mden, above, below
 
 
-def _mask_scan(nbrs, mints, lo, hi):
-    """Yield (mask, cut, mu) for the masks in [lo, hi), ascending.
-
-    Cut weight and measure are carried from one mask to the next through
-    the bits of ``mask ^ prev``: flipping node i changes the cut by the
-    weight of each incident edge, in O(degree).
-    """
-    cur = cut = mu = 0
-    for mask in range(lo, hi):
-        flips = mask ^ cur
-        while flips:
-            low = flips & -flips
-            flips ^= low
-            i = low.bit_length() - 1
-            cur ^= low
-            inside = (cur >> i) & 1
-            mu += mints[i] if inside else -mints[i]
-            for j, w in nbrs[i]:
-                if (cur >> j) & 1 == inside:
-                    cut -= w
-                else:
-                    cut += w
-        yield mask, cut, mu
-
-
-def _quotient_scan(args):
-    """Minimize cut/min-measure over masks in [lo, hi); exact integer compare."""
-    nbrs, mints, total_m, lo, hi, full = args
-    best_num = best_den = None
-    best_mask = None
-    for mask, cut, mu in _mask_scan(nbrs, mints, lo, hi):
-        if mask == 0 or mask == full:
-            continue
-        den = min(mu, total_m - mu)
-        if best_num is None or cut * best_den < best_num * den:
-            best_num, best_den, best_mask = cut, den, mask
-    return best_num, best_den, best_mask
-
-
-def cheeger_quotient(aux: AuxiliaryGraph, threads: int = 1):
+def cheeger_quotient(aux: AuxiliaryGraph):
     """Exact quotient Cheeger constant with a witness subset.
 
-    Minimizes over the 2**n - 2 proper nonempty subsets; ties resolve to
-    the lexicographically smallest bitmask.  With threads > 1 the mask
-    space is split across at most ``os.cpu_count()`` processes (the
-    min-reduction is order-free).
+    Minimizes cut/min(mu(S), mu(V-S)) over the proper nonempty subsets S;
+    ties resolve to the lowest bitmask.  A depth-first branch-and-bound
+    decides nodes from the highest index down, out before in, so leaves
+    come in ascending mask order and only a strict improvement replaces
+    the incumbent.  The highest node stays out: a subset and its
+    complement have the same ratio, and the one without that node has the
+    lower mask.  A branch is cut when its cut so far over the largest
+    measure it could still reach is not below the incumbent.
     """
     n = aux.n
     if n < 2:
         raise ValueError("quotient Cheeger constant needs at least two nodes")
-    _guard(n)
-    wints, wden, mints, mden = _integerized(aux)
-    nbrs = _neighbours(n, aux.edges, wints)
-    total_m = sum(mints)
-    full = (1 << n) - 1
-    threads = min(threads, os.cpu_count() or 1)
-    if threads > 1 and n > 12:
-        # imported here: multiprocessing stays unloaded unless a pool starts
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = []
-        step = (full + threads) // threads
-        for lo in range(0, full + 1, step):
-            chunks.append((nbrs, mints, total_m, lo, min(lo + step, full + 1), full))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = [r for r in pool.map(_quotient_scan, chunks) if r[0] is not None]
-        best_num, best_den, best_mask = None, None, None
-        for num, den, mask in results:
-            if (
-                best_num is None
-                or num * best_den < best_num * den
-                or (num * best_den == best_num * den and mask < best_mask)
-            ):
-                best_num, best_den, best_mask = num, den, mask
-    else:
-        best_num, best_den, best_mask = _quotient_scan((nbrs, mints, total_m, 0, full + 1, full))
+    _wints, wden, mints, mden, above, below = _search_graph(aux)
+    above_w = [sum(w for _j, w, _s in es) for es in above]
+    total_m = below[n]
+    budget, visited = SEARCH_BUDGET, 0
+    best_num = best_den = best_mask = None
+    stack = [(n - 2, 0, 0, 0)]  # (next node, in-mask, cut, measure in)
+    while stack:
+        i, mask, cut, mu = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise _over_budget()
+        if best_num is not None and cut * best_den >= best_num * min(
+            mu + below[i + 1], total_m - mu
+        ):
+            continue
+        if i < 0:
+            if mask:
+                best_num, best_den, best_mask = cut, min(mu, total_m - mu), mask
+            continue
+        into = 0
+        for j, w, _s in above[i]:
+            if mask >> j & 1:
+                into += w
+        # pushed in reverse, so "out" pops first
+        stack.append((i - 1, mask | 1 << i, cut + above_w[i] - into, mu + mints[i]))
+        stack.append((i - 1, mask, cut + into, mu))
     h = Fraction(best_num, wden) / Fraction(best_den, mden)
     witness = tuple(aux.nodes[i] for i in range(n) if (best_mask >> i) & 1)
     return h, witness
@@ -294,10 +259,11 @@ def _signed_best_orientation(members, pairs_in, limit):
     free = [x for piece in pieces for x in piece[1:]]
     # an edge is decided at the level of its later-decided end; piece roots
     # are fixed at +1 from the start (and no edge joins two of them)
+    top = len(free)
     rank = {node: b for b, node in enumerate(free)}
     edges_at: list[list[tuple[int, int, int]]] = [[] for _ in free]
     for i, j, w, s in pairs_in:
-        bi, bj = rank.get(i, len(free)), rank.get(j, len(free))
+        bi, bj = rank.get(i, top), rank.get(j, top)
         if bi < bj:
             edges_at[bi].append((j, 2 * w, s))
         else:
@@ -305,98 +271,116 @@ def _signed_best_orientation(members, pairs_in, limit):
     level_total = [sum(w2 for _o, w2, _s in es) for es in edges_at]
     x = [1] * len(members)
     best_neg, best_x = limit, None
-
-    def descend(b, t_prev, partial):
-        nonlocal best_neg, best_x
-        if b < 0:
+    budget, visited = SEARCH_BUDGET, 0
+    # (level just decided, its sign, its bit of t, partial weight)
+    stack = [(top, 1, 0, 0)]
+    while stack:
+        b, v, t_above, partial = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise _over_budget()
+        if partial >= best_neg:
+            continue
+        if b < top:
+            x[free[b]] = v
+        if b == 0:
             best_neg, best_x = partial, list(x)
-            return
+            continue
+        b -= 1
         # frustrated weight added by x = +1 (x_o * s == -1); x = -1 frustrates the rest
         plus = 0
         for o, w2, s in edges_at[b]:
             if x[o] != s:
                 plus += w2
         minus = level_total[b] - plus
-        # Gray bit b is t_b ^ t_prev: t_b = 0 gives x = +1 exactly when t_prev is 0
-        if t_prev == 0:
-            children = ((0, 1, plus), (1, -1, minus))
-        else:
-            children = ((0, -1, minus), (1, 1, plus))
-        for t_b, v, add in children:
-            if partial + add < best_neg:
-                x[free[b]] = v
-                descend(b - 1, t_b, partial + add)
-
-    # each branch is checked against the limit before it is entered; the
-    # root has weight 0
-    if limit > 0:
-        descend(len(free) - 1, 0, 0)
+        # Gray bit b is t ^ t_above: x = +1 exactly when t equals t_above; t = 0 pops first
+        for t in (1, 0):
+            stack.append((b, 1, t, partial + plus) if t == t_above else (b, -1, t, partial + minus))
     if best_x is None:
         return None
     return best_neg, best_x
 
 
-def cheeger_signed(aux: AuxiliaryGraph, threads: int = 1):
+def cheeger_signed(aux: AuxiliaryGraph):
     """Exact signed Cheeger constant with a (subset, orientation) witness.
 
     The subset may be the whole node set; the orientation outside the
     subset is irrelevant.  Zero exactly when the component is coherent
     (beta = 0 forces the full set with a balanced orientation, which is
-    checked directly by sign propagation).  Otherwise subsets are scanned
-    in ascending bitmask order with incrementally updated cut and measure.
-    A subset is skipped when its cross weight alone exceeds a precomputed
-    upper bound or cannot beat the incumbent; otherwise its orientation
-    search is budgeted by the largest negative weight that would still
-    beat the incumbent strictly (or reach the upper bound, before the
-    first incumbent).  The witness is the lowest-mask minimizer with its
-    lowest-Gray-rank orientation.
+    checked directly by sign propagation).  Otherwise a depth-first
+    branch-and-bound gives each node, from the highest index down, one of
+    the states out, +, -; the highest node of the subset is always +
+    (flipping every sign keeps the value).  The incumbent starts at a
+    cheap upper bound, and a branch is cut when its weight so far over the
+    largest measure it could still reach exceeds the incumbent, or ties it
+    with no mask below the incumbent's left to reach.  The witness is the
+    lowest-mask minimizer; its orientation is then searched again for the
+    lowest Gray rank.
     """
     n = aux.n
     if n == 0:
         raise ValueError("empty auxiliary graph")
-    _guard(n)
     x, _pieces, frustrated = propagate_signs(
         range(n), [(i, j, s) for (i, j), s in zip(aux.edges, aux.sign)]
     )
     if not frustrated:
         orientation = {aux.nodes[i]: (x[i] == -1) for i in range(n)}
         return Fraction(0), (tuple(aux.nodes), orientation)
-    wints, wden, mints, mden = _integerized(aux)
-    pairs = [(i, j, w, s) for (i, j), w, s in zip(aux.edges, wints, aux.sign)]
-    nbrs = _neighbours(n, aux.edges, wints)
-    # a cheap upper bound on the minimum strengthens pruning from the start:
-    # the full set under the propagated orientation, and every singleton
-    bound_num = sum(2 * wints[e] for e in frustrated)
-    bound_den = sum(mints)
+    wints, wden, mints, mden, above, below = _search_graph(aux)
+    degree = [0] * n
+    for (i, j), w in zip(aux.edges, wints):
+        degree[i] += w
+        degree[j] += w
+    # the upper bound: the full set under the propagated orientation, and
+    # every singleton; no mask reaches 1 << n, so a leaf that only ties it
+    # still replaces it
+    best_num, best_den, best_mask = sum(2 * wints[e] for e in frustrated), below[n], 1 << n
     for i in range(n):
-        deg = sum(w for _j, w in nbrs[i])
-        if deg * bound_den < bound_num * mints[i]:
-            bound_num, bound_den = deg, mints[i]
-    best_num = best_den = None
-    best_x = None
-    for mask, cut, mu in _mask_scan(nbrs, mints, 1, 1 << n):
-        if cut * bound_den > bound_num * mu:
+        if degree[i] * best_den < best_num * mints[i]:
+            best_num, best_den = degree[i], mints[i]
+    budget, visited = SEARCH_BUDGET, 0
+    stack = [(n - 1, 0, 0, 0, 0)]  # (next node, in-mask, minus-mask, weight, measure in)
+    while stack:
+        i, mask, neg, partial, mu = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise _over_budget()
+        # a branch that can at best tie holds no mask below its own
+        lhs, rhs = partial * best_den, best_num * (mu + below[i + 1])
+        if lhs > rhs or lhs == rhs and mask >= best_mask:
             continue
-        if best_num is None:
-            # reach the upper bound: (cut + neg) / mu <= bound
-            limit = (bound_num * mu - cut * bound_den) // bound_den + 1
-        elif cut * best_den >= best_num * mu:
+        if i < 0:
+            if mask:
+                best_num, best_den, best_mask = partial, mu, mask
             continue
-        else:
-            # beat the incumbent strictly: (cut + neg) / mu < best
-            limit = -((cut * best_den - best_num * mu) // best_den)
-        members = [i for i in range(n) if (mask >> i) & 1]
-        member_pos = {node: p for p, node in enumerate(members)}
-        pairs_in = [
-            (member_pos[i], member_pos[j], w, s)
-            for (i, j, w, s) in pairs
-            if (mask >> i) & (mask >> j) & 1
-        ]
-        found = _signed_best_orientation(members, pairs_in, limit)
-        if found is not None:
-            best_num, best_den, best_x = cut + found[0], mu, (members, found[1])
+        to_in = to_out = plus = minus = 0
+        for j, w, s_neg in above[i]:
+            if mask >> j & 1:
+                to_in += w
+                # x = +1 frustrates the edge when x_j * s == -1
+                if (neg >> j ^ s_neg) & 1:
+                    plus += w
+                else:
+                    minus += w
+            else:
+                to_out += w
+        # pushed in reverse, so the states pop as out, +, -; the subset's
+        # highest node is always +
+        bit, mu_in = 1 << i, mu + mints[i]
+        if mask:
+            stack.append((i - 1, mask | bit, neg | bit, partial + to_out + 2 * minus, mu_in))
+        stack.append((i - 1, mask | bit, neg, partial + to_out + 2 * plus, mu_in))
+        stack.append((i - 1, mask, neg, partial + to_in, mu))
+    members = [i for i in range(n) if (best_mask >> i) & 1]
+    member_pos = {node: p for p, node in enumerate(members)}
+    pairs_in = [
+        (member_pos[i], member_pos[j], w, s)
+        for (i, j), w, s in zip(aux.edges, wints, aux.sign)
+        if (best_mask >> i) & (best_mask >> j) & 1
+    ]
+    cut = sum(w for (i, j), w in zip(aux.edges, wints) if (best_mask >> i ^ best_mask >> j) & 1)
+    _neg, x = _signed_best_orientation(members, pairs_in, best_num - cut + 1)
     h = Fraction(best_num, wden) / Fraction(best_den, mden)
-    members, x = best_x
     witness_nodes = tuple(aux.nodes[i] for i in members)
     witness_orientation = {aux.nodes[i]: (xi == -1) for i, xi in zip(members, x)}
     return h, (witness_nodes, witness_orientation)
@@ -409,9 +393,7 @@ def _restricted_gap(op: SymmetricOperator, flavor: str, comp) -> float:
     return 1.0 - (-ev[0])
 
 
-def combined_report(
-    cover: GradedSignedDoubleCover, k: int, threads: int = 1
-) -> list[CheegerReport]:
+def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerReport]:
     """Combined Cheeger bounds for every paired component in dimensions k-1/k.
 
     Emits, per flavor, lower bound max(h_up^2/k, h_down^2/d_down)/(2(k+1)),
@@ -446,18 +428,18 @@ def combined_report(
         gap_q = gap_s = None
         if len(up_comp) >= 2:
             aux_up = build_aux(cover, up_comp, "up")
-            h_q_up, wit = cheeger_quotient(aux_up, threads)
+            h_q_up, wit = cheeger_quotient(aux_up)
             witnesses["quotient_up"] = wit
-            h_s_up, wit = cheeger_signed(aux_up, threads)
+            h_s_up, wit = cheeger_signed(aux_up)
             witnesses["signed_up"] = wit
             up_q = build_conditional(cover, k - 1, "up", "quotient")
             gap_q = _restricted_gap(up_q, "quotient", up_comp)
             up_s = build_conditional(cover, k - 1, "up", "signed")
             gap_s = _restricted_gap(up_s, "signed", up_comp)
         if aux_down is not None:
-            h_q_down, wit = cheeger_quotient(aux_down, threads)
+            h_q_down, wit = cheeger_quotient(aux_down)
             witnesses["quotient_down"] = wit
-            h_s_down, wit = cheeger_signed(aux_down, threads)
+            h_s_down, wit = cheeger_signed(aux_down)
             witnesses["signed_down"] = wit
         lower_q = upper_q = None
         options_q = []

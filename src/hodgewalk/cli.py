@@ -246,9 +246,9 @@ def cmd_cheeger(args) -> int:
             hq = hs = ""
             wq = ws = ""
             if aux.n >= 2:
-                hq, wit = cheeger_mod.cheeger_quotient(aux, args.threads)
+                hq, wit = cheeger_mod.cheeger_quotient(aux)
                 wq = " ".join(cover.labels[q] for q in wit)
-            hs, (wnodes, worient) = cheeger_mod.cheeger_signed(aux, args.threads)
+            hs, (wnodes, worient) = cheeger_mod.cheeger_signed(aux)
             ws = " ".join(("-" if worient[q] else "+") + cover.labels[q] for q in wnodes)
             rows.append((direction, ci, len(comp), hq, hs, wq, ws))
     emit(
@@ -259,7 +259,7 @@ def cmd_cheeger(args) -> int:
     return EXIT_OK
 
 
-def _bound_table_rows(cover, threads):
+def _bound_table_rows(cover):
     """Bound-table rows, one pair of tables over all k with complete pairs.
 
     Degenerate pairs (a singleton component on either side) are omitted:
@@ -268,7 +268,7 @@ def _bound_table_rows(cover, threads):
     dim = max(cover.dims)
     quotient_rows, signed_rows = [], []
     for k in range(1, dim + 1):
-        for rep in cheeger_mod.combined_report(cover, k, threads):
+        for rep in cheeger_mod.combined_report(cover, k):
             if rep.h_quotient_up is None or rep.h_quotient_down is None:
                 continue
             quotient_rows.append(
@@ -312,14 +312,14 @@ def cmd_report(args) -> int:
         "lower_up", "lower_down", "gap", "upper_up", "upper_down",
     )
     if args.paper_tables:
-        qrows, srows = _bound_table_rows(cover, args.threads)
+        qrows, srows = _bound_table_rows(cover)
         rows = [("quotient",) + r for r in qrows] + [("signed",) + r for r in srows]
         emit(rows, header, args.format)
         return EXIT_OK
     ks = [args.k] if args.k is not None else list(range(1, max(cover.dims) + 1))
     rows = []
     for k in ks:
-        for rep in cheeger_mod.combined_report(cover, k, args.threads):
+        for rep in cheeger_mod.combined_report(cover, k):
             rows.append(
                 (
                     k,
@@ -345,7 +345,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cover, cx, threads):
+def _verify_checks(cover, cx):
     """The full invariant suite for one input; yields (name, ok, detail)."""
     pw = graded_cover.compute_path_weights(cover)
     # transition structure
@@ -387,7 +387,7 @@ def _verify_checks(cover, cx, threads):
             yield name, ok, detail
         yield "complex_adjacency_consistent", _adjacency_consistent(cover, cx), ""
     if cover.strong:
-        yield from _verify_cheeger_checks(cover, threads)
+        yield from _verify_cheeger_checks(cover)
 
 
 def _path_count_oracle(cover) -> bool:
@@ -426,11 +426,11 @@ def _adjacency_consistent(cover, cx) -> bool:
     return True
 
 
-def _verify_cheeger_checks(cover, threads):
+def _verify_cheeger_checks(cover):
     dim = max(cover.dims)
     for k in range(1, dim + 1):
         try:
-            reports = cheeger_mod.combined_report(cover, k, threads)
+            reports = cheeger_mod.combined_report(cover, k)
         except (BruteForceGuardError, SharedMidNodeError) as exc:
             yield f"cheeger_k{k}", True, f"skipped: {exc}"
             continue
@@ -452,8 +452,11 @@ def _verify_cheeger_checks(cover, threads):
                     f"h_signed_down = {rep.h_signed_down}",
                 )
         # auxiliary Laplacian affine identities, per eligible component: the
-        # factor is the child count of the mid-nodes (up) or of the component's
-        # own nodes (down), m+2 and m+1 in dimension m of a simplicial complex
+        # factor c is the child count of the mid-nodes (up) or of the
+        # component's own nodes (down), m+2 and m+1 in dimension m of a
+        # simplicial complex; the identities also need those nodes' children
+        # to share one RP (up: RP(v) = c*sqrt(RP(a)*RP(b)) for a, b under v)
+        pw = graded_cover.compute_path_weights(cover)
         for direction, kk in (("up", k - 1), ("down", k)):
             comps = graded_cover.components(cover, f"quotient-{direction}", kk).members
             quot = operators.build_conditional(cover, kk, direction, "quotient")
@@ -464,10 +467,16 @@ def _verify_cheeger_checks(cover, threads):
                 except ValueError:
                     continue
                 name = f"aux_laplacian_identity_{direction}_{kk}_{comp[0]}"
-                mids = {v for q in comp for v in cover.parents[q]}
-                counts = {len(cover.children[v]) for v in (mids if direction == "up" else comp)}
+                mids = sorted({v for q in comp for v in cover.parents[q]})
+                owners = mids if direction == "up" else comp
+                counts = {len(cover.children[v]) for v in owners}
                 if len(counts) != 1:
                     yield name, True, "skipped: child counts differ across the component"
+                    continue
+                uneven = [v for v in owners if len({pw.rp[t] for t in cover.children[v]}) > 1]
+                if uneven:
+                    detail = f"skipped: the children of {cover.labels[uneven[0]]} differ in RP"
+                    yield name, True, detail
                     continue
                 factor = Fraction(counts.pop())
                 eye = ScaledMatrix.identity(aux.n)
@@ -485,7 +494,7 @@ def cmd_verify(args) -> int:
     cover, cx = load_input(args.input)
     rows = []
     failures = 0
-    for name, ok, detail in _verify_checks(cover, cx, args.threads):
+    for name, ok, detail in _verify_checks(cover, cx):
         rows.append((name, ok, detail))
         if not ok:
             failures += 1
@@ -494,8 +503,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError: one `error:` line and exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hodgewalk",
         description="Root-to-leaf walks, normalized Hodge Laplacians and Cheeger bounds",
     )
@@ -535,27 +551,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cheeger", cmd_cheeger)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--direction", choices=("up", "down"), default=None)
-    p.add_argument("--threads", type=int, default=1)
     p = add("report", cmd_report)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--paper-tables", action="store_true", dest="paper_tables",
                    help="reproduce the worked-example bound tables")
-    p.add_argument("--threads", type=int, default=1)
-    p = add("verify", cmd_verify)
-    p.add_argument("--threads", type=int, default=1)
+    add("verify", cmd_verify)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code else EXIT_OK
-    try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:
+        # only --help exits from the parser; its usage errors raise ValueError
+        return EXIT_OK
     except (operators.EigenResidualError, OverflowError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -3,15 +3,18 @@ from fractions import Fraction
 import pytest
 
 from hodgewalk.cheeger import (
+    AuxiliaryGraph,
     BruteForceGuardError,
+    _signed_best_orientation,
     aux_laplacian,
     build_aux,
     cheeger_quotient,
     cheeger_signed,
     combined_report,
 )
+from hodgewalk.complex_core import parse_complex
 from hodgewalk.exact import ScaledMatrix, rat_eye
-from hodgewalk.graded_cover import components, detect_coherent
+from hodgewalk.graded_cover import components, cover_from_complex, detect_coherent
 from hodgewalk.operators import build_conditional
 
 import oracles
@@ -182,24 +185,23 @@ def test_naive_oracle_equivalence(covers):
                         assert hs == oracles.naive_cheeger_signed(aux)
 
 
-def test_brute_force_guard():
-    cov = load_cover("tetrahedron")
-    aux = build_aux(cov, the_component(cov, "quotient-up", 1), "up")
-    big = aux.__class__(
-        aux.direction,
-        aux.k,
-        tuple(range(25)),
-        tuple(str(i) for i in range(25)),
-        (),
-        (),
-        (),
-        tuple(Fraction(1) for _ in range(25)),
-        aux.degree_term,
+def test_brute_force_guard(monkeypatch):
+    from hodgewalk import cheeger
+
+    cov = load_cover("triangle_ring")
+    aux = build_aux(cov, the_component(cov, "quotient-down", 1), "down")
+    monkeypatch.setattr(cheeger, "SEARCH_BUDGET", 50)
+    message = "cut search exceeds its budget of 50 search nodes"
+    with pytest.raises(BruteForceGuardError, match=message):
+        cheeger_quotient(aux)
+    with pytest.raises(BruteForceGuardError, match=message):
+        cheeger_signed(aux)
+    # the budget bounds work, not size: an edgeless 25-node graph is cut at once
+    edgeless = AuxiliaryGraph(
+        "down", 1, tuple(range(25)), tuple(str(i) for i in range(25)), (), (), (),
+        tuple(Fraction(1) for _ in range(25)), Fraction(1),
     )
-    with pytest.raises(BruteForceGuardError):
-        cheeger_quotient(big)
-    with pytest.raises(BruteForceGuardError):
-        cheeger_signed(big)
+    assert cheeger_quotient(edgeless) == (0, (0,))
 
 
 def test_witness_tiebreak_is_lowest_mask():
@@ -292,14 +294,39 @@ def test_rate_bounds_bracket_rate():
         assert rate <= float(rep.rate_upper) + 1e-9
 
 
-def test_quotient_search_threads_agree():
-    cov = load_cover("triangle_ring")
-    comp = components(cov, "quotient-down", 1).members[0]
-    aux = build_aux(cov, comp, "down")
-    assert aux.n == 16
-    h1, w1 = cheeger_quotient(aux, threads=1)
-    h2, w2 = cheeger_quotient(aux, threads=3)
-    assert (h1, w1) == (h2, w2)
+def test_annulus_6x4_vertex_component():
+    """The 24-node up-component of the 6x4 annulus, past the old 2**24 scans."""
+    lines = []
+    for i in range(6):
+        nxt = (i + 1) % 6
+        for j in range(3):
+            lines.append(f"v{i}_{j} v{nxt}_{j} v{nxt}_{j + 1}")
+            lines.append(f"v{i}_{j} v{i}_{j + 1} v{nxt}_{j + 1}")
+    cov = cover_from_complex(parse_complex("\n".join(lines)))
+    aux = build_aux(cov, the_component(cov, "quotient-up", 0), "up")
+    assert aux.n == 24
+    h, witness = cheeger_quotient(aux)
+    assert h == Fraction(2, 9)
+    inside = {aux.nodes.index(q) for q in witness}
+    cut = sum(w for (i, j), w in zip(aux.edges, aux.weight) if (i in inside) != (j in inside))
+    mu = sum(aux.measure[i] for i in inside)
+    assert cut / min(mu, sum(aux.measure) - mu) == h
+
+
+def test_searches_deeper_than_the_recursion_limit():
+    # 1100 isolated nodes below one frustrated triangle: every search
+    # descends through all of them before its first leaf
+    n = 1103
+    aux = AuxiliaryGraph(
+        "down", 1, tuple(range(n)), tuple(str(i) for i in range(n)),
+        ((n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)), (1, 1, -1),
+        (Fraction(1),) * 3, (Fraction(1),) * n, Fraction(1),
+    )
+    assert cheeger_quotient(aux) == (0, (0,))
+    assert cheeger_signed(aux) == (0, ((0,), {0: False}))
+    # a path of 1100 nodes has 1099 free nodes to orient
+    path = [(i, i + 1, 1, 1) for i in range(1099)]
+    assert _signed_best_orientation(list(range(1100)), path, 1) == (0, [1] * 1100)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -318,20 +345,24 @@ def test_random_complex_sandwich(seed):
 
 # -- the pruned searches against the full scans they replaced ----------------
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-from hodgewalk.cheeger import AuxiliaryGraph, _signed_best_orientation
 
 SMALL_WEIGHTS = st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)])
 
 
 @st.composite
-def random_aux(draw):
-    """Auxiliary graph on up to 8 nodes, few distinct weights (ties are common)."""
-    n = draw(st.integers(1, 8))
+def random_aux(draw, lo=1, hi=8, dense=False):
+    """Auxiliary graph on lo..hi nodes, few distinct weights (ties are common).
+
+    Dense graphs hold each node pair as an edge with probability 1/2.
+    """
+    n = draw(st.integers(lo, hi))
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = sorted(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else []
+    if dense:
+        edges = [pair for pair in all_pairs if draw(st.booleans())]
+    else:
+        edges = sorted(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else []
     return AuxiliaryGraph(
         direction="down",
         k=1,
@@ -345,8 +376,25 @@ def random_aux(draw):
     )
 
 
+# the full set under +q4 +q3 +q2 +q1 -q0 and {q3, q4} under +q4 -q3 both reach
+# 2/3; a search over the states out, +, - per node that kept the first
+# minimizer it met would return the full set, not the lower mask
+TIED_MASKS = AuxiliaryGraph(
+    direction="down",
+    k=1,
+    nodes=(10, 11, 12, 13, 14),
+    labels=("q0", "q1", "q2", "q3", "q4"),
+    edges=((0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (3, 4)),
+    sign=(1, -1, 1, 1, 1, -1),
+    weight=tuple(Fraction(w) for w in (1, 2, 2, 1, 1, 1)),
+    measure=tuple(Fraction(m) for m in (1, 1, 1, 2, 1)),
+    degree_term=Fraction(1),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(random_aux())
+@example(TIED_MASKS)
 def test_cut_searches_match_references(aux):
     """Same value, witness subset and orientation as the full scans."""
     signed = cheeger_signed(aux)
@@ -358,6 +406,14 @@ def test_cut_searches_match_references(aux):
         assert quotient == oracles.reference_cheeger_quotient(aux)
         if aux.n <= 6:
             assert quotient[0] == oracles.naive_cheeger_quotient(aux)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_aux(9, 12, dense=True))
+def test_cut_searches_match_references_9_to_12_nodes(aux):
+    """As above on larger, denser graphs; the references take about 0.04 s each."""
+    assert cheeger_signed(aux) == oracles.reference_cheeger_signed(aux)
+    assert cheeger_quotient(aux) == oracles.reference_cheeger_quotient(aux)
 
 
 def test_budgeted_orientation_search():

@@ -1,5 +1,4 @@
 import collections
-import concurrent.futures
 import functools
 import importlib
 import inspect
@@ -314,40 +313,67 @@ def test_child_counts_differing_in_a_component_skip_the_identity(tmp_path, capsy
     assert "\naux_laplacian_identity_down_2_4" + skipped in out
 
 
-@pytest.mark.parametrize("verb", [["cheeger", "--k", "1"], ["report"], ["verify"]])
-def test_threads_below_one_exit_one(verb, capsys):
-    code = run([verb[0], TET, *verb[1:], "--threads", "0"])
+# e and g share a and b; f is a root; t's children e, f, g have RP 2, 1, 2
+UNEVEN_RP = """\
+node a 0
+node b 0
+node e 1
+node g 1
+node f 1
+node t 2
+edge a e +1
+edge b e -1
+edge a g +1
+edge b g -1
+edge e t +1
+edge f t -1
+edge g t +1
+"""
+
+
+def test_uneven_child_rp_skips_the_identity(tmp_path, capsys):
+    # the up identity's off-diagonal needs RP(t) = 3*sqrt(RP(a)*RP(b)) for
+    # each pair a, b of t's children, which fails when their RP differ
+    spec = tmp_path / "uneven.cover"
+    spec.write_text(UNEVEN_RP)
+    assert run(["verify", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert "\naux_laplacian_identity_up_1_2\tyes\tskipped: the children of t differ in RP\n" in out
+    assert out.splitlines()[-1].startswith("TOTAL\tyes\t")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["cheeger", TET, "--k", "1", "--threads", "2"],
+            "error: unrecognized arguments: --threads 2",
+        ),
+        (["frobnicate", TET], "error: argument verb: invalid choice: 'frobnicate'"),
+    ],
+)
+def test_usage_error_is_one_line(argv, message, capsys):
+    code = run(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: --threads must be at least 1, got 0\n"
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
 
 
-def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
-    workers = []
+@pytest.mark.parametrize("argv", [["--help"], ["cheeger", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert run(argv) == 0
+    assert "usage:" in capsys.readouterr().out
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            return map(fn, chunks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cheeger.os, "cpu_count", lambda: 3)
-    code = run(["cheeger", RING, "--k", "1", "--direction", "down", "--threads", "1000"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert workers == [3]
-    monkeypatch.undo()
-    assert run(["cheeger", RING, "--k", "1", "--direction", "down"]) == 0
-    assert capsys.readouterr().out == out
+def test_search_budget_is_a_guard_exit(monkeypatch, capsys):
+    monkeypatch.setattr(cheeger, "SEARCH_BUDGET", 100)
+    code = run(["cheeger", RING, "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "guard: cut search exceeds its budget of 100 search nodes\n"
 
 
 # every memoized builder, by module and public name
