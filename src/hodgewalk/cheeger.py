@@ -398,7 +398,8 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
 
     Emits, per flavor, lower bound max(h_up^2/k, h_down^2/d_down)/(2(k+1)),
     the shared spectral gap, and upper bound 2*min(h_up, h_down)/(k+1).
-    Coherent or singleton pairs get the all-zero signed triple; a singleton
+    Coherent or singleton pairs get the all-zero signed triple (coherence
+    is decided exactly, so no eigensolve backs that gap); a singleton
     down-component additionally drops the quotient down-constant.  Raises
     ChildCountError when a down-component node has other than k+1 children.
     """
@@ -434,8 +435,9 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
             witnesses["signed_up"] = wit
             up_q = build_conditional(cover, k - 1, "up", "quotient")
             gap_q = _restricted_gap(up_q, "quotient", up_comp)
-            up_s = build_conditional(cover, k - 1, "up", "signed")
-            gap_s = _restricted_gap(up_s, "signed", up_comp)
+            if not coherent:
+                up_s = build_conditional(cover, k - 1, "up", "signed")
+                gap_s = _restricted_gap(up_s, "signed", up_comp)
         if aux_down is not None:
             h_q_down, wit = cheeger_quotient(aux_down)
             witnesses["quotient_down"] = wit
@@ -451,9 +453,10 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
             lower_q = max(o[0] for o in options_q) / (2 * (k + 1))
             upper_q = 2 * min(o[1] for o in options_q) / (k + 1)
         if coherent:
+            # coherence is decided exactly and pins the signed gap at 0
             lower_s = Fraction(0)
             upper_s = Fraction(0)
-            gap_s = 0.0 if gap_s is None else gap_s
+            gap_s = 0.0
         else:
             options_s = [(h_s_up * h_s_up / k, h_s_up)]
             if h_s_down is not None and d_down > 0:

@@ -67,11 +67,6 @@ def load_input(path: str, k: int | None = None):
     return cover, cx
 
 
-def rationalize(x: float) -> Fraction:
-    """Nearest small-denominator rational, for table display of spectral gaps."""
-    return Fraction(x).limit_denominator(10**6)
-
-
 def cmd_lp(args) -> int:
     cover, _ = load_input(args.input)
     pw = graded_cover.compute_path_weights(cover)
@@ -123,7 +118,7 @@ def cmd_walk_sim(args) -> int:
     comp = next(
         c
         for c in graded_cover.components(cover, "cover").members
-        if trace.states[0] in c
+        if start in c
     )
     quot_comp = sorted({u % cover.n_quotient for u in comp})
     pi = walks.stationary(cover, quot_comp, "full", "cover")
@@ -279,7 +274,7 @@ def _bound_table_rows(cover):
                     rep.h_quotient_down,
                     rep.h_quotient_up ** 2 / (2 * k * (k + 1)),
                     rep.h_quotient_down ** 2 / (2 * rep.d_down * (k + 1)),
-                    rationalize(rep.gap_quotient),
+                    rep.gap_quotient,
                     2 * rep.h_quotient_up / (k + 1),
                     2 * rep.h_quotient_down / (k + 1),
                 )
@@ -297,7 +292,7 @@ def _bound_table_rows(cover):
                     rep.h_signed_down,
                     ls_up,
                     ls_dn,
-                    rationalize(rep.gap_signed),
+                    rep.gap_signed,
                     2 * rep.h_signed_up / (k + 1),
                     2 * rep.h_signed_down / (k + 1),
                 )

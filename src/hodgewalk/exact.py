@@ -10,6 +10,8 @@ sums, transposes and equality checks then stay in rational arithmetic; the
 square roots only materialize in the floating-point mirror ``to_float``.
 The body is a dense object array of Fractions, but the operations read and
 write only its nonzero entries, so their cost follows the nonzero count.
+Ranks come from sparse fraction-free integer elimination, also with no
+rounding and no modular shortcut.
 """
 
 from __future__ import annotations
@@ -96,46 +98,61 @@ def mat_to_float(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def bareiss_rank(mat: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(map(int, row)) for row in mat]
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        p = m[row][col]
-        for r in range(row + 1, n_rows):
-            factor = m[r][col]
-            for c in range(col, n_cols):
-                m[r][c] = (p * m[r][c] - factor * m[row][c]) // prev
-        prev = p
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
-
-
 def rational_rank(mat: np.ndarray) -> int:
-    """Rank of a matrix with Fraction entries, computed exactly."""
-    if mat.size == 0:
-        return 0
-    r, c, values = nonzeros(mat)
-    values = [Fraction(v) for v in values]
-    den = [1] * mat.shape[0]
-    for i, v in zip(r, values):
-        den[i] = math.lcm(den[i], v.denominator)
-    rows = [[0] * mat.shape[1] for _ in range(mat.shape[0])]
-    for i, j, v in zip(r, c, values):
-        rows[i][j] = v.numerator * (den[i] // v.denominator)
-    return bareiss_rank(rows)
+    """Rank of a matrix with Fraction entries, computed exactly.
+
+    Each row is scaled to a sparse integer row ``{col: int}`` and the rows
+    are eliminated fraction-free in Markowitz order: the pivot column is
+    one with the fewest active rows, the pivot row its shortest.  Every
+    other row r through that column becomes p*r - r[c]*pivot (p the
+    pivot entry) divided by its content (the gcd of its entries), so the
+    entries stay small.  Each step is invertible over the rationals, so
+    the number of pivots is the rank.
+    """
+    rows: dict[int, dict] = {}
+    for i, j, v in zip(*nonzeros(mat)):
+        rows.setdefault(i, {})[j] = Fraction(v)
+    for i, row in rows.items():
+        den = math.lcm(*(v.denominator for v in row.values()))
+        rows[i] = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    in_col: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            in_col.setdefault(j, set()).add(i)
+    rank = 0
+    while in_col:
+        col = min(in_col, key=lambda j: len(in_col[j]))
+        through = in_col.pop(col)
+        top = min(through, key=lambda i: len(rows[i]))
+        pivot = rows.pop(top)
+        p = pivot.pop(col)
+        for j in pivot:
+            in_col[j].discard(top)
+        through.discard(top)
+        for i in through:
+            row = rows[i]
+            f = row.pop(col)
+            for j in row:
+                row[j] *= p
+            for j, v in pivot.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    if j not in row:
+                        in_col[j].add(i)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    in_col[j].discard(i)
+            g = math.gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+        # only the pivot's columns lost rows
+        for j in pivot:
+            if not in_col[j]:
+                del in_col[j]
+        rank += 1
+    return rank
 
 
 class ScaledMatrix:

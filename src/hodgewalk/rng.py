@@ -1,49 +1,62 @@
-"""Seedable 64-bit RNG (SplitMix64) with exact integer-weight sampling.
+"""Seedable 64-bit RNG (SplitMix64) drawn in blocks, with exact bounded draws.
 
-Sampling decisions use only integer arithmetic: bounded draws are produced
-by rejection from 64-bit words, and weighted choices walk a cumulative
-integer weight table.  This keeps walk traces bit-reproducible.
+SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) is counter-based: word i
+(from 1) of the stream for a seed is mix(seed + i * GAMMA) modulo 2**64.
+``words`` computes ``BLOCK`` words at a time with numpy ``uint64`` array
+arithmetic, which wraps modulo 2**64, and hands them out one Python int at
+a time, so the stream does not depend on the block size.  Bounded draws
+reject whole words with integer arithmetic only, which keeps walk traces
+bit-reproducible.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from itertools import chain
+from typing import Callable, Iterator
 
-_MASK = (1 << 64) - 1
+import numpy as np
 
-
-class SplitMix64:
-    """SplitMix64 generator (Steele, Lea, Flood 2014 mixing constants)."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK
-
-    def next_word(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def next_bit(self) -> int:
-        return self.next_word() & 1
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection; unbiased for n < 2**64."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if n == 1:
-            return 0
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            r = self.next_word()
-            if r < limit:
-                return r % n
+BLOCK = 4096
+_SPAN = 1 << 64
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-def weighted_index(cumulative: list[int], rng: SplitMix64) -> int:
-    """Pick index i with probability (cum[i] - cum[i-1]) / cum[-1]."""
-    r = rng.randbelow(cumulative[-1])
-    return bisect_right(cumulative, r)
+def _blocks(seed: int) -> Iterator[list[int]]:
+    # only array operands: numpy wraps uint64 array arithmetic silently,
+    # but warns on scalar overflow
+    offsets = np.arange(1, BLOCK + 1, dtype=np.uint64)
+    offsets *= np.uint64(_GAMMA)
+    base = seed % _SPAN
+    stride = BLOCK * _GAMMA % _SPAN
+    while True:
+        z = offsets + np.uint64(base)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        yield z.tolist()
+        base = (base + stride) % _SPAN
+
+
+def words(seed: int) -> Iterator[int]:
+    """The endless SplitMix64 word stream for ``seed`` (any int, taken mod 2**64)."""
+    return chain.from_iterable(_blocks(seed))
+
+
+def rejection_limit(n: int) -> int:
+    """Largest multiple of n (n >= 1) not above 2**64: words at or above it are redrawn."""
+    return _SPAN - _SPAN % n
+
+
+def below(next_word: Callable[[], int], n: int, limit: int) -> int:
+    """Uniform integer in [0, n) for n >= 2, with ``limit = rejection_limit(n)``.
+
+    Draws words until one falls below ``limit`` and returns it modulo n,
+    so it is unbiased.  A draw from [0, 1) takes no word; callers resolve
+    it without calling here.
+    """
+    w = next_word()
+    while w >= limit:
+        w = next_word()
+    return w % n

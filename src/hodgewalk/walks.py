@@ -3,17 +3,20 @@ root-to-leaf path random walk and its conditional up/down variants.
 
 All transition probabilities are exact rationals built from the LP/RP
 path counts.  The simulator draws every decision from integer weights so
-traces are bit-reproducible for a fixed seed.
+traces are bit-reproducible for a fixed seed; it streams the trace into
+visit counts and a digest instead of storing it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from . import operators
+from . import operators, rng
 from .exact import ScaledMatrix
 from .graded_cover import (
     GradedSignedDoubleCover,
@@ -21,7 +24,6 @@ from .graded_cover import (
     component_correspondence,
     detect_coherent,
 )
-from .rng import SplitMix64, weighted_index
 
 
 class CoherentComponentError(ValueError):
@@ -56,7 +58,7 @@ class StationaryDistribution:
 
 @dataclass(frozen=True)
 class WalkTrace:
-    states: tuple[int, ...]
+    digest: str
     seed: int
     step_rule: str
 
@@ -168,11 +170,19 @@ def simulate(
     """Simulate the root-to-leaf path random walk on the cover.
 
     One step: draw the action (S, U or D according to leaf/root status,
-    each with probability 1/2), then resolve it — S flips a fair coin
-    between u and -u, U picks a parent with LP-proportional odds moving to
-    the coherently oriented lift, D picks a child with RP-proportional
-    odds moving to the oppositely oriented lift.  Returns the trace and
-    the empirical distribution over all visited states.
+    each with probability 1/2, from the low bit of one word), then resolve
+    it — S flips a fair coin between u and -u, U picks a parent with
+    LP-proportional odds moving to the coherently oriented lift, D picks a
+    child with RP-proportional odds moving to the oppositely oriented
+    lift.  A weighted pick draws one bounded integer below the total
+    weight and takes no word when that total is 1.
+
+    Each cover state's two possible actions are tabled once, with their
+    targets and rejection limits.  The walk keeps only the visit counts
+    and a running SHA-256 of the state sequence (the start included, each
+    state a little-endian uint64), so memory does not grow with ``steps``.
+    Returns the trace and the empirical distribution over all visited
+    states.
     """
     if walk_kind != "full":
         raise ValueError("only the full root-to-leaf walk is simulated")
@@ -182,62 +192,68 @@ def simulate(
     if not 0 <= start < 2 * n:
         raise ValueError(f"start node {start} not in cover")
     pw = compute_path_weights(cover)
-    # status: 0 isolated, 1 leaf-only, 2 root-only, 3 interior
-    status = []
-    up_cum: list[list[int]] = []
-    up_tgt: list[list[tuple[int, int]]] = []
-    dn_cum: list[list[int]] = []
-    dn_tgt: list[list[tuple[int, int]]] = []
-    for q in range(n):
-        leaf, root = cover.is_leaf(q), cover.is_root(q)
-        status.append(0 if (leaf and root) else 1 if leaf else 2 if root else 3)
-        cum, tgt, acc = [], [], 0
-        for v in cover.parents[q]:
-            acc += pw.lp[v]
-            cum.append(acc)
-            tgt.append((v, 1 if cover.sign_ref[(q, v)] == -1 else 0))
-        up_cum.append(cum)
-        up_tgt.append(tgt)
-        cum, tgt, acc = [], [], 0
-        for t in cover.children[q]:
-            acc += pw.rp[t]
-            cum.append(acc)
-            tgt.append((t, 1 if cover.sign_ref[(t, q)] == 1 else 0))
-        dn_cum.append(cum)
-        dn_tgt.append(tgt)
 
-    rng = SplitMix64(seed)
-    q, flip = start % n, 1 if start >= n else 0
-    states = [q + n * flip]
-    counts = [0] * (2 * n)
-    counts[states[0]] = 1
-    for _ in range(steps):
-        st = status[q]
-        if st == 0:
-            flip = rng.next_bit()
+    def pick(weights, targets):
+        """A move: its target when the total weight is 1, else its draw table."""
+        cum = list(accumulate(weights))
+        if cum[-1] == 1:
+            return targets[0]
+        return rng.rejection_limit(cum[-1]), cum[-1], cum, targets
+
+    # moves[u][bit]: the move that the action bit ``bit`` selects at state u
+    moves = []
+    for u in range(2 * n):
+        q, flip = u % n, u // n
+        leaf, root = cover.is_leaf(q), cover.is_root(q)
+        lazy = pick((1, 1), (q, q + n))
+        up = down = None
+        if not leaf:
+            up = pick(
+                [pw.lp[v] for v in cover.parents[q]],
+                [v + n * (flip ^ (cover.sign_ref[(q, v)] == -1)) for v in cover.parents[q]],
+            )
+        if not root:
+            down = pick(
+                [pw.rp[t] for t in cover.children[q]],
+                [t + n * (flip ^ (cover.sign_ref[(t, q)] == 1)) for t in cover.children[q]],
+            )
+        if leaf and root:
+            moves.append((q, q + n))
+        elif leaf:
+            moves.append((lazy, down))
+        elif root:
+            moves.append((lazy, up))
         else:
-            if st == 3:
-                action = "U" if rng.next_bit() == 0 else "D"
-            elif st == 1:
-                action = "S" if rng.next_bit() == 0 else "D"
+            moves.append((up, down))
+
+    import hashlib  # loads OpenSSL: imported only where a walk is simulated
+
+    next_word = rng.words(seed).__next__
+    below = rng.below
+    counts = np.zeros(2 * n, dtype=np.int64)
+    digest = hashlib.sha256()
+
+    def record(trail):
+        visited = np.array(trail, dtype="<u8")
+        digest.update(visited.tobytes())
+        counts[:] += np.bincount(visited, minlength=2 * n)
+
+    record([start])
+    u = start
+    for done in range(0, steps, rng.BLOCK):
+        trail = []
+        for _ in range(min(rng.BLOCK, steps - done)):
+            move = moves[u][next_word() & 1]
+            if move.__class__ is int:
+                u = move
             else:
-                action = "S" if rng.next_bit() == 0 else "U"
-            if action == "S":
-                flip = rng.next_bit()
-            elif action == "U":
-                i = weighted_index(up_cum[q], rng)
-                v, x = up_tgt[q][i]
-                q, flip = v, flip ^ x
-            else:
-                i = weighted_index(dn_cum[q], rng)
-                t, x = dn_tgt[q][i]
-                q, flip = t, flip ^ x
-        u = q + n * flip
-        states.append(u)
-        counts[u] += 1
+                limit, total, cum, targets = move
+                u = targets[bisect_right(cum, below(next_word, total, limit))]
+            trail.append(u)
+        record(trail)
     total = steps + 1
-    empirical = {u: Fraction(c, total) for u, c in enumerate(counts) if c}
-    return WalkTrace(tuple(states), seed, "full"), empirical
+    empirical = {u: Fraction(int(c), total) for u, c in enumerate(counts) if c}
+    return WalkTrace(digest.hexdigest(), seed, "full"), empirical
 
 
 def total_variation(p: dict[int, Fraction], q: dict[int, Fraction]) -> Fraction:

@@ -2,13 +2,21 @@
 
 Everything here is written straight from the definitions (path
 enumeration, exhaustive orientation search, naive double loops) and does
-not share code with the library implementations it checks.  The one
-exception is the reference cut searches at the end: the plain ascending
-mask scans and the Gray-code orientation walk that the pruned searches
-replaced, kept to pin the witnesses (lowest mask, lowest Gray rank);
-they share the weight integerization and sign propagation with the library.
+not share code with the library implementations it checks.  The
+exceptions are the reference implementations that faster library code
+replaced, kept to pin its results exactly:
+
+- the scalar SplitMix64 generator and the per-word walk loop, which pin
+  the block-drawn word stream and the walk's visit counts and digest;
+- the dense Bareiss elimination, which pins the sparse rank;
+- the plain ascending mask scans and the Gray-code orientation walk at
+  the end, which pin the cut witnesses (lowest mask, lowest Gray rank);
+  they share the weight integerization and sign propagation with the
+  library.
 """
 
+import hashlib
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -113,6 +121,138 @@ def naive_cheeger_signed(aux):
             if best is None or beta < best:
                 best = beta
     return best
+
+
+_MASK = (1 << 64) - 1
+
+
+class SplitMix64:
+    """Scalar SplitMix64 generator (Steele, Lea, Flood 2014 mixing constants)."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK
+
+    def next_word(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def next_bit(self) -> int:
+        return self.next_word() & 1
+
+    def randbelow(self, n: int) -> int:
+        """Uniform integer in [0, n) by rejection; unbiased for n < 2**64."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        if n == 1:
+            return 0
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            r = self.next_word()
+            if r < limit:
+                return r % n
+
+
+def weighted_index(cumulative, rng):
+    """Pick index i with probability (cum[i] - cum[i-1]) / cum[-1]."""
+    r = rng.randbelow(cumulative[-1])
+    return bisect_right(cumulative, r)
+
+
+def reference_walk(cover, pw, start, steps, seed):
+    """The per-word walk loop the streamed simulator replaced.
+
+    Returns (states, counts): every visited cover state, the start
+    included, and the visit count of each cover state.
+    """
+    n = cover.n_quotient
+    # status: 0 isolated, 1 leaf-only, 2 root-only, 3 interior
+    status = []
+    up_cum, up_tgt, dn_cum, dn_tgt = [], [], [], []
+    for q in range(n):
+        leaf, root = cover.is_leaf(q), cover.is_root(q)
+        status.append(0 if (leaf and root) else 1 if leaf else 2 if root else 3)
+        cum, tgt, acc = [], [], 0
+        for v in cover.parents[q]:
+            acc += pw.lp[v]
+            cum.append(acc)
+            tgt.append((v, 1 if cover.sign_ref[(q, v)] == -1 else 0))
+        up_cum.append(cum)
+        up_tgt.append(tgt)
+        cum, tgt, acc = [], [], 0
+        for t in cover.children[q]:
+            acc += pw.rp[t]
+            cum.append(acc)
+            tgt.append((t, 1 if cover.sign_ref[(t, q)] == 1 else 0))
+        dn_cum.append(cum)
+        dn_tgt.append(tgt)
+
+    rng = SplitMix64(seed)
+    q, flip = start % n, 1 if start >= n else 0
+    states = [q + n * flip]
+    counts = [0] * (2 * n)
+    counts[states[0]] = 1
+    for _ in range(steps):
+        st = status[q]
+        if st == 0:
+            flip = rng.next_bit()
+        else:
+            if st == 3:
+                action = "U" if rng.next_bit() == 0 else "D"
+            elif st == 1:
+                action = "S" if rng.next_bit() == 0 else "D"
+            else:
+                action = "S" if rng.next_bit() == 0 else "U"
+            if action == "S":
+                flip = rng.next_bit()
+            elif action == "U":
+                i = weighted_index(up_cum[q], rng)
+                v, x = up_tgt[q][i]
+                q, flip = v, flip ^ x
+            else:
+                i = weighted_index(dn_cum[q], rng)
+                t, x = dn_tgt[q][i]
+                q, flip = t, flip ^ x
+        u = q + n * flip
+        states.append(u)
+        counts[u] += 1
+    return states, counts
+
+
+def states_digest(states):
+    """SHA-256 hex digest of a state sequence, each state a little-endian uint64."""
+    return hashlib.sha256(np.asarray(states, dtype="<u8").tobytes()).hexdigest()
+
+
+def bareiss_rank(mat):
+    """Rank of an integer matrix by dense fraction-free (Bareiss) elimination."""
+    m = [list(map(int, row)) for row in mat]
+    if not m or not m[0]:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        p = m[row][col]
+        for r in range(row + 1, n_rows):
+            factor = m[r][col]
+            for c in range(col, n_cols):
+                m[r][c] = (p * m[r][c] - factor * m[row][c]) // prev
+        prev = p
+        rank += 1
+        row += 1
+        if row == n_rows:
+            break
+    return rank
 
 
 def one_step_transition(cover, view):

@@ -253,6 +253,30 @@ def test_combined_report_coherent_cycle():
     assert rep.rate_lower is None
 
 
+@pytest.mark.parametrize("name", ["cycle6", "branched", "triangle_ring", "two_triangles_bridged"])
+def test_coherent_signed_gap_is_exact_zero(name, monkeypatch):
+    """Coherence pins the signed gap at 0: no signed eigensolve, no float noise."""
+    from hodgewalk import cheeger
+
+    solved = []
+    real = cheeger._restricted_gap
+
+    def spy(op, flavor, comp):
+        solved.append(flavor)
+        return real(op, flavor, comp)
+
+    monkeypatch.setattr(cheeger, "_restricted_gap", spy)
+    cov = load_cover(name)
+    reps = [rep for k in range(1, max(cov.dims) + 1) for rep in combined_report(cov, k)]
+    assert any(rep.coherent for rep in reps)
+    for rep in reps:
+        if rep.coherent:
+            assert rep.gap_signed == 0.0 and rep.sandwich_signed_ok
+    paired = [rep for rep in reps if len(rep.up_component) >= 2]
+    assert solved.count("quotient") == len(paired)
+    assert solved.count("signed") == sum(not rep.coherent for rep in paired)
+
+
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_sandwich_everywhere(name, covers):
     cov = covers[name]

@@ -51,10 +51,10 @@ def test_lp_cover_spec_input(capsys):
 
 BOUND_TABLES = """\
 table\tk\td_down\th_up\th_down\tlower_up\tlower_down\tgap\tupper_up\tupper_down
-quotient\t1\t4/3\t2/3\t2/3\t1/9\t1/12\t2/3\t2/3\t2/3
-quotient\t2\t3/2\t1\t1\t1/12\t1/9\t2/3\t2/3\t2/3
-signed\t1\t4/3\t1/3\t4/9\t1/36\t1/27\t1/3\t1/3\t4/9
-signed\t2\t3/2\t2/3\t1/2\t1/27\t1/36\t1/3\t4/9\t1/3
+quotient\t1\t4/3\t2/3\t2/3\t1/9\t1/12\t0.666666666667\t2/3\t2/3
+quotient\t2\t3/2\t1\t1\t1/12\t1/9\t0.666666666667\t2/3\t2/3
+signed\t1\t4/3\t1/3\t4/9\t1/36\t1/27\t0.333333333333\t1/3\t4/9
+signed\t2\t3/2\t2/3\t1/2\t1/27\t1/36\t0.333333333333\t4/9\t1/3
 """
 
 
@@ -62,6 +62,23 @@ def test_report_paper_tables_verbatim(capsys):
     code, out = run_cli(capsys, "report", "--paper-tables", TET)
     assert code == 0
     assert out == BOUND_TABLES
+
+
+@pytest.mark.parametrize("path", [TET, BRANCHED, RING])
+def test_paper_tables_gap_is_the_report_gap(capsys, path):
+    """The tables print the float gap exactly as `report` prints gap_q and gap_s."""
+    code, tables = run_cli(capsys, "report", "--paper-tables", path)
+    assert code == 0
+    code, plain = run_cli(capsys, "report", path)
+    assert code == 0
+    printed = set()
+    for line in plain.splitlines()[1:]:
+        cells = line.split("\t")
+        printed |= {(cells[0], cells[4]), (cells[0], cells[8])}
+    rows = [line.split("\t") for line in tables.splitlines()[1:]]
+    assert rows
+    for row in rows:
+        assert (row[1], row[7]) in printed
 
 
 def test_report_plain(capsys):
@@ -145,13 +162,18 @@ def test_invalid_input_exit_one(tmp_path, capsys):
     assert code == 1
 
 
-def test_guard_exit_two(tmp_path, capsys):
-    # a flower of 25 triangles sharing one edge: dim-2 down-component of 25
+def test_guard_exit_two(tmp_path, capsys, monkeypatch):
+    from hodgewalk import cheeger
+
+    # a flower of 25 triangles sharing one edge: dim-2 down-component of 25;
+    # a small budget trips on it at once, as the default one does in seconds
+    monkeypatch.setattr(cheeger, "SEARCH_BUDGET", 1000)
     lines = [f"x0 x1 y{i}" for i in range(25)]
     big = tmp_path / "big.cx"
     big.write_text("\n".join(lines))
-    code, _ = run_cli(capsys, "cheeger", str(big), "--k", "2", "--direction", "down")
+    code = run(["cheeger", str(big), "--k", "2", "--direction", "down"])
     assert code == 2
+    assert "exceeds its budget of 1000 search nodes" in capsys.readouterr().err
 
 
 def test_nonstrong_guard(capsys):
@@ -223,13 +245,23 @@ def test_float_mirror_overflow_is_a_guard_exit(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    probe = "import sys, hodgewalk.cli; print('multiprocessing' in sys.modules)"
+def loaded_by_cli_import(module):
+    probe = f"import sys, hodgewalk.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(hodgewalk.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out == "False\n"
+    return out == "True\n"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    assert not loaded_by_cli_import("multiprocessing")
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, about 3.7 MiB of resident memory; only the
+    # walk simulator needs it
+    assert not loaded_by_cli_import("hashlib")
 
 
 def test_path_count_oracle_long_chain():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from hodgewalk.exact import (
     ScaledMatrix,
     as_object_array,
-    bareiss_rank,
     frac_sqrt,
     rat_eye,
     rational_rank,
 )
+
+from oracles import bareiss_rank
 
 
 def test_frac_sqrt():
@@ -97,7 +99,7 @@ def test_to_float_matches_entries():
 
 # -- property tests of the sparse kernels against dense Fraction references --
 
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -270,3 +272,64 @@ def test_empty_shapes(shape):
     assert a.to_float().shape == shape
     assert (a @ a.T).shape == (n, n) and body_list(a.T @ a) == [[Fraction(0)] * m for _ in range(m)]
     assert a.restrict([], list(range(m))).shape == (0, m)
+
+
+# -- the sparse rank against the dense Bareiss oracle --
+
+RANK_VALUES = {
+    "unit": st.sampled_from([1, -1]),
+    "int": st.integers(-3, 3),
+    "fraction": FRACTIONS,
+}
+
+
+@st.composite
+def rank_case(draw):
+    """Sparse ±1, small-integer or Fraction rows, some of them repeated."""
+    n_rows, n_cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    value = RANK_VALUES[draw(st.sampled_from(sorted(RANK_VALUES)))]
+    zeros = draw(st.integers(0, 4))
+    entry = st.one_of(*[st.just(0)] * zeros, value)
+    rows = draw(
+        st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows)
+    )
+    if rows:
+        for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=3)):
+            factor = draw(st.sampled_from([1, -1, Fraction(2, 3)]))
+            rows.append([factor * v for v in rows[i]])
+    return rows
+
+
+def dense_rank(rows):
+    """The oracle: clear each row's denominators, then dense Bareiss."""
+    ints = []
+    for row in rows:
+        fracs = [Fraction(v) for v in row]
+        den = math.lcm(*(v.denominator for v in fracs)) if fracs else 1
+        ints.append([int(v * den) for v in fracs])
+    return bareiss_rank(ints)
+
+
+def object_matrix(rows, n_cols):
+    return as_object_array(rows) if rows else np.empty((0, n_cols), dtype=object)
+
+
+@seed(20141014)
+@settings(max_examples=300, deadline=None)
+@given(rank_case())
+@example([])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, -1, 0, 0]] * 3)
+@example([[1], [-1], [1]])
+@example([[1, 1, 0], [0, 1, 1], [1, 0, -1]])
+def test_rational_rank_matches_dense_bareiss(rows):
+    n_cols = len(rows[0]) if rows else 0
+    mat = object_matrix(rows, n_cols)
+    want = dense_rank(rows)
+    assert rational_rank(mat) == want
+    assert rational_rank(mat.T.copy()) == want
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+def test_rational_rank_of_empty_shapes(shape):
+    assert rational_rank(np.empty(shape, dtype=object)) == 0

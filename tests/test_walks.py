@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from hodgewalk.graded_cover import components, compute_path_weights, parse_cover_spec
-from hodgewalk.rng import SplitMix64
 from hodgewalk.walks import (
     CoherentComponentError,
     convergence_rate,
@@ -17,6 +16,7 @@ from hodgewalk.walks import (
 
 import oracles
 from conftest import COMPLEX_NAMES, load_cover
+from oracles import SplitMix64
 
 
 def label_entry(P, cov, a, b):
@@ -213,8 +213,8 @@ def test_simulate_deterministic_and_errors():
     t1, _ = simulate(cov, 0, 2000, seed=11)
     t2, _ = simulate(cov, 0, 2000, seed=11)
     t3, _ = simulate(cov, 0, 2000, seed=12)
-    assert t1.states == t2.states
-    assert t1.states != t3.states
+    assert t1.digest == t2.digest
+    assert t1.digest != t3.digest
     with pytest.raises(ValueError):
         simulate(cov, 99, 10, seed=0)
     with pytest.raises(ValueError):
@@ -225,8 +225,56 @@ def test_simulate_steps_are_admissible():
     cov = load_cover("branched")
     P = transition_full(cov, "cover").entries
     trace, _ = simulate(cov, 0, 3000, seed=5)
-    for a, b in zip(trace.states, trace.states[1:]):
+    states, _ = oracles.reference_walk(cov, compute_path_weights(cov), 0, 3000, 5)
+    # the digest ties the oracle's states to the simulated walk
+    assert oracles.states_digest(states) == trace.digest
+    for a, b in zip(states, states[1:]):
         assert P[a, b] > 0
+
+
+@pytest.mark.parametrize("name", COMPLEX_NAMES + ["nonstrong"])
+def test_simulate_matches_reference_walk(name):
+    """Counts and digest equal the per-word reference loop's, bit for bit."""
+    from conftest import fixture_text
+
+    cov = parse_cover_spec(fixture_text(name)) if name == "nonstrong" else load_cover(name)
+    pw = compute_path_weights(cov)
+    n = cov.n_quotient
+    for seed in (0, 3, 7, 2**64 - 1):
+        for start in (0, 2 * n - 1):
+            trace, emp = simulate(cov, start, 3000, seed)
+            states, counts = oracles.reference_walk(cov, pw, start, 3000, seed)
+            assert trace.digest == oracles.states_digest(states)
+            assert emp == {u: Fraction(c, 3001) for u, c in enumerate(counts) if c}
+
+
+def test_simulate_digest_ignores_block_size(monkeypatch):
+    from hodgewalk import rng
+
+    cov = load_cover("branched")
+    want, emp = simulate(cov, 0, 500, seed=9)
+    for block in (1, 3, 64):
+        monkeypatch.setattr(rng, "BLOCK", block)
+        got, got_emp = simulate(cov, 0, 500, seed=9)
+        assert got.digest == want.digest and got_emp == emp
+
+
+def test_simulate_memory_does_not_grow_with_steps():
+    """Ten times the steps: the peak stays within a fixed slack."""
+    import tracemalloc
+
+    cov = load_cover("tetrahedron")
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            simulate(cov, 0, steps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate(cov, 0, 10, seed=1)  # warm the builder caches
+    assert peak(2 * 10**5) <= peak(2 * 10**4) + 256 * 1024
 
 
 def test_simulate_isolated_pair_converges():
