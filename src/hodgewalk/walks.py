@@ -234,7 +234,9 @@ def simulate(
     digest = hashlib.sha256()
 
     def record(trail):
-        visited = np.array(trail, dtype="<u8")
+        # states are small and non-negative: their little-endian int64 bytes
+        # are their uint64 bytes, and bincount takes int64 on every numpy
+        visited = np.array(trail, dtype="<i8")
         digest.update(visited.tobytes())
         counts[:] += np.bincount(visited, minlength=2 * n)
 

@@ -307,6 +307,28 @@ def test_up_down_gap_equality(name, covers):
                 assert abs(g_up - g_down) < 1e-9
 
 
+@pytest.mark.parametrize("name", COMPLEX_NAMES)
+def test_signed_spectrum_vanishes_iff_coherent(name, covers):
+    """The numerical signed gap agrees with the exact coherence decision.
+
+    combined_report takes the signed gap of coherent pairs to be 0 without
+    an eigensolve, so its signed sandwich holds there by construction; this
+    solves the signed operator anyway and checks it.
+    """
+    from hodgewalk.cheeger import _restricted_gap
+    from hodgewalk.graded_cover import component_correspondence
+
+    cov = covers[name]
+    for k in range(1, max(cov.dims) + 1):
+        up = build_conditional(cov, k - 1, "up", "signed")
+        for down_comp, up_comp in component_correspondence(cov, k):
+            if len(up_comp) < 2:
+                continue
+            coherent = detect_coherent(cov, down_comp, "down") is not None
+            gap = _restricted_gap(up, "signed", up_comp)
+            assert (abs(gap) < 1e-9) == coherent, (name, k, gap)
+
+
 def test_rate_bounds_bracket_rate():
     from hodgewalk.walks import convergence_rate
 
