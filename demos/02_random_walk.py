@@ -26,7 +26,7 @@ P = transition_full(cover, "quotient")
 print("row sums all equal 1:", all(s == 1 for s in P.row_sums()))
 
 comp = components(cover, "quotient").members[0]
-pi = stationary(cover, comp, "full", "quotient")
+pi = stationary(cover, comp, "quotient")
 print("stationary weight by dimension:")
 for k in range(4):
     q = cover.nodes_by_dim[k][0]
@@ -42,7 +42,7 @@ ok = all(
 )
 print("detailed balance (exact):", ok)
 
-pi_cover = stationary(cover, comp, "full", "cover")
+pi_cover = stationary(cover, comp, "cover")
 trace, empirical = simulate(cover, start=0, steps=10**6, seed=7)
 tv = total_variation(empirical, pi_cover.weights)
 print(f"10^6 seeded steps: total variation to stationary = {float(tv):.4f}")

@@ -24,7 +24,7 @@ for text, name in (
     cx = parse_complex(text)
     print(f"== {name}: betti = {betti_numbers(cx)}")
     for k in range(cx.dimension + 1):
-        rep = hodge_decomposition(cx, k, normalized=True)
+        rep = hodge_decomposition(cx, k)
         lap = hodge(cx, k, normalized=True)
         ev = eigen(lap.full.to_float()).eigenvalues
         print(

@@ -71,7 +71,6 @@ class CheegerReport:
     k: int
     up_component: tuple[int, ...]
     down_component: tuple[int, ...]
-    d_up: Fraction
     d_down: Fraction
     coherent: bool
     h_quotient_up: Fraction | None
@@ -88,7 +87,6 @@ class CheegerReport:
     sandwich_signed_ok: bool | None
     rate_lower: Fraction | None
     rate_upper: Fraction | None
-    witnesses: dict
 
 
 @memoized
@@ -414,8 +412,6 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
                     f" {cover.labels[q]} has {len(cover.children[q])}"
                 )
         coherent = detect_coherent(cover, down_comp, "down") is not None
-        witnesses: dict = {}
-        d_up = Fraction(k + 1)
         aux_down = None
         if len(down_comp) >= 2:
             aux_down = build_aux(cover, down_comp, "down")
@@ -429,20 +425,16 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
         gap_q = gap_s = None
         if len(up_comp) >= 2:
             aux_up = build_aux(cover, up_comp, "up")
-            h_q_up, wit = cheeger_quotient(aux_up)
-            witnesses["quotient_up"] = wit
-            h_s_up, wit = cheeger_signed(aux_up)
-            witnesses["signed_up"] = wit
+            h_q_up, _ = cheeger_quotient(aux_up)
+            h_s_up, _ = cheeger_signed(aux_up)
             up_q = build_conditional(cover, k - 1, "up", "quotient")
             gap_q = _restricted_gap(up_q, "quotient", up_comp)
             if not coherent:
                 up_s = build_conditional(cover, k - 1, "up", "signed")
                 gap_s = _restricted_gap(up_s, "signed", up_comp)
         if aux_down is not None:
-            h_q_down, wit = cheeger_quotient(aux_down)
-            witnesses["quotient_down"] = wit
-            h_s_down, wit = cheeger_signed(aux_down)
-            witnesses["signed_down"] = wit
+            h_q_down, _ = cheeger_quotient(aux_down)
+            h_s_down, _ = cheeger_signed(aux_down)
         lower_q = upper_q = None
         options_q = []
         if h_q_up is not None:
@@ -485,7 +477,6 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
                 k=k,
                 up_component=up_comp,
                 down_component=down_comp,
-                d_up=d_up,
                 d_down=d_down,
                 coherent=coherent,
                 h_quotient_up=h_q_up,
@@ -502,7 +493,6 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
                 sandwich_signed_ok=sandwich_s,
                 rate_lower=rate_lower,
                 rate_upper=rate_upper,
-                witnesses=witnesses,
             )
         )
     return reports

@@ -83,25 +83,16 @@ def cmd_lp(args) -> int:
 
 def cmd_stationary(args) -> int:
     cover, _ = load_input(args.input, args.k)
+    kind = "quotient" if args.k is None else f"quotient-{args.direction}"
     rows = []
-    if args.k is None:
-        comps = graded_cover.components(cover, "quotient").members
-        for ci, comp in enumerate(comps):
-            pi = walks.stationary(cover, comp, "full", args.view)
-            e_len = walks.expected_path_length(cover, comp)
-            for node in pi.support:
-                label = cover.labels[node] if args.view == "quotient" else cover.cover_label(node)
-                rows.append((ci, label, pi.weights[node], pi.normalizer, e_len))
-        emit(rows, ("component", "node", "pi", "normalizer", "expected_len"), args.format)
-    else:
-        kind = f"quotient-{args.direction}"
-        comps = graded_cover.components(cover, kind, args.k).members
-        for ci, comp in enumerate(comps):
-            pi = walks.stationary(cover, comp, args.direction, args.view)
-            for node in pi.support:
-                label = cover.labels[node] if args.view == "quotient" else cover.cover_label(node)
-                rows.append((ci, label, pi.weights[node], pi.normalizer, ""))
-        emit(rows, ("component", "node", "pi", "normalizer", "expected_len"), args.format)
+    for ci, comp in enumerate(graded_cover.components(cover, kind, args.k).members):
+        pi = walks.stationary(cover, comp, args.view)
+        # the mean path length belongs to the full walk's components only
+        e_len = walks.expected_path_length(cover, comp) if args.k is None else ""
+        for node in pi.support:
+            label = cover.labels[node] if args.view == "quotient" else cover.cover_label(node)
+            rows.append((ci, label, pi.weights[node], pi.normalizer, e_len))
+    emit(rows, ("component", "node", "pi", "normalizer", "expected_len"), args.format)
     return EXIT_OK
 
 
@@ -121,7 +112,7 @@ def cmd_walk_sim(args) -> int:
         if start in c
     )
     quot_comp = sorted({u % cover.n_quotient for u in comp})
-    pi = walks.stationary(cover, quot_comp, "full", "cover")
+    pi = walks.stationary(cover, quot_comp, "cover")
     rows = []
     for u in sorted(comp):
         emp = empirical.get(u, Fraction(0))
@@ -185,7 +176,7 @@ def cmd_hodge(args) -> int:
         return EXIT_INVALID
     rows = []
     for k in range(cx.dimension + 1):
-        rep = laplacians.hodge_decomposition(cx, k, normalized=args.normalized)
+        rep = laplacians.hodge_decomposition(cx, k)
         rows.append((k, rep.n_k, rep.rank_up, rep.rank_down, rep.harmonic))
     rows.append(("betti", "", "", "", " ".join(map(str, laplacians.betti_numbers(cx)))))
     emit(rows, ("k", "n_k", "rank_up", "rank_down", "harmonic"), args.format)
@@ -194,15 +185,16 @@ def cmd_hodge(args) -> int:
 
 def cmd_coherent(args) -> int:
     cover, _ = load_input(args.input, args.k)
-    cs = graded_cover.components(
-        cover, f"quotient-{args.direction}", args.k, with_coherence=True
-    )
+    comps = graded_cover.components(cover, f"quotient-{args.direction}", args.k).members
     rows = []
-    for ci, (comp, witness) in enumerate(zip(cs.members, cs.coherent)):
+    for ci, comp in enumerate(comps):
+        witness = graded_cover.detect_coherent(cover, comp, args.direction)
         if witness is None:
             rows.append((ci, len(comp), False, ""))
             continue
-        desc = " ".join(("-" if flip else "+") + cover.labels[q] for q, flip in witness)
+        desc = " ".join(
+            ("-" if flip else "+") + cover.labels[q] for q, flip in sorted(witness.items())
+        )
         rows.append((ci, len(comp), True, desc))
     emit(rows, ("component", "size", "coherent", "witness"), args.format)
     return EXIT_OK
@@ -361,7 +353,7 @@ def _verify_checks(cover, cx):
         Pc[u, v] == Pc[flip(u), flip(v)] for u in range(2 * n) for v in range(2 * n)
     ), ""
     for comp in graded_cover.components(cover, "quotient").members:
-        pi = walks.stationary(cover, comp, "full", "quotient")
+        pi = walks.stationary(cover, comp, "quotient")
         vec = [pi.weights.get(q, Fraction(0)) for q in range(n)]
         fixed = all(
             sum(vec[a] * P.entries[a, b] for a in range(n)) == vec[b] for b in range(n)
@@ -536,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("laplacian", cmd_laplacian)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--normalized", action="store_true")
-    p = add("hodge", cmd_hodge)
-    p.add_argument("--normalized", action="store_true")
+    add("hodge", cmd_hodge)
     p = add("coherent", cmd_coherent)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--direction", choices=("up", "down"), required=True)

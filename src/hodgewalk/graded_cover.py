@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .complex_core import Face, OrientedFace, SimplicialComplex, incidence_sign
@@ -129,6 +129,11 @@ class GradedSignedDoubleCover:
         if parent_u >= n:
             s = -s
         return s
+
+    def lifts(self, k: int) -> tuple[int, ...]:
+        """Cover indices of the dimension-k nodes, then of their flips."""
+        nodes = self.nodes_by_dim.get(k, ())
+        return nodes + tuple(q + self.n_quotient for q in nodes)
 
     def require_strong(self) -> None:
         if not self.strong:
@@ -299,11 +304,7 @@ COMPONENT_KINDS = (
 
 @dataclass(frozen=True)
 class ComponentSet:
-    kind: str
-    dimension: int | None
     members: tuple[tuple[int, ...], ...]
-    # per component: sorted (node, flipped) witness items, or None
-    coherent: tuple[tuple[tuple[int, bool], ...] | None, ...] | None = field(default=None)
 
 
 def propagate_signs(nodes, edges):
@@ -344,23 +345,18 @@ def components(
     cover: GradedSignedDoubleCover,
     kind: str,
     k: int | None = None,
-    with_coherence: bool = False,
 ) -> ComponentSet:
     """Connected components of the requested kind.
 
     Cover kinds merge the two lifts of an isolated (resp. leaf/root) node
-    into a single pair-component.  For quotient up/down kinds,
-    ``with_coherence`` annotates each component with its witness
-    orientation (or None).
+    into a single pair-component.
     """
     if kind not in COMPONENT_KINDS:
         raise ValueError(f"unknown component kind {kind!r}")
-    if with_coherence and kind not in ("quotient-up", "quotient-down"):
-        raise ValueError("coherence flags apply to quotient up/down kinds only")
     n = cover.n_quotient
     if kind == "quotient":
         edges = [(c, p, 1) for (c, p) in cover.sign_ref]
-        return ComponentSet(kind, None, tuple(propagate_signs(range(n), edges)[1]))
+        return ComponentSet(tuple(propagate_signs(range(n), edges)[1]))
     if kind == "cover":
         edges = [
             (c + n * fc, p + n * fp, 1)
@@ -369,33 +365,20 @@ def components(
             for fp in (0, 1)
         ]
         parts = propagate_signs(range(2 * n), edges)[1]
-        return ComponentSet(kind, None, _merge_pairs(parts, n, cover.is_isolated))
+        return ComponentSet(_merge_pairs(parts, n, cover.is_isolated))
     if k is None:
         raise ValueError("up/down component kinds require a dimension k")
     direction = kind.split("-")[1]
     adj = cover.adjacency(k, direction)
     pairs = [(a, b) for a in adj for b in adj[a] if a < b]
     if kind.startswith("quotient"):
-        members = tuple(propagate_signs(adj, [(a, b, 1) for a, b in pairs])[1])
-        coherent = None
-        if with_coherence:
-            coherent = tuple(
-                _orientation_items(detect_coherent(cover, comp, direction))
-                for comp in members
-            )
-        return ComponentSet(kind, k, members, coherent)
+        return ComponentSet(tuple(propagate_signs(adj, [(a, b, 1) for a, b in pairs])[1]))
     lonely = cover.is_leaf if direction == "up" else cover.is_root
     edges = [(a + n * fa, b + n * fb, 1) for a, b in pairs for fa in (0, 1) for fb in (0, 1)]
     # a node with a parent (resp. child) shares it with its own flip
     edges += [(q, q + n, 1) for q in adj if not lonely(q)]
     parts = propagate_signs(list(adj) + [q + n for q in adj], edges)[1]
-    return ComponentSet(kind, k, _merge_pairs(parts, n, lonely))
-
-
-def _orientation_items(witness):
-    if witness is None:
-        return None
-    return tuple(sorted(witness.items()))
+    return ComponentSet(_merge_pairs(parts, n, lonely))
 
 
 def _merge_pairs(parts, n, is_lonely) -> tuple[tuple[int, ...], ...]:

@@ -62,25 +62,23 @@ def normalization_weights(complex: SimplicialComplex) -> NormalizationWeights:
     return NormalizationWeights(w)
 
 
-def _coboundary(complex: SimplicialComplex, k: int) -> ScaledMatrix:
-    """Coboundary from k-cochains to (k+1)-cochains (transpose of boundary)."""
-    if k >= complex.dimension:
-        return ScaledMatrix.from_rational(rat_zeros(0, complex.n_faces(k)))
-    return ScaledMatrix.from_rational(boundary_matrix(complex, k + 1).T.copy())
+def _coboundary(complex: SimplicialComplex, k: int, normalized: bool) -> ScaledMatrix:
+    """Coboundary from k- to (k+1)-cochains, the transposed boundary, for
+    -1 <= k <= dim (empty blocks at both ends).  Normalized, it is
+    W_{k+1}^(1/2) @ coboundary @ W_k^(-1/2), exactly; otherwise the scales are 1."""
+    if k < complex.dimension:
+        body = boundary_matrix(complex, k + 1).T.copy()
+    else:
+        body = rat_zeros(0, complex.n_faces(k))
+    if not normalized:
+        return ScaledMatrix.from_rational(body)
+    w = normalization_weights(complex).w
+    return ScaledMatrix(w.get(k + 1, ()), [1 / x for x in w.get(k, ())], body)
 
 
 def normalized_coboundary(complex: SimplicialComplex, k: int) -> ScaledMatrix:
     """W_{k+1}^(1/2) @ coboundary @ W_k^(-1/2), exactly."""
-    weights = normalization_weights(complex)
-    if k >= complex.dimension:
-        return ScaledMatrix(
-            [], [Fraction(1) / w for w in weights.w[k]], rat_zeros(0, complex.n_faces(k))
-        )
-    return ScaledMatrix(
-        weights.w[k + 1],
-        [Fraction(1) / w for w in weights.w[k]],
-        boundary_matrix(complex, k + 1).T.copy(),
-    )
+    return _coboundary(complex, k, True)
 
 
 @memoized
@@ -88,47 +86,31 @@ def hodge(complex: SimplicialComplex, k: int, normalized: bool = False) -> Hodge
     """Up and down Hodge Laplacians in dimension k."""
     if not 0 <= k <= complex.dimension:
         raise ValueError(f"k={k} out of range 0..{complex.dimension}")
-    if normalized:
-        dk = normalized_coboundary(complex, k)
-        up = dk.T @ dk
-        if k == 0:
-            w0 = normalization_weights(complex).w[0]
-            down = ScaledMatrix(w0, w0, rat_zeros(len(w0), len(w0)))
-        else:
-            dkm1 = normalized_coboundary(complex, k - 1)
-            down = dkm1 @ dkm1.T
-        return HodgeLaplacian(up, down, k, True)
-    dk = _coboundary(complex, k)
-    up = dk.T @ dk
-    if k == 0:
-        down = ScaledMatrix.from_rational(rat_zeros(complex.n_faces(0), complex.n_faces(0)))
-    else:
-        dkm1 = _coboundary(complex, k - 1)
-        down = dkm1 @ dkm1.T
-    return HodgeLaplacian(up, down, k, False)
+    dk = _coboundary(complex, k, normalized)
+    dkm1 = _coboundary(complex, k - 1, normalized)
+    return HodgeLaplacian(dk.T @ dk, dkm1 @ dkm1.T, k, normalized)
 
 
-def hodge_decomposition(
-    complex: SimplicialComplex, k: int, normalized: bool = False
-) -> HodgeReport:
+@memoized
+def boundary_rank(complex: SimplicialComplex, k: int) -> int:
+    """Exact rank of the boundary from k- to (k-1)-faces, 0 for k = 0 and
+    k = dim + 1.  The normalized coboundaries scale it by positive diagonal
+    weights, so they have the same rank."""
+    return rational_rank(boundary_matrix(complex, k)) if 0 < k <= complex.dimension else 0
+
+
+def hodge_decomposition(complex: SimplicialComplex, k: int) -> HodgeReport:
     """Ranks of the up/down images and the harmonic dimension (k-th Betti number)."""
     if not 0 <= k <= complex.dimension:
         raise ValueError(f"k={k} out of range 0..{complex.dimension}")
     n_k = complex.n_faces(k)
-    if normalized:
-        rank_up = rational_rank(normalized_coboundary(complex, k).body)
-        rank_down = rational_rank(normalized_coboundary(complex, k - 1).body) if k else 0
-    else:
-        rank_up = rational_rank(boundary_matrix(complex, k + 1)) if k < complex.dimension else 0
-        rank_down = rational_rank(boundary_matrix(complex, k)) if k else 0
+    rank_up = boundary_rank(complex, k + 1)
+    rank_down = boundary_rank(complex, k)
     return HodgeReport(k, rank_up, rank_down, n_k - rank_up - rank_down, n_k)
 
 
-def betti_numbers(complex: SimplicialComplex, normalized: bool = False) -> tuple[int, ...]:
-    return tuple(
-        hodge_decomposition(complex, k, normalized).harmonic
-        for k in range(complex.dimension + 1)
-    )
+def betti_numbers(complex: SimplicialComplex) -> tuple[int, ...]:
+    return tuple(hodge_decomposition(complex, k).harmonic for k in range(complex.dimension + 1))
 
 
 def check_laplacian_walk_identity(complex: SimplicialComplex, k: int) -> bool:
@@ -177,10 +159,12 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
                     f"spectrum_bounded_by_one {tag}",
                     all(v <= 1 + 1e-10 for v in ev_up + ev_dn),
                 )
+        # the harmonic number from the boundary ranks against the nullity of
+        # the normalized Laplacian itself
         check(
             f"normalized_harmonic_dim k={k}",
-            hodge_decomposition(complex, k, False).harmonic
-            == hodge_decomposition(complex, k, True).harmonic,
+            hodge_decomposition(complex, k).harmonic
+            == complex.n_faces(k) - rational_rank(laps[(k, True)].full.body),
         )
     for k in range(1, dim + 1):
         for nrm in (False, True):

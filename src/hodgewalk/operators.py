@@ -79,24 +79,9 @@ class OperatorBundle:
         cov = self.cover
         if which in ("cover", "sym", "alt"):
             mat = {"cover": self.delta_cover, "sym": self.delta_sym, "alt": self.delta_alt}[which]
-            n = cov.n_quotient
-            rows = [q for q in cov.nodes_by_dim.get(k + 1, ())]
-            rows += [q + n for q in cov.nodes_by_dim.get(k + 1, ())]
-            cols = [q for q in cov.nodes_by_dim.get(k, ())]
-            cols += [q + n for q in cov.nodes_by_dim.get(k, ())]
-        else:
-            mat = {"quotient": self.delta_quotient, "signed": self.delta_signed}[which]
-            rows = list(cov.nodes_by_dim.get(k + 1, ()))
-            cols = list(cov.nodes_by_dim.get(k, ()))
-        return mat.restrict(rows, cols)
-
-
-def _orient_tuple(cover: GradedSignedDoubleCover, orientation) -> tuple[bool, ...]:
-    if orientation is None:
-        return tuple([False] * cover.n_quotient)
-    if isinstance(orientation, dict):
-        return tuple(bool(orientation.get(q, False)) for q in range(cover.n_quotient))
-    return tuple(bool(x) for x in orientation)
+            return mat.restrict(cov.lifts(k + 1), cov.lifts(k))
+        mat = {"quotient": self.delta_quotient, "signed": self.delta_signed}[which]
+        return mat.restrict(cov.nodes_by_dim.get(k + 1, ()), cov.nodes_by_dim.get(k, ()))
 
 
 @memoized
@@ -236,6 +221,8 @@ def build_conditional(
     Flavors: 'quotient' (nonnegative, spectrum in [0,1]), 'signed'
     (negative semi-definite, spectrum in [-1,0]) and 'cover' (the full
     2N_k matrix whose spectrum is the disjoint union of the other two).
+    ``orientation`` {quotient index -> flipped} re-orients the signed
+    flavor; nodes it leaves out keep their reference lift.
     """
     cover.require_strong()
     if direction not in ("up", "down"):
@@ -243,7 +230,7 @@ def build_conditional(
     if flavor not in ("quotient", "signed", "cover"):
         raise ValueError("flavor must be 'quotient', 'signed' or 'cover'")
     pw = compute_path_weights(cover)
-    orient = _orient_tuple(cover, orientation)
+    flipped = orientation or {}
     nodes = cover.nodes_by_dim.get(k, ())
     pos = {q: i for i, q in enumerate(nodes)}
     m = len(nodes)
@@ -265,7 +252,7 @@ def build_conditional(
         if flavor == "quotient":
             body[i, j] += w
         elif flavor == "signed":
-            body[i, j] -= w * (-s if orient[a] != orient[b] else s)
+            body[i, j] -= w * (-s if flipped.get(a, False) != flipped.get(b, False) else s)
         else:
             # two conditioned steps pick up opposite signs overall
             for fa in (0, 1):
@@ -279,9 +266,8 @@ def build_conditional(
     labels = tuple(
         ("-" if flip else "+") + cover.labels[q] for flip in (0, 1) for q in nodes
     )
-    cover_nodes = tuple(nodes) + tuple(q + cover.n_quotient for q in nodes)
     sm = ScaledMatrix(h_row * 2, h_col * 2, body)
-    return SymmetricOperator(f"A-{direction}-{k}-cover", labels, cover_nodes, sm)
+    return SymmetricOperator(f"A-{direction}-{k}-cover", labels, cover.lifts(k), sm)
 
 
 # -- eigensolver ------------------------------------------------------------
@@ -409,18 +395,12 @@ def verify_split(cover: GradedSignedDoubleCover) -> dict:
     return report
 
 
-def _restrict_cover_block(cover, mat: ScaledMatrix, k: int) -> ScaledMatrix:
-    n = cover.n_quotient
-    idx = [q for q in cover.nodes_by_dim.get(k, ())]
-    idx += [q + n for q in cover.nodes_by_dim.get(k, ())]
-    return mat.restrict(idx, idx)
-
-
 def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
     half = Fraction(1, 2)
-    r_k = _restrict_cover_block(cover, b.r, k)
-    theta_l_k = _restrict_cover_block(cover, b.theta_l, k)
-    theta_r_k = _restrict_cover_block(cover, b.theta_r, k)
+    lifts = cover.lifts(k)
+    r_k = b.r.restrict(lifts, lifts)
+    theta_l_k = b.theta_l.restrict(lifts, lifts)
+    theta_r_k = b.theta_r.restrict(lifts, lifts)
     nodes = list(cover.nodes_by_dim[k])
     pi_l_k = b.pi_l.restrict(nodes, nodes)
     pi_r_k = b.pi_r.restrict(nodes, nodes)
@@ -487,15 +467,13 @@ def _verify_transfer_dim(cover, b: OperatorBundle, k: int, check) -> None:
         a_dn = build_conditional(cover, k, "down", flavor)
         delta = b.delta_block(flavor, k - 1)
         for down_comp, up_comp in pairs:
-            up_idx = [a_up.nodes.index(q) for q in up_comp]
-            dn_idx = [a_dn.nodes.index(q) for q in down_comp]
             down_set, up_set = set(down_comp), set(up_comp)
             dblock = delta.restrict(
                 [i for i, q in enumerate(cover.nodes_by_dim[k]) if q in down_set],
                 [i for i, q in enumerate(cover.nodes_by_dim[k - 1]) if q in up_set],
             )
-            up_f = a_up.sm.restrict(up_idx, up_idx).to_float()
-            dn_f = a_dn.sm.restrict(dn_idx, dn_idx).to_float()
+            up_f = a_up.restrict(up_comp).sm.to_float()
+            dn_f = a_dn.restrict(down_comp).sm.to_float()
             d_f = dblock.to_float()
             spec = eigen(up_f)
             for lam, f in zip(spec.eigenvalues, spec.eigenvectors.T):

@@ -35,7 +35,6 @@ class TransitionMatrix:
     entries: np.ndarray
     index: tuple[str, ...]
     nodes: tuple[int, ...]
-    kind: str
 
     @property
     def n(self) -> int:
@@ -50,7 +49,6 @@ class StationaryDistribution:
     weights: dict[int, Fraction]
     support: tuple[int, ...]
     normalizer: Fraction
-    kind: str
 
     def total(self) -> Fraction:
         return sum(self.weights.values(), Fraction(0))
@@ -59,8 +57,6 @@ class StationaryDistribution:
 @dataclass(frozen=True)
 class WalkTrace:
     digest: str
-    seed: int
-    step_rule: str
 
 
 def _from_operator(sm: ScaledMatrix, through) -> np.ndarray:
@@ -92,10 +88,10 @@ def transition_full(
     through = [Fraction(pw.through(q)) for q in range(n)]
     if view == "quotient":
         mat = _from_operator(bundle.a_quotient, through)
-        return TransitionMatrix(mat, tuple(cover.labels), tuple(range(n)), "full-quotient")
+        return TransitionMatrix(mat, tuple(cover.labels), tuple(range(n)))
     mat = _from_operator(bundle.a_cover, through * 2)
     labels = tuple(cover.cover_label(u) for u in range(2 * n))
-    return TransitionMatrix(mat, labels, tuple(range(2 * n)), "full-cover")
+    return TransitionMatrix(mat, labels, tuple(range(2 * n)))
 
 
 def transition_conditional(
@@ -112,26 +108,26 @@ def transition_conditional(
     op = operators.build_conditional(cover, k, direction, view)
     n = cover.n_quotient
     mat = _from_operator(op.sm, [Fraction(pw.through(u % n)) for u in op.nodes])
-    return TransitionMatrix(mat, op.index, op.nodes, f"{direction}-{k}-{view}")
+    return TransitionMatrix(mat, op.index, op.nodes)
 
 
 def stationary(
     cover: GradedSignedDoubleCover,
     component,
-    walk_kind: str = "full",
     view: str = "quotient",
 ) -> StationaryDistribution:
     """Closed-form stationary distribution pi proportional to LP * RP.
 
-    ``component`` is a quotient component of the matching walk kind.  The
-    cover view halves each quotient weight over the two lifts.
+    ``component`` is a quotient component of the full walk or of a
+    conditional walk: the formula is the same.  The cover view halves each
+    quotient weight over the two lifts.
     """
     pw = compute_path_weights(cover)
     comp = tuple(sorted(component))
     normalizer = Fraction(sum(pw.through(q) for q in comp))
     if view == "quotient":
         weights = {q: Fraction(pw.through(q)) / normalizer for q in comp}
-        return StationaryDistribution(weights, comp, normalizer, f"{walk_kind}-quotient")
+        return StationaryDistribution(weights, comp, normalizer)
     if view != "cover":
         raise ValueError("view must be 'quotient' or 'cover'")
     n = cover.n_quotient
@@ -141,7 +137,7 @@ def stationary(
         weights[q] = w
         weights[q + n] = w
     support = tuple(sorted(weights))
-    return StationaryDistribution(weights, support, 2 * normalizer, f"{walk_kind}-cover")
+    return StationaryDistribution(weights, support, 2 * normalizer)
 
 
 def expected_path_length(
@@ -165,7 +161,6 @@ def simulate(
     start: int,
     steps: int,
     seed: int,
-    walk_kind: str = "full",
 ) -> tuple[WalkTrace, dict[int, Fraction]]:
     """Simulate the root-to-leaf path random walk on the cover.
 
@@ -184,8 +179,6 @@ def simulate(
     Returns the trace and the empirical distribution over all visited
     states.
     """
-    if walk_kind != "full":
-        raise ValueError("only the full root-to-leaf walk is simulated")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     n = cover.n_quotient
@@ -255,7 +248,7 @@ def simulate(
         record(trail)
     total = steps + 1
     empirical = {u: Fraction(int(c), total) for u, c in enumerate(counts) if c}
-    return WalkTrace(digest.hexdigest(), seed, "full"), empirical
+    return WalkTrace(digest.hexdigest()), empirical
 
 
 def total_variation(p: dict[int, Fraction], q: dict[int, Fraction]) -> Fraction:
@@ -286,8 +279,7 @@ def convergence_rate(
             raise CoherentComponentError(
                 "conditional walk is not aperiodic on a coherent component"
             )
-        idx = [quot.nodes.index(q) for q in up_comp]
-        ev_quot = operators.eigen(quot.sm.restrict(idx, idx).to_float()).eigenvalues
-        ev_sgn = operators.eigen(sgn.sm.restrict(idx, idx).to_float()).eigenvalues
+        ev_quot = operators.eigen(quot.restrict(up_comp).sm).eigenvalues
+        ev_sgn = operators.eigen(sgn.restrict(up_comp).sm).eigenvalues
         rate = max(rate, ev_quot[-2], -ev_sgn[0])
     return rate

@@ -233,7 +233,7 @@ def test_criterion_7_monte_carlo(covers, capsys):
     with capsys.disabled():
         cov = covers["tetrahedron"]
         comp = components(cov, "quotient").members[0]
-        pi = stationary(cov, comp, "full", "cover")
+        pi = stationary(cov, comp, "cover")
         trace1, emp1 = simulate(cov, 0, 10**6, seed=7)
         trace2, emp2 = simulate(cov, 0, 10**6, seed=7)
         tv = float(total_variation(emp1, pi.weights))

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import functools
 import importlib
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 import hodgewalk
-from hodgewalk import cheeger, graded_cover
-from hodgewalk.cli import _path_count_oracle, run
+from hodgewalk import cheeger, exact, graded_cover, laplacians
+from hodgewalk.cli import _path_count_oracle, build_parser, run
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_cover
 
 TET = str(FIXTURES / "tetrahedron.cx")
 BRANCHED = str(FIXTURES / "branched.cx")
@@ -125,6 +126,39 @@ def test_coherent_and_partition_verbs(capsys):
     code, out = run_cli(capsys, "partition", RING, "--k", "2")
     assert code == 0
     assert "none" in out
+
+
+def test_coherent_witness_column_is_detect_coherent(capsys):
+    """Each component's witness column is its sorted detect_coherent witness."""
+    path = str(FIXTURES / "two_triangles_bridged.cx")
+    code, out = run_cli(capsys, "coherent", path, "--k", "1", "--direction", "up")
+    assert code == 0
+    cov = load_cover("two_triangles_bridged")
+    comps = graded_cover.components(cov, "quotient-up", 1).members
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert len(rows) == len(comps)
+    witnesses = [graded_cover.detect_coherent(cov, comp, "up") for comp in comps]
+    assert {w is None for w in witnesses} == {True, False}
+    for ci, (row, comp, witness) in enumerate(zip(rows, comps, witnesses)):
+        column = "" if witness is None else " ".join(
+            ("-" if flip else "+") + cov.labels[q] for q, flip in sorted(witness.items())
+        )
+        assert row == [str(ci), str(len(comp)), "no" if witness is None else "yes", column]
+
+
+def test_hodge_ranks_each_boundary_once(monkeypatch, capsys):
+    """branched has three nonempty boundaries, each ranked once per run."""
+    ranked = []
+
+    def counting(mat):
+        ranked.append(mat.shape)
+        return exact.rational_rank(mat)
+
+    monkeypatch.setattr(laplacians, "rational_rank", counting)
+    code, out = run_cli(capsys, "hodge", BRANCHED)
+    assert code == 0
+    assert out.splitlines()[-1] == "betti\t\t\t\t1 1 0 0"
+    assert sorted(ranked) == [(6, 1), (7, 12), (12, 6)]
 
 
 def test_cheeger_verb(capsys):
@@ -382,6 +416,7 @@ def test_uneven_child_rp_skips_the_identity(tmp_path, capsys):
             "error: unrecognized arguments: --threads 2",
         ),
         (["frobnicate", TET], "error: argument verb: invalid choice: 'frobnicate'"),
+        (["hodge", TET, "--normalized"], "error: unrecognized arguments: --normalized"),
     ],
 )
 def test_usage_error_is_one_line(argv, message, capsys):
@@ -418,6 +453,7 @@ MEMOIZED = (
     ("operators", "build_conditional"),
     ("laplacians", "normalization_weights"),
     ("laplacians", "hodge"),
+    ("laplacians", "boundary_rank"),
     ("cheeger", "build_aux"),
 )
 
@@ -429,7 +465,7 @@ VERB_RUNS = (
     ["spectrum"],
     ["spectrum", "--k", "1", "--direction", "up", "--flavor", "cover", "--rate"],
     ["laplacian", "--k", "1", "--normalized"],
-    ["hodge", "--normalized"],
+    ["hodge"],
     ["coherent", "--k", "1", "--direction", "down"],
     ["partition", "--k", "1"],
     ["cheeger", "--k", "1"],
@@ -437,6 +473,15 @@ VERB_RUNS = (
     ["report", "--paper-tables"],
     ["verify"],
 )
+
+
+def test_verb_runs_cover_every_subcommand():
+    subcommands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert {argv[0] for argv in VERB_RUNS} == set(subcommands)
 
 
 @pytest.mark.parametrize("verb", VERB_RUNS, ids=" ".join)

@@ -360,7 +360,7 @@ def test_random_cover_walk_invariants(seed):
         for b in range(cov.n_quotient):
             assert pw.through(a) * P.entries[a, b] == pw.through(b) * P.entries[b, a]
     for comp in components(cov, "quotient").members:
-        pi = stationary(cov, comp, "full", "quotient")
+        pi = stationary(cov, comp, "quotient")
         vec = [pi.weights.get(q, Fraction(0)) for q in range(cov.n_quotient)]
         for b in range(cov.n_quotient):
             assert sum(vec[a] * P.entries[a, b] for a in range(cov.n_quotient)) == vec[b]
@@ -437,17 +437,3 @@ def test_random_strong_cover_properties(seed):
             )
             cgot = transition_conditional(cov, k, direction, "cover")
             assert list(cgot.nodes) == cnodes and (cgot.entries == cwant).all()
-
-
-def test_components_with_coherence_flags():
-    cov = load_cover("two_triangles_bridged")
-    cs = components(cov, "quotient-up", 1, with_coherence=True)
-    assert cs.coherent is not None and len(cs.coherent) == len(cs.members)
-    for comp, witness in zip(cs.members, cs.coherent):
-        expected = detect_coherent(cov, comp, "up")
-        if expected is None:
-            assert witness is None
-        else:
-            assert witness == tuple(sorted(expected.items()))
-    with pytest.raises(ValueError):
-        components(cov, "quotient", with_coherence=True)

@@ -84,7 +84,7 @@ def test_detailed_balance_quotient(name, covers, weights):
 def test_cover_breaks_detailed_balance():
     cov = load_cover("single_edge")
     P = transition_full(cov, "cover").entries
-    pi = stationary(cov, range(cov.n_quotient), "full", "cover").weights
+    pi = stationary(cov, range(cov.n_quotient), "cover").weights
     violated = any(
         pi[a] * P[a, b] != pi[b] * P[b, a]
         for a in range(cov.n_cover)
@@ -95,13 +95,13 @@ def test_cover_breaks_detailed_balance():
 
 def test_stationary_examples():
     edge = load_cover("single_edge")
-    pi = stationary(edge, range(3), "full", "quotient")
+    pi = stationary(edge, range(3), "quotient")
     by_label = {edge.labels[q]: v for q, v in pi.weights.items()}
     assert by_label == {"x0": Fraction(1, 4), "x1": Fraction(1, 4), "x0 x1": Fraction(1, 2)}
     assert pi.normalizer == 4
 
     tet = load_cover("tetrahedron")
-    pi = stationary(tet, range(15), "full", "quotient")
+    pi = stationary(tet, range(15), "quotient")
     by_dim = {tet.dims[q]: v for q, v in pi.weights.items()}
     assert by_dim == {
         0: Fraction(1, 16),
@@ -112,7 +112,7 @@ def test_stationary_examples():
     assert pi.normalizer == 96
 
     iso = load_cover("single_vertex")
-    pic = stationary(iso, [0], "full", "cover")
+    pic = stationary(iso, [0], "cover")
     assert pic.weights == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
@@ -122,7 +122,7 @@ def test_stationary_fixed_point(name, covers):
     for view in ("quotient", "cover"):
         P = transition_full(cov, view)
         for comp in components(cov, "quotient").members:
-            pi = stationary(cov, comp, "full", view)
+            pi = stationary(cov, comp, view)
             assert pi.total() == 1
             vec = [pi.weights.get(u, Fraction(0)) for u in P.nodes]
             for b in range(P.n):
@@ -134,7 +134,7 @@ def test_conditional_stationary_fixed_point_on_cover():
     for k, direction in ((0, "up"), (1, "up"), (1, "down"), (2, "down")):
         P = transition_conditional(cov, k, direction, "cover")
         comp = components(cov, f"quotient-{direction}", k).members[0]
-        pi = stationary(cov, comp, direction, "cover")
+        pi = stationary(cov, comp, "cover")
         vec = [pi.weights.get(u, Fraction(0)) for u in P.nodes]
         for b in range(P.n):
             assert sum(vec[a] * P.entries[a, b] for a in range(P.n)) == vec[b]
