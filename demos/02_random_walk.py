@@ -25,7 +25,7 @@ pw = compute_path_weights(cover)
 P = transition_full(cover, "quotient")
 print("row sums all equal 1:", all(s == 1 for s in P.row_sums()))
 
-comp = components(cover, "quotient").members[0]
+comp = components(cover, "quotient")[0]
 pi = stationary(cover, comp, "quotient")
 print("stationary weight by dimension:")
 for k in range(4):

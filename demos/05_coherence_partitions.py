@@ -18,7 +18,7 @@ from hodgewalk import (
 
 print("== even cycle (6 edges): bipartite graph")
 c6 = cover_from_complex(parse_complex("\n".join(f"x{i} x{(i + 1) % 6}" for i in range(6))))
-edges = components(c6, "quotient-down", 1).members[0]
+edges = components(c6, "quotient-down", 1)[0]
 witness = detect_coherent(c6, edges, "down")
 print("coherent-down in dim 1:", witness is not None)
 print("2-partition:", find_partition(c6, edges))
@@ -27,7 +27,7 @@ for name, (ok, detail) in coherent_spectrum_check(c6, edges, "down").items():
 
 print("\n== odd cycle (5 edges): not bipartite")
 c5 = cover_from_complex(parse_complex("\n".join(f"x{i} x{(i + 1) % 5}" for i in range(5))))
-edges5 = components(c5, "quotient-down", 1).members[0]
+edges5 = components(c5, "quotient-down", 1)[0]
 print("coherent:", detect_coherent(c5, edges5, "down") is not None)
 print("partition:", find_partition(c5, edges5))
 print("signed spectrum stays above -1:", coherent_spectrum_check(c5, edges5, "down"))
@@ -44,7 +44,7 @@ x1 x5 x6
 x0 x1 x5
 """
 ring = cover_from_complex(parse_complex(ring_text))
-tris = components(ring, "quotient-down", 2).members[0]
+tris = components(ring, "quotient-down", 2)[0]
 witness = detect_coherent(ring, tris, "down")
 print("all 8 triangles form one coherent-down-component:", witness is not None)
 oriented = [("-" if witness[q] else "+") + ring.labels[q] for q in sorted(witness)]

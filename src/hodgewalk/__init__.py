@@ -14,7 +14,6 @@ from .complex_core import (
     parse_complex,
 )
 from .graded_cover import (
-    ComponentSet,
     CoverSpecError,
     GradedSignedDoubleCover,
     NonStrongGradingError,

@@ -68,7 +68,6 @@ class AuxiliaryGraph:
 
 @dataclass(frozen=True)
 class CheegerReport:
-    k: int
     up_component: tuple[int, ...]
     down_component: tuple[int, ...]
     d_down: Fraction
@@ -130,12 +129,7 @@ def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> Auxi
             Fraction(pw.lp[comp[i]] * pw.lp[comp[j]], pw.lp[mid[(i, j)][0]]) for i, j in edges
         ]
     measure = tuple(Fraction(pw.lp[q]) for q in comp)
-    if direction == "up":
-        degree_term = Fraction(k + 1)
-    else:
-        degree_term = Fraction(k + 1) - min(
-            pw.lp[q] * sum(Fraction(1, pw.lp[t]) for t in cover.children[q]) for q in comp
-        )
+    degree_term = Fraction(k + 1) if direction == "up" else _down_degree_term(cover, comp, k)
     return AuxiliaryGraph(
         direction,
         k,
@@ -146,6 +140,14 @@ def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> Auxi
         tuple(weights),
         measure,
         degree_term,
+    )
+
+
+def _down_degree_term(cover: GradedSignedDoubleCover, comp, k: int) -> Fraction:
+    """k+1 - min LP(q) * sum 1/LP(child) over the dimension-k nodes q of comp."""
+    pw = compute_path_weights(cover)
+    return Fraction(k + 1) - min(
+        pw.lp[q] * sum(Fraction(1, pw.lp[t]) for t in cover.children[q]) for q in comp
     )
 
 
@@ -384,6 +386,28 @@ def cheeger_signed(aux: AuxiliaryGraph):
     return h, (witness_nodes, witness_orientation)
 
 
+def side_bounds(h: Fraction, degree, k: int) -> tuple[Fraction, Fraction]:
+    """One side of the combined Cheeger inequality,
+    h^2 / (2 d (k+1)) <= gap <= 2h / (k+1), with degree term d: k on the
+    up side and d_down on the down side.  Returns (lower, upper)."""
+    return h * h / (2 * degree * (k + 1)), 2 * h / (k + 1)
+
+
+def _combined_bounds(sides, k: int):
+    """Largest lower and smallest upper side bound over the (h, degree)
+    sides that have a constant and a positive degree; (None, None) if none do."""
+    bounds = [side_bounds(h, d, k) for h, d in sides if h is not None and d > 0]
+    if not bounds:
+        return None, None
+    return max(lower for lower, _ in bounds), min(upper for _, upper in bounds)
+
+
+def _sandwiched(lower, gap, upper) -> bool | None:
+    if gap is None or lower is None:
+        return None
+    return float(lower) <= gap + 1e-9 and gap <= float(upper) + 1e-9
+
+
 def _restricted_gap(op: SymmetricOperator, flavor: str, comp) -> float:
     ev = eigen(op.restrict(comp).sm).eigenvalues
     if flavor == "quotient":
@@ -394,15 +418,15 @@ def _restricted_gap(op: SymmetricOperator, flavor: str, comp) -> float:
 def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerReport]:
     """Combined Cheeger bounds for every paired component in dimensions k-1/k.
 
-    Emits, per flavor, lower bound max(h_up^2/k, h_down^2/d_down)/(2(k+1)),
-    the shared spectral gap, and upper bound 2*min(h_up, h_down)/(k+1).
-    Coherent or singleton pairs get the all-zero signed triple (coherence
-    is decided exactly, so no eigensolve backs that gap); a singleton
-    down-component additionally drops the quotient down-constant.  Raises
-    ChildCountError when a down-component node has other than k+1 children.
+    Emits, per flavor, the largest lower and the smallest upper
+    ``side_bounds`` of the up side (degree k) and the down side (degree
+    d_down), with the shared spectral gap between them.  Coherent or
+    singleton pairs get the all-zero signed triple (coherence is decided
+    exactly, so no eigensolve backs that gap); a singleton down-component
+    additionally drops the quotient down-constant.  Raises ChildCountError
+    when a down-component node has other than k+1 children.
     """
     cover.require_strong()
-    pw = compute_path_weights(cover)
     reports = []
     for down_comp, up_comp in component_correspondence(cover, k):
         for q in down_comp:
@@ -412,15 +436,8 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
                     f" {cover.labels[q]} has {len(cover.children[q])}"
                 )
         coherent = detect_coherent(cover, down_comp, "down") is not None
-        aux_down = None
-        if len(down_comp) >= 2:
-            aux_down = build_aux(cover, down_comp, "down")
-            d_down = aux_down.degree_term
-        else:
-            q = down_comp[0]
-            d_down = Fraction(k + 1) - pw.lp[q] * sum(
-                Fraction(1, pw.lp[t]) for t in cover.children[q]
-            )
+        aux_down = build_aux(cover, down_comp, "down") if len(down_comp) >= 2 else None
+        d_down = _down_degree_term(cover, down_comp, k)
         h_q_up = h_q_down = h_s_up = h_s_down = None
         gap_q = gap_s = None
         if len(up_comp) >= 2:
@@ -435,46 +452,19 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
         if aux_down is not None:
             h_q_down, _ = cheeger_quotient(aux_down)
             h_s_down, _ = cheeger_signed(aux_down)
-        lower_q = upper_q = None
-        options_q = []
-        if h_q_up is not None:
-            options_q.append((h_q_up * h_q_up / k, h_q_up))
-        if h_q_down is not None and d_down > 0:
-            options_q.append((h_q_down * h_q_down / d_down, h_q_down))
-        if options_q:
-            lower_q = max(o[0] for o in options_q) / (2 * (k + 1))
-            upper_q = 2 * min(o[1] for o in options_q) / (k + 1)
+        lower_q, upper_q = _combined_bounds(((h_q_up, k), (h_q_down, d_down)), k)
         if coherent:
             # coherence is decided exactly and pins the signed gap at 0
-            lower_s = Fraction(0)
-            upper_s = Fraction(0)
+            lower_s = upper_s = Fraction(0)
             gap_s = 0.0
         else:
-            options_s = [(h_s_up * h_s_up / k, h_s_up)]
-            if h_s_down is not None and d_down > 0:
-                options_s.append((h_s_down * h_s_down / d_down, h_s_down))
-            lower_s = max(o[0] for o in options_s) / (2 * (k + 1))
-            upper_s = 2 * min(o[1] for o in options_s) / (k + 1)
-        sandwich_q = (
-            None
-            if gap_q is None or lower_q is None
-            else float(lower_q) <= gap_q + 1e-9 and gap_q <= float(upper_q) + 1e-9
-        )
-        sandwich_s = (
-            None
-            if gap_s is None or lower_s is None
-            else float(lower_s) <= gap_s + 1e-9 and gap_s <= float(upper_s) + 1e-9
-        )
+            lower_s, upper_s = _combined_bounds(((h_s_up, k), (h_s_down, d_down)), k)
         rate_lower = rate_upper = None
         if not coherent and h_q_up is not None and h_q_down is not None:
-            rate_lower = 1 - 2 * max(min(h_q_up, h_q_down), min(h_s_up, h_s_down)) / (k + 1)
-            rate_upper = 1 - min(
-                max(h_q_up * h_q_up / k, h_q_down * h_q_down / d_down),
-                max(h_s_up * h_s_up / k, h_s_down * h_s_down / d_down),
-            ) / (2 * (k + 1))
+            rate_lower = 1 - max(upper_q, upper_s)
+            rate_upper = 1 - min(lower_q, lower_s)
         reports.append(
             CheegerReport(
-                k=k,
                 up_component=up_comp,
                 down_component=down_comp,
                 d_down=d_down,
@@ -489,8 +479,8 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
                 upper_quotient=upper_q,
                 lower_signed=lower_s,
                 upper_signed=upper_s,
-                sandwich_quotient_ok=sandwich_q,
-                sandwich_signed_ok=sandwich_s,
+                sandwich_quotient_ok=_sandwiched(lower_q, gap_q, upper_q),
+                sandwich_signed_ok=_sandwiched(lower_s, gap_s, upper_s),
                 rate_lower=rate_lower,
                 rate_upper=rate_upper,
             )

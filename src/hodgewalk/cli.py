@@ -85,7 +85,7 @@ def cmd_stationary(args) -> int:
     cover, _ = load_input(args.input, args.k)
     kind = "quotient" if args.k is None else f"quotient-{args.direction}"
     rows = []
-    for ci, comp in enumerate(graded_cover.components(cover, kind, args.k).members):
+    for ci, comp in enumerate(graded_cover.components(cover, kind, args.k)):
         pi = walks.stationary(cover, comp, args.view)
         # the mean path length belongs to the full walk's components only
         e_len = walks.expected_path_length(cover, comp) if args.k is None else ""
@@ -106,17 +106,15 @@ def cmd_walk_sim(args) -> int:
             return EXIT_INVALID
         start = labels.index(args.start)
     trace, empirical = walks.simulate(cover, start, args.steps, args.seed)
+    # the cover component of the start is the lift of its quotient component
     comp = next(
-        c
-        for c in graded_cover.components(cover, "cover").members
-        if start in c
+        c for c in graded_cover.components(cover, "quotient") if start % cover.n_quotient in c
     )
-    quot_comp = sorted({u % cover.n_quotient for u in comp})
-    pi = walks.stationary(cover, quot_comp, "cover")
+    pi = walks.stationary(cover, comp, "cover")
     rows = []
-    for u in sorted(comp):
+    for u in pi.support:
         emp = empirical.get(u, Fraction(0))
-        target = pi.weights.get(u, Fraction(0))
+        target = pi.weights[u]
         rows.append((cover.cover_label(u), float(emp), target, f"{abs(float(emp - target)):.6f}"))
     tv = walks.total_variation(empirical, pi.weights)
     rows.append(("total-variation", float(tv), "", ""))
@@ -185,7 +183,7 @@ def cmd_hodge(args) -> int:
 
 def cmd_coherent(args) -> int:
     cover, _ = load_input(args.input, args.k)
-    comps = graded_cover.components(cover, f"quotient-{args.direction}", args.k).members
+    comps = graded_cover.components(cover, f"quotient-{args.direction}", args.k)
     rows = []
     for ci, comp in enumerate(comps):
         witness = graded_cover.detect_coherent(cover, comp, args.direction)
@@ -205,7 +203,7 @@ def cmd_partition(args) -> int:
     if cx is None:
         print("error: partition requires a simplicial complex input", file=sys.stderr)
         return EXIT_INVALID
-    comps = graded_cover.components(cover, "quotient-down", args.k).members
+    comps = graded_cover.components(cover, "quotient-down", args.k)
     rows = []
     for ci, comp in enumerate(comps):
         classes = graded_cover.find_partition(cover, comp)
@@ -221,7 +219,7 @@ def cmd_cheeger(args) -> int:
     cover, _ = load_input(args.input, args.k)
     rows = []
     for direction in ("up", "down") if args.direction is None else (args.direction,):
-        comps = graded_cover.components(cover, f"quotient-{direction}", args.k).members
+        comps = graded_cover.components(cover, f"quotient-{direction}", args.k)
         for ci, comp in enumerate(comps):
             try:
                 aux = cheeger_mod.build_aux(cover, comp, direction)
@@ -252,43 +250,26 @@ def _bound_table_rows(cover):
     Degenerate pairs (a singleton component on either side) are omitted:
     the combined inequality does not apply to them.
     """
-    dim = max(cover.dims)
+
+    def row(k, d_down, h_up, h_down, gap):
+        lower_up, upper_up = cheeger_mod.side_bounds(h_up, k, k)
+        lower_down, upper_down = cheeger_mod.side_bounds(h_down, d_down, k)
+        return (k, d_down, h_up, h_down, lower_up, lower_down, gap, upper_up, upper_down)
+
     quotient_rows, signed_rows = [], []
-    for k in range(1, dim + 1):
+    for k in range(1, max(cover.dims) + 1):
         for rep in cheeger_mod.combined_report(cover, k):
             if rep.h_quotient_up is None or rep.h_quotient_down is None:
                 continue
             quotient_rows.append(
-                (
-                    k,
-                    rep.d_down,
-                    rep.h_quotient_up,
-                    rep.h_quotient_down,
-                    rep.h_quotient_up ** 2 / (2 * k * (k + 1)),
-                    rep.h_quotient_down ** 2 / (2 * rep.d_down * (k + 1)),
-                    rep.gap_quotient,
-                    2 * rep.h_quotient_up / (k + 1),
-                    2 * rep.h_quotient_down / (k + 1),
-                )
+                row(k, rep.d_down, rep.h_quotient_up, rep.h_quotient_down, rep.gap_quotient)
             )
             if rep.coherent:
                 signed_rows.append((k, rep.d_down, 0, 0, 0, 0, 0, 0, 0))
-                continue
-            ls_up = rep.h_signed_up ** 2 / (2 * k * (k + 1))
-            ls_dn = rep.h_signed_down ** 2 / (2 * rep.d_down * (k + 1))
-            signed_rows.append(
-                (
-                    k,
-                    rep.d_down,
-                    rep.h_signed_up,
-                    rep.h_signed_down,
-                    ls_up,
-                    ls_dn,
-                    rep.gap_signed,
-                    2 * rep.h_signed_up / (k + 1),
-                    2 * rep.h_signed_down / (k + 1),
+            else:
+                signed_rows.append(
+                    row(k, rep.d_down, rep.h_signed_up, rep.h_signed_down, rep.gap_signed)
                 )
-            )
     return quotient_rows, signed_rows
 
 
@@ -352,7 +333,7 @@ def _verify_checks(cover, cx):
     yield "flip_commutation", all(
         Pc[u, v] == Pc[flip(u), flip(v)] for u in range(2 * n) for v in range(2 * n)
     ), ""
-    for comp in graded_cover.components(cover, "quotient").members:
+    for comp in graded_cover.components(cover, "quotient"):
         pi = walks.stationary(cover, comp, "quotient")
         vec = [pi.weights.get(q, Fraction(0)) for q in range(n)]
         fixed = all(
@@ -445,7 +426,7 @@ def _verify_cheeger_checks(cover):
         # to share one RP (up: RP(v) = c*sqrt(RP(a)*RP(b)) for a, b under v)
         pw = graded_cover.compute_path_weights(cover)
         for direction, kk in (("up", k - 1), ("down", k)):
-            comps = graded_cover.components(cover, f"quotient-{direction}", kk).members
+            comps = graded_cover.components(cover, f"quotient-{direction}", kk)
             quot = operators.build_conditional(cover, kk, direction, "quotient")
             sgn = operators.build_conditional(cover, kk, direction, "signed")
             for comp in comps:

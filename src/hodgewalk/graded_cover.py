@@ -292,19 +292,7 @@ def leaves_and_roots(cover: GradedSignedDoubleCover) -> tuple[frozenset[int], fr
 
 # -- components -----------------------------------------------------------
 
-COMPONENT_KINDS = (
-    "quotient",
-    "cover",
-    "quotient-up",
-    "quotient-down",
-    "cover-up",
-    "cover-down",
-)
-
-
-@dataclass(frozen=True)
-class ComponentSet:
-    members: tuple[tuple[int, ...], ...]
+COMPONENT_KINDS = ("quotient", "quotient-up", "quotient-down")
 
 
 def propagate_signs(nodes, edges):
@@ -345,54 +333,24 @@ def components(
     cover: GradedSignedDoubleCover,
     kind: str,
     k: int | None = None,
-) -> ComponentSet:
-    """Connected components of the requested kind.
+) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the requested kind, as ascending tuples
+    ordered by smallest member.
 
-    Cover kinds merge the two lifts of an isolated (resp. leaf/root) node
-    into a single pair-component.
+    'quotient' joins nodes along the graded edges; 'quotient-up' and
+    'quotient-down' join the dimension-k nodes that share a parent or a
+    child.  The components of the cover are the lifts {q, q + N} of these
+    quotient components: a node and its flip share every neighbour.
     """
     if kind not in COMPONENT_KINDS:
         raise ValueError(f"unknown component kind {kind!r}")
-    n = cover.n_quotient
     if kind == "quotient":
         edges = [(c, p, 1) for (c, p) in cover.sign_ref]
-        return ComponentSet(tuple(propagate_signs(range(n), edges)[1]))
-    if kind == "cover":
-        edges = [
-            (c + n * fc, p + n * fp, 1)
-            for (c, p) in cover.sign_ref
-            for fc in (0, 1)
-            for fp in (0, 1)
-        ]
-        parts = propagate_signs(range(2 * n), edges)[1]
-        return ComponentSet(_merge_pairs(parts, n, cover.is_isolated))
+        return tuple(propagate_signs(range(cover.n_quotient), edges)[1])
     if k is None:
         raise ValueError("up/down component kinds require a dimension k")
-    direction = kind.split("-")[1]
-    adj = cover.adjacency(k, direction)
-    pairs = [(a, b) for a in adj for b in adj[a] if a < b]
-    if kind.startswith("quotient"):
-        return ComponentSet(tuple(propagate_signs(adj, [(a, b, 1) for a, b in pairs])[1]))
-    lonely = cover.is_leaf if direction == "up" else cover.is_root
-    edges = [(a + n * fa, b + n * fb, 1) for a, b in pairs for fa in (0, 1) for fb in (0, 1)]
-    # a node with a parent (resp. child) shares it with its own flip
-    edges += [(q, q + n, 1) for q in adj if not lonely(q)]
-    parts = propagate_signs(list(adj) + [q + n for q in adj], edges)[1]
-    return ComponentSet(_merge_pairs(parts, n, lonely))
-
-
-def _merge_pairs(parts, n, is_lonely) -> tuple[tuple[int, ...], ...]:
-    merged, used = [], set()
-    for part in parts:
-        if len(part) == 1 and is_lonely(part[0] % n):
-            q = part[0] % n
-            if q in used:
-                continue
-            used.add(q)
-            merged.append((q, q + n))
-        else:
-            merged.append(part)
-    return tuple(sorted(merged))
+    adj = cover.adjacency(k, kind.split("-")[1])
+    return tuple(propagate_signs(adj, [(a, b, 1) for a in adj for b in adj[a] if a < b])[1])
 
 
 @memoized
@@ -405,8 +363,8 @@ def component_correspondence(cover: GradedSignedDoubleCover, k: int):
     cover.require_strong()
     if k < 1:
         raise ValueError("k must be at least 1")
-    down = components(cover, "quotient-down", k).members
-    up = components(cover, "quotient-up", k - 1).members
+    down = components(cover, "quotient-down", k)
+    up = components(cover, "quotient-up", k - 1)
     up_of = {q: comp for comp in up for q in comp}
     pairs = []
     for comp in down:

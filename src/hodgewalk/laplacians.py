@@ -33,8 +33,6 @@ class NormalizationWeights:
 class HodgeLaplacian:
     up: ScaledMatrix
     down: ScaledMatrix
-    k: int
-    normalized: bool
 
     @property
     def full(self) -> ScaledMatrix:
@@ -43,7 +41,6 @@ class HodgeLaplacian:
 
 @dataclass(frozen=True)
 class HodgeReport:
-    k: int
     rank_up: int
     rank_down: int
     harmonic: int
@@ -88,7 +85,7 @@ def hodge(complex: SimplicialComplex, k: int, normalized: bool = False) -> Hodge
         raise ValueError(f"k={k} out of range 0..{complex.dimension}")
     dk = _coboundary(complex, k, normalized)
     dkm1 = _coboundary(complex, k - 1, normalized)
-    return HodgeLaplacian(dk.T @ dk, dkm1 @ dkm1.T, k, normalized)
+    return HodgeLaplacian(dk.T @ dk, dkm1 @ dkm1.T)
 
 
 @memoized
@@ -106,7 +103,7 @@ def hodge_decomposition(complex: SimplicialComplex, k: int) -> HodgeReport:
     n_k = complex.n_faces(k)
     rank_up = boundary_rank(complex, k + 1)
     rank_down = boundary_rank(complex, k)
-    return HodgeReport(k, rank_up, rank_down, n_k - rank_up - rank_down, n_k)
+    return HodgeReport(rank_up, rank_down, n_k - rank_up - rank_down, n_k)
 
 
 def betti_numbers(complex: SimplicialComplex) -> tuple[int, ...]:
@@ -179,7 +176,7 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
         mult_down = eigenvalue_multiplicity(down_k, 1.0)
         n_coherent = sum(
             1
-            for comp in components(cover, "quotient-up", k - 1).members
+            for comp in components(cover, "quotient-up", k - 1)
             if detect_coherent(cover, comp, "up") is not None
         )
         check(

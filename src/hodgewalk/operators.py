@@ -272,8 +272,14 @@ def build_conditional(
 
 # -- eigensolver ------------------------------------------------------------
 
+# Float tolerances: the eigen residual bound (relative to the largest
+# eigenvalue), multiset matching, and the multiplicity gap.
+EIGEN_TOL = 1e-9
+MULTISET_TOL = 1e-8
+MULTIPLICITY_GAP = 1e-7
 
-def eigen(operator, tol: float = 1e-9) -> Spectrum:
+
+def eigen(operator) -> Spectrum:
     """Full spectral decomposition of a ScaledMatrix or a float array.
 
     Eigenvalues ascend; each eigenvector is normalized so its largest
@@ -295,21 +301,21 @@ def eigen(operator, tol: float = 1e-9) -> Spectrum:
         if col[i] < 0:
             vecs[:, j] = -col
     residual = float(np.abs(mat @ vecs - vecs * vals).max(initial=0.0))
-    bound = tol * (1 + np.abs(vals).max(initial=0.0))
+    bound = EIGEN_TOL * (1 + np.abs(vals).max(initial=0.0))
     if residual > bound:
         raise EigenResidualError(f"residual {residual} exceeds {bound}")
     return Spectrum(tuple(float(x) for x in vals), vecs, residual)
 
 
-def multiset_match(a, b, tol: float = 1e-8) -> bool:
+def multiset_match(a, b) -> bool:
     """Equality of two real multisets after sorting."""
     if len(a) != len(b):
         return False
-    return all(abs(x - y) <= tol for x, y in zip(sorted(a), sorted(b)))
+    return all(abs(x - y) <= MULTISET_TOL for x, y in zip(sorted(a), sorted(b)))
 
 
-def eigenvalue_multiplicity(values, target: float, gap: float = 1e-7) -> int:
-    return sum(1 for v in values if abs(v - target) < gap)
+def eigenvalue_multiplicity(values, target: float) -> int:
+    return sum(1 for v in values if abs(v - target) < MULTIPLICITY_GAP)
 
 
 # -- verification -----------------------------------------------------------
@@ -497,7 +503,7 @@ def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool
     """
     from .walks import expected_path_length
 
-    comps = components(cover, "quotient").members
+    comps = components(cover, "quotient")
     bound = min(Fraction(2) / (expected_path_length(cover, comp) + 1) for comp in comps)
     lam_min = eigen(build_bundle(cover).a_quotient).eigenvalues[0]
     holds = lam_min <= float(-1 + bound) + 1e-9

@@ -59,26 +59,22 @@ def coherence_by_enumeration(cover, component, direction):
     lonely = cover.is_leaf if direction == "up" else cover.is_root
     if len(comp) == 1 and lonely(comp[0]):
         return False
+    # (a, b, s_a, s_b) per pair and shared mid-node, built once
+    pairs = []
+    for i, a in enumerate(comp):
+        for b in comp[i + 1:]:
+            if direction == "up":
+                for m in cover.shared_parents(a, b):
+                    pairs.append((a, b, cover.sign_ref[(a, m)], cover.sign_ref[(b, m)]))
+            else:
+                for m in cover.shared_children(a, b):
+                    pairs.append((a, b, cover.sign_ref[(m, a)], cover.sign_ref[(m, b)]))
     for flips in product((False, True), repeat=len(comp)):
         orient = dict(zip(comp, flips))
-        ok = True
-        for i, a in enumerate(comp):
-            for b in comp[i + 1:]:
-                mids = (
-                    cover.shared_parents(a, b)
-                    if direction == "up"
-                    else cover.shared_children(a, b)
-                )
-                for m in mids:
-                    if direction == "up":
-                        sa = cover.sign_ref[(a, m)] * (-1 if orient[a] else 1)
-                        sb = cover.sign_ref[(b, m)] * (-1 if orient[b] else 1)
-                    else:
-                        sa = cover.sign_ref[(m, a)] * (-1 if orient[a] else 1)
-                        sb = cover.sign_ref[(m, b)] * (-1 if orient[b] else 1)
-                    if sa != sb:
-                        ok = False
-        if ok:
+        if all(
+            sa * (-1 if orient[a] else 1) == sb * (-1 if orient[b] else 1)
+            for a, b, sa, sb in pairs
+        ):
             return True
     return False
 

@@ -124,7 +124,7 @@ def test_criterion_3_exact_identity_suite(covers, weights, capsys):
             assert (b.q_alt.T @ b.q_alt).equals(i2n - b.r)
             for k in range(1, cx.dimension + 1):
                 for direction, kk in (("up", k - 1), ("down", k)):
-                    for comp in components(cov, f"quotient-{direction}", kk).members:
+                    for comp in components(cov, f"quotient-{direction}", kk):
                         try:
                             aux = build_aux(cov, comp, direction)
                         except ValueError:
@@ -171,7 +171,7 @@ def test_criterion_5_coherence_partition_suite(covers, capsys):
         coherent_cases = [("cycle6", 1), ("triangle_ring", 2), ("two_triangles_bridged", 2)]
         for name, k in coherent_cases:
             cov = covers[name]
-            for comp in components(cov, "quotient-down", k).members:
+            for comp in components(cov, "quotient-down", k):
                 witness = detect_coherent(cov, comp, "down")
                 assert witness is not None
                 spec_checks = coherent_spectrum_check(cov, comp, "down")
@@ -180,11 +180,11 @@ def test_criterion_5_coherence_partition_suite(covers, capsys):
                     h, _ = cheeger_signed(build_aux(cov, comp, "down"))
                     assert h == 0
         ring = covers["triangle_ring"]
-        comp = components(ring, "quotient-down", 2).members[0]
+        comp = components(ring, "quotient-down", 2)[0]
         assert detect_coherent(ring, comp, "down") is not None
         assert find_partition(ring, comp) is None
         c5 = covers["cycle5"]
-        comp5 = components(c5, "quotient-down", 1).members[0]
+        comp5 = components(c5, "quotient-down", 1)[0]
         assert detect_coherent(c5, comp5, "down") is None
         h5, _ = cheeger_signed(build_aux(c5, comp5, "down"))
         assert h5 > 0
@@ -213,7 +213,7 @@ def test_criterion_6_oracle_equivalence(covers, weights, capsys):
             cov = covers[name]
             for k in sorted(cov.nodes_by_dim):
                 for direction in ("up", "down"):
-                    for comp in components(cov, f"quotient-{direction}", k).members:
+                    for comp in components(cov, f"quotient-{direction}", k):
                         if len(comp) > 12:
                             continue
                         try:
@@ -232,7 +232,7 @@ def test_criterion_7_monte_carlo(covers, capsys):
     """Seeded 10^6-step walk: TV to stationary < 0.02, traces reproducible."""
     with capsys.disabled():
         cov = covers["tetrahedron"]
-        comp = components(cov, "quotient").members[0]
+        comp = components(cov, "quotient")[0]
         pi = stationary(cov, comp, "cover")
         trace1, emp1 = simulate(cov, 0, 10**6, seed=7)
         trace2, emp2 = simulate(cov, 0, 10**6, seed=7)

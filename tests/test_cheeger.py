@@ -22,7 +22,7 @@ from conftest import COMPLEX_NAMES, load_cover
 
 
 def the_component(cov, kind, k):
-    comps = [c for c in components(cov, kind, k).members if len(c) > 1]
+    comps = [c for c in components(cov, kind, k) if len(c) > 1]
     assert len(comps) == 1
     return comps[0]
 
@@ -72,11 +72,11 @@ def test_build_aux_weighted_degree_matches_term():
 def test_build_aux_preconditions():
     cov = load_cover("two_triangles_bridged")
     leaf_singleton = next(
-        c for c in components(cov, "quotient-up", 1).members if len(c) == 1
+        c for c in components(cov, "quotient-up", 1) if len(c) == 1
     )
     with pytest.raises(ValueError):
         build_aux(cov, leaf_singleton, "up")
-    singleton_down = components(cov, "quotient-down", 2).members[0]
+    singleton_down = components(cov, "quotient-down", 2)[0]
     with pytest.raises(ValueError):
         build_aux(cov, singleton_down, "down")
 
@@ -154,7 +154,7 @@ def test_signed_zero_iff_coherent(name, covers):
     cov = covers[name]
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
-            for comp in components(cov, f"quotient-{direction}", k).members:
+            for comp in components(cov, f"quotient-{direction}", k):
                 try:
                     aux = build_aux(cov, comp, direction)
                 except ValueError:
@@ -170,7 +170,7 @@ def test_naive_oracle_equivalence(covers):
         cov = covers[name]
         for k in sorted(cov.nodes_by_dim):
             for direction in ("up", "down"):
-                for comp in components(cov, f"quotient-{direction}", k).members:
+                for comp in components(cov, f"quotient-{direction}", k):
                     if len(comp) > 12:
                         continue
                     try:

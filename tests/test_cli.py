@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,24 @@ def test_report_paper_tables_verbatim(capsys):
     assert out == BOUND_TABLES
 
 
+# unequal sides, and two quotient k=2 rows (one with a coherent signed row)
+BRANCHED_TABLES = """\
+table\tk\td_down\th_up\th_down\tlower_up\tlower_down\tgap\tupper_up\tupper_down
+quotient\t1\t67/40\t3/11\t33/98\t9/484\t5445/321734\t0.158364793432\t3/11\t33/98
+quotient\t2\t1/2\t1\t1/2\t1/12\t1/12\t0.333333333333\t2/3\t1/3
+quotient\t2\t3/2\t1\t1\t1/12\t1/9\t0.666666666667\t2/3\t2/3
+signed\t1\t67/40\t6/19\t89/228\t9/361\t39605/1741464\t0.247663434548\t6/19\t89/228
+signed\t2\t1/2\t0\t0\t0\t0\t0\t0\t0
+signed\t2\t3/2\t2/3\t1/2\t1/27\t1/36\t0.333333333333\t4/9\t1/3
+"""
+
+
+def test_report_paper_tables_branched_verbatim(capsys):
+    code, out = run_cli(capsys, "report", "--paper-tables", BRANCHED)
+    assert code == 0
+    assert out == BRANCHED_TABLES
+
+
 @pytest.mark.parametrize("path", [TET, BRANCHED, RING])
 def test_paper_tables_gap_is_the_report_gap(capsys, path):
     """The tables print the float gap exactly as `report` prints gap_q and gap_s."""
@@ -105,6 +124,21 @@ def test_walk_sim_start_flag(capsys):
     assert code == 1
 
 
+def test_walk_sim_prints_the_lifts_of_the_start_component(tmp_path, capsys):
+    spec = tmp_path / "two.cover"
+    spec.write_text(
+        "node a 0\nnode b 0\nnode c 1\nedge a c +1\nedge b c -1\n"
+        "node d 0\nnode e 0\nnode f 0\nnode g 1\nnode h 1\n"
+        "edge d g +1\nedge e g +1\nedge e h -1\nedge f h +1\n"
+    )
+    code, out = run_cli(capsys, "walk-sim", str(spec), "--steps", "2000", "--start=-g")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    lifts = [s + q for s in "+-" for q in "defgh"]
+    assert [r[0] for r in rows] == lifts + ["total-variation"]
+    assert sum(Fraction(r[2]) for r in rows[:-1]) == 1
+
+
 def test_spectrum_and_rate(capsys):
     code, out = run_cli(capsys, "spectrum", TET, "--k", "0", "--direction", "up", "--rate")
     assert code == 0
@@ -134,7 +168,7 @@ def test_coherent_witness_column_is_detect_coherent(capsys):
     code, out = run_cli(capsys, "coherent", path, "--k", "1", "--direction", "up")
     assert code == 0
     cov = load_cover("two_triangles_bridged")
-    comps = graded_cover.components(cov, "quotient-up", 1).members
+    comps = graded_cover.components(cov, "quotient-up", 1)
     rows = [line.split("\t") for line in out.splitlines()[1:]]
     assert len(rows) == len(comps)
     witnesses = [graded_cover.detect_coherent(cov, comp, "up") for comp in comps]

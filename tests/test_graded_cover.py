@@ -142,17 +142,14 @@ def test_leaves_and_roots_examples():
 
 def test_components_quotient_and_cover():
     single = load_cover("single_vertex")
-    assert components(single, "quotient").members == ((0,),)
-    # the isolated pair is one cover-component
-    assert components(single, "cover").members == ((0, 1),)
+    assert components(single, "quotient") == ((0,),)
     tet = load_cover("tetrahedron")
-    assert len(components(tet, "quotient").members) == 1
-    assert len(components(tet, "cover").members) == 1
+    assert len(components(tet, "quotient")) == 1
 
 
 def test_components_bridged_up_dim1():
     cov = load_cover("two_triangles_bridged")
-    comps = components(cov, "quotient-up", 1).members
+    comps = components(cov, "quotient-up", 1)
     assert len(comps) == 4
     sizes = sorted(len(c) for c in comps)
     assert sizes == [1, 1, 3, 3]
@@ -162,26 +159,8 @@ def test_components_bridged_up_dim1():
 
 def test_components_tetrahedron_down_dim2():
     cov = load_cover("tetrahedron")
-    comps = components(cov, "quotient-down", 2).members
+    comps = components(cov, "quotient-down", 2)
     assert len(comps) == 1 and len(comps[0]) == 4
-
-
-def test_component_projection_bijection():
-    """Cover components project one-to-one onto quotient components."""
-    for name in COMPLEX_NAMES:
-        cov = load_cover(name)
-        n = cov.n_quotient
-        for kind in ("", "-up", "-down"):
-            ks = sorted(cov.nodes_by_dim) if kind else [None]
-            for k in ks:
-                quot = components(cov, f"quotient{kind}", k).members
-                covr = components(cov, f"cover{kind}", k).members
-                assert len(quot) == len(covr)
-                projected = sorted(tuple(sorted({u % n for u in comp})) for comp in covr)
-                assert projected == sorted(quot)
-                for comp in covr:
-                    qs = {u % n for u in comp}
-                    assert len(comp) == 2 * len(qs)
 
 
 def test_components_require_strong_and_k():
@@ -195,6 +174,9 @@ def test_components_require_strong_and_k():
         components(tet, "quotient-up")
     with pytest.raises(ValueError):
         components(tet, "sideways")
+    # cover components are the lifts of quotient components, not a kind of their own
+    with pytest.raises(ValueError):
+        components(tet, "cover")
 
 
 def test_component_correspondence_tetrahedron():
@@ -233,7 +215,7 @@ def test_detect_coherent_examples(name, k, direction, expected, covers):
     cov = covers[name]
     comps = [
         c
-        for c in components(cov, f"quotient-{direction}", k).members
+        for c in components(cov, f"quotient-{direction}", k)
         if len(c) > 1
     ]
     assert len(comps) == 1
@@ -261,12 +243,12 @@ def _assert_witness_valid(cov, comp, direction, witness):
 
 def test_detect_coherent_singletons():
     cov = load_cover("two_triangles_bridged")
-    for comp in components(cov, "quotient-up", 1).members:
+    for comp in components(cov, "quotient-up", 1):
         if len(comp) == 1:
             # bridge edges are leaves: not coherent by definition
             assert detect_coherent(cov, comp, "up") is None
     # a single triangle is a non-root singleton down-component in dim 2
-    for comp in components(cov, "quotient-down", 2).members:
+    for comp in components(cov, "quotient-down", 2):
         assert len(comp) == 1
         assert detect_coherent(cov, comp, "down") == {comp[0]: False}
 
@@ -276,7 +258,7 @@ def test_detect_coherent_matches_enumeration(name, covers):
     cov = covers[name]
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
-            for comp in components(cov, f"quotient-{direction}", k).members:
+            for comp in components(cov, f"quotient-{direction}", k):
                 if len(comp) > 16:
                     continue
                 got = detect_coherent(cov, comp, direction) is not None
@@ -286,20 +268,20 @@ def test_detect_coherent_matches_enumeration(name, covers):
 
 def test_find_partition_examples(covers):
     c6 = covers["cycle6"]
-    comp = components(c6, "quotient-down", 1).members[0]
+    comp = components(c6, "quotient-down", 1)[0]
     classes = find_partition(c6, comp)
     assert classes == [["x0", "x2", "x4"], ["x1", "x3", "x5"]]
     ring = covers["triangle_ring"]
-    comp = components(ring, "quotient-down", 2).members[0]
+    comp = components(ring, "quotient-down", 2)[0]
     assert find_partition(ring, comp) is None
     tet = covers["tetrahedron"]
-    comp = components(tet, "quotient-down", 3).members[0]
+    comp = components(tet, "quotient-down", 3)[0]
     assert find_partition(tet, comp) == [["x0"], ["x1"], ["x2"], ["x3"]]
 
 
 def test_find_partition_odd_cycle_none(covers):
     c5 = covers["cycle5"]
-    comp = components(c5, "quotient-down", 1).members[0]
+    comp = components(c5, "quotient-down", 1)[0]
     assert find_partition(c5, comp) is None
 
 
@@ -308,7 +290,7 @@ def test_partition_implies_coherent(seed):
     cx = random_complex(seed + 100)
     cov = cover_from_complex(cx)
     for k in sorted(cov.nodes_by_dim):
-        for comp in components(cov, "quotient-down", k).members:
+        for comp in components(cov, "quotient-down", k):
             classes = find_partition(cov, comp)
             if classes is not None and not (len(comp) == 1 and cov.is_root(comp[0])):
                 assert detect_coherent(cov, comp, "down") is not None
@@ -359,7 +341,7 @@ def test_random_cover_walk_invariants(seed):
     for a in range(cov.n_quotient):
         for b in range(cov.n_quotient):
             assert pw.through(a) * P.entries[a, b] == pw.through(b) * P.entries[b, a]
-    for comp in components(cov, "quotient").members:
+    for comp in components(cov, "quotient"):
         pi = stationary(cov, comp, "quotient")
         vec = [pi.weights.get(q, Fraction(0)) for q in range(cov.n_quotient)]
         for b in range(cov.n_quotient):
@@ -425,7 +407,7 @@ def test_random_strong_cover_properties(seed):
     Pc = oracles.one_step_transition(cov, "cover")
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
-            for comp in components(cov, f"quotient-{direction}", k).members:
+            for comp in components(cov, f"quotient-{direction}", k):
                 got = detect_coherent(cov, comp, direction) is not None
                 assert got == oracles.coherence_by_enumeration(cov, comp, direction)
             lonely = cov.is_leaf if direction == "up" else cov.is_root

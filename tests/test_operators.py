@@ -109,7 +109,7 @@ def test_quotient_eigenvalue_one_eigenvector():
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
             op = build_conditional(cov, k, direction, "quotient")
-            for comp in components(cov, f"quotient-{direction}", k).members:
+            for comp in components(cov, f"quotient-{direction}", k):
                 idx = [op.nodes.index(q) for q in comp]
                 body = op.sm.restrict(idx, idx).body
                 w = np.array([Fraction(pw.rp[q]) for q in comp], dtype=object)
@@ -216,7 +216,7 @@ def test_min_eigenvalue_bound_all_fixtures(name, covers):
 
 def test_coherent_spectrum_check_cycle():
     cov = load_cover("cycle6")
-    comp = components(cov, "quotient-down", 1).members[0]
+    comp = components(cov, "quotient-down", 1)[0]
     report = coherent_spectrum_check(cov, comp, "down")
     assert all(ok for ok, _ in report.values())
     assert set(report) == {
@@ -230,7 +230,7 @@ def test_coherent_spectrum_check_cycle():
 def test_coherent_spectrum_check_not_coherent():
     cov = load_cover("tetrahedron")
     for k in (1, 2):
-        comp = components(cov, "quotient-down", k).members[0]
+        comp = components(cov, "quotient-down", k)[0]
         report = coherent_spectrum_check(cov, comp, "down")
         assert report["not_coherent_gap"][0]
 
@@ -239,7 +239,7 @@ def test_coherent_spectrum_singleton_non_leaf():
     """A non-leaf singleton up-component has quotient spectrum {1} and
     signed spectrum {-1}."""
     cov = load_cover("single_edge")
-    comp = components(cov, "quotient-down", 1).members[0]
+    comp = components(cov, "quotient-down", 1)[0]
     assert len(comp) == 1
     quot = build_conditional(cov, 1, "down", "quotient").restrict(comp)
     assert eigen(quot.sm).eigenvalues == pytest.approx((1.0,))
@@ -249,7 +249,7 @@ def test_coherent_spectrum_singleton_non_leaf():
 
 def test_minus_one_multiplicity_via_eigen():
     cov = load_cover("cycle6")
-    comp = components(cov, "quotient-down", 1).members[0]
+    comp = components(cov, "quotient-down", 1)[0]
     witness = detect_coherent(cov, comp, "down")
     sgn = build_conditional(cov, 1, "down", "signed", orientation=witness).restrict(comp)
     ev = eigen(sgn.sm).eigenvalues

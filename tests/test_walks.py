@@ -121,7 +121,7 @@ def test_stationary_fixed_point(name, covers):
     cov = covers[name]
     for view in ("quotient", "cover"):
         P = transition_full(cov, view)
-        for comp in components(cov, "quotient").members:
+        for comp in components(cov, "quotient"):
             pi = stationary(cov, comp, view)
             assert pi.total() == 1
             vec = [pi.weights.get(u, Fraction(0)) for u in P.nodes]
@@ -133,7 +133,7 @@ def test_conditional_stationary_fixed_point_on_cover():
     cov = load_cover("tetrahedron")
     for k, direction in ((0, "up"), (1, "up"), (1, "down"), (2, "down")):
         P = transition_conditional(cov, k, direction, "cover")
-        comp = components(cov, f"quotient-{direction}", k).members[0]
+        comp = components(cov, f"quotient-{direction}", k)[0]
         pi = stationary(cov, comp, "cover")
         vec = [pi.weights.get(u, Fraction(0)) for u in P.nodes]
         for b in range(P.n):
