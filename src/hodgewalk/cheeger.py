@@ -72,18 +72,18 @@ class CheegerReport:
     down_component: tuple[int, ...]
     d_down: Fraction
     coherent: bool
-    h_quotient_up: Fraction | None
+    h_quotient_up: Fraction
     h_quotient_down: Fraction | None
-    h_signed_up: Fraction | None
+    h_signed_up: Fraction
     h_signed_down: Fraction | None
-    gap_quotient: float | None
-    gap_signed: float | None
-    lower_quotient: Fraction | None
-    upper_quotient: Fraction | None
-    lower_signed: Fraction | None
-    upper_signed: Fraction | None
-    sandwich_quotient_ok: bool | None
-    sandwich_signed_ok: bool | None
+    gap_quotient: float
+    gap_signed: float
+    lower_quotient: Fraction
+    upper_quotient: Fraction
+    lower_signed: Fraction
+    upper_signed: Fraction
+    sandwich_quotient_ok: bool
+    sandwich_signed_ok: bool
     rate_lower: Fraction | None
     rate_upper: Fraction | None
 
@@ -395,16 +395,12 @@ def side_bounds(h: Fraction, degree, k: int) -> tuple[Fraction, Fraction]:
 
 def _combined_bounds(sides, k: int):
     """Largest lower and smallest upper side bound over the (h, degree)
-    sides that have a constant and a positive degree; (None, None) if none do."""
+    sides that have a constant and a positive degree (the up side always does)."""
     bounds = [side_bounds(h, d, k) for h, d in sides if h is not None and d > 0]
-    if not bounds:
-        return None, None
     return max(lower for lower, _ in bounds), min(upper for _, upper in bounds)
 
 
-def _sandwiched(lower, gap, upper) -> bool | None:
-    if gap is None or lower is None:
-        return None
+def _sandwiched(lower, gap, upper) -> bool:
     return float(lower) <= gap + 1e-9 and gap <= float(upper) + 1e-9
 
 
@@ -438,29 +434,28 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
         coherent = detect_coherent(cover, down_comp, "down") is not None
         aux_down = build_aux(cover, down_comp, "down") if len(down_comp) >= 2 else None
         d_down = _down_degree_term(cover, down_comp, k)
-        h_q_up = h_q_down = h_s_up = h_s_down = None
-        gap_q = gap_s = None
-        if len(up_comp) >= 2:
-            aux_up = build_aux(cover, up_comp, "up")
-            h_q_up, _ = cheeger_quotient(aux_up)
-            h_s_up, _ = cheeger_signed(aux_up)
-            up_q = build_conditional(cover, k - 1, "up", "quotient")
-            gap_q = _restricted_gap(up_q, "quotient", up_comp)
-            if not coherent:
-                up_s = build_conditional(cover, k - 1, "up", "signed")
-                gap_s = _restricted_gap(up_s, "signed", up_comp)
+        # every down node has k+1 >= 2 children, all in up_comp
+        aux_up = build_aux(cover, up_comp, "up")
+        h_q_up, _ = cheeger_quotient(aux_up)
+        h_s_up, _ = cheeger_signed(aux_up)
+        up_q = build_conditional(cover, k - 1, "up", "quotient")
+        gap_q = _restricted_gap(up_q, "quotient", up_comp)
+        # coherence is decided exactly and pins the signed gap at 0
+        gap_s = 0.0
+        if not coherent:
+            up_s = build_conditional(cover, k - 1, "up", "signed")
+            gap_s = _restricted_gap(up_s, "signed", up_comp)
+        h_q_down = h_s_down = None
         if aux_down is not None:
             h_q_down, _ = cheeger_quotient(aux_down)
             h_s_down, _ = cheeger_signed(aux_down)
         lower_q, upper_q = _combined_bounds(((h_q_up, k), (h_q_down, d_down)), k)
         if coherent:
-            # coherence is decided exactly and pins the signed gap at 0
             lower_s = upper_s = Fraction(0)
-            gap_s = 0.0
         else:
             lower_s, upper_s = _combined_bounds(((h_s_up, k), (h_s_down, d_down)), k)
         rate_lower = rate_upper = None
-        if not coherent and h_q_up is not None and h_q_down is not None:
+        if not coherent and h_q_down is not None:
             rate_lower = 1 - max(upper_q, upper_s)
             rate_upper = 1 - min(lower_q, lower_s)
         reports.append(

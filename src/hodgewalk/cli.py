@@ -247,8 +247,8 @@ def cmd_cheeger(args) -> int:
 def _bound_table_rows(cover):
     """Bound-table rows, one pair of tables over all k with complete pairs.
 
-    Degenerate pairs (a singleton component on either side) are omitted:
-    the combined inequality does not apply to them.
+    Degenerate pairs (a singleton down-component) are omitted: the
+    combined inequality does not apply to them.
     """
 
     def row(k, d_down, h_up, h_down, gap):
@@ -259,7 +259,7 @@ def _bound_table_rows(cover):
     quotient_rows, signed_rows = [], []
     for k in range(1, max(cover.dims) + 1):
         for rep in cheeger_mod.combined_report(cover, k):
-            if rep.h_quotient_up is None or rep.h_quotient_down is None:
+            if rep.h_quotient_down is None:
                 continue
             quotient_rows.append(
                 row(k, rep.d_down, rep.h_quotient_up, rep.h_quotient_down, rep.gap_quotient)
@@ -408,10 +408,8 @@ def _verify_cheeger_checks(cover):
             reports = []
         for rep in reports:
             tag = f"k{k}_comp{rep.down_component[0]}"
-            if rep.sandwich_quotient_ok is not None:
-                yield f"sandwich_quotient_{tag}", rep.sandwich_quotient_ok, ""
-            if rep.sandwich_signed_ok is not None:
-                yield f"sandwich_signed_{tag}", rep.sandwich_signed_ok, ""
+            yield f"sandwich_quotient_{tag}", rep.sandwich_quotient_ok, ""
+            yield f"sandwich_signed_{tag}", rep.sandwich_signed_ok, ""
             coherent = rep.coherent
             if rep.h_signed_down is not None:
                 yield (
@@ -526,9 +524,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_start(argv) -> list[str]:
+    """argparse reads `-a`, a flipped lift with a one-token label, as an
+    option, so `--start -a` is passed on as `--start=-a`."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--start" and token.startswith("-") and token[1:2] != "-":
+            out[-1] = f"--start={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_start(argv))
         return args.func(args)
     except SystemExit:
         # only --help exits from the parser; its usage errors raise ValueError

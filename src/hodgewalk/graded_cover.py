@@ -113,9 +113,6 @@ class GradedSignedDoubleCover:
     def is_root(self, q: int) -> bool:
         return not self.children[q]
 
-    def is_isolated(self, q: int) -> bool:
-        return self.is_leaf(q) and self.is_root(q)
-
     def cover_label(self, u: int) -> str:
         n = self.n_quotient
         return ("-" if u >= n else "+") + self.labels[u % n]

@@ -2,9 +2,10 @@
 
 Every operator is stored exactly as a ScaledMatrix: its entries are
 rational multiples of sqrt(H(u)) * sqrt(H(u'))^(-1) factors, where
-H = LP/RP.  Algebraic identities between operators are therefore checked
-in rational arithmetic with zero tolerance, while spectra come from a
-floating-point mirror fed to numpy's LAPACK ``eigh``.
+H = LP/RP.  Algebraic identities between operators, and the spectral facts
+they imply, are therefore checked in rational arithmetic with zero
+tolerance; eigenvalue ranges and gaps come from a floating-point mirror
+fed to numpy's LAPACK ``eigh``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ScaledMatrix, rat_zeros
+from .exact import ScaledMatrix, rat_zeros, rational_rank
 from .graded_cover import (
     GradedSignedDoubleCover,
     components,
@@ -272,11 +273,8 @@ def build_conditional(
 
 # -- eigensolver ------------------------------------------------------------
 
-# Float tolerances: the eigen residual bound (relative to the largest
-# eigenvalue), multiset matching, and the multiplicity gap.
+# The eigen residual bound, relative to the largest eigenvalue.
 EIGEN_TOL = 1e-9
-MULTISET_TOL = 1e-8
-MULTIPLICITY_GAP = 1e-7
 
 
 def eigen(operator) -> Spectrum:
@@ -307,26 +305,24 @@ def eigen(operator) -> Spectrum:
     return Spectrum(tuple(float(x) for x in vals), vecs, residual)
 
 
-def multiset_match(a, b) -> bool:
-    """Equality of two real multisets after sorting."""
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= MULTISET_TOL for x, y in zip(sorted(a), sorted(b)))
-
-
-def eigenvalue_multiplicity(values, target: float) -> int:
-    return sum(1 for v in values if abs(v - target) < MULTIPLICITY_GAP)
+def multiplicity(operator: ScaledMatrix, value) -> int:
+    """Multiplicity of the rational eigenvalue ``value`` of a symmetric
+    operator, exactly: its nullity n - rank(A - value I)."""
+    n = operator.shape[0]
+    shifted = operator - ScaledMatrix.identity(n).scale(value)
+    return n - rational_rank(shifted.body)
 
 
 # -- verification -----------------------------------------------------------
 
 
 def verify_split(cover: GradedSignedDoubleCover) -> dict:
-    """Check the spectrum-split identities, exactly where possible.
+    """Check the spectrum-split identities in rational arithmetic.
 
-    Exact block-diagonalization of the cover operator through the
-    symmetric/alternating projections proves the multiset split; the
-    floating checks confirm eigenfunction transfer residuals.
+    The block-diagonalization through the symmetric/alternating
+    projections proves each multiset split, and the intertwinings
+    A Q^T = Q^T B and delta A_up = A_down delta carry eigenfunctions
+    across.  Only the ranges of the conditional spectra are floats.
     """
     b = build_bundle(cover)
     n = cover.n_quotient
@@ -375,21 +371,13 @@ def verify_split(cover: GradedSignedDoubleCover) -> dict:
                + b.pi_l.scale(half) + b.pi_r.scale(half)).equals(b.a_quotient)
           and (b.delta_signed.scale(half) - b.delta_signed.T.scale(half)).equals(b.a_signed))
 
-    a_cover_f = b.a_cover.to_float()
-    qsymT = b.q_sym.T.to_float()
-    spec_q = eigen(b.a_quotient)
-    worst = 0.0
-    for lam, f in zip(spec_q.eigenvalues, spec_q.eigenvectors.T):
-        g = qsymT @ f
-        worst = max(worst, float(np.abs(a_cover_f @ g - lam * g).max()))
-    check("pullback_transfer", worst < 1e-8, f"max residual {worst:.2e}")
-
-    alt_f = b.a_alt.to_float()
-    sgn_f = b.a_signed.to_float()
-    mags_cover = eigen(alt_f @ alt_f.T).eigenvalues
-    mags_signed = list(eigen(sgn_f @ sgn_f.T).eigenvalues) + [0.0] * n
-    check("alt_magnitude_split", multiset_match(mags_cover, mags_signed),
-          "squared magnitudes of the alternating part match the signed operator")
+    # Q_alt / sqrt(2) is an isometry, so A_alt A_alt^T is A_signed A_signed^T plus n zeros
+    check("pullback_transfer",
+          (b.a_cover @ b.q_sym.T).equals(b.q_sym.T @ b.a_quotient),
+          "A_cover Q_sym^T = Q_sym^T A_quotient (exact)")
+    check("alt_magnitude_split",
+          (b.q_alt.T @ b.a_signed @ b.q_alt).scale(half).equals(b.a_alt),
+          "A_alt = Q_alt^T A_signed Q_alt / 2 (exact)")
 
     if cover.strong:
         dims = sorted(cover.nodes_by_dim)
@@ -410,6 +398,8 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
     nodes = list(cover.nodes_by_dim[k])
     pi_l_k = b.pi_l.restrict(nodes, nodes)
     pi_r_k = b.pi_r.restrict(nodes, nodes)
+    q_s = b.q_sym.restrict(nodes, lifts)
+    q_a = b.q_alt.restrict(nodes, lifts)
     for direction in ("up", "down"):
         a_cov = build_conditional(cover, k, direction, "cover").sm
         a_quot = build_conditional(cover, k, direction, "quotient").sm
@@ -450,12 +440,12 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
             and a_sgn.is_symmetric()
         )
         check(f"conditional_factorization_{direction}_{k}", ok)
+        split = (q_s.T @ a_quot @ q_s + q_a.T @ a_sgn @ q_a).scale(half).equals(a_cov)
         ev_q = eigen(a_quot).eigenvalues
         ev_s = eigen(a_sgn).eigenvalues
-        ev_c = eigen(a_cov).eigenvalues
         check(
             f"conditional_split_{direction}_{k}",
-            multiset_match(ev_c, list(ev_q) + list(ev_s))
+            split
             and all(-1e-10 <= v <= 1 + 1e-10 for v in ev_q)
             and all(-1 - 1e-10 <= v <= 1e-10 for v in ev_s),
             f"cover spectrum = quotient + signed in dim {k} ({direction})",
@@ -463,37 +453,15 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
 
 
 def _verify_transfer_dim(cover, b: OperatorBundle, k: int, check) -> None:
-    """Eigenfunction transfer between dim k-1 up and dim k down operators."""
-    from .graded_cover import component_correspondence
-
-    worst = 0.0
-    pairs = component_correspondence(cover, k)
-    for flavor in ("quotient", "signed") if pairs else ():
-        a_up = build_conditional(cover, k - 1, "up", flavor)
-        a_dn = build_conditional(cover, k, "down", flavor)
+    """delta intertwines the dim k-1 up and dim k down operators, exactly,
+    so it carries every eigenfunction of one to an eigenfunction of the other."""
+    ok = True
+    for flavor in ("quotient", "signed"):
+        a_up = build_conditional(cover, k - 1, "up", flavor).sm
+        a_dn = build_conditional(cover, k, "down", flavor).sm
         delta = b.delta_block(flavor, k - 1)
-        for down_comp, up_comp in pairs:
-            down_set, up_set = set(down_comp), set(up_comp)
-            dblock = delta.restrict(
-                [i for i, q in enumerate(cover.nodes_by_dim[k]) if q in down_set],
-                [i for i, q in enumerate(cover.nodes_by_dim[k - 1]) if q in up_set],
-            )
-            up_f = a_up.restrict(up_comp).sm.to_float()
-            dn_f = a_dn.restrict(down_comp).sm.to_float()
-            d_f = dblock.to_float()
-            spec = eigen(up_f)
-            for lam, f in zip(spec.eigenvalues, spec.eigenvectors.T):
-                if abs(lam) < 1e-8:
-                    continue
-                g = d_f @ f
-                worst = max(worst, float(np.abs(dn_f @ g - lam * g).max(initial=0.0)))
-            spec_dn = eigen(dn_f)
-            for lam, f in zip(spec_dn.eigenvalues, spec_dn.eigenvectors.T):
-                if abs(lam) < 1e-8:
-                    continue
-                g = d_f.T @ f
-                worst = max(worst, float(np.abs(up_f @ g - lam * g).max(initial=0.0)))
-    check(f"delta_transfer_{k}", worst < 1e-8, f"max residual {worst:.2e}")
+        ok = ok and (delta @ a_up).equals(a_dn @ delta)
+    check(f"delta_transfer_{k}", ok, "delta A_up = A_down delta (exact)")
 
 
 def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool]:
@@ -518,16 +486,15 @@ def coherent_spectrum_check(
     """Spectral consequences of coherence for one up/down component.
 
     Coherent: the signed operator under the witness orientation is exactly
-    the negative of the quotient operator, -1 is attained with multiplicity
-    one, and (LP*RP)^(1/2) is the eigenfunction (checked exactly through
-    the rational body).  Not coherent: the minimal signed eigenvalue stays
-    strictly above -1.
+    the negative of the quotient operator (so the spectra are opposite), -1
+    is attained with multiplicity one (a rank count), and (LP*RP)^(1/2) is
+    the eigenfunction (checked exactly through the rational body).  Not
+    coherent: the minimal signed eigenvalue stays strictly above -1.
     """
     comp = tuple(sorted(component))
     k = cover.dims[comp[0]]
     report: dict[str, tuple[bool, str]] = {}
     witness = detect_coherent(cover, comp, direction)
-    quot = build_conditional(cover, k, direction, "quotient").restrict(comp)
     if witness is None:
         sgn = build_conditional(cover, k, direction, "signed").restrict(comp)
         lam_min = eigen(sgn.sm).eigenvalues[0]
@@ -537,18 +504,13 @@ def coherent_spectrum_check(
         )
         return report
     sgn = build_conditional(cover, k, direction, "signed", orientation=witness).restrict(comp)
+    quot = build_conditional(cover, k, direction, "quotient").restrict(comp)
     report["opposite_operators_exact"] = (
         sgn.sm.equals(-quot.sm),
         "signed operator equals minus the quotient operator under the witness",
     )
-    ev_q = eigen(quot.sm).eigenvalues
-    ev_s = eigen(sgn.sm).eigenvalues
-    report["opposite_spectra"] = (
-        multiset_match(ev_s, [-v for v in ev_q]),
-        "spectra are opposite multisets",
-    )
     report["minus_one_multiplicity"] = (
-        eigenvalue_multiplicity(ev_s, -1.0) == 1,
+        multiplicity(sgn.sm, -1) == 1,
         "-1 attained with multiplicity one",
     )
     pw = compute_path_weights(cover)

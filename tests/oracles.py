@@ -9,6 +9,8 @@ replaced, kept to pin its results exactly:
 - the scalar SplitMix64 generator and the per-word walk loop, which pin
   the block-drawn word stream and the walk's visit counts and digest;
 - the dense Bareiss elimination, which pins the sparse rank;
+- the float multiset match and eigenvalue count, which cross-check the
+  exact split identities and rank-based multiplicities through spectra;
 - the plain ascending mask scans and the Gray-code orientation walk at
   the end, which pin the cut witnesses (lowest mask, lowest Gray rank);
   they share the weight integerization and sign propagation with the
@@ -528,3 +530,15 @@ def reference_cheeger_signed(aux):
     witness_nodes = tuple(aux.nodes[i] for i in members)
     witness_orientation = {aux.nodes[i]: (xi == -1) for i, xi in zip(members, x)}
     return h, (witness_nodes, witness_orientation)
+
+
+def multiset_match(a, b, tol=1e-8) -> bool:
+    """Equality of two real multisets after sorting, within ``tol``."""
+    if len(a) != len(b):
+        return False
+    return all(abs(x - y) <= tol for x, y in zip(sorted(a), sorted(b)))
+
+
+def float_multiplicity(values, target, gap=1e-7) -> int:
+    """How many of the float eigenvalues ``values`` lie within ``gap`` of ``target``."""
+    return sum(1 for v in values if abs(v - target) < gap)

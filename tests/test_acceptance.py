@@ -17,7 +17,6 @@ from hodgewalk.operators import (
     coherent_spectrum_check,
     eigen,
     min_eigenvalue_bound,
-    multiset_match,
     verify_split,
 )
 from hodgewalk.walks import (
@@ -141,7 +140,8 @@ def test_criterion_3_exact_identity_suite(covers, weights, capsys):
 
 
 def test_criterion_4_spectral_transfer_suite(covers, capsys):
-    """Split equalities, transfer residuals < 1e-8, normalized spectra in range."""
+    """Exact split and transfer identities, float-matched nonzero Hodge spectra,
+    normalized spectra in range."""
     with capsys.disabled():
         from conftest import load_complex
 
@@ -155,7 +155,7 @@ def test_criterion_4_spectral_transfer_suite(covers, capsys):
             for k in range(1, cx.dimension + 1):
                 up = eigen(hodge(cx, k - 1, True).up.to_float()).eigenvalues
                 down = eigen(hodge(cx, k, True).down.to_float()).eigenvalues
-                assert multiset_match(
+                assert oracles.multiset_match(
                     [v for v in up if abs(v) > 1e-8], [v for v in down if abs(v) > 1e-8]
                 )
             for k in range(cx.dimension + 1):

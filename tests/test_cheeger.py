@@ -282,10 +282,8 @@ def test_sandwich_everywhere(name, covers):
     cov = covers[name]
     for k in range(1, max(cov.dims) + 1):
         for rep in combined_report(cov, k):
-            if rep.sandwich_quotient_ok is not None:
-                assert rep.sandwich_quotient_ok, (name, k)
-            if rep.sandwich_signed_ok is not None:
-                assert rep.sandwich_signed_ok, (name, k)
+            assert rep.sandwich_quotient_ok is True, (name, k)
+            assert rep.sandwich_signed_ok is True, (name, k)
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
@@ -383,10 +381,8 @@ def test_random_complex_sandwich(seed):
     cov = cover_from_complex(random_complex(seed + 700))
     for k in range(1, max(cov.dims) + 1):
         for rep in combined_report(cov, k):
-            if rep.sandwich_quotient_ok is not None:
-                assert rep.sandwich_quotient_ok
-            if rep.sandwich_signed_ok is not None:
-                assert rep.sandwich_signed_ok
+            assert rep.sandwich_quotient_ok is True
+            assert rep.sandwich_signed_ok is True
 
 
 # -- the pruned searches against the full scans they replaced ----------------

@@ -2,6 +2,7 @@ import argparse
 import collections
 import functools
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -550,3 +551,40 @@ def test_each_build_runs_once_per_key(name, verb, monkeypatch, capsys):
     capsys.readouterr()
     assert ("cover_from_complex", 1) in {(key[0], n) for key, n in runs.items()}
     assert {key: n for key, n in runs.items() if n > 1} == {}
+
+
+def test_walk_sim_start_takes_a_one_token_flipped_lift(tmp_path, capsys):
+    spec = tmp_path / "two.cover"
+    spec.write_text("node a 0\nnode b 0\nnode c 1\nedge a c +1\nedge b c -1\n")
+    base = ("walk-sim", str(spec), "--steps", "500", "--seed", "3")
+    code, out = run_cli(capsys, *base, "--start", "-a")
+    assert code == 0
+    # the same walk as the `=` form, and not the one from the unflipped lift
+    assert run_cli(capsys, *base, "--start=-a") == (0, out)
+    assert run_cli(capsys, *base, "--start", "+a")[1] != out
+
+
+def test_verify_rows_are_pinned(tmp_path, capsys):
+    """The (check, ok) column of `verify`, TOTAL included, on every fixture
+    and on annuli 3x2 and 4x2 from the benchmark's generator at seed 0;
+    only the detail column may change."""
+    golden = collections.defaultdict(list)
+    lines = (Path(__file__).resolve().parent / "verify_rows.tsv").read_text().splitlines()
+    for line in lines[1:]:
+        name, check, ok = line.split("\t")
+        golden[name].append((check, ok))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    paths = {p.name: p for p in FIXTURES.iterdir()}
+    for name in ("annulus_3x2", "annulus_4x2"):
+        paths[f"{name}.cx"] = tmp_path / f"{name}.cx"
+        paths[f"{name}.cx"].write_text(inputs.make_input(name, 0)[0])
+    assert set(golden) == set(paths)
+    for name, path in sorted(paths.items()):
+        code, out = run_cli(capsys, "verify", str(path))
+        assert code == 0, name
+        rows = [tuple(line.split("\t")[:2]) for line in out.splitlines()[1:]]
+        assert rows == golden[name], name

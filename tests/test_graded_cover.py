@@ -137,7 +137,7 @@ def test_leaves_and_roots_examples():
     single = load_cover("single_vertex")
     leaves, roots = leaves_and_roots(single)
     assert leaves == roots == frozenset({0})
-    assert single.is_isolated(0)
+    assert single.is_leaf(0) and single.is_root(0)
 
 
 def test_components_quotient_and_cover():

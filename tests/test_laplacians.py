@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from hodgewalk.exact import rational_rank
+from hodgewalk import laplacians
+from hodgewalk.exact import ScaledMatrix, rational_rank
 from hodgewalk.laplacians import (
     betti_numbers,
     check_laplacian_walk_identity,
@@ -12,7 +14,7 @@ from hodgewalk.laplacians import (
     normalized_coboundary,
     verify_hodge_properties,
 )
-from hodgewalk.operators import eigen
+from hodgewalk.operators import eigen, multiplicity
 
 import oracles
 from conftest import COMPLEX_NAMES, load_complex, parse_complex, random_complex
@@ -120,11 +122,44 @@ def test_saturation_multiplicity_examples():
     # even cycle: eigenvalue 1 attained once (single coherent component)
     c6 = load_complex("cycle6")
     ev = eigen(hodge(c6, 0, normalized=True).up.to_float()).eigenvalues
-    assert sum(1 for v in ev if abs(v - 1) < 1e-7) == 1
+    assert oracles.float_multiplicity(ev, 1.0) == 1
+    assert multiplicity(hodge(c6, 0, normalized=True).up, 1) == 1
     # bridged triangles: two coherent edge families in dimension 1
     br = load_complex("two_triangles_bridged")
     ev = eigen(hodge(br, 1, normalized=True).up.to_float()).eigenvalues
-    assert sum(1 for v in ev if abs(v - 1) < 1e-7) == 2
+    assert oracles.float_multiplicity(ev, 1.0) == 2
+    assert multiplicity(hodge(br, 1, normalized=True).up, 1) == 2
+
+
+# (row, k, normalized, part) of the Laplacian whose first diagonal body
+# entry moves by 10^-12, far below every float tolerance
+PERTURBED_LAPLACIANS = [
+    ("positive_semidefinite k=1", 1, False, "up"),
+    ("positive_semidefinite k=0 normalized", 0, True, "down"),
+    ("nonzero_spectra_match k=1", 0, False, "up"),
+    ("nonzero_spectra_match k=1 normalized", 1, True, "down"),
+    ("saturation_counts_coherent k=1", 0, True, "up"),
+    ("saturation_counts_coherent k=1", 1, True, "down"),
+]
+
+
+@pytest.mark.parametrize("row, k, nrm, part", PERTURBED_LAPLACIANS)
+def test_hodge_rows_read_the_laplacians(row, k, nrm, part, monkeypatch):
+    cx = load_complex("cycle6")
+    assert verify_hodge_properties(cx)[row][0]
+    real = laplacians.hodge
+
+    def perturbed(complex, kk, normalized=False):
+        lap = real(complex, kk, normalized)
+        if (kk, normalized) != (k, nrm):
+            return lap
+        sm = getattr(lap, part)
+        body = sm.body.copy()
+        body[0, 0] += Fraction(1, 10**12)
+        return replace(lap, **{part: ScaledMatrix(sm.row_scale, sm.col_scale, body)})
+
+    monkeypatch.setattr(laplacians, "hodge", perturbed)
+    assert not verify_hodge_properties(cx)[row][0]
 
 
 def test_coboundary_squared_zero():

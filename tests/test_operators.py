@@ -1,24 +1,34 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from hodgewalk.exact import ScaledMatrix
-from hodgewalk.graded_cover import components, compute_path_weights, detect_coherent
+from hodgewalk import operators
+from hodgewalk.exact import ScaledMatrix, as_object_array
+from hodgewalk.complex_core import parse_complex
+from hodgewalk.graded_cover import (
+    components,
+    compute_path_weights,
+    cover_from_complex,
+    detect_coherent,
+)
 from hodgewalk.operators import (
     build_bundle,
     build_conditional,
     coherent_spectrum_check,
     eigen,
-    eigenvalue_multiplicity,
     min_eigenvalue_bound,
-    multiset_match,
+    multiplicity,
     verify_split,
 )
 from hodgewalk.walks import transition_conditional, transition_full
 
 from conftest import COMPLEX_NAMES, load_cover
+from oracles import float_multiplicity, multiset_match
 
 
 def test_bundle_isolated_pair():
@@ -221,7 +231,6 @@ def test_coherent_spectrum_check_cycle():
     assert all(ok for ok, _ in report.values())
     assert set(report) == {
         "opposite_operators_exact",
-        "opposite_spectra",
         "minus_one_multiplicity",
         "minus_one_eigenvector",
     }
@@ -253,7 +262,10 @@ def test_minus_one_multiplicity_via_eigen():
     witness = detect_coherent(cov, comp, "down")
     sgn = build_conditional(cov, 1, "down", "signed", orientation=witness).restrict(comp)
     ev = eigen(sgn.sm).eigenvalues
-    assert eigenvalue_multiplicity(ev, -1.0) == 1
+    assert float_multiplicity(ev, -1.0) == multiplicity(sgn.sm, -1) == 1
+    # the opposite spectra follow from the exact opposite operators
+    quot = build_conditional(cov, 1, "down", "quotient").restrict(comp)
+    assert multiset_match(ev, [-v for v in eigen(quot.sm).eigenvalues])
 
 
 def test_alt_operator_antisymmetric_and_imaginary():
@@ -283,3 +295,142 @@ def test_tetrahedron_second_largest_up_eigenvalue():
     spec = eigen(build_conditional(cov, 0, "up", "quotient").sm)
     assert spec.eigenvalues[-1] == pytest.approx(1.0, abs=1e-9)
     assert spec.eigenvalues[-2] == pytest.approx(1 / 3, abs=1e-9)
+
+
+# -- the exact rows fail when one entry of an operator they read moves --------
+
+
+def bumped(sm, i=0, j=0):
+    """A copy of ``sm`` with 10^-12 added to one body entry: far below every
+    float tolerance, so only an exact row can notice it."""
+    body = sm.body.copy()
+    body[i, j] += Fraction(1, 10**12)
+    return ScaledMatrix(sm.row_scale, sm.col_scale, body)
+
+
+def filled_triangle():
+    """The smallest complex with rows in dimensions 0-2: quotient indices
+    0-2 are its vertices, 3-5 its edges and 6 the triangle."""
+    cov = cover_from_complex(parse_complex("a b c"))
+    assert cov.nodes_by_dim == {0: (0, 1, 2), 1: (3, 4, 5), 2: (6,)}
+    return cov
+
+
+# (row, bundle field, perturbed entry)
+BUNDLE_CASES = [
+    ("pullback_transfer", "a_cover", (0, 0)),
+    ("pullback_transfer", "q_sym", (0, 0)),
+    ("pullback_transfer", "a_quotient", (0, 0)),
+    ("alt_magnitude_split", "q_alt", (0, 0)),
+    ("alt_magnitude_split", "a_signed", (0, 0)),
+    ("alt_magnitude_split", "a_alt", (0, 0)),
+    ("conditional_split_up_1", "q_sym", (3, 3)),
+    ("conditional_split_down_1", "q_alt", (3, 3)),
+    ("delta_transfer_1", "delta_quotient", (3, 0)),
+    ("delta_transfer_2", "delta_signed", (6, 3)),
+]
+
+
+@pytest.mark.parametrize("row, field, entry", BUNDLE_CASES)
+def test_split_rows_read_the_bundle(row, field, entry, monkeypatch):
+    cov = filled_triangle()
+    b = build_bundle(cov)
+    assert verify_split(cov)[row][0]
+    fake = replace(b, **{field: bumped(getattr(b, field), *entry)})
+    monkeypatch.setattr(operators, "build_bundle", lambda cover: fake)
+    assert not verify_split(cov)[row][0]
+
+
+# (row, k, direction, flavor) of the conditional operator that is perturbed
+CONDITIONAL_CASES = [
+    ("conditional_split_up_1", 1, "up", "quotient"),
+    ("conditional_split_up_1", 1, "up", "signed"),
+    ("conditional_split_down_2", 2, "down", "cover"),
+    ("delta_transfer_1", 0, "up", "quotient"),
+    ("delta_transfer_1", 0, "up", "signed"),
+    ("delta_transfer_2", 2, "down", "quotient"),
+    ("delta_transfer_2", 2, "down", "signed"),
+]
+
+
+@pytest.mark.parametrize("row, k, direction, flavor", CONDITIONAL_CASES)
+def test_split_rows_read_the_conditional_operators(row, k, direction, flavor, monkeypatch):
+    cov = filled_triangle()
+    real = operators.build_conditional
+    assert verify_split(cov)[row][0]
+
+    def perturbed(cover, kk, dirn, flav, orientation=None):
+        op = real(cover, kk, dirn, flav, orientation)
+        return replace(op, sm=bumped(op.sm)) if (kk, dirn, flav) == (k, direction, flavor) else op
+
+    monkeypatch.setattr(operators, "build_conditional", perturbed)
+    assert not verify_split(cov)[row][0]
+
+
+def test_minus_one_multiplicity_reads_the_signed_operator(monkeypatch):
+    cov = load_cover("cycle6")
+    comp = components(cov, "quotient-down", 1)[0]
+    assert coherent_spectrum_check(cov, comp, "down")["minus_one_multiplicity"][0]
+    real = operators.build_conditional
+
+    def perturbed(cover, k, direction, flavor, orientation=None):
+        op = real(cover, k, direction, flavor, orientation)
+        return replace(op, sm=bumped(op.sm)) if flavor == "signed" else op
+
+    monkeypatch.setattr(operators, "build_conditional", perturbed)
+    assert not coherent_spectrum_check(cov, comp, "down")["minus_one_multiplicity"][0]
+
+
+# -- the rank-based multiplicity ----------------------------------------------
+
+
+@st.composite
+def rational_spectrum_case(draw):
+    """Q diag(lam) Q^T for the rational reflection Q = I - 2 v v^T / v^T v,
+    with eigenvalues lam from a small set, so repeats are common."""
+    n = draw(st.integers(1, 6))
+    lam = draw(st.lists(st.sampled_from([-1, 0, Fraction(1, 3), Fraction(1, 2), 1, 2]),
+                        min_size=n, max_size=n))
+    v = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    vv = sum(x * x for x in v)
+    q = [[Fraction(int(i == j)) - Fraction(2 * v[i] * v[j], vv) for j in range(n)]
+         for i in range(n)]
+    mat = [[sum(q[i][m] * lam[m] * q[j][m] for m in range(n)) for j in range(n)]
+           for i in range(n)]
+    h = draw(st.lists(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3)]),
+                      min_size=n, max_size=n))
+    return lam, mat, h
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(rational_spectrum_case())
+def test_multiplicity_is_exact_on_rational_spectra(case):
+    lam, mat, h = case
+    body = as_object_array(mat)
+    plain = ScaledMatrix.from_rational(body)
+    # the walk operators' form D^(1/2) B D^(-1/2) is similar to B
+    similar = ScaledMatrix(h, [1 / x for x in h], body)
+    floats = np.linalg.eigvalsh(np.array(mat, dtype=float))
+    for t in set(lam) | {Fraction(-2), Fraction(1, 5)}:
+        want = lam.count(t)
+        assert multiplicity(plain, t) == multiplicity(similar, t) == want
+        # the eigenvalues sit at least 1/6 apart, far beyond the float count's gap
+        assert float_multiplicity(floats, float(t)) == want
+
+
+@pytest.mark.parametrize("seed_", range(6))
+def test_multiplicity_matches_eigvalsh_at_separated_values(seed_):
+    """On random integer symmetric matrices, at t that some eigenvalue equals
+    (0 of a singular matrix) or that every eigenvalue misses by far."""
+    rng = np.random.default_rng(seed_)
+    n = int(rng.integers(2, 7))
+    m = rng.integers(-3, 4, size=(n, n))
+    m = m + m.T
+    m[:, 0] = m[0, :] = 0  # a zero row: 0 is an eigenvalue
+    sm = ScaledMatrix.from_rational(np.array([[Fraction(int(x)) for x in r] for r in m], dtype=object))
+    floats = np.linalg.eigvalsh(m.astype(float))
+    for t in [Fraction(0)] + [Fraction(x, 7) for x in range(-60, 61, 11)]:
+        gap = np.abs(floats - float(t))
+        if np.all((gap < 1e-9) | (gap > 1e-3)):
+            assert multiplicity(sm, t) == float_multiplicity(floats, float(t))
