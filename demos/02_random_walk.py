@@ -43,8 +43,8 @@ ok = all(
 print("detailed balance (exact):", ok)
 
 pi_cover = stationary(cover, comp, "cover")
-trace, empirical = simulate(cover, start=0, steps=10**6, seed=7)
+digest, empirical = simulate(cover, start=0, steps=10**6, seed=7)
 tv = total_variation(empirical, pi_cover.weights)
 print(f"10^6 seeded steps: total variation to stationary = {float(tv):.4f}")
-trace2, _ = simulate(cover, start=0, steps=10**6, seed=7)
-print("same seed, identical trace:", trace.digest == trace2.digest)
+digest2, _ = simulate(cover, start=0, steps=10**6, seed=7)
+print("same seed, identical trace:", digest == digest2)

@@ -32,13 +32,13 @@ print("exact: (Qsym)^T Qsym = I + R:", (b.q_sym.T @ b.q_sym).equals(eye + b.r))
 checks = verify_split(cover)
 print(f"verify_split: {sum(ok for ok, _ in checks.values())}/{len(checks)} checks pass")
 
-spec = eigen(b.a_quotient)
-print("quotient eigenvalues:", [round(v, 6) for v in spec.eigenvalues])
+ev = eigen(b.a_quotient)
+print("quotient eigenvalues:", [round(v, 6) for v in ev])
 bound, holds = min_eigenvalue_bound(cover)
-print(f"minimal eigenvalue {spec.eigenvalues[0]:.6f} <= -1 + {bound}: {holds}")
+print(f"minimal eigenvalue {ev[0]:.6f} <= -1 + {bound}: {holds}")
 
 # conditional up-walk operators in dimension 0: quotient in [0,1], signed in [-1,0]
 up_q = build_conditional(cover, 0, "up", "quotient")
 up_s = build_conditional(cover, 0, "up", "signed")
-print("dim-0 up quotient eigenvalues:", [round(v, 6) for v in eigen(up_q.sm).eigenvalues])
-print("dim-0 up signed eigenvalues:  ", [round(v, 6) for v in eigen(up_s.sm).eigenvalues])
+print("dim-0 up quotient eigenvalues:", [round(v, 6) for v in eigen(up_q)])
+print("dim-0 up signed eigenvalues:  ", [round(v, 6) for v in eigen(up_s)])

@@ -31,7 +31,6 @@ from .walks import (
     CoherentComponentError,
     StationaryDistribution,
     TransitionMatrix,
-    WalkTrace,
     convergence_rate,
     expected_path_length,
     simulate,
@@ -43,19 +42,17 @@ from .walks import (
 from .operators import (
     EigenResidualError,
     OperatorBundle,
-    Spectrum,
-    SymmetricOperator,
     build_bundle,
     build_conditional,
     coherent_spectrum_check,
     eigen,
     min_eigenvalue_bound,
+    on_component,
     verify_split,
 )
 from .laplacians import (
     HodgeLaplacian,
     HodgeReport,
-    NormalizationWeights,
     betti_numbers,
     check_laplacian_walk_identity,
     hodge,

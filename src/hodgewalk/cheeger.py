@@ -29,7 +29,7 @@ from .graded_cover import (
     memoized,
     propagate_signs,
 )
-from .operators import SymmetricOperator, build_conditional, eigen
+from .operators import build_conditional, eigen, on_component
 
 # Search nodes one cut search may visit before it gives up.
 SEARCH_BUDGET = 4_000_000
@@ -151,7 +151,7 @@ def _down_degree_term(cover: GradedSignedDoubleCover, comp, k: int) -> Fraction:
     )
 
 
-def aux_laplacian(aux: AuxiliaryGraph, flavor: str) -> SymmetricOperator:
+def aux_laplacian(aux: AuxiliaryGraph, flavor: str) -> ScaledMatrix:
     """Measure-normalized weighted Laplacian of the auxiliary graph."""
     if flavor not in ("quotient", "signed"):
         raise ValueError("flavor must be 'quotient' or 'signed'")
@@ -164,8 +164,7 @@ def aux_laplacian(aux: AuxiliaryGraph, flavor: str) -> SymmetricOperator:
         body[i, j] += off
         body[j, i] += off
     inv_measure = [Fraction(1) / m for m in aux.measure]
-    sm = ScaledMatrix(inv_measure, inv_measure, body)
-    return SymmetricOperator(f"aux-{aux.direction}-{aux.k}-{flavor}", aux.labels, aux.nodes, sm)
+    return ScaledMatrix(inv_measure, inv_measure, body)
 
 
 def _integerized(aux: AuxiliaryGraph):
@@ -404,8 +403,8 @@ def _sandwiched(lower, gap, upper) -> bool:
     return float(lower) <= gap + 1e-9 and gap <= float(upper) + 1e-9
 
 
-def _restricted_gap(op: SymmetricOperator, flavor: str, comp) -> float:
-    ev = eigen(op.restrict(comp).sm).eigenvalues
+def _restricted_gap(op: ScaledMatrix, flavor: str) -> float:
+    ev = eigen(op)
     if flavor == "quotient":
         return 1.0 - ev[-2]
     return 1.0 - (-ev[0])
@@ -439,12 +438,12 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
         h_q_up, _ = cheeger_quotient(aux_up)
         h_s_up, _ = cheeger_signed(aux_up)
         up_q = build_conditional(cover, k - 1, "up", "quotient")
-        gap_q = _restricted_gap(up_q, "quotient", up_comp)
+        gap_q = _restricted_gap(on_component(cover, up_q, up_comp), "quotient")
         # coherence is decided exactly and pins the signed gap at 0
         gap_s = 0.0
         if not coherent:
             up_s = build_conditional(cover, k - 1, "up", "signed")
-            gap_s = _restricted_gap(up_s, "signed", up_comp)
+            gap_s = _restricted_gap(on_component(cover, up_s, up_comp), "signed")
         h_q_down = h_s_down = None
         if aux_down is not None:
             h_q_down, _ = cheeger_quotient(aux_down)

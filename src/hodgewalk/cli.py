@@ -105,7 +105,7 @@ def cmd_walk_sim(args) -> int:
             print(f"error: unknown start node {args.start!r}", file=sys.stderr)
             return EXIT_INVALID
         start = labels.index(args.start)
-    trace, empirical = walks.simulate(cover, start, args.steps, args.seed)
+    _digest, empirical = walks.simulate(cover, start, args.steps, args.seed)
     # the cover component of the start is the lift of its quotient component
     comp = next(
         c for c in graded_cover.components(cover, "quotient") if start % cover.n_quotient in c
@@ -126,25 +126,23 @@ def cmd_spectrum(args) -> int:
     cover, _ = load_input(args.input, args.k)
     rows = []
     if args.k is None:
-        bundle = operators.build_bundle(cover)
-        spec = operators.eigen(bundle.a_quotient)
-        name = "full-quotient"
-        for i, v in enumerate(spec.eigenvalues):
-            rows.append((name, i, v))
+        ev = operators.eigen(operators.build_bundle(cover).a_quotient)
+        rows.extend(("full-quotient", i, v) for i, v in enumerate(ev))
         bound, holds = operators.min_eigenvalue_bound(cover)
         rows.append(("min-eigenvalue-bound", "-1 + " + str(bound), holds))
     else:
         op = operators.build_conditional(cover, args.k, args.direction, args.flavor)
-        spec = operators.eigen(op.sm)
-        for i, v in enumerate(spec.eigenvalues):
-            rows.append((op.kind, i, v))
+        name = f"A-{args.direction}-{args.k}-{args.flavor}"
+        rows.extend((name, i, v) for i, v in enumerate(operators.eigen(op)))
         if args.rate:
             # the rate pairs the dim-k up-walk with the dim-(k+1) down-walk
             rate_k = args.k + 1 if args.direction == "up" else args.k
             try:
-                rows.append(("convergence-rate", "", walks.convergence_rate(cover, rate_k)))
-            except CoherentComponentError as exc:
-                rows.append(("convergence-rate", "", f"undefined: {exc}"))
+                rate = walks.convergence_rate(cover, rate_k)
+            except ValueError as exc:
+                # a coherent pair, or no pair at an end dimension
+                rate = f"undefined: {exc}"
+            rows.append(("convergence-rate", "", rate))
     emit(rows, ("operator", "i", "value"), args.format)
     return EXIT_OK
 
@@ -446,10 +444,10 @@ def _verify_cheeger_checks(cover):
                     continue
                 factor = Fraction(counts.pop())
                 eye = ScaledMatrix.identity(aux.n)
-                a_q = quot.restrict(comp).sm
-                a_s = sgn.restrict(comp).sm
-                lap_q = cheeger_mod.aux_laplacian(aux, "quotient").sm
-                lap_s = cheeger_mod.aux_laplacian(aux, "signed").sm
+                a_q = operators.on_component(cover, quot, comp)
+                a_s = operators.on_component(cover, sgn, comp)
+                lap_q = cheeger_mod.aux_laplacian(aux, "quotient")
+                lap_s = cheeger_mod.aux_laplacian(aux, "signed")
                 ok = lap_q.equals((eye - a_q).scale(factor)) and lap_s.equals(
                     (eye + a_s).scale(factor)
                 )

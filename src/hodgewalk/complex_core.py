@@ -105,9 +105,6 @@ class SimplicialComplex:
             f for k in range(self.dimension + 1) for f in self.faces_by_dim[k]
         )
         self._index = {f: i for i, f in enumerate(self.all_faces)}
-        self._dim_index = {
-            f: i for k in range(self.dimension + 1) for i, f in enumerate(self.faces_by_dim[k])
-        }
 
     def __contains__(self, face: Face) -> bool:
         return face in self.faces
@@ -120,10 +117,6 @@ class SimplicialComplex:
     def index_of(self, face: Face) -> int:
         """Position of a face in the global (dimension, lexicographic) order."""
         return self._index[face]
-
-    def dim_index_of(self, face: Face) -> int:
-        """Position of a face within its own dimension block."""
-        return self._dim_index[face]
 
 
 def parse_complex(text: str) -> SimplicialComplex:

@@ -36,9 +36,10 @@ def memoized(fn):
     complex), keyed by ``fn`` and the remaining arguments with their
     defaults filled in, so it lives exactly as long as that input.  Every
     caller gets the same object back and must not mutate it.  A call with
-    an unhashable argument (an orientation dict) is computed afresh.  The
-    builder itself stays reachable as ``uncached``; ``__wrapped__`` is not
-    set, because tracers mark their own wrappers with it.
+    an unhashable argument (a component passed as a list, say) is computed
+    afresh.  The builder itself stays reachable as ``uncached``;
+    ``__wrapped__`` is not set, because tracers mark their own wrappers
+    with it.
     """
     sig = inspect.signature(fn)
 

@@ -1,16 +1,16 @@
 """Combinatorial and normalized Hodge Laplacians of a simplicial complex.
 
-The normalization weight of a k-face is W_k = LP / (k+1)!, which makes the
-normalized up/down Laplacians the negatives of the signed conditional-walk
-operators.  Ranks (hence Betti numbers) come from exact fraction-free
-elimination, never from floating-point decompositions.
+The normalization weight of a k-face is W_k = LP / (k+1)!, which is the
+cover's H = LP/RP (a k-face has RP = (k+1)! paths down to the vertices).
+It makes the normalized up/down Laplacians the negatives of the signed
+conditional-walk operators.  Ranks (hence Betti numbers) come from exact
+fraction-free elimination, never from floating-point decompositions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .complex_core import SimplicialComplex, boundary_matrix
 from .exact import ScaledMatrix, rational_rank, rat_zeros
@@ -22,11 +22,6 @@ from .graded_cover import (
     memoized,
 )
 from .operators import build_conditional, eigen, multiplicity
-
-
-@dataclass(frozen=True)
-class NormalizationWeights:
-    w: dict[int, tuple[Fraction, ...]]
 
 
 @dataclass(frozen=True)
@@ -48,15 +43,11 @@ class HodgeReport:
 
 
 @memoized
-def normalization_weights(complex: SimplicialComplex) -> NormalizationWeights:
-    pw = compute_path_weights(cover_from_complex(complex))
-    w: dict[int, tuple[Fraction, ...]] = {}
-    for k in range(complex.dimension + 1):
-        w[k] = tuple(
-            Fraction(pw.lp[complex.index_of(f)], factorial(k + 1))
-            for f in complex.faces_by_dim[k]
-        )
-    return NormalizationWeights(w)
+def normalization_weights(complex: SimplicialComplex) -> dict[int, tuple[Fraction, ...]]:
+    """{k: W_k = H of the k-faces, in their order within dimension k}."""
+    cover = cover_from_complex(complex)
+    pw = compute_path_weights(cover)
+    return {k: tuple(pw.h(q) for q in nodes) for k, nodes in cover.nodes_by_dim.items()}
 
 
 def _coboundary(complex: SimplicialComplex, k: int, normalized: bool) -> ScaledMatrix:
@@ -69,7 +60,7 @@ def _coboundary(complex: SimplicialComplex, k: int, normalized: bool) -> ScaledM
         body = rat_zeros(0, complex.n_faces(k))
     if not normalized:
         return ScaledMatrix.from_rational(body)
-    w = normalization_weights(complex).w
+    w = normalization_weights(complex)
     return ScaledMatrix(w.get(k + 1, ()), [1 / x for x in w.get(k, ())], body)
 
 
@@ -116,7 +107,7 @@ def check_laplacian_walk_identity(complex: SimplicialComplex, k: int) -> bool:
     cover = cover_from_complex(complex)
     a_up = build_conditional(cover, k, "up", "signed")
     a_down = build_conditional(cover, k, "down", "signed")
-    return lap.up.equals(-a_up.sm) and lap.down.equals(-a_down.sm)
+    return lap.up.equals(-a_up) and lap.down.equals(-a_down)
 
 
 def verify_hodge_properties(complex: SimplicialComplex) -> dict:
@@ -149,7 +140,7 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
             )
             check(f"positive_semidefinite {tag}", all(grams[(k, nrm)]))
             if nrm:
-                ev = eigen(lap.up).eigenvalues + eigen(lap.down).eigenvalues
+                ev = eigen(lap.up) + eigen(lap.down)
                 check(f"spectrum_bounded_by_one {tag}", all(v <= 1 + 1e-10 for v in ev))
         # the harmonic number from the boundary ranks against the nullity of
         # the normalized Laplacian itself

@@ -1,11 +1,12 @@
 """The normalized operator family of the root-to-leaf walk.
 
-Every operator is stored exactly as a ScaledMatrix: its entries are
-rational multiples of sqrt(H(u)) * sqrt(H(u'))^(-1) factors, where
-H = LP/RP.  Algebraic identities between operators, and the spectral facts
-they imply, are therefore checked in rational arithmetic with zero
-tolerance; eigenvalue ranges and gaps come from a floating-point mirror
-fed to numpy's LAPACK ``eigh``.
+Every operator is a plain ScaledMatrix: its entries are rational multiples
+of sqrt(H(u)) * sqrt(H(u'))^(-1) factors, where H = LP/RP.  Which nodes
+its rows follow is fixed by the builder (see ``build_conditional``), so
+no record carries them along.  Algebraic identities between operators,
+and the spectral facts they imply, are checked in rational arithmetic
+with zero tolerance; eigenvalue ranges and gaps come from a
+floating-point mirror fed to numpy's LAPACK ``eigh``.
 """
 
 from __future__ import annotations
@@ -28,30 +29,6 @@ from .graded_cover import (
 
 class EigenResidualError(RuntimeError):
     """Raised when the eigensolver does not meet its residual contract."""
-
-
-@dataclass(frozen=True)
-class SymmetricOperator:
-    kind: str
-    index: tuple[str, ...]
-    nodes: tuple[int, ...]
-    sm: ScaledMatrix
-
-    def restrict(self, quotient_nodes) -> "SymmetricOperator":
-        pos = [self.nodes.index(q) for q in sorted(quotient_nodes)]
-        return SymmetricOperator(
-            self.kind + "|restricted",
-            tuple(self.index[i] for i in pos),
-            tuple(self.nodes[i] for i in pos),
-            self.sm.restrict(pos, pos),
-        )
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    eigenvalues: tuple[float, ...]
-    eigenvectors: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -215,15 +192,14 @@ def build_conditional(
     k: int,
     direction: str,
     flavor: str,
-    orientation=None,
-) -> SymmetricOperator:
+) -> ScaledMatrix:
     """Symmetric operator of the conditional up/down walk in dimension k.
 
     Flavors: 'quotient' (nonnegative, spectrum in [0,1]), 'signed'
-    (negative semi-definite, spectrum in [-1,0]) and 'cover' (the full
-    2N_k matrix whose spectrum is the disjoint union of the other two).
-    ``orientation`` {quotient index -> flipped} re-orients the signed
-    flavor; nodes it leaves out keep their reference lift.
+    (negative semi-definite, spectrum in [-1,0], under the reference lift
+    of every node) and 'cover' (the full 2N_k matrix whose spectrum is the
+    disjoint union of the other two).  Rows and columns follow
+    ``cover.nodes_by_dim[k]``, or ``cover.lifts(k)`` for the cover flavor.
     """
     cover.require_strong()
     if direction not in ("up", "down"):
@@ -231,7 +207,6 @@ def build_conditional(
     if flavor not in ("quotient", "signed", "cover"):
         raise ValueError("flavor must be 'quotient', 'signed' or 'cover'")
     pw = compute_path_weights(cover)
-    flipped = orientation or {}
     nodes = cover.nodes_by_dim.get(k, ())
     pos = {q: i for i, q in enumerate(nodes)}
     m = len(nodes)
@@ -253,22 +228,24 @@ def build_conditional(
         if flavor == "quotient":
             body[i, j] += w
         elif flavor == "signed":
-            body[i, j] -= w * (-s if flipped.get(a, False) != flipped.get(b, False) else s)
+            body[i, j] -= w * s
         else:
             # two conditioned steps pick up opposite signs overall
             for fa in (0, 1):
                 body[i + m * fa, j + m * (fa ^ (s == 1))] += w
-    h_row = [hq[q] for q in nodes]
-    h_col = [1 / hq[q] for q in nodes]
-    if flavor != "cover":
-        labels = tuple(cover.labels[q] for q in nodes)
-        sm = ScaledMatrix(h_row, h_col, body)
-        return SymmetricOperator(f"A-{direction}-{k}-{flavor}", labels, tuple(nodes), sm)
-    labels = tuple(
-        ("-" if flip else "+") + cover.labels[q] for flip in (0, 1) for q in nodes
+    copies = 2 if flavor == "cover" else 1
+    return ScaledMatrix(
+        [hq[q] for q in nodes] * copies, [1 / hq[q] for q in nodes] * copies, body
     )
-    sm = ScaledMatrix(h_row * 2, h_col * 2, body)
-    return SymmetricOperator(f"A-{direction}-{k}-cover", labels, cover.lifts(k), sm)
+
+
+def on_component(cover: GradedSignedDoubleCover, op: ScaledMatrix, component) -> ScaledMatrix:
+    """A quotient or signed conditional operator on the rows and columns of
+    one component, in ascending node order."""
+    comp = sorted(component)
+    nodes = cover.nodes_by_dim[cover.dims[comp[0]]]
+    pos = [nodes.index(q) for q in comp]
+    return op.restrict(pos, pos)
 
 
 # -- eigensolver ------------------------------------------------------------
@@ -277,12 +254,11 @@ def build_conditional(
 EIGEN_TOL = 1e-9
 
 
-def eigen(operator) -> Spectrum:
-    """Full spectral decomposition of a ScaledMatrix or a float array.
+def eigen(operator) -> tuple[float, ...]:
+    """Eigenvalues of a symmetric ScaledMatrix or float array, ascending.
 
-    Eigenvalues ascend; each eigenvector is normalized so its largest
-    absolute entry is positive.  The residual max|Av - lambda v| must meet
-    the tolerance contract or EigenResidualError is raised.
+    The eigenvectors are computed only for the residual contract: when
+    max|Av - lambda v| exceeds the bound, EigenResidualError is raised.
     """
     if isinstance(operator, ScaledMatrix):
         mat = operator.to_float()
@@ -293,16 +269,11 @@ def eigen(operator) -> Spectrum:
     if not np.allclose(mat, mat.T, atol=1e-12 * (1 + np.abs(mat).max(initial=0.0))):
         raise ValueError("matrix must be symmetric")
     vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            vecs[:, j] = -col
     residual = float(np.abs(mat @ vecs - vecs * vals).max(initial=0.0))
     bound = EIGEN_TOL * (1 + np.abs(vals).max(initial=0.0))
     if residual > bound:
         raise EigenResidualError(f"residual {residual} exceeds {bound}")
-    return Spectrum(tuple(float(x) for x in vals), vecs, residual)
+    return tuple(float(x) for x in vals)
 
 
 def multiplicity(operator: ScaledMatrix, value) -> int:
@@ -401,9 +372,9 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
     q_s = b.q_sym.restrict(nodes, lifts)
     q_a = b.q_alt.restrict(nodes, lifts)
     for direction in ("up", "down"):
-        a_cov = build_conditional(cover, k, direction, "cover").sm
-        a_quot = build_conditional(cover, k, direction, "quotient").sm
-        a_sgn = build_conditional(cover, k, direction, "signed").sm
+        a_cov = build_conditional(cover, k, direction, "cover")
+        a_quot = build_conditional(cover, k, direction, "quotient")
+        a_sgn = build_conditional(cover, k, direction, "signed")
         if direction == "up":
             dc = b.delta_block("cover", k)
             ds = b.delta_block("sym", k)
@@ -441,8 +412,8 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
         )
         check(f"conditional_factorization_{direction}_{k}", ok)
         split = (q_s.T @ a_quot @ q_s + q_a.T @ a_sgn @ q_a).scale(half).equals(a_cov)
-        ev_q = eigen(a_quot).eigenvalues
-        ev_s = eigen(a_sgn).eigenvalues
+        ev_q = eigen(a_quot)
+        ev_s = eigen(a_sgn)
         check(
             f"conditional_split_{direction}_{k}",
             split
@@ -457,8 +428,8 @@ def _verify_transfer_dim(cover, b: OperatorBundle, k: int, check) -> None:
     so it carries every eigenfunction of one to an eigenfunction of the other."""
     ok = True
     for flavor in ("quotient", "signed"):
-        a_up = build_conditional(cover, k - 1, "up", flavor).sm
-        a_dn = build_conditional(cover, k, "down", flavor).sm
+        a_up = build_conditional(cover, k - 1, "up", flavor)
+        a_dn = build_conditional(cover, k, "down", flavor)
         delta = b.delta_block(flavor, k - 1)
         ok = ok and (delta @ a_up).equals(a_dn @ delta)
     check(f"delta_transfer_{k}", ok, "delta A_up = A_down delta (exact)")
@@ -473,7 +444,7 @@ def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool
 
     comps = components(cover, "quotient")
     bound = min(Fraction(2) / (expected_path_length(cover, comp) + 1) for comp in comps)
-    lam_min = eigen(build_bundle(cover).a_quotient).eigenvalues[0]
+    lam_min = eigen(build_bundle(cover).a_quotient)[0]
     holds = lam_min <= float(-1 + bound) + 1e-9
     return bound, holds
 
@@ -494,30 +465,32 @@ def coherent_spectrum_check(
     comp = tuple(sorted(component))
     k = cover.dims[comp[0]]
     report: dict[str, tuple[bool, str]] = {}
+    sgn = on_component(cover, build_conditional(cover, k, direction, "signed"), comp)
     witness = detect_coherent(cover, comp, direction)
     if witness is None:
-        sgn = build_conditional(cover, k, direction, "signed").restrict(comp)
-        lam_min = eigen(sgn.sm).eigenvalues[0]
+        lam_min = eigen(sgn)[0]
         report["not_coherent_gap"] = (
             lam_min > -1 + 1e-10,
             f"lambda_min = {lam_min:.12g} > -1",
         )
         return report
-    sgn = build_conditional(cover, k, direction, "signed", orientation=witness).restrict(comp)
-    quot = build_conditional(cover, k, direction, "quotient").restrict(comp)
+    # re-orient by sign conjugation X S X, with x = -1 on the flipped nodes
+    x = np.array([-1 if witness[q] else 1 for q in comp], dtype=object)
+    sgn = ScaledMatrix(sgn.row_scale, sgn.col_scale, sgn.body * np.outer(x, x))
+    quot = on_component(cover, build_conditional(cover, k, direction, "quotient"), comp)
     report["opposite_operators_exact"] = (
-        sgn.sm.equals(-quot.sm),
+        sgn.equals(-quot),
         "signed operator equals minus the quotient operator under the witness",
     )
     report["minus_one_multiplicity"] = (
-        multiplicity(sgn.sm, -1) == 1,
+        multiplicity(sgn, -1) == 1,
         "-1 attained with multiplicity one",
     )
     pw = compute_path_weights(cover)
     w = np.empty(len(comp), dtype=object)
     for i, q in enumerate(comp):
         w[i] = Fraction(pw.rp[q])
-    image = sgn.sm.body @ w
+    image = sgn.body @ w
     report["minus_one_eigenvector"] = (
         all(image[i] == -w[i] for i in range(len(comp))),
         "(LP*RP)^(1/2) is a -1 eigenfunction (exact)",

@@ -54,11 +54,6 @@ class StationaryDistribution:
         return sum(self.weights.values(), Fraction(0))
 
 
-@dataclass(frozen=True)
-class WalkTrace:
-    digest: str
-
-
 def _from_operator(sm: ScaledMatrix, through) -> np.ndarray:
     """Transition matrix of the walk operator ``sm`` of weights D = LP*RP.
 
@@ -106,9 +101,15 @@ def transition_conditional(
         raise ValueError("view must be 'quotient' or 'cover'")
     pw = compute_path_weights(cover)
     op = operators.build_conditional(cover, k, direction, view)
+    if view == "quotient":
+        nodes = cover.nodes_by_dim.get(k, ())
+        labels = tuple(cover.labels[q] for q in nodes)
+    else:
+        nodes = cover.lifts(k)
+        labels = tuple(cover.cover_label(u) for u in nodes)
     n = cover.n_quotient
-    mat = _from_operator(op.sm, [Fraction(pw.through(u % n)) for u in op.nodes])
-    return TransitionMatrix(mat, op.index, op.nodes)
+    mat = _from_operator(op, [Fraction(pw.through(u % n)) for u in nodes])
+    return TransitionMatrix(mat, labels, nodes)
 
 
 def stationary(
@@ -161,7 +162,7 @@ def simulate(
     start: int,
     steps: int,
     seed: int,
-) -> tuple[WalkTrace, dict[int, Fraction]]:
+) -> tuple[str, dict[int, Fraction]]:
     """Simulate the root-to-leaf path random walk on the cover.
 
     One step: draw the action (S, U or D according to leaf/root status,
@@ -176,8 +177,8 @@ def simulate(
     targets and rejection limits.  The walk keeps only the visit counts
     and a running SHA-256 of the state sequence (the start included, each
     state a little-endian uint64), so memory does not grow with ``steps``.
-    Returns the trace and the empirical distribution over all visited
-    states.
+    Returns the hex digest and the empirical distribution over all
+    visited states.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -248,7 +249,7 @@ def simulate(
         record(trail)
     total = steps + 1
     empirical = {u: Fraction(int(c), total) for u, c in enumerate(counts) if c}
-    return WalkTrace(digest.hexdigest()), empirical
+    return digest.hexdigest(), empirical
 
 
 def total_variation(p: dict[int, Fraction], q: dict[int, Fraction]) -> Fraction:
@@ -264,11 +265,12 @@ def convergence_rate(
 
     max(lambda_{max-1} of the quotient up-operator, -lambda_min of the
     signed up-operator), maximized over the paired non-leaf components.
-    Raises CoherentComponentError when any paired component is coherent
-    (the conditional walk is then not aperiodic).
+    Raises ValueError when dimensions k-1/k have no paired components (k < 1
+    included), and CoherentComponentError when any paired component is
+    coherent (the conditional walk is then not aperiodic).
     """
     cover.require_strong()
-    pairs = component_correspondence(cover, k)
+    pairs = component_correspondence(cover, k) if k >= 1 else []
     if not pairs:
         raise ValueError(f"no paired components in dimensions {k - 1}/{k}")
     rate = 0.0
@@ -279,7 +281,7 @@ def convergence_rate(
             raise CoherentComponentError(
                 "conditional walk is not aperiodic on a coherent component"
             )
-        ev_quot = operators.eigen(quot.restrict(up_comp).sm).eigenvalues
-        ev_sgn = operators.eigen(sgn.restrict(up_comp).sm).eigenvalues
+        ev_quot = operators.eigen(operators.on_component(cover, quot, up_comp))
+        ev_sgn = operators.eigen(operators.on_component(cover, sgn, up_comp))
         rate = max(rate, ev_quot[-2], -ev_sgn[0])
     return rate

@@ -17,6 +17,7 @@ from hodgewalk.operators import (
     coherent_spectrum_check,
     eigen,
     min_eigenvalue_bound,
+    on_component,
     verify_split,
 )
 from hodgewalk.walks import (
@@ -132,10 +133,11 @@ def test_criterion_3_exact_identity_suite(covers, weights, capsys):
 
                         factor = Fraction(kk + 2 if direction == "up" else kk + 1)
                         eye = ScaledMatrix.from_rational(rat_eye(aux.n))
-                        a_q = build_conditional(cov, kk, direction, "quotient").restrict(comp).sm
-                        a_s = build_conditional(cov, kk, direction, "signed").restrict(comp).sm
-                        assert aux_laplacian(aux, "quotient").sm.equals((eye - a_q).scale(factor))
-                        assert aux_laplacian(aux, "signed").sm.equals((eye + a_s).scale(factor))
+                        a_q = build_conditional(cov, kk, direction, "quotient")
+                        a_s = build_conditional(cov, kk, direction, "signed")
+                        a_q, a_s = on_component(cov, a_q, comp), on_component(cov, a_s, comp)
+                        assert aux_laplacian(aux, "quotient").equals((eye - a_q).scale(factor))
+                        assert aux_laplacian(aux, "signed").equals((eye + a_s).scale(factor))
         report(3, True, f"exact identities hold on all {len(COMPLEX_NAMES)} fixtures")
 
 
@@ -153,14 +155,14 @@ def test_criterion_4_spectral_transfer_suite(covers, capsys):
             }
             cx = load_complex(name)
             for k in range(1, cx.dimension + 1):
-                up = eigen(hodge(cx, k - 1, True).up.to_float()).eigenvalues
-                down = eigen(hodge(cx, k, True).down.to_float()).eigenvalues
+                up = eigen(hodge(cx, k - 1, True).up.to_float())
+                down = eigen(hodge(cx, k, True).down.to_float())
                 assert oracles.multiset_match(
                     [v for v in up if abs(v) > 1e-8], [v for v in down if abs(v) > 1e-8]
                 )
             for k in range(cx.dimension + 1):
                 lap = hodge(cx, k, True)
-                ev = eigen(lap.full.to_float()).eigenvalues
+                ev = eigen(lap.full.to_float())
                 assert all(-1e-10 <= v <= 1 + 1e-10 for v in ev)
         report(4, True, "spectrum splits, transfers and bounds hold on all fixtures")
 
@@ -234,10 +236,10 @@ def test_criterion_7_monte_carlo(covers, capsys):
         cov = covers["tetrahedron"]
         comp = components(cov, "quotient")[0]
         pi = stationary(cov, comp, "cover")
-        trace1, emp1 = simulate(cov, 0, 10**6, seed=7)
-        trace2, emp2 = simulate(cov, 0, 10**6, seed=7)
+        digest1, emp1 = simulate(cov, 0, 10**6, seed=7)
+        digest2, emp2 = simulate(cov, 0, 10**6, seed=7)
         tv = float(total_variation(emp1, pi.weights))
-        ok = tv < 0.02 and trace1.digest == trace2.digest and emp1 == emp2
+        ok = tv < 0.02 and digest1 == digest2 and emp1 == emp2
         report(7, ok, f"TV = {tv:.4f} < 0.02 (tolerance is an artifact choice), traces identical")
 
 
@@ -249,6 +251,6 @@ def test_criterion_8_min_eigenvalue_bound(covers, capsys):
             assert holds, name
         cov = covers["tetrahedron"]
         bound, holds = min_eigenvalue_bound(cov)
-        lam_min = eigen(build_bundle(cov).a_quotient).eigenvalues[0]
+        lam_min = eigen(build_bundle(cov).a_quotient)[0]
         ok = bound == Fraction(1, 2) and holds and lam_min <= -0.5 + 1e-9
         report(8, ok, f"tetrahedron bound 1/2, lambda_min = {lam_min:.6f} <= -1/2")

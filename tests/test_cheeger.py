@@ -15,7 +15,7 @@ from hodgewalk.cheeger import (
 from hodgewalk.complex_core import parse_complex
 from hodgewalk.exact import ScaledMatrix, rat_eye
 from hodgewalk.graded_cover import components, cover_from_complex, detect_coherent
-from hodgewalk.operators import build_conditional
+from hodgewalk.operators import build_conditional, on_component
 
 import oracles
 from conftest import COMPLEX_NAMES, load_cover
@@ -87,15 +87,15 @@ def test_aux_laplacian_affine_identities():
     comp = the_component(cov, "quotient-up", 1)
     aux = build_aux(cov, comp, "up")
     eye = ScaledMatrix.from_rational(rat_eye(aux.n))
-    a_q = build_conditional(cov, 1, "up", "quotient").restrict(comp).sm
-    assert aux_laplacian(aux, "quotient").sm.equals((eye - a_q).scale(3))
-    a_s = build_conditional(cov, 1, "up", "signed").restrict(comp).sm
-    assert aux_laplacian(aux, "signed").sm.equals((eye + a_s).scale(3))
+    a_q = on_component(cov, build_conditional(cov, 1, "up", "quotient"), comp)
+    assert aux_laplacian(aux, "quotient").equals((eye - a_q).scale(3))
+    a_s = on_component(cov, build_conditional(cov, 1, "up", "signed"), comp)
+    assert aux_laplacian(aux, "signed").equals((eye + a_s).scale(3))
 
     comp = the_component(cov, "quotient-down", 1)
     aux = build_aux(cov, comp, "down")
-    a_q = build_conditional(cov, 1, "down", "quotient").restrict(comp).sm
-    assert aux_laplacian(aux, "quotient").sm.equals((eye - a_q).scale(2))
+    a_q = on_component(cov, build_conditional(cov, 1, "down", "quotient"), comp)
+    assert aux_laplacian(aux, "quotient").equals((eye - a_q).scale(2))
 
 
 def test_aux_laplacian_kernel_contains_sqrt_measure():
@@ -104,7 +104,7 @@ def test_aux_laplacian_kernel_contains_sqrt_measure():
     cov = load_cover("branched")
     comp = the_component(cov, "quotient-down", 1)
     aux = build_aux(cov, comp, "down")
-    lap = aux_laplacian(aux, "quotient").sm
+    lap = aux_laplacian(aux, "quotient")
     # Lap @ mu^(1/2) = 0: with scales (1/mu, 1/mu) the vector mu^(1/2)
     # pulls back to the all-ones vector in body coordinates
     ones = np.array([Fraction(1)] * aux.n, dtype=object)
@@ -261,9 +261,9 @@ def test_coherent_signed_gap_is_exact_zero(name, monkeypatch):
     solved = []
     real = cheeger._restricted_gap
 
-    def spy(op, flavor, comp):
+    def spy(op, flavor):
         solved.append(flavor)
-        return real(op, flavor, comp)
+        return real(op, flavor)
 
     monkeypatch.setattr(cheeger, "_restricted_gap", spy)
     cov = load_cover(name)
@@ -300,8 +300,8 @@ def test_up_down_gap_equality(name, covers):
             for flavor in ("quotient", "signed"):
                 up = build_conditional(cov, k - 1, "up", flavor)
                 down = build_conditional(cov, k, "down", flavor)
-                g_up = _restricted_gap(up, flavor, up_comp)
-                g_down = _restricted_gap(down, flavor, down_comp)
+                g_up = _restricted_gap(on_component(cov, up, up_comp), flavor)
+                g_down = _restricted_gap(on_component(cov, down, down_comp), flavor)
                 assert abs(g_up - g_down) < 1e-9
 
 
@@ -323,7 +323,7 @@ def test_signed_spectrum_vanishes_iff_coherent(name, covers):
             if len(up_comp) < 2:
                 continue
             coherent = detect_coherent(cov, down_comp, "down") is not None
-            gap = _restricted_gap(up, "signed", up_comp)
+            gap = _restricted_gap(on_component(cov, up, up_comp), "signed")
             assert (abs(gap) < 1e-9) == coherent, (name, k, gap)
 
 

@@ -1,18 +1,23 @@
 import argparse
 import collections
+import contextlib
 import functools
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import hodgewalk
 from hodgewalk import cheeger, exact, graded_cover, laplacians
@@ -144,6 +149,39 @@ def test_spectrum_and_rate(capsys):
     code, out = run_cli(capsys, "spectrum", TET, "--k", "0", "--direction", "up", "--rate")
     assert code == 0
     assert "convergence-rate\t\t0.666666666667" in out
+
+
+@pytest.mark.parametrize(
+    "name, k, direction, dims",
+    [
+        ("tetrahedron", "0", "down", "-1/0"),
+        ("tetrahedron", "3", "up", "3/4"),
+        ("single_vertex", "0", "up", "0/1"),
+    ],
+)
+def test_spectrum_rate_at_an_end_dimension_is_undefined(name, k, direction, dims, capsys):
+    argv = ("spectrum", str(FIXTURES / f"{name}.cx"), "--k", k, "--direction", direction)
+    code, rows = run_cli(capsys, *argv)
+    assert code == 0
+    code, out = run_cli(capsys, *argv, "--rate")
+    assert code == 0
+    undefined = f"undefined: no paired components in dimensions {dims}"
+    assert out == rows + f"convergence-rate\t\t{undefined}\n"
+
+
+def test_spectrum_rate_on_a_nonstrong_spec_is_a_guard_exit(capsys):
+    assert run(["spectrum", NONSTRONG, "--k", "0", "--rate"]) == 2
+    assert capsys.readouterr().err.startswith("guard: ")
+
+
+@pytest.mark.parametrize("flavor, n", [("quotient", 6), ("signed", 6), ("cover", 12)])
+def test_spectrum_operator_column(flavor, n, capsys):
+    code, out = run_cli(capsys, "spectrum", TET, "--k", "1", "--direction", "down",
+                        "--flavor", flavor)
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert rows[0] == ["operator", "i", "value"]
+    assert [r[:2] for r in rows[1:]] == [[f"A-down-1-{flavor}", str(i)] for i in range(n)]
 
 
 def test_json_format(capsys):
@@ -517,6 +555,7 @@ def test_verb_runs_cover_every_subcommand():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert {argv[0] for argv in VERB_RUNS} == set(subcommands)
+    assert {argv[0] for argv in verb_argvs("input.cx")} == set(subcommands)
 
 
 @pytest.mark.parametrize("verb", VERB_RUNS, ids=" ".join)
@@ -588,3 +627,60 @@ def test_verify_rows_are_pinned(tmp_path, capsys):
         assert code == 0, name
         rows = [tuple(line.split("\t")[:2]) for line in out.splitlines()[1:]]
         assert rows == golden[name], name
+
+
+# -- every verb on random small inputs ends in a defined exit -----------------
+
+
+def verb_argvs(path):
+    """Every verb, with --k 0-2 and both directions where it takes them
+    (`cheeger` without --direction runs both)."""
+    yield from (["lp", path], ["hodge", path], ["verify", path], ["spectrum", path],
+                ["stationary", path], ["report", path], ["walk-sim", path, "--steps", "200"])
+    for k in ("0", "1", "2"):
+        yield from (["laplacian", path, "--k", k], ["partition", path, "--k", k],
+                    ["report", path, "--k", k], ["cheeger", path, "--k", k])
+        for direction in ("up", "down"):
+            dk = ["--k", k, "--direction", direction]
+            yield from (["stationary", path, *dk], ["spectrum", path, *dk, "--rate"],
+                        ["coherent", path, *dk])
+
+
+@st.composite
+def random_input(draw):
+    """(file text, suffix, is a complex): a complex on at most 6 vertices, or
+    a strong or non-strong cover spec with at most 7 nodes in dimensions 0-3."""
+    if draw(st.booleans()):
+        faces = draw(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=4),
+                              min_size=1, max_size=5))
+        text = "\n".join(" ".join(f"v{i}" for i in sorted(f)) for f in faces)
+        return text + "\n", ".cx", True
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=7))
+    strong = draw(st.booleans())
+    lines = [f"node n{i} {d}" for i, d in enumerate(dims)]
+    for c, dc in enumerate(dims):
+        for p, dp in enumerate(dims):
+            if (dp == dc + 1 if strong else dp > dc) and draw(st.booleans()):
+                lines.append(f"edge n{c} n{p} {draw(st.sampled_from(['+1', '-1']))}")
+    return "\n".join(lines) + "\n", ".cover", False
+
+
+@seed(20261018)
+@settings(max_examples=20, deadline=None)
+@given(random_input())
+def test_every_verb_ends_in_a_defined_exit(case):
+    text, suffix, is_complex = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"input{suffix}"
+        path.write_text(text)
+        for argv in verb_argvs(str(path)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2, 3), (argv, text)
+            if code in (1, 2):
+                lines = err.getvalue().splitlines()
+                prefix = "error: " if code == 1 else "guard: "
+                assert len(lines) == 1 and lines[0].startswith(prefix), (argv, text, lines)
+            if is_complex:
+                assert code != 3, (argv, text)

@@ -1,22 +1,29 @@
-"""The benchmark's tracer must find every function it wraps in the package."""
+"""The benchmark's tracer must find every function it wraps in the package,
+and every benchmark job must be a command line the CLI accepts."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from hodgewalk.cli import build_parser
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is created
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-tracer = load_tracer()
+tracer = load("tracer")
+workloads = load("workloads")
 
 
 @pytest.mark.parametrize(
@@ -31,3 +38,14 @@ def test_tracer_target_resolves(mod_name, attr):
         assert meth in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+@pytest.mark.parametrize(
+    "job",
+    [job for w in workloads.WORKLOADS.values() for job in w.jobs],
+    ids=lambda job: job.id,
+)
+def test_benchmark_job_parses(job):
+    # parsing only: a flag the CLI no longer takes raises ValueError here
+    args = build_parser().parse_args(job.argv(f"{job.input}.cx"))
+    assert args.verb == job.verb

@@ -210,11 +210,11 @@ def test_conditional_requires_strong():
 
 def test_simulate_deterministic_and_errors():
     cov = load_cover("tetrahedron")
-    t1, _ = simulate(cov, 0, 2000, seed=11)
-    t2, _ = simulate(cov, 0, 2000, seed=11)
-    t3, _ = simulate(cov, 0, 2000, seed=12)
-    assert t1.digest == t2.digest
-    assert t1.digest != t3.digest
+    d1, _ = simulate(cov, 0, 2000, seed=11)
+    d2, _ = simulate(cov, 0, 2000, seed=11)
+    d3, _ = simulate(cov, 0, 2000, seed=12)
+    assert d1 == d2
+    assert d1 != d3
     with pytest.raises(ValueError):
         simulate(cov, 99, 10, seed=0)
     with pytest.raises(ValueError):
@@ -224,10 +224,10 @@ def test_simulate_deterministic_and_errors():
 def test_simulate_steps_are_admissible():
     cov = load_cover("branched")
     P = transition_full(cov, "cover").entries
-    trace, _ = simulate(cov, 0, 3000, seed=5)
+    digest, _ = simulate(cov, 0, 3000, seed=5)
     states, _ = oracles.reference_walk(cov, compute_path_weights(cov), 0, 3000, 5)
     # the digest ties the oracle's states to the simulated walk
-    assert oracles.states_digest(states) == trace.digest
+    assert oracles.states_digest(states) == digest
     for a, b in zip(states, states[1:]):
         assert P[a, b] > 0
 
@@ -242,9 +242,9 @@ def test_simulate_matches_reference_walk(name):
     n = cov.n_quotient
     for seed in (0, 3, 7, 2**64 - 1):
         for start in (0, 2 * n - 1):
-            trace, emp = simulate(cov, start, 3000, seed)
+            digest, emp = simulate(cov, start, 3000, seed)
             states, counts = oracles.reference_walk(cov, pw, start, 3000, seed)
-            assert trace.digest == oracles.states_digest(states)
+            assert digest == oracles.states_digest(states)
             assert emp == {u: Fraction(c, 3001) for u, c in enumerate(counts) if c}
 
 
@@ -256,7 +256,7 @@ def test_simulate_digest_ignores_block_size(monkeypatch):
     for block in (1, 3, 64):
         monkeypatch.setattr(rng, "BLOCK", block)
         got, got_emp = simulate(cov, 0, 500, seed=9)
-        assert got.digest == want.digest and got_emp == emp
+        assert got == want and got_emp == emp
 
 
 def test_simulate_memory_does_not_grow_with_steps():
