@@ -15,11 +15,12 @@ would visit more than SEARCH_BUDGET nodes raises BruteForceGuardError.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import ScaledMatrix, rat_zeros
+from .exact import ScaledMatrix
 from .graded_cover import (
     GradedSignedDoubleCover,
     component_correspondence,
@@ -51,10 +52,7 @@ class ChildCountError(ValueError):
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    direction: str
-    k: int
     nodes: tuple[int, ...]
-    labels: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     sign: tuple[int, ...]
     weight: tuple[Fraction, ...]
@@ -131,10 +129,7 @@ def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> Auxi
     measure = tuple(Fraction(pw.lp[q]) for q in comp)
     degree_term = Fraction(k + 1) if direction == "up" else _down_degree_term(cover, comp, k)
     return AuxiliaryGraph(
-        direction,
-        k,
         comp,
-        tuple(cover.labels[q] for q in comp),
         tuple(edges),
         tuple(signs),
         tuple(weights),
@@ -155,16 +150,15 @@ def aux_laplacian(aux: AuxiliaryGraph, flavor: str) -> ScaledMatrix:
     """Measure-normalized weighted Laplacian of the auxiliary graph."""
     if flavor not in ("quotient", "signed"):
         raise ValueError("flavor must be 'quotient' or 'signed'")
-    n = aux.n
-    body = rat_zeros(n, n)
+    body = [Counter() for _ in range(aux.n)]
     for (i, j), s, w in zip(aux.edges, aux.sign, aux.weight):
-        body[i, i] += w
-        body[j, j] += w
+        body[i][i] += w
+        body[j][j] += w
         off = -w if flavor == "quotient" else -s * w
-        body[i, j] += off
-        body[j, i] += off
-    inv_measure = [Fraction(1) / m for m in aux.measure]
-    return ScaledMatrix(inv_measure, inv_measure, body)
+        body[i][j] += off
+        body[j][i] += off
+    inv_measure = tuple(Fraction(1) / m for m in aux.measure)
+    return ScaledMatrix._from_rows(inv_measure, inv_measure, body)
 
 
 def _integerized(aux: AuxiliaryGraph):

@@ -20,7 +20,6 @@ from .cheeger import BruteForceGuardError, ChildCountError, SharedMidNodeError
 from .complex_core import ComplexFormatError
 from .exact import ScaledMatrix
 from .graded_cover import CoverSpecError, NonStrongGradingError
-from .walks import CoherentComponentError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -157,10 +156,9 @@ def cmd_laplacian(args) -> int:
     for which, mat in (("up", lap.up), ("down", lap.down)):
         labels = [str(f) for f in cx.faces_by_dim[args.k]]
         fl = mat.to_float()
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                if mat.body[i, j] != 0:
-                    rows.append((which, labels[i], labels[j], float(fl[i, j])))
+        for i, row in enumerate(mat.rows):
+            for j in sorted(row):
+                rows.append((which, labels[i], labels[j], float(fl[i, j])))
     emit(rows, ("part", "row", "col", "value"), args.format)
     return EXIT_OK
 
@@ -550,7 +548,6 @@ def run(argv) -> int:
             ChildCountError,
             SharedMidNodeError,
             NonStrongGradingError,
-            CoherentComponentError,
         )
         if isinstance(exc, guards):
             print(f"guard: {exc}", file=sys.stderr)

@@ -9,11 +9,10 @@ layouts are reproducible regardless of input file order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
-from .exact import rat_zeros
+from .exact import ScaledMatrix
 
 
 class ComplexFormatError(ValueError):
@@ -164,20 +163,19 @@ def incidence_sign(tau: OrientedFace, sigma: OrientedFace) -> int:
     return sign
 
 
-def boundary_matrix(complex: SimplicialComplex, k: int) -> np.ndarray:
-    """Integer boundary matrix from k-faces to (k-1)-faces (reference orientation)."""
+def boundary_matrix(complex: SimplicialComplex, k: int) -> ScaledMatrix:
+    """Integer boundary matrix from k-faces to (k-1)-faces (reference
+    orientation), with unit scales."""
     if not 0 <= k <= complex.dimension:
         raise ValueError(f"k={k} out of range 0..{complex.dimension}")
-    if k == 0:
-        return rat_zeros(0, complex.n_faces(0))
-    rows = complex.faces_by_dim[k - 1]
-    cols = complex.faces_by_dim[k]
-    row_pos = {f: i for i, f in enumerate(rows)}
-    mat = rat_zeros(len(rows), len(cols))
-    for j, sigma in enumerate(cols):
+    faces = complex.faces_by_dim[k - 1] if k else ()
+    row_pos = {f: i for i, f in enumerate(faces)}
+    rows: list[dict[int, int]] = [{} for _ in faces]
+    for j, sigma in enumerate(complex.faces_by_dim[k]):
         for rho in sigma.boundary():
-            mat[row_pos[rho], j] = incidence_sign(OrientedFace(sigma), OrientedFace(rho))
-    return mat
+            rows[row_pos[rho]][j] = incidence_sign(OrientedFace(sigma), OrientedFace(rho))
+    one = Fraction(1)
+    return ScaledMatrix._new((one,) * len(faces), (one,) * complex.n_faces(k), rows, 1)
 
 
 def adjacency(complex: SimplicialComplex, k: int, direction: str) -> dict[Face, frozenset[Face]]:

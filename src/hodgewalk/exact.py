@@ -1,17 +1,24 @@
-"""Exact linear algebra helpers: rational matrices and scaled-matrix forms.
+"""Exact linear algebra: scaled rational matrices and exact ranks.
 
 Many operators in this package have entries of the form q * sqrt(a_i / a_j)
 with q, a_i, a_j rational.  They are stored exactly as
 
-    M = diag(row_scale)**(1/2) @ body @ diag(col_scale)**(1/2)
+    M = diag(row_scale)**(1/2) @ (rows / den) @ diag(col_scale)**(1/2)
 
-with a rational ``body`` and positive rational scale vectors.  Products,
-sums, transposes and equality checks then stay in rational arithmetic; the
-square roots only materialize in the floating-point mirror ``to_float``.
-The body is a dense object array of Fractions, but the operations read and
-write only its nonzero entries, so their cost follows the nonzero count.
-Ranks come from sparse fraction-free integer elimination, also with no
-rounding and no modular shortcut.
+with positive rational scale vectors and a sparse integer body: ``rows[i]``
+maps a column j to the integer numerator of body entry (i, j), and the one
+positive integer ``den`` is the denominator of every entry.  The form is
+canonical: no zero is stored and gcd(den, every entry) = 1, so two bodies
+over the same scales are equal exactly when their ``den`` and ``rows`` are.
+
+Products, sums, negation, scaling, transposes, restrictions and rebases
+work on Python integers and visit only stored entries.  The square roots
+they meet (sqrt(c_k * r_k) at an inner index of a product, the conversion
+factors of a rebase) are rational or the operation raises; each is folded
+into the integers through the lcm of their denominators, and one gcd pass
+restores the canonical form.  Only the floating-point mirror ``to_float``
+takes irrational roots.  Ranks come from sparse fraction-free integer
+elimination, with no rounding and no modular shortcut.
 """
 
 from __future__ import annotations
@@ -23,98 +30,74 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def _sqrt_ratio(num: int, den: int) -> tuple[int, int] | None:
+    """(a, b) with a/b = sqrt(num/den) in lowest terms, or None if irrational;
+    num >= 0, den > 0."""
+    if num == den:
+        return 1, 1
+    g = math.gcd(num, den)
+    num //= g
+    den //= g
+    a, b = math.isqrt(num), math.isqrt(den)
+    if a * a == num and b * b == den:
+        return a, b
+    return None
+
+
 def frac_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if x < 0:
         raise ValueError("negative radicand")
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    root = _sqrt_ratio(x.numerator, x.denominator)
+    return None if root is None else Fraction(*root)
 
 
-def as_object_array(rows: Sequence[Sequence]) -> np.ndarray:
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    out = np.empty((n_rows, n_cols), dtype=object)
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise ValueError("ragged rows")
-        for j, v in enumerate(row):
-            out[i, j] = Fraction(v)
+def _scales(xs: Iterable) -> tuple[Fraction, ...]:
+    out = tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+    if any(x <= 0 for x in out):
+        raise ValueError("scales must be positive")
     return out
 
 
-def rat_zeros(n_rows: int, n_cols: int) -> np.ndarray:
-    out = np.empty((n_rows, n_cols), dtype=object)
-    out[:, :] = Fraction(0)
-    return out
+def _reduced(rows: list[dict[int, int]], den: int) -> tuple[list[dict[int, int]], int]:
+    """Integer rows over ``den`` (no stored zeros) divided by the gcd of den
+    and every entry."""
+    g = den
+    for row in rows:
+        if g == 1:
+            return rows, den
+        if row:
+            g = math.gcd(g, *row.values())
+    if g == 1:
+        return rows, den
+    return [{j: v // g for j, v in row.items()} for row in rows], den // g
 
 
-def rat_eye(n: int) -> np.ndarray:
-    out = rat_zeros(n, n)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
+def _integer_rows(rows: Sequence[dict]) -> tuple[list[dict[int, int]], int]:
+    """Canonical (rows, den) of rows of rationals (ints or Fractions, zeros
+    allowed).  Over the lcm of the reduced denominators the gcd with den is
+    already 1: a prime p^a dividing the lcm divides some denominator exactly
+    a times, and that entry's numerator is prime to p."""
+    rows = [{j: v for j, v in row.items() if v} for row in rows]
+    den = math.lcm(*(v.denominator for row in rows for v in row.values()))
+    return [
+        {j: v.numerator * (den // v.denominator) for j, v in row.items()} for row in rows
+    ], den
 
 
-def nonzeros(a: np.ndarray) -> tuple[list[int], list[int], list]:
-    """Row-major (rows, cols, values) of the nonzero entries of an object array."""
-    rows, cols = np.nonzero(a.astype(bool))
-    return rows.tolist(), cols.tolist(), a[rows, cols].tolist()
+def rational_rank(mat: "ScaledMatrix") -> int:
+    """Rank of a ScaledMatrix, computed exactly.
 
-
-def rat_from_entries(shape: tuple[int, int], rows, cols, values) -> np.ndarray:
-    """Rational matrix of the given shape, Fraction(0) off the listed entries."""
-    out = rat_zeros(*shape)
-    if values:
-        out[rows, cols] = values
-    return out
-
-
-def _fractions(xs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
-
-
-def _add_bodies(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b for rational bodies of one shape, adding over b's nonzeros only."""
-    out = a.copy()
-    rows, cols, values = nonzeros(b)
-    if values:
-        out[rows, cols] = [x + y for x, y in zip(a[rows, cols].tolist(), values)]
-    return out
-
-
-def mat_is_zero(a: np.ndarray) -> bool:
-    return not np.count_nonzero(a)
-
-
-def mat_to_float(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.shape)
-    rows, cols, values = nonzeros(a)
-    if values:
-        out[rows, cols] = [float(v) for v in values]
-    return out
-
-
-def rational_rank(mat: np.ndarray) -> int:
-    """Rank of a matrix with Fraction entries, computed exactly.
-
-    Each row is scaled to a sparse integer row ``{col: int}`` and the rows
-    are eliminated fraction-free in Markowitz order: the pivot column is
-    one with the fewest active rows, the pivot row its shortest.  Every
-    other row r through that column becomes p*r - r[c]*pivot (p the
-    pivot entry) divided by its content (the gcd of its entries), so the
-    entries stay small.  Each step is invertible over the rationals, so
-    the number of pivots is the rank.
+    The scales and the common denominator are positive, so the rank is the
+    rank of the integer rows, which are eliminated as they are,
+    fraction-free in Markowitz order: the pivot column is one with the
+    fewest active rows, the pivot row its shortest.  Every other row r
+    through that column becomes p*r - r[c]*pivot (p the pivot entry)
+    divided by its content (the gcd of its entries), so the entries stay
+    small.  Each step is invertible over the rationals, so the number of
+    pivots is the rank.
     """
-    rows: dict[int, dict] = {}
-    for i, j, v in zip(*nonzeros(mat)):
-        rows.setdefault(i, {})[j] = Fraction(v)
-    for i, row in rows.items():
-        den = math.lcm(*(v.denominator for v in row.values()))
-        rows[i] = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    rows = {i: dict(row) for i, row in enumerate(mat.rows) if row}
     in_col: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -156,20 +139,38 @@ def rational_rank(mat: np.ndarray) -> int:
 
 
 class ScaledMatrix:
-    """M = diag(row_scale)^(1/2) @ body @ diag(col_scale)^(1/2), all rational."""
+    """M = diag(row_scale)^(1/2) @ (rows / den) @ diag(col_scale)^(1/2).
 
-    __slots__ = ("row_scale", "col_scale", "body")
+    The scales are tuples of positive Fractions; ``rows`` and ``den`` are
+    the canonical integer body (see the module docstring).  A matrix is
+    never changed after it is built, so results may share row dicts.
+    """
+
+    __slots__ = ("row_scale", "col_scale", "rows", "den")
 
     def __init__(self, row_scale: Iterable, col_scale: Iterable, body: np.ndarray):
-        self.row_scale = _fractions(row_scale)
-        self.col_scale = _fractions(col_scale)
-        if any(x <= 0 for x in self.row_scale) or any(x <= 0 for x in self.col_scale):
-            raise ValueError("scales must be positive")
+        """From a dense rational body (an array of ints or Fractions)."""
+        self.row_scale = _scales(row_scale)
+        self.col_scale = _scales(col_scale)
         if body.shape != (len(self.row_scale), len(self.col_scale)):
             raise ValueError("body shape does not match scales")
-        self.body = body
+        self.rows, self.den = _integer_rows(
+            [{j: Fraction(v) for j, v in enumerate(row) if v} for row in body.tolist()]
+        )
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _new(cls, row_scale: tuple, col_scale: tuple, rows: list, den: int) -> "ScaledMatrix":
+        """Trusted: validated scale tuples and a canonical integer body."""
+        m = object.__new__(cls)
+        m.row_scale, m.col_scale, m.rows, m.den = row_scale, col_scale, rows, den
+        return m
+
+    @classmethod
+    def _from_rows(cls, row_scale: tuple, col_scale: tuple, rows: Sequence[dict]) -> "ScaledMatrix":
+        """For builders: validated scale tuples and rows {col: int or Fraction}."""
+        return cls._new(row_scale, col_scale, *_integer_rows(rows))
 
     @staticmethod
     def from_rational(mat: np.ndarray) -> "ScaledMatrix":
@@ -178,135 +179,192 @@ class ScaledMatrix:
 
     @staticmethod
     def identity(n: int) -> "ScaledMatrix":
-        return ScaledMatrix.from_rational(rat_eye(n))
+        ones = (Fraction(1),) * n
+        return ScaledMatrix._new(ones, ones, [{i: 1} for i in range(n)], 1)
 
     # -- structure ----------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.body.shape
+        return len(self.row_scale), len(self.col_scale)
+
+    @property
+    def body(self) -> np.ndarray:
+        """Read-only dense Fraction array of the body, built on each access."""
+        out = np.empty(self.shape, dtype=object)
+        out.fill(Fraction(0))
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                out[i, j] = Fraction(v, self.den)
+        out.flags.writeable = False
+        return out
 
     @property
     def T(self) -> "ScaledMatrix":
-        return ScaledMatrix(self.col_scale, self.row_scale, self.body.T.copy())
+        cols: list[dict[int, int]] = [{} for _ in self.col_scale]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return ScaledMatrix._new(self.col_scale, self.row_scale, cols, self.den)
 
     def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "ScaledMatrix":
-        # a gather of object references: no per-entry arithmetic
-        body = self.body[np.ix_(rows, cols)] if rows and cols else rat_zeros(len(rows), len(cols))
-        return ScaledMatrix(
-            [self.row_scale[i] for i in rows],
-            [self.col_scale[j] for j in cols],
-            body,
+        """The submatrix on the listed rows and columns, in their order."""
+        where: dict[int, list[int]] = {}
+        for n, j in enumerate(cols):
+            where.setdefault(j, []).append(n)
+        out = []
+        for i in rows:
+            new = {}
+            for j, v in self.rows[i].items():
+                for n in where.get(j, ()):
+                    new[n] = v
+            out.append(new)
+        return ScaledMatrix._new(
+            tuple(self.row_scale[i] for i in rows),
+            tuple(self.col_scale[j] for j in cols),
+            *_reduced(out, self.den),
         )
 
     def entry(self, i: int, j: int) -> Fraction:
         """Exact entry value; raises if the entry is irrational."""
-        b = self.body[i, j]
-        if b == 0:
+        v = self.rows[i].get(j, 0)
+        if v == 0:
             return Fraction(0)
         root = frac_sqrt(self.row_scale[i] * self.col_scale[j])
         if root is None:
             raise ValueError("entry is irrational")
-        return b * root
+        return Fraction(v, self.den) * root
 
     # -- algebra ------------------------------------------------------
 
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
-        left = [[] for _ in range(self.shape[0])]
-        for i, k, a in zip(*nonzeros(self.body)):
-            left[i].append((k, a))
-        contracted = {k for row in left for k, _ in row}
-        # rows of the right factor times their inner factor sqrt(c_k * r_k);
-        # an irrational inner factor is harmless when nothing contracts
-        # through index k
-        right = [[] for _ in range(other.shape[0])]
+        right = other.rows
+        # the inner factor sqrt(c_k * r_k) of every contracted index k, as
+        # a_k / b_k; an irrational one is harmless when nothing contracts
+        # through k
         roots = {}
-        for k, j, v in zip(*nonzeros(other.body)):
-            if k not in contracted:
-                continue
-            root = roots.get(k)
-            if root is None:
-                root = frac_sqrt(self.col_scale[k] * other.row_scale[k])
+        for k in set().union(*self.rows):
+            if right[k]:
+                c, r = self.col_scale[k], other.row_scale[k]
+                root = _sqrt_ratio(c.numerator * r.numerator, c.denominator * r.denominator)
                 if root is None:
                     raise ValueError("inner scales do not compose exactly")
                 roots[k] = root
-            right[k].append((j, v if root == 1 else v * root))
-        body = rat_zeros(self.shape[0], other.shape[1])
-        for i, row in enumerate(left):
-            acc: dict[int, Fraction] = {}
-            for k, a in row:
-                for j, b in right[k]:
-                    p = a * b
-                    acc[j] = acc[j] + p if j in acc else p
-            for j, v in acc.items():
-                body[i, j] = v
-        return ScaledMatrix(self.row_scale, other.col_scale, body)
+        inner = math.lcm(*(b for _, b in roots.values()))
+        empty: dict[int, int] = {}
+        scaled = [empty] * len(right)
+        for k, (a, b) in roots.items():
+            m = a * (inner // b)
+            scaled[k] = right[k] if m == 1 else {j: v * m for j, v in right[k].items()}
+        out = []
+        for row in self.rows:
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in scaled[k].items():
+                    if j in acc:
+                        acc[j] += a * b
+                    else:
+                        acc[j] = a * b
+            if 0 in acc.values():
+                acc = {j: v for j, v in acc.items() if v}
+            out.append(acc)
+        return ScaledMatrix._new(
+            self.row_scale, other.col_scale, *_reduced(out, self.den * other.den * inner)
+        )
 
     def rebase(self, row_scale: Iterable, col_scale: Iterable) -> "ScaledMatrix":
         """Re-express with new scales; needs each nonzero entry's conversion
         factor sqrt((r_old*c_old)/(r_new*c_new)) to be rational."""
-        row_scale = _fractions(row_scale)
-        col_scale = _fractions(col_scale)
+        row_scale = _scales(row_scale)
+        col_scale = _scales(col_scale)
         if (len(row_scale), len(col_scale)) != self.shape:
             raise ValueError("body shape does not match scales")
-        rr = [a / b for a, b in zip(self.row_scale, row_scale)]
-        cc = [a / b for a, b in zip(self.col_scale, col_scale)]
-        rows, cols, values = nonzeros(self.body)
-        for n, (i, j) in enumerate(zip(rows, cols)):
-            f = frac_sqrt(rr[i] * cc[j])
-            if f is None:
-                raise ValueError("scales are not compatible")
-            if f != 1:
-                values[n] *= f
-        return ScaledMatrix(row_scale, col_scale, rat_from_entries(self.shape, rows, cols, values))
+        return self._rebased(row_scale, col_scale)
+
+    def _rebased(self, row_scale: tuple, col_scale: tuple) -> "ScaledMatrix":
+        """``rebase`` onto validated scale tuples of this shape."""
+        if row_scale == self.row_scale and col_scale == self.col_scale:
+            return self
+
+        def ratios(old, new):
+            return [(x.numerator * y.denominator, x.denominator * y.numerator)
+                    for x, y in zip(old, new)]
+
+        rr, cc = ratios(self.row_scale, row_scale), ratios(self.col_scale, col_scale)
+        roots: dict[tuple[int, int], tuple[int, int]] = {}  # this call's factors
+        staged = []
+        for (a, b), row in zip(rr, self.rows):
+            new = {}
+            for j, v in row.items():
+                c, d = cc[j]
+                key = (a * c, b * d)
+                root = roots.get(key)
+                if root is None:
+                    root = _sqrt_ratio(*key)
+                    if root is None:
+                        raise ValueError("scales are not compatible")
+                    roots[key] = root
+                new[j] = (v * root[0], root[1])
+            staged.append(new)
+        lcm = math.lcm(*(b for _, b in roots.values()))
+        out = [{j: v * (lcm // b) for j, (v, b) in row.items()} for row in staged]
+        return ScaledMatrix._new(row_scale, col_scale, *_reduced(out, self.den * lcm))
 
     def __add__(self, other: "ScaledMatrix") -> "ScaledMatrix":
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
         try:
-            other = other.rebase(self.row_scale, self.col_scale)
+            a, b = self, other._rebased(self.row_scale, self.col_scale)
         except ValueError:
-            rebased = self.rebase(other.row_scale, other.col_scale)
-            return ScaledMatrix(other.row_scale, other.col_scale, _add_bodies(rebased.body, other.body))
-        return ScaledMatrix(self.row_scale, self.col_scale, _add_bodies(self.body, other.body))
+            a, b = self._rebased(other.row_scale, other.col_scale), other
+        den = math.lcm(a.den, b.den)
+        ma, mb = den // a.den, den // b.den
+        rows = []
+        for ra, rb in zip(a.rows, b.rows):
+            new = dict(ra) if ma == 1 else {j: v * ma for j, v in ra.items()}
+            for j, v in rb.items():
+                x = new.get(j, 0) + v * mb
+                if x:
+                    new[j] = x
+                else:
+                    del new[j]
+            rows.append(new)
+        return ScaledMatrix._new(a.row_scale, a.col_scale, *_reduced(rows, den))
 
     def __sub__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         return self + (-other)
 
     def __neg__(self) -> "ScaledMatrix":
-        return self._map(lambda v: -v)
+        rows = [{j: -v for j, v in row.items()} for row in self.rows]
+        return ScaledMatrix._new(self.row_scale, self.col_scale, rows, self.den)
 
     def scale(self, factor) -> "ScaledMatrix":
         factor = Fraction(factor)
-        return self._map(lambda v: v * factor)
-
-    def _map(self, fn) -> "ScaledMatrix":
-        """Same scales, ``fn`` applied to every nonzero body entry."""
-        rows, cols, values = nonzeros(self.body)
-        body = rat_from_entries(self.shape, rows, cols, [fn(v) for v in values])
-        return ScaledMatrix(self.row_scale, self.col_scale, body)
+        p = factor.numerator
+        if p == 0:
+            rows: list[dict[int, int]] = [{} for _ in self.rows]
+            return ScaledMatrix._new(self.row_scale, self.col_scale, rows, 1)
+        rows = self.rows if p == 1 else [{j: v * p for j, v in row.items()} for row in self.rows]
+        return ScaledMatrix._new(
+            self.row_scale, self.col_scale, *_reduced(rows, self.den * factor.denominator)
+        )
 
     # -- predicates ---------------------------------------------------
 
     def equals(self, other: "ScaledMatrix") -> bool:
-        """Exact entrywise equality, independent of the chosen scales."""
+        """Exact entrywise equality, independent of the chosen scales.
+
+        Equal nonzero entries b*sqrt(r*c) = b'*sqrt(r'*c') have a rational
+        conversion factor b/b', so a rebase that fails proves inequality."""
         if self.shape != other.shape:
             return False
-        rows, cols, mine = nonzeros(self.body)
-        o_rows, o_cols, theirs = nonzeros(other.body)
-        if rows != o_rows or cols != o_cols:
+        try:
+            other = other._rebased(self.row_scale, self.col_scale)
+        except ValueError:
             return False
-        same_row = [x == y for x, y in zip(self.row_scale, other.row_scale)]
-        same_col = [x == y for x, y in zip(self.col_scale, other.col_scale)]
-        for i, j, a, b in zip(rows, cols, mine, theirs):
-            if same_row[i] and same_col[j]:
-                if a != b:
-                    return False
-            elif (a > 0) != (b > 0) or a * a * self.row_scale[i] * self.col_scale[j] != (
-                b * b * other.row_scale[i] * other.col_scale[j]
-            ):
-                return False
-        return True
+        return self.den == other.den and self.rows == other.rows
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ScaledMatrix) and self.equals(other)
@@ -315,7 +373,7 @@ class ScaledMatrix:
         raise TypeError("unhashable")
 
     def is_zero(self) -> bool:
-        return mat_is_zero(self.body)
+        return not any(self.rows)
 
     def is_symmetric(self) -> bool:
         return self.equals(self.T)
@@ -325,5 +383,10 @@ class ScaledMatrix:
     def to_float(self) -> np.ndarray:
         r = np.sqrt(np.array([float(x) for x in self.row_scale]))
         c = np.sqrt(np.array([float(x) for x in self.col_scale]))
-        return mat_to_float(self.body) * np.outer(r, c)
-
+        out = np.zeros(self.shape)
+        den = self.den
+        for i, row in enumerate(self.rows):
+            if row:
+                # int / int is correctly rounded, as float(Fraction) is
+                out[i, list(row)] = [v / den for v in row.values()]
+        return out * np.outer(r, c)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complex_core import SimplicialComplex, boundary_matrix
-from .exact import ScaledMatrix, rational_rank, rat_zeros
+from .exact import ScaledMatrix, rational_rank
 from .graded_cover import (
     components,
     compute_path_weights,
@@ -54,14 +54,13 @@ def _coboundary(complex: SimplicialComplex, k: int, normalized: bool) -> ScaledM
     """Coboundary from k- to (k+1)-cochains, the transposed boundary, for
     -1 <= k <= dim (empty blocks at both ends).  Normalized, it is
     W_{k+1}^(1/2) @ coboundary @ W_k^(-1/2), exactly; otherwise the scales are 1."""
-    if k < complex.dimension:
-        body = boundary_matrix(complex, k + 1).T.copy()
+    rows = boundary_matrix(complex, k + 1).T.rows if k < complex.dimension else []
+    if normalized:
+        w = normalization_weights(complex)
+        scales = w.get(k + 1, ()), tuple(1 / x for x in w.get(k, ()))
     else:
-        body = rat_zeros(0, complex.n_faces(k))
-    if not normalized:
-        return ScaledMatrix.from_rational(body)
-    w = normalization_weights(complex)
-    return ScaledMatrix(w.get(k + 1, ()), [1 / x for x in w.get(k, ())], body)
+        scales = tuple((Fraction(1),) * complex.n_faces(i) for i in (k + 1, k))
+    return ScaledMatrix._new(*scales, rows, 1)
 
 
 def normalized_coboundary(complex: SimplicialComplex, k: int) -> ScaledMatrix:
@@ -147,7 +146,7 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
         check(
             f"normalized_harmonic_dim k={k}",
             hodge_decomposition(complex, k).harmonic
-            == complex.n_faces(k) - rational_rank(laps[(k, True)].full.body),
+            == complex.n_faces(k) - rational_rank(laps[(k, True)].full),
         )
     for k in range(1, dim + 1):
         for nrm in (False, True):

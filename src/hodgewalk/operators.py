@@ -11,12 +11,13 @@ floating-point mirror fed to numpy's LAPACK ``eigh``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import ScaledMatrix, rat_zeros, rational_rank
+from .exact import ScaledMatrix, rational_rank
 from .graded_cover import (
     GradedSignedDoubleCover,
     components,
@@ -71,49 +72,44 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
     """
     pw = compute_path_weights(cover)
     n = cover.n_quotient
-    hq = [pw.h(q) for q in range(n)]
-    ihq = [Fraction(1) / x for x in hq]
+    hq = tuple(pw.h(q) for q in range(n))
+    ihq = tuple(Fraction(1) / x for x in hq)
     hc, ihc = hq + hq, ihq + ihq
 
-    a_cover = rat_zeros(2 * n, 2 * n)
-    a_sym = rat_zeros(2 * n, 2 * n)
-    a_alt = rat_zeros(2 * n, 2 * n)
-    d_cover = rat_zeros(2 * n, 2 * n)
-    d_sym = rat_zeros(2 * n, 2 * n)
-    d_alt = rat_zeros(2 * n, 2 * n)
-    theta_l = rat_zeros(2 * n, 2 * n)
-    theta_r = rat_zeros(2 * n, 2 * n)
-    r_mat = rat_zeros(2 * n, 2 * n)
+    def rows(m):
+        return [Counter() for _ in range(m)]
+
+    a_cover, a_sym, a_alt = rows(2 * n), rows(2 * n), rows(2 * n)
+    d_cover, d_sym, d_alt = rows(2 * n), rows(2 * n), rows(2 * n)
+    theta_l, theta_r, r_mat = rows(2 * n), rows(2 * n), rows(2 * n)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     for u in range(2 * n):
         q, flip = u % n, u >= n
-        r_mat[u, (u + n) % (2 * n)] = Fraction(1)
+        r_mat[u][(u + n) % (2 * n)] = 1
         leaf, root = cover.is_leaf(q), cover.is_root(q)
         if leaf:
-            theta_l[u, q] = half
-            theta_l[u, q + n] = half
+            theta_l[u][q] = theta_l[u][q + n] = half
         if root:
-            theta_r[u, q] = half
-            theta_r[u, q + n] = half
+            theta_r[u][q] = theta_r[u][q + n] = half
         if leaf and root:
-            a_cover[u, q] = a_cover[u, q + n] = half
-            a_sym[u, q] = a_sym[u, q + n] = half
+            a_cover[u][q] = a_cover[u][q + n] = half
+            a_sym[u][q] = a_sym[u][q + n] = half
         elif leaf != root:
-            a_cover[u, q] = a_cover[u, q + n] = quarter
-            a_sym[u, q] = a_sym[u, q + n] = quarter
+            a_cover[u][q] = a_cover[u][q + n] = quarter
+            a_sym[u][q] = a_sym[u][q + n] = quarter
         # row u = v acting on subfaces u' (body factor for scales (H, 1/H) is rational)
         for t in cover.children[q]:
             s_ref = cover.sign_ref[(t, q)]
             for tflip in (False, True):
                 u2 = t + n * tflip
                 s = s_ref * (-1 if flip else 1) * (-1 if tflip else 1)
-                a_sym[u, u2] += quarter
-                a_alt[u, u2] += Fraction(s, 4)
-                d_sym[u, u2] += half
-                d_alt[u, u2] += Fraction(s, 2)
+                a_sym[u][u2] += quarter
+                a_alt[u][u2] += Fraction(s, 4)
+                d_sym[u][u2] += half
+                d_alt[u][u2] += Fraction(s, 2)
                 if s == 1:
-                    a_cover[u, u2] += half
-                    d_cover[u, u2] += Fraction(1)
+                    a_cover[u][u2] += half
+                    d_cover[u][u2] += 1
         # row u = t below supfaces u'
         for v in cover.parents[q]:
             s_ref = cover.sign_ref[(q, v)]
@@ -121,49 +117,37 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
             for vflip in (False, True):
                 u2 = v + n * vflip
                 s = s_ref * (-1 if flip else 1) * (-1 if vflip else 1)
-                a_sym[u, u2] += quarter * ratio
-                a_alt[u, u2] += Fraction(-s, 4) * ratio
+                a_sym[u][u2] += quarter * ratio
+                a_alt[u][u2] += Fraction(-s, 4) * ratio
                 if s == -1:
-                    a_cover[u, u2] += half * ratio
+                    a_cover[u][u2] += half * ratio
 
-    a_quot = rat_zeros(n, n)
-    d_quot = rat_zeros(n, n)
-    d_signed = rat_zeros(n, n)
-    pi_l = rat_zeros(n, n)
-    pi_r = rat_zeros(n, n)
+    a_quot, d_quot, d_signed, a_signed = rows(n), rows(n), rows(n), rows(n)
+    pi_l, pi_r = rows(n), rows(n)
     for q in range(n):
         leaf, root = cover.is_leaf(q), cover.is_root(q)
         if leaf:
-            pi_l[q, q] = Fraction(1)
+            pi_l[q][q] = 1
         if root:
-            pi_r[q, q] = Fraction(1)
+            pi_r[q][q] = 1
         if leaf and root:
-            a_quot[q, q] = Fraction(1)
+            a_quot[q][q] = 1
         elif leaf != root:
-            a_quot[q, q] = half
+            a_quot[q][q] = half
         for t in cover.children[q]:
-            a_quot[q, t] += half
-            d_quot[q, t] += Fraction(1)
-            d_signed[q, t] += Fraction(cover.sign_ref[(t, q)])
+            a_quot[q][t] += half
+            d_quot[q][t] += 1
+            d_signed[q][t] += cover.sign_ref[(t, q)]
+            a_signed[q][t] += Fraction(cover.sign_ref[(t, q)], 2)
         for v in cover.parents[q]:
-            a_quot[q, v] += half * (hq[v] / hq[q])
+            a_quot[q][v] += half * (hq[v] / hq[q])
+            a_signed[q][v] += Fraction(-cover.sign_ref[(q, v)], 2) * (hq[v] / hq[q])
 
-    a_signed = rat_zeros(n, n)
-    for q in range(n):
-        for t in cover.children[q]:
-            a_signed[q, t] += Fraction(cover.sign_ref[(t, q)], 2)
-        for v in cover.parents[q]:
-            a_signed[q, v] += Fraction(-cover.sign_ref[(q, v)], 2) * (hq[v] / hq[q])
+    q_sym = [{q: 1, q + n: 1} for q in range(n)]
+    q_alt = [{q: 1, q + n: -1} for q in range(n)]
 
-    q_sym = rat_zeros(n, 2 * n)
-    q_alt = rat_zeros(n, 2 * n)
-    for q in range(n):
-        q_sym[q, q] = q_sym[q, q + n] = Fraction(1)
-        q_alt[q, q] = Fraction(1)
-        q_alt[q, q + n] = Fraction(-1)
-
-    sm_c = lambda body: ScaledMatrix(hc, ihc, body)
-    sm_q = lambda body: ScaledMatrix(hq, ihq, body)
+    sm_c = lambda body: ScaledMatrix._from_rows(hc, ihc, body)
+    sm_q = lambda body: ScaledMatrix._from_rows(hq, ihq, body)
     return OperatorBundle(
         cover=cover,
         a_cover=sm_c(a_cover),
@@ -180,8 +164,8 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
         theta_r=sm_c(theta_r),
         pi_l=sm_q(pi_l),
         pi_r=sm_q(pi_r),
-        q_sym=ScaledMatrix(hq, ihc, q_sym),
-        q_alt=ScaledMatrix(hq, ihc, q_alt),
+        q_sym=ScaledMatrix._from_rows(hq, ihc, q_sym),
+        q_alt=ScaledMatrix._from_rows(hq, ihc, q_alt),
         r=sm_c(r_mat),
     )
 
@@ -214,28 +198,28 @@ def build_conditional(
     hq = [pw.h(q) for q in range(cover.n_quotient)]
     lonely = cover.is_leaf if up else cover.is_root
     size = 2 * m if flavor == "cover" else m
-    body = rat_zeros(size, size)
+    body = [Counter() for _ in range(size)]
     # a lonely node has no mid-node to pass through: it stays put (quotient)
     # or moves to either of its lifts (cover)
     for i in [pos[a] for a in nodes if lonely(a)]:
         if flavor == "quotient":
-            body[i, i] = Fraction(1)
+            body[i][i] = 1
         elif flavor == "cover":
-            body[i, i] = body[i, i + m] = body[i + m, i] = body[i + m, i + m] = Fraction(1, 2)
+            body[i][i] = body[i][i + m] = body[i + m][i] = body[i + m][i + m] = Fraction(1, 2)
     for a, b, v, s in conditional_triples(cover, k, direction):
         w = hq[v] / hq[a] if up else hq[b] / hq[v]
         i, j = pos[a], pos[b]
         if flavor == "quotient":
-            body[i, j] += w
+            body[i][j] += w
         elif flavor == "signed":
-            body[i, j] -= w * s
+            body[i][j] -= w * s
         else:
             # two conditioned steps pick up opposite signs overall
             for fa in (0, 1):
-                body[i + m * fa, j + m * (fa ^ (s == 1))] += w
+                body[i + m * fa][j + m * (fa ^ (s == 1))] += w
     copies = 2 if flavor == "cover" else 1
-    return ScaledMatrix(
-        [hq[q] for q in nodes] * copies, [1 / hq[q] for q in nodes] * copies, body
+    return ScaledMatrix._from_rows(
+        tuple(hq[q] for q in nodes) * copies, tuple(1 / hq[q] for q in nodes) * copies, body
     )
 
 
@@ -281,7 +265,7 @@ def multiplicity(operator: ScaledMatrix, value) -> int:
     operator, exactly: its nullity n - rank(A - value I)."""
     n = operator.shape[0]
     shifted = operator - ScaledMatrix.identity(n).scale(value)
-    return n - rational_rank(shifted.body)
+    return n - rational_rank(shifted)
 
 
 # -- verification -----------------------------------------------------------
@@ -475,8 +459,9 @@ def coherent_spectrum_check(
         )
         return report
     # re-orient by sign conjugation X S X, with x = -1 on the flipped nodes
-    x = np.array([-1 if witness[q] else 1 for q in comp], dtype=object)
-    sgn = ScaledMatrix(sgn.row_scale, sgn.col_scale, sgn.body * np.outer(x, x))
+    x = [-1 if witness[q] else 1 for q in comp]
+    rows = [{j: v * x[i] * x[j] for j, v in row.items()} for i, row in enumerate(sgn.rows)]
+    sgn = ScaledMatrix._new(sgn.row_scale, sgn.col_scale, rows, sgn.den)
     quot = on_component(cover, build_conditional(cover, k, direction, "quotient"), comp)
     report["opposite_operators_exact"] = (
         sgn.equals(-quot),
@@ -486,13 +471,14 @@ def coherent_spectrum_check(
         multiplicity(sgn, -1) == 1,
         "-1 attained with multiplicity one",
     )
+    # S f = -f for f = (LP*RP)^(1/2) exactly when the body takes RP = H^(-1/2) f to -RP
     pw = compute_path_weights(cover)
-    w = np.empty(len(comp), dtype=object)
-    for i, q in enumerate(comp):
-        w[i] = Fraction(pw.rp[q])
-    image = sgn.body @ w
+    rp = [pw.rp[q] for q in comp]
     report["minus_one_eigenvector"] = (
-        all(image[i] == -w[i] for i in range(len(comp))),
+        all(
+            sum(v * rp[j] for j, v in row.items()) == -rp[i] * sgn.den
+            for i, row in enumerate(sgn.rows)
+        ),
         "(LP*RP)^(1/2) is a -1 eigenfunction (exact)",
     )
     return report

@@ -8,7 +8,9 @@ replaced, kept to pin its results exactly:
 
 - the scalar SplitMix64 generator and the per-word walk loop, which pin
   the block-drawn word stream and the walk's visit counts and digest;
-- the dense Bareiss elimination, which pins the sparse rank;
+- the dense Bareiss elimination, which pins the sparse rank, and the
+  dense Fraction arrays (``as_object_array``) that the sparse exact
+  matrices are checked against;
 - the float multiset match and eigenvalue count, which cross-check the
   exact split identities and rank-based multiplicities through spectra;
 - the plain ascending mask scans and the Gray-code orientation walk at
@@ -18,6 +20,7 @@ replaced, kept to pin its results exactly:
 """
 
 import hashlib
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
@@ -26,6 +29,19 @@ import numpy as np
 
 from hodgewalk.cheeger import _integerized
 from hodgewalk.graded_cover import propagate_signs
+
+
+def as_object_array(rows):
+    """Dense 2-D object array of Fractions from a list of equal-length rows."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    out = np.empty((n_rows, n_cols), dtype=object)
+    for i, row in enumerate(rows):
+        if len(row) != n_cols:
+            raise ValueError("ragged rows")
+        for j, v in enumerate(row):
+            out[i, j] = Fraction(v)
+    return out
 
 
 def ascending_paths(cover, q):
@@ -542,3 +558,69 @@ def multiset_match(a, b, tol=1e-8) -> bool:
 def float_multiplicity(values, target, gap=1e-7) -> int:
     """How many of the float eigenvalues ``values`` lie within ``gap`` of ``target``."""
     return sum(1 for v in values if abs(v - target) < gap)
+
+
+# -- dense Fraction references of the exact ScaledMatrix operations ----------
+# A dense triple is (row scales, column scales, body as a list of rows of
+# Fractions), standing for diag(rows)^(1/2) @ body @ diag(cols)^(1/2).
+
+
+def _exact_sqrt(x):
+    """Square root of a nonnegative Fraction when it is rational, else None."""
+    a, b = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(a, b) if a * a == x.numerator and b * b == x.denominator else None
+
+
+def dense_of(m):
+    """The dense triple of a ScaledMatrix."""
+    return tuple(m.row_scale), tuple(m.col_scale), [list(row) for row in m.body]
+
+
+def dense_matmul(a, b):
+    """a @ b entry by entry; each inner factor sqrt(c_k * r_k) must be rational
+    where both factors are nonzero."""
+    (ra, ca, x), (rb, cb, y) = a, b
+    out = [[Fraction(0)] * len(cb) for _ in ra]
+    for k in range(len(ca)):
+        for i in range(len(ra)):
+            for j in range(len(cb)):
+                if x[i][k] and y[k][j]:
+                    root = _exact_sqrt(ca[k] * rb[k])
+                    if root is None:
+                        raise ValueError("irrational inner factor")
+                    out[i][j] += x[i][k] * root * y[k][j]
+    return ra, cb, out
+
+
+def dense_rebase(a, rows, cols):
+    """The entries of a over new scales; raises where a nonzero entry's
+    conversion factor is irrational."""
+    ra, ca, x = a
+    out = []
+    for i, row in enumerate(x):
+        new = []
+        for j, v in enumerate(row):
+            f = _exact_sqrt(ra[i] * ca[j] / (rows[i] * cols[j])) if v else Fraction(0)
+            if f is None:
+                raise ValueError("irrational conversion factor")
+            new.append(v * f)
+        out.append(new)
+    return tuple(rows), tuple(cols), out
+
+
+def dense_sum(a, b):
+    """a + b over a's scales, or over b's when b does not rebase onto a's."""
+    try:
+        b = dense_rebase(b, a[0], a[1])
+    except ValueError:
+        a = dense_rebase(a, b[0], b[1])
+    return a[0], a[1], [[x + y for x, y in zip(p, q)] for p, q in zip(a[2], b[2])]
+
+
+def dense_to_float(a):
+    """Float mirror through float(Fraction) of every body entry."""
+    ra, ca, x = a
+    body = np.array([[float(v) for v in row] for row in x], dtype=float).reshape(len(ra), len(ca))
+    r = np.sqrt(np.array([float(s) for s in ra]))
+    c = np.sqrt(np.array([float(s) for s in ca]))
+    return body * np.outer(r, c)

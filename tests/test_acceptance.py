@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hodgewalk.cheeger import build_aux, cheeger_quotient, cheeger_signed, combined_report
 from hodgewalk.cli import run as cli_run
-from hodgewalk.exact import ScaledMatrix, rat_eye
+from hodgewalk.exact import ScaledMatrix
 from hodgewalk.graded_cover import components, detect_coherent, find_partition
 from hodgewalk.laplacians import hodge
 from hodgewalk.operators import (
@@ -98,13 +98,12 @@ def test_criterion_3_exact_identity_suite(covers, weights, capsys):
         for name in COMPLEX_NAMES:
             cov, pw = covers[name], weights[name]
             from hodgewalk.complex_core import boundary_matrix
-            from hodgewalk.exact import mat_is_zero
             from hodgewalk.laplacians import check_laplacian_walk_identity
             from conftest import load_complex
 
             cx = load_complex(name)
             for k in range(1, cx.dimension + 1):
-                assert mat_is_zero(boundary_matrix(cx, k - 1) @ boundary_matrix(cx, k))
+                assert (boundary_matrix(cx, k - 1) @ boundary_matrix(cx, k)).is_zero()
             for k in range(cx.dimension + 1):
                 for nrm in (False, True):
                     lap = hodge(cx, k, nrm)
@@ -132,7 +131,7 @@ def test_criterion_3_exact_identity_suite(covers, weights, capsys):
                         from hodgewalk.cheeger import aux_laplacian
 
                         factor = Fraction(kk + 2 if direction == "up" else kk + 1)
-                        eye = ScaledMatrix.from_rational(rat_eye(aux.n))
+                        eye = ScaledMatrix.identity(aux.n)
                         a_q = build_conditional(cov, kk, direction, "quotient")
                         a_s = build_conditional(cov, kk, direction, "signed")
                         a_q, a_s = on_component(cov, a_q, comp), on_component(cov, a_s, comp)

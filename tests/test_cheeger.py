@@ -13,7 +13,7 @@ from hodgewalk.cheeger import (
     combined_report,
 )
 from hodgewalk.complex_core import parse_complex
-from hodgewalk.exact import ScaledMatrix, rat_eye
+from hodgewalk.exact import ScaledMatrix
 from hodgewalk.graded_cover import components, cover_from_complex, detect_coherent
 from hodgewalk.operators import build_conditional, on_component
 
@@ -86,7 +86,7 @@ def test_aux_laplacian_affine_identities():
     # up in dimension m scales by m+2, down by m+1
     comp = the_component(cov, "quotient-up", 1)
     aux = build_aux(cov, comp, "up")
-    eye = ScaledMatrix.from_rational(rat_eye(aux.n))
+    eye = ScaledMatrix.identity(aux.n)
     a_q = on_component(cov, build_conditional(cov, 1, "up", "quotient"), comp)
     assert aux_laplacian(aux, "quotient").equals((eye - a_q).scale(3))
     a_s = on_component(cov, build_conditional(cov, 1, "up", "signed"), comp)
@@ -198,7 +198,7 @@ def test_brute_force_guard(monkeypatch):
         cheeger_signed(aux)
     # the budget bounds work, not size: an edgeless 25-node graph is cut at once
     edgeless = AuxiliaryGraph(
-        "down", 1, tuple(range(25)), tuple(str(i) for i in range(25)), (), (), (),
+        tuple(range(25)), (), (), (),
         tuple(Fraction(1) for _ in range(25)), Fraction(1),
     )
     assert cheeger_quotient(edgeless) == (0, (0,))
@@ -362,7 +362,7 @@ def test_searches_deeper_than_the_recursion_limit():
     # descends through all of them before its first leaf
     n = 1103
     aux = AuxiliaryGraph(
-        "down", 1, tuple(range(n)), tuple(str(i) for i in range(n)),
+        tuple(range(n)),
         ((n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)), (1, 1, -1),
         (Fraction(1),) * 3, (Fraction(1),) * n, Fraction(1),
     )
@@ -406,10 +406,7 @@ def random_aux(draw, lo=1, hi=8, dense=False):
     else:
         edges = sorted(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else []
     return AuxiliaryGraph(
-        direction="down",
-        k=1,
         nodes=tuple(range(10, 10 + n)),
-        labels=tuple(f"q{i}" for i in range(n)),
         edges=tuple(edges),
         sign=tuple(draw(st.sampled_from([1, -1])) for _ in edges),
         weight=tuple(draw(SMALL_WEIGHTS) for _ in edges),
@@ -422,10 +419,7 @@ def random_aux(draw, lo=1, hi=8, dense=False):
 # 2/3; a search over the states out, +, - per node that kept the first
 # minimizer it met would return the full set, not the lower mask
 TIED_MASKS = AuxiliaryGraph(
-    direction="down",
-    k=1,
     nodes=(10, 11, 12, 13, 14),
-    labels=("q0", "q1", "q2", "q3", "q4"),
     edges=((0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (3, 4)),
     sign=(1, -1, 1, 1, 1, -1),
     weight=tuple(Fraction(w) for w in (1, 2, 2, 1, 1, 1)),

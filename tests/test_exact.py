@@ -4,15 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hodgewalk.exact import (
-    ScaledMatrix,
-    as_object_array,
-    frac_sqrt,
-    rat_eye,
-    rational_rank,
-)
+from hodgewalk.exact import ScaledMatrix, frac_sqrt, rational_rank
 
-from oracles import bareiss_rank
+from oracles import (
+    as_object_array,
+    bareiss_rank,
+    dense_matmul,
+    dense_of,
+    dense_rebase,
+    dense_sum,
+    dense_to_float,
+)
 
 
 def test_frac_sqrt():
@@ -36,7 +38,7 @@ def test_rational_rank_matches_numpy():
     for _ in range(20):
         m = rng.integers(-3, 4, size=(4, 5))
         mat = as_object_array([[Fraction(int(x), 3) for x in row] for row in m])
-        assert rational_rank(mat) == np.linalg.matrix_rank(m.astype(float))
+        assert rational_rank(ScaledMatrix.from_rational(mat)) == np.linalg.matrix_rank(m.astype(float))
 
 
 def test_scaled_matrix_product_and_transpose():
@@ -77,7 +79,7 @@ def test_scaled_matrix_rebase_requires_square_factors():
 
 def test_scaled_matrix_add_rebases_either_side():
     h = [Fraction(2), Fraction(3)]
-    eye = ScaledMatrix.from_rational(rat_eye(2))
+    eye = ScaledMatrix.identity(2)
     m = ScaledMatrix(h, [Fraction(1) / x for x in h], as_object_array([[1, 0], [0, 1]]))
     total = eye + m
     assert total.equals(m.scale(2))
@@ -150,24 +152,6 @@ def same_entries_pair(draw):
     return a, x, y
 
 
-def dense_product(a, b):
-    out = [[Fraction(0)] * b.shape[1] for _ in range(a.shape[0])]
-    for k in range(a.shape[1]):
-        root = frac_sqrt(a.col_scale[k] * b.row_scale[k])
-        for i in range(a.shape[0]):
-            for j in range(b.shape[1]):
-                if a.body[i, k] and b.body[k, j]:
-                    out[i][j] += a.body[i, k] * root * b.body[k, j]
-    return out
-
-
-def dense_to_float(m):
-    rows = [[float(v) for v in row] for row in m.body]
-    r = np.sqrt(np.array([float(x) for x in m.row_scale]))
-    c = np.sqrt(np.array([float(x) for x in m.col_scale]))
-    return np.array(rows, dtype=float).reshape(m.shape) * np.outer(r, c)
-
-
 def body_list(m):
     assert all(type(v) is Fraction for v in m.body.flat)
     return [list(row) for row in m.body]
@@ -179,7 +163,7 @@ def test_sparse_product_matches_dense(pair):
     a, b = pair
     prod = a @ b
     assert prod.row_scale == a.row_scale and prod.col_scale == b.col_scale
-    assert body_list(prod) == dense_product(a, b)
+    assert body_list(prod) == dense_matmul(dense_of(a), dense_of(b))[2]
     assert np.allclose(prod.to_float(), a.to_float() @ b.to_float())
 
 
@@ -214,8 +198,8 @@ def test_sparse_algebra_matches_dense(case, data):
     assert b.rebase(a.row_scale, a.col_scale).equals(b)
     assert a.is_zero() == all(v == 0 for v in a.body.flat)
     assert (a - a).is_zero()
-    assert np.array_equal(a.to_float(), dense_to_float(a))
-    assert np.array_equal(a.T.to_float(), dense_to_float(a).T)
+    assert np.array_equal(a.to_float(), dense_to_float(dense_of(a)))
+    assert np.array_equal(a.T.to_float(), dense_to_float(dense_of(a)).T)
 
 
 @settings(max_examples=100, deadline=None)
@@ -239,6 +223,97 @@ def test_sparse_equals_detects_each_change(case, data):
             assert not changed.equals(a) and not a.equals(changed)
 
 
+# -- every operation: canonical integer body, dense reference, float mirror --
+
+# scales and entries over pairwise distinct denominators, so products, sums
+# and rebases must bring several denominators to one
+WIDE_BASES = st.sampled_from(
+    [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 7), Fraction(3, 10), Fraction(7, 11)]
+)
+WIDE_SQUARES = st.sampled_from(
+    [Fraction(1), Fraction(4), Fraction(1, 9), Fraction(25, 49), Fraction(9, 4), Fraction(1, 121)]
+)
+WIDE_FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 6, 7]))
+
+
+def wide_matrix(draw, rows, cols):
+    entry = st.one_of(st.just(0), st.just(0), WIDE_FRACTIONS)
+    body = [[draw(entry) for _ in cols] for _ in rows]
+    return ScaledMatrix(rows, cols, object_matrix(body, len(cols)))
+
+
+@st.composite
+def operation_case(draw):
+    """a (n x m), b (m x p) composing with a, c (n x m) over scales a square
+    factor away from a's, a factor (0 included), and row and column picks."""
+    n, m, p = (draw(st.integers(0, 4)) for _ in range(3))
+    bases = lambda size: draw(st.lists(WIDE_BASES, min_size=size, max_size=size))
+    squared = lambda xs: [x * draw(WIDE_SQUARES) for x in xs]
+    inner = bases(m)
+    a = wide_matrix(draw, bases(n), squared(inner))
+    b = wide_matrix(draw, squared(inner), bases(p))
+    c = wide_matrix(draw, squared(a.row_scale), squared(a.col_scale))
+    factor = draw(st.one_of(st.just(Fraction(0)), WIDE_FRACTIONS))
+    picks = lambda size: draw(st.lists(st.integers(0, size - 1), max_size=5)) if size else []
+    return a, b, c, factor, picks(n), picks(m)
+
+
+def assert_canonical(m):
+    n_rows, n_cols = m.shape
+    assert type(m.den) is int and m.den > 0
+    assert len(m.rows) == n_rows
+    values = [v for row in m.rows for v in row.values()]
+    assert all(type(v) is int and v != 0 for v in values)
+    assert all(0 <= j < n_cols for row in m.rows for j in row)
+    assert math.gcd(m.den, *values) == 1
+
+
+# a @ b and a + c cancel to zero entries, which must not be stored
+CANCELLING = (
+    ScaledMatrix([1], [1, 4], as_object_array([[1, Fraction(1, 2)]])),
+    ScaledMatrix([1, 1], [1], as_object_array([[1], [-1]])),
+    ScaledMatrix([9], [1, 1], as_object_array([[Fraction(-1, 3), 1]])),
+    Fraction(3, 5),
+    [0, 0],
+    [1, 0, 1],
+)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(operation_case())
+@example(CANCELLING)
+def test_every_operation_is_canonical_and_matches_dense(case):
+    a, b, c, factor, rows, cols = case
+    da, db, dc = dense_of(a), dense_of(b), dense_of(c)
+    neg_c = (dc[0], dc[1], [[-v for v in row] for row in dc[2]])
+    cases = [
+        (a, da),
+        (a @ b, dense_matmul(da, db)),
+        (a + c, dense_sum(da, dc)),
+        (c + a, dense_sum(dc, da)),
+        (a - c, dense_sum(da, neg_c)),
+        (-c, neg_c),
+        (a.scale(factor), (da[0], da[1], [[v * factor for v in row] for row in da[2]])),
+        (a.rebase(c.row_scale, c.col_scale), dense_rebase(da, dc[0], dc[1])),
+        (c.rebase(a.row_scale, a.col_scale), dense_rebase(dc, da[0], da[1])),
+        (a.T, (da[1], da[0], [list(col) for col in zip(*da[2])] or [[] for _ in da[1]])),
+        (
+            a.restrict(rows, cols),
+            (
+                tuple(da[0][i] for i in rows),
+                tuple(da[1][j] for j in cols),
+                [[da[2][i][j] for j in cols] for i in rows],
+            ),
+        ),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert dense_of(got) == want
+        assert got.to_float().tobytes() == dense_to_float(want).tobytes()
+        assert got.equals(ScaledMatrix(want[0], want[1], object_matrix(want[2], len(want[1]))))
+
+
 def test_irrational_inner_scale_needs_an_empty_row_or_column():
     left = ScaledMatrix([1, 1], [2, 1], as_object_array([[0, 1], [0, 2]]))
     right = ScaledMatrix([1, 1], [1, 1], as_object_array([[5, 7], [1, 1]]))
@@ -248,7 +323,8 @@ def test_irrational_inner_scale_needs_an_empty_row_or_column():
     empty_row = ScaledMatrix([1, 1], [1, 1], as_object_array([[0, 0], [1, 1]]))
     full_column = ScaledMatrix([1, 1], [2, 1], as_object_array([[3, 1], [0, 2]]))
     assert body_list(full_column @ empty_row) == [[1, 1], [2, 2]]
-    left.body[1, 0] = Fraction(1)
+    # the same left factor with a nonzero in column 0
+    left = ScaledMatrix([1, 1], [2, 1], as_object_array([[0, 1], [1, 2]]))
     with pytest.raises(ValueError, match="inner scales do not compose exactly"):
         left @ right
 
@@ -326,10 +402,10 @@ def test_rational_rank_matches_dense_bareiss(rows):
     n_cols = len(rows[0]) if rows else 0
     mat = object_matrix(rows, n_cols)
     want = dense_rank(rows)
-    assert rational_rank(mat) == want
-    assert rational_rank(mat.T.copy()) == want
+    assert rational_rank(ScaledMatrix.from_rational(mat)) == want
+    assert rational_rank(ScaledMatrix.from_rational(mat.T.copy())) == want
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
 def test_rational_rank_of_empty_shapes(shape):
-    assert rational_rank(np.empty(shape, dtype=object)) == 0
+    assert rational_rank(ScaledMatrix.from_rational(np.empty(shape, dtype=object))) == 0

@@ -23,7 +23,7 @@ from conftest import COMPLEX_NAMES, load_complex, parse_complex, random_complex
 def normalized_nullities(cx):
     """Kernel dimension of each normalized Hodge Laplacian, from its exact rank."""
     return tuple(
-        cx.n_faces(k) - rational_rank(hodge(cx, k, normalized=True).full.body)
+        cx.n_faces(k) - rational_rank(hodge(cx, k, normalized=True).full)
         for k in range(cx.dimension + 1)
     )
 

@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hodgewalk import operators
-from hodgewalk.exact import ScaledMatrix, as_object_array
+from hodgewalk.exact import ScaledMatrix
 from hodgewalk.complex_core import parse_complex
 from hodgewalk.graded_cover import (
     components,
@@ -29,7 +29,7 @@ from hodgewalk.operators import (
 from hodgewalk.walks import transition_conditional, transition_full
 
 from conftest import COMPLEX_NAMES, load_cover
-from oracles import float_multiplicity, multiset_match
+from oracles import as_object_array, float_multiplicity, multiset_match
 
 
 def test_bundle_isolated_pair():
