@@ -7,10 +7,16 @@ searches are exact: comparisons are done by integer cross-multiplication
 after clearing denominators once.
 
 Each constant comes from one depth-first branch-and-bound over node
-states (out/in, or out/+/- for the signed constant) on an explicit stack.
-The witness is the lowest mask attaining the minimum and, for the signed
-constant, the lowest-Gray-rank orientation of that subset.  A search that
-would visit more than SEARCH_BUDGET nodes raises BruteForceGuardError.
+states (out/in, or out/+/- for the signed constant), without recursion.
+The quotient search decides nodes from the highest index down and bounds
+a branch by its cut so far over the largest measure it could still reach.
+The signed search decides nodes by descending weighted degree and bounds
+a branch at the incumbent ratio (Dinkelbach): every undecided node is
+charged its cheapest state against the decided ones, a bound it keeps up
+to date edge by edge.  The witness is the lowest mask attaining the
+minimum and, for the signed constant, the lowest-Gray-rank orientation of
+that subset.  A search that would take more than SEARCH_BUDGET search
+steps raises BruteForceGuardError.
 """
 
 from __future__ import annotations
@@ -32,12 +38,13 @@ from .graded_cover import (
 )
 from .operators import build_conditional, eigen, on_component
 
-# Search nodes one cut search may visit before it gives up.
+# Search steps one cut search may take before it gives up.  A step is one
+# search node; the signed search also counts each edge its bound updates.
 SEARCH_BUDGET = 4_000_000
 
 
 class BruteForceGuardError(ValueError):
-    """Raised when a cut search would visit more than SEARCH_BUDGET nodes."""
+    """Raised when a cut search would take more than SEARCH_BUDGET steps."""
 
 
 class SharedMidNodeError(ValueError):
@@ -57,7 +64,6 @@ class AuxiliaryGraph:
     sign: tuple[int, ...]
     weight: tuple[Fraction, ...]
     measure: tuple[Fraction, ...]
-    degree_term: Fraction
 
     @property
     def n(self) -> int:
@@ -92,8 +98,7 @@ def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> Auxi
 
     Up: nodes weighted by LP, edges by LP of the shared coface, signs by
     the product of the two incidence signs.  Down: edge weight
-    LP(a) * LP(b) / LP(shared face).  The degree term is k+1 for the up
-    case and k+1 - min LP(s) * sum 1/LP(child) for the down case.
+    LP(a) * LP(b) / LP(shared face).
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -127,15 +132,7 @@ def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> Auxi
             Fraction(pw.lp[comp[i]] * pw.lp[comp[j]], pw.lp[mid[(i, j)][0]]) for i, j in edges
         ]
     measure = tuple(Fraction(pw.lp[q]) for q in comp)
-    degree_term = Fraction(k + 1) if direction == "up" else _down_degree_term(cover, comp, k)
-    return AuxiliaryGraph(
-        comp,
-        tuple(edges),
-        tuple(signs),
-        tuple(weights),
-        measure,
-        degree_term,
-    )
+    return AuxiliaryGraph(comp, tuple(edges), tuple(signs), tuple(weights), measure)
 
 
 def _down_degree_term(cover: GradedSignedDoubleCover, comp, k: int) -> Fraction:
@@ -170,21 +167,7 @@ def _integerized(aux: AuxiliaryGraph):
 
 
 def _over_budget() -> BruteForceGuardError:
-    return BruteForceGuardError(f"cut search exceeds its budget of {SEARCH_BUDGET} search nodes")
-
-
-def _search_graph(aux: AuxiliaryGraph):
-    """What both searches read: integer weights and measures, each node's
-    edges to higher-index nodes as (other end, weight, 1 if the sign is
-    negative else 0), and ``below[i]``, the measure of the nodes under i."""
-    wints, wden, mints, mden = _integerized(aux)
-    above: list[list[tuple[int, int, int]]] = [[] for _ in range(aux.n)]
-    for (i, j), w, s in zip(aux.edges, wints, aux.sign):
-        above[min(i, j)].append((max(i, j), w, int(s == -1)))
-    below = [0]
-    for m in mints:
-        below.append(below[-1] + m)
-    return wints, wden, mints, mden, above, below
+    return BruteForceGuardError(f"cut search exceeds its budget of {SEARCH_BUDGET} search steps")
 
 
 def cheeger_quotient(aux: AuxiliaryGraph):
@@ -202,8 +185,16 @@ def cheeger_quotient(aux: AuxiliaryGraph):
     n = aux.n
     if n < 2:
         raise ValueError("quotient Cheeger constant needs at least two nodes")
-    _wints, wden, mints, mden, above, below = _search_graph(aux)
-    above_w = [sum(w for _j, w, _s in es) for es in above]
+    wints, wden, mints, mden = _integerized(aux)
+    # each node's edges to higher-index nodes, and below[i], the measure of
+    # the nodes under i
+    above: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (i, j), w in zip(aux.edges, wints):
+        above[min(i, j)].append((max(i, j), w))
+    below = [0]
+    for m in mints:
+        below.append(below[-1] + m)
+    above_w = [sum(w for _j, w in es) for es in above]
     total_m = below[n]
     budget, visited = SEARCH_BUDGET, 0
     best_num = best_den = best_mask = None
@@ -222,7 +213,7 @@ def cheeger_quotient(aux: AuxiliaryGraph):
                 best_num, best_den, best_mask = cut, min(mu, total_m - mu), mask
             continue
         into = 0
-        for j, w, _s in above[i]:
+        for j, w in above[i]:
             if mask >> j & 1:
                 into += w
         # pushed in reverse, so "out" pops first
@@ -301,14 +292,30 @@ def cheeger_signed(aux: AuxiliaryGraph):
     subset is irrelevant.  Zero exactly when the component is coherent
     (beta = 0 forces the full set with a balanced orientation, which is
     checked directly by sign propagation).  Otherwise a depth-first
-    branch-and-bound gives each node, from the highest index down, one of
-    the states out, +, -; the highest node of the subset is always +
+    branch-and-bound gives each node one of the states out, +, -, deciding
+    the nodes by descending integer weighted degree, the higher index
+    first among equals; the first node of the subset is always +
     (flipping every sign keeps the value).  The incumbent starts at a
-    cheap upper bound, and a branch is cut when its weight so far over the
-    largest measure it could still reach exceeds the incumbent, or ties it
-    with no mask below the incumbent's left to reach.  The witness is the
-    lowest-mask minimizer; its orientation is then searched again for the
-    lowest Gray rank.
+    cheap upper bound N/D.
+
+    A branch is cut by a fractional-programming (Dinkelbach) bound at the
+    incumbent ratio: a completion beats N/D only if its weight times D
+    minus N times its measure is negative.  The decided nodes contribute
+    partial*D - N*mu exactly.  An undecided node j contributes at least
+    its floor min((a_j+b_j)*D, (o_j + 2*min(a_j, b_j))*D - N*m_j), the cost
+    of its cheapest state against the decided nodes: out, it cuts its
+    weight a_j + b_j to decided in-nodes; in, it cuts its weight o_j to
+    decided out-nodes and frustrates a_j as + or b_j as -.  Edges between
+    undecided nodes add nothing below zero.  A branch whose bound is positive, or zero with
+    its own mask (the lowest it can reach) not below the incumbent's, is
+    cut; a leaf that gets through replaces the incumbent, so the witness
+    is the lowest-mask minimizer in any decision order.  The bound is kept
+    incrementally: deciding a node or undoing the decision updates only
+    its edges to later-decided nodes, and N/D changes only at a leaf, when
+    no node is undecided.  Each decision costs one search step plus two
+    per such edge (apply and undo), and a fall of the incumbent n steps
+    (every floor is refreshed).  The orientation of the witness subset is
+    then searched again for the lowest Gray rank.
     """
     n = aux.n
     if n == 0:
@@ -319,7 +326,7 @@ def cheeger_signed(aux: AuxiliaryGraph):
     if not frustrated:
         orientation = {aux.nodes[i]: (x[i] == -1) for i in range(n)}
         return Fraction(0), (tuple(aux.nodes), orientation)
-    wints, wden, mints, mden, above, below = _search_graph(aux)
+    wints, wden, mints, mden = _integerized(aux)
     degree = [0] * n
     for (i, j), w in zip(aux.edges, wints):
         degree[i] += w
@@ -327,43 +334,90 @@ def cheeger_signed(aux: AuxiliaryGraph):
     # the upper bound: the full set under the propagated orientation, and
     # every singleton; no mask reaches 1 << n, so a leaf that only ties it
     # still replaces it
-    best_num, best_den, best_mask = sum(2 * wints[e] for e in frustrated), below[n], 1 << n
+    N, D, best_mask = sum(2 * wints[e] for e in frustrated), sum(mints), 1 << n
     for i in range(n):
-        if degree[i] * best_den < best_num * mints[i]:
-            best_num, best_den = degree[i], mints[i]
+        if degree[i] * D < N * mints[i]:
+            N, D = degree[i], mints[i]
+    order = sorted(range(n), key=lambda i: (degree[i], i), reverse=True)
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+    # each node's edges to later-decided nodes: (other end, weight, 1 if positive)
+    later: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (i, j), w, s in zip(aux.edges, wints, aux.sign):
+        if rank[i] > rank[j]:
+            i, j = j, i
+        later[i].append((j, w, int(s == 1)))
+    # per node: its weight to decided in-nodes that it frustrates as + and
+    # as -, and its weight to decided out-nodes; its floor under N/D
+    acc = [[0, 0, 0] for _ in range(n)]
+    n_mu = [N * m for m in mints]
+    floor = [-x for x in n_mu]
+
+    def shift(v, s, dw):
+        """Move v's edges to later nodes into (dw = w) or out of (dw = -w)
+        the accumulators for v in state s; returns the change in their floors."""
+        change = 0
+        for j, w, pos in later[v]:
+            t = acc[j]
+            # v in: a positive edge is frustrated by j taking the other
+            # sign, a negative one by j taking v's sign
+            t[pos ^ (s - 1) if s else 2] += dw * w
+            a, b, o = t
+            low = (o + 2 * (a if a < b else b)) * D - n_mu[j]
+            if (a + b) * D < low:
+                low = (a + b) * D
+            change += low - floor[j]
+            floor[j] = low
+        return change
+
+    slack = sum(floor)  # the floors of the undecided nodes
     budget, visited = SEARCH_BUDGET, 0
-    stack = [(n - 1, 0, 0, 0, 0)]  # (next node, in-mask, minus-mask, weight, measure in)
-    while stack:
-        i, mask, neg, partial, mu = stack.pop()
-        visited += 1
+    # per depth: the state of order[depth] (-1 undecided, 0 out, 1 +, 2 -)
+    # and the (weight, measure in, in-mask) before it
+    state = [-1] * n
+    saved = [(0, 0, 0)] * n
+    partial = mu = mask = 0
+    depth = 0
+    while depth >= 0:
+        v, s = order[depth], state[depth]
+        if s >= 0:
+            slack += shift(v, s, -1) + floor[v]
+            partial, mu, mask = saved[depth]
+        s += 1
+        # the first node of the subset is always +
+        if s == 3 or s == 2 and not mask:
+            state[depth] = -1
+            depth -= 1
+            continue
+        state[depth] = s
+        saved[depth] = (partial, mu, mask)
+        visited += 1 + 2 * len(later[v])
         if visited > budget:
             raise _over_budget()
+        a, b, o = acc[v]
+        if s:
+            partial += o + 2 * (a if s == 1 else b)
+            mu += mints[v]
+            mask |= 1 << v
+        else:
+            partial += a + b
+        slack += shift(v, s, 1) - floor[v]
+        bound = partial * D - N * mu + slack
         # a branch that can at best tie holds no mask below its own
-        lhs, rhs = partial * best_den, best_num * (mu + below[i + 1])
-        if lhs > rhs or lhs == rhs and mask >= best_mask:
+        if bound > 0 or bound == 0 and mask >= best_mask:
             continue
-        if i < 0:
+        if depth == n - 1:
             if mask:
-                best_num, best_den, best_mask = partial, mu, mask
+                # no node is undecided, so slack stays 0; every floor moves
+                # to the new N/D, since undoing a decision adds one back
+                N, D, best_mask = partial, mu, mask
+                n_mu = [N * m for m in mints]
+                for j, (a, b, o) in enumerate(acc):
+                    floor[j] = min((a + b) * D, (o + 2 * min(a, b)) * D - n_mu[j])
+                visited += n
             continue
-        to_in = to_out = plus = minus = 0
-        for j, w, s_neg in above[i]:
-            if mask >> j & 1:
-                to_in += w
-                # x = +1 frustrates the edge when x_j * s == -1
-                if (neg >> j ^ s_neg) & 1:
-                    plus += w
-                else:
-                    minus += w
-            else:
-                to_out += w
-        # pushed in reverse, so the states pop as out, +, -; the subset's
-        # highest node is always +
-        bit, mu_in = 1 << i, mu + mints[i]
-        if mask:
-            stack.append((i - 1, mask | bit, neg | bit, partial + to_out + 2 * minus, mu_in))
-        stack.append((i - 1, mask | bit, neg, partial + to_out + 2 * plus, mu_in))
-        stack.append((i - 1, mask, neg, partial + to_in, mu))
+        depth += 1
     members = [i for i in range(n) if (best_mask >> i) & 1]
     member_pos = {node: p for p, node in enumerate(members)}
     pairs_in = [
@@ -372,8 +426,8 @@ def cheeger_signed(aux: AuxiliaryGraph):
         if (best_mask >> i) & (best_mask >> j) & 1
     ]
     cut = sum(w for (i, j), w in zip(aux.edges, wints) if (best_mask >> i ^ best_mask >> j) & 1)
-    _neg, x = _signed_best_orientation(members, pairs_in, best_num - cut + 1)
-    h = Fraction(best_num, wden) / Fraction(best_den, mden)
+    _neg, x = _signed_best_orientation(members, pairs_in, N - cut + 1)
+    h = Fraction(N, wden) / Fraction(D, mden)
     witness_nodes = tuple(aux.nodes[i] for i in members)
     witness_orientation = {aux.nodes[i]: (xi == -1) for i, xi in zip(members, x)}
     return h, (witness_nodes, witness_orientation)
@@ -429,8 +483,14 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
         d_down = _down_degree_term(cover, down_comp, k)
         # every down node has k+1 >= 2 children, all in up_comp
         aux_up = build_aux(cover, up_comp, "up")
-        h_q_up, _ = cheeger_quotient(aux_up)
-        h_s_up, _ = cheeger_signed(aux_up)
+        # the larger graph first, and the signed search first on each: a
+        # search over the budget then trips before the others spend time
+        sides = {"up": aux_up} if aux_down is None else {"up": aux_up, "down": aux_down}
+        constants = {}
+        for side in sorted(sides, key=lambda side: -sides[side].n):
+            constants[side] = cheeger_signed(sides[side])[0], cheeger_quotient(sides[side])[0]
+        h_s_up, h_q_up = constants["up"]
+        h_s_down, h_q_down = constants.get("down", (None, None))
         up_q = build_conditional(cover, k - 1, "up", "quotient")
         gap_q = _restricted_gap(on_component(cover, up_q, up_comp), "quotient")
         # coherence is decided exactly and pins the signed gap at 0
@@ -438,10 +498,6 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
         if not coherent:
             up_s = build_conditional(cover, k - 1, "up", "signed")
             gap_s = _restricted_gap(on_component(cover, up_s, up_comp), "signed")
-        h_q_down = h_s_down = None
-        if aux_down is not None:
-            h_q_down, _ = cheeger_quotient(aux_down)
-            h_s_down, _ = cheeger_signed(aux_down)
         lower_q, upper_q = _combined_bounds(((h_q_up, k), (h_q_down, d_down)), k)
         if coherent:
             lower_s = upper_s = Fraction(0)

@@ -312,29 +312,33 @@ def cmd_report(args) -> int:
 def _verify_checks(cover, cx):
     """The full invariant suite for one input; yields (name, ok, detail)."""
     pw = graded_cover.compute_path_weights(cover)
-    # transition structure
+    # transition structure, decided on the sparse integer rows of each P
+    # (entry (a, b) is rows[a][b] / den)
     full = {view: walks.transition_full(cover, view) for view in ("quotient", "cover")}
     for view, P in full.items():
         yield f"row_stochastic_{view}", all(s == 1 for s in P.row_sums()), ""
-    P = full["quotient"]
+    rows, den = full["quotient"].matrix.rows, full["quotient"].matrix.den
+    # each stored entry against its mirror covers every pair with a nonzero side
     balanced = all(
-        pw.through(a) * P.entries[a, b] == pw.through(b) * P.entries[b, a]
-        for a in range(cover.n_quotient)
-        for b in range(cover.n_quotient)
+        pw.through(a) * v == pw.through(b) * rows[b].get(a, 0)
+        for a, row in enumerate(rows)
+        for b, v in row.items()
     )
     yield "detailed_balance_quotient", balanced, ""
-    Pc = full["cover"].entries
     n = cover.n_quotient
     flip = lambda u: (u + n) % (2 * n)
+    cover_rows = full["cover"].matrix.rows
     yield "flip_commutation", all(
-        Pc[u, v] == Pc[flip(u), flip(v)] for u in range(2 * n) for v in range(2 * n)
+        {flip(v): x for v, x in row.items()} == cover_rows[flip(u)]
+        for u, row in enumerate(cover_rows)
     ), ""
     for comp in graded_cover.components(cover, "quotient"):
         pi = walks.stationary(cover, comp, "quotient")
-        vec = [pi.weights.get(q, Fraction(0)) for q in range(n)]
-        fixed = all(
-            sum(vec[a] * P.entries[a, b] for a in range(n)) == vec[b] for b in range(n)
-        )
+        image: dict[int, Fraction] = {}
+        for a, w in pi.weights.items():
+            for b, v in rows[a].items():
+                image[b] = image.get(b, 0) + w * v
+        fixed = all(image.get(b, 0) == pi.weights.get(b, 0) * den for b in range(n))
         yield f"stationary_fixed_point_{comp[0]}", fixed, ""
     # path-count oracle (brute force) on small covers
     total_paths = sum(pw.lp[q] for q in range(n) if cover.is_root(q))

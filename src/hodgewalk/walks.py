@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -32,7 +33,10 @@ class CoherentComponentError(ValueError):
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    entries: np.ndarray
+    """P as the body of ``matrix``: entry (i, j) is
+    ``matrix.rows[i].get(j, 0) / matrix.den`` (see ``_from_operator``)."""
+
+    matrix: ScaledMatrix
     index: tuple[str, ...]
     nodes: tuple[int, ...]
 
@@ -40,8 +44,14 @@ class TransitionMatrix:
     def n(self) -> int:
         return len(self.index)
 
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Dense read-only Fraction array of P, built on first access."""
+        return self.matrix.body
+
     def row_sums(self) -> list[Fraction]:
-        return [sum(row, Fraction(0)) for row in self.entries]
+        den = self.matrix.den
+        return [Fraction(sum(row.values()), den) for row in self.matrix.rows]
 
 
 @dataclass(frozen=True)
@@ -54,13 +64,14 @@ class StationaryDistribution:
         return sum(self.weights.values(), Fraction(0))
 
 
-def _from_operator(sm: ScaledMatrix, through) -> np.ndarray:
-    """Transition matrix of the walk operator ``sm`` of weights D = LP*RP.
+def _from_operator(sm: ScaledMatrix, through) -> ScaledMatrix:
+    """Transition matrix of the walk operator ``sm`` of weights D = LP*RP,
+    as the body of a matrix with scales (D, 1/D).
 
     Each walk operator is A = D^(-1/2) P^T D^(1/2), so P = D^(-1/2) A^T D^(1/2);
     the rebase is exact because every conversion factor is a ratio of LP counts.
     """
-    return sm.T.rebase(through, [1 / d for d in through]).body
+    return sm.T.rebase(through, [1 / d for d in through])
 
 
 def transition_full(

@@ -5,6 +5,7 @@ import pytest
 from hodgewalk.cheeger import (
     AuxiliaryGraph,
     BruteForceGuardError,
+    _down_degree_term,
     _signed_best_orientation,
     aux_laplacian,
     build_aux,
@@ -35,19 +36,17 @@ def test_build_aux_tetrahedron_edges_up():
     assert len(aux.edges) == 12
     assert set(aux.weight) == {Fraction(1)}
     assert set(aux.measure) == {Fraction(2)}
-    assert aux.degree_term == 2  # k+1
 
 
 def test_build_aux_degree_terms():
     cov = load_cover("tetrahedron")
-    d1 = build_aux(cov, the_component(cov, "quotient-down", 1), "down").degree_term
-    assert d1 == Fraction(4, 3)
-    d2 = build_aux(cov, the_component(cov, "quotient-down", 2), "down").degree_term
-    assert d2 == Fraction(3, 2)
+    assert _down_degree_term(cov, the_component(cov, "quotient-down", 1), 1) == Fraction(4, 3)
+    assert _down_degree_term(cov, the_component(cov, "quotient-down", 2), 2) == Fraction(3, 2)
 
 
 def test_build_aux_weighted_degree_matches_term():
-    """max over nodes of (sum of incident weights)/measure equals the term."""
+    """max over nodes of (sum of incident weights)/measure equals the degree
+    term: k+1 up (at every node), _down_degree_term down."""
     for name, k, direction in (
         ("tetrahedron", 1, "up"),
         ("tetrahedron", 1, "down"),
@@ -64,9 +63,9 @@ def test_build_aux_weighted_degree_matches_term():
             deg[j] += w
         ratios = [deg[i] / aux.measure[i] for i in range(aux.n)]
         if direction == "up":
-            assert all(r == aux.degree_term for r in ratios)
+            assert all(r == k + 1 for r in ratios)
         else:
-            assert max(ratios) == aux.degree_term
+            assert max(ratios) == _down_degree_term(cov, comp, k)
 
 
 def test_build_aux_preconditions():
@@ -191,17 +190,29 @@ def test_brute_force_guard(monkeypatch):
     cov = load_cover("triangle_ring")
     aux = build_aux(cov, the_component(cov, "quotient-down", 1), "down")
     monkeypatch.setattr(cheeger, "SEARCH_BUDGET", 50)
-    message = "cut search exceeds its budget of 50 search nodes"
+    message = "cut search exceeds its budget of 50 search steps"
     with pytest.raises(BruteForceGuardError, match=message):
         cheeger_quotient(aux)
     with pytest.raises(BruteForceGuardError, match=message):
         cheeger_signed(aux)
     # the budget bounds work, not size: an edgeless 25-node graph is cut at once
     edgeless = AuxiliaryGraph(
-        tuple(range(25)), (), (), (),
-        tuple(Fraction(1) for _ in range(25)), Fraction(1),
+        tuple(range(25)), (), (), (), tuple(Fraction(1) for _ in range(25))
     )
     assert cheeger_quotient(edgeless) == (0, (0,))
+
+
+def test_budget_counts_the_bound_work(monkeypatch):
+    from hodgewalk import cheeger
+
+    # the signed search on this 16-node, 48-edge component decides 3,548
+    # search nodes; updating its bound over their edges takes 22,438 steps
+    cov = load_cover("triangle_ring")
+    aux = build_aux(cov, the_component(cov, "quotient-down", 1), "down")
+    assert cheeger_signed(aux)[0] == Fraction(7, 18)
+    monkeypatch.setattr(cheeger, "SEARCH_BUDGET", 10_000)
+    with pytest.raises(BruteForceGuardError, match="budget of 10000 search steps"):
+        cheeger_signed(aux)
 
 
 def test_witness_tiebreak_is_lowest_mask():
@@ -364,7 +375,7 @@ def test_searches_deeper_than_the_recursion_limit():
     aux = AuxiliaryGraph(
         tuple(range(n)),
         ((n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)), (1, 1, -1),
-        (Fraction(1),) * 3, (Fraction(1),) * n, Fraction(1),
+        (Fraction(1),) * 3, (Fraction(1),) * n,
     )
     assert cheeger_quotient(aux) == (0, (0,))
     assert cheeger_signed(aux) == (0, ((0,), {0: False}))
@@ -411,7 +422,6 @@ def random_aux(draw, lo=1, hi=8, dense=False):
         sign=tuple(draw(st.sampled_from([1, -1])) for _ in edges),
         weight=tuple(draw(SMALL_WEIGHTS) for _ in edges),
         measure=tuple(draw(SMALL_WEIGHTS) for _ in range(n)),
-        degree_term=Fraction(1),
     )
 
 
@@ -424,13 +434,39 @@ TIED_MASKS = AuxiliaryGraph(
     sign=(1, -1, 1, 1, 1, -1),
     weight=tuple(Fraction(w) for w in (1, 2, 2, 1, 1, 1)),
     measure=tuple(Fraction(m) for m in (1, 1, 1, 2, 1)),
-    degree_term=Fraction(1),
+)
+
+
+# {q4} and {q2} both reach 1 and no subset goes lower.  The signed search
+# decides q3, q0, q1, q2, q4 (by degree 8, 7, 6, 2, 1), out before in, so it
+# meets {q4} (mask 16) before {q2} (mask 4): only a leaf that ties the
+# incumbent with a lower mask replacing it gives the lowest-mask witness
+DEGREE_FIRST_TIE = AuxiliaryGraph(
+    nodes=(10, 11, 12, 13, 14),
+    edges=((0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 4)),
+    sign=(1, 1, 1, -1, -1, -1),
+    weight=tuple(Fraction(w) for w in (3, 1, 3, 3, 1, 1)),
+    measure=tuple(Fraction(m) for m in (1, 1, 2, 1, 1)),
+)
+
+
+# the signed incumbent falls three times ({q2}, {q1, q2, q3}, then the full
+# set at 4/13); each fall changes the floor of every node, the decided ones
+# included, since undoing a decision puts its node's floor back
+INCUMBENT_FALLS = AuxiliaryGraph(
+    nodes=(10, 11, 12, 13),
+    edges=((0, 1), (0, 3), (1, 3), (2, 3)),
+    sign=(1, -1, 1, 1),
+    weight=tuple(Fraction(w) for w in (1, 1, 2, 1)),
+    measure=(Fraction(1, 2), Fraction(3), Fraction(2), Fraction(1)),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_aux())
 @example(TIED_MASKS)
+@example(DEGREE_FIRST_TIE)
+@example(INCUMBENT_FALLS)
 def test_cut_searches_match_references(aux):
     """Same value, witness subset and orientation as the full scans."""
     signed = cheeger_signed(aux)
@@ -450,6 +486,61 @@ def test_cut_searches_match_references_9_to_12_nodes(aux):
     """As above on larger, denser graphs; the references take about 0.04 s each."""
     assert cheeger_signed(aux) == oracles.reference_cheeger_signed(aux)
     assert cheeger_quotient(aux) == oracles.reference_cheeger_quotient(aux)
+
+
+def permuted(aux, perm):
+    """``aux`` with node i moved to position perm[i]."""
+    nodes, measure = [None] * aux.n, [None] * aux.n
+    for i, p in enumerate(perm):
+        nodes[p], measure[p] = aux.nodes[i], aux.measure[i]
+    edges = sorted(
+        (tuple(sorted((perm[i], perm[j]))), s, w)
+        for (i, j), s, w in zip(aux.edges, aux.sign, aux.weight)
+    )
+    return AuxiliaryGraph(
+        tuple(nodes),
+        tuple(e for e, _s, _w in edges),
+        tuple(s for _e, s, _w in edges),
+        tuple(w for _e, _s, w in edges),
+        tuple(measure),
+    )
+
+
+def witness_ratio(aux, witness):
+    """(cut + 2 * frustrated weight) / measure of a (subset, orientation)
+    witness, recomputed from the edges."""
+    nodes, flipped = witness
+    pos = {q: i for i, q in enumerate(aux.nodes)}
+    x = {pos[q]: -1 if flipped[q] else 1 for q in nodes}
+    cut = frustrated = Fraction(0)
+    for (i, j), s, w in zip(aux.edges, aux.sign, aux.weight):
+        if (i in x) != (j in x):
+            cut += w
+        elif i in x and x[i] * x[j] * s == -1:
+            frustrated += w
+    return (cut + 2 * frustrated) / sum(aux.measure[i] for i in x)
+
+
+@st.composite
+def permuted_aux(draw):
+    aux = draw(random_aux())
+    return aux, draw(st.permutations(range(aux.n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_aux())
+@example((DEGREE_FIRST_TIE, [4, 3, 2, 1, 0]))
+@example((DEGREE_FIRST_TIE, [1, 2, 3, 4, 0]))
+def test_signed_value_ignores_node_order(case):
+    """The decision order follows degree and index; relabelling the nodes
+    may change the witness among tied minimizers, never the value."""
+    aux, perm = case
+    h, witness = cheeger_signed(aux)
+    moved = permuted(aux, perm)
+    h_moved, witness_moved = cheeger_signed(moved)
+    assert h_moved == h
+    assert witness_ratio(aux, witness) == h
+    assert witness_ratio(moved, witness_moved) == h
 
 
 def test_budgeted_orientation_search():

@@ -280,7 +280,7 @@ def test_guard_exit_two(tmp_path, capsys, monkeypatch):
     big.write_text("\n".join(lines))
     code = run(["cheeger", str(big), "--k", "2", "--direction", "down"])
     assert code == 2
-    assert "exceeds its budget of 1000 search nodes" in capsys.readouterr().err
+    assert "exceeds its budget of 1000 search steps" in capsys.readouterr().err
 
 
 def test_nonstrong_guard(capsys):
@@ -513,7 +513,7 @@ def test_search_budget_is_a_guard_exit(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "guard: cut search exceeds its budget of 100 search nodes\n"
+    assert captured.err == "guard: cut search exceeds its budget of 100 search steps\n"
 
 
 # every memoized builder, by module and public name
@@ -684,3 +684,38 @@ def test_every_verb_ends_in_a_defined_exit(case):
                 assert len(lines) == 1 and lines[0].startswith(prefix), (argv, text, lines)
             if is_complex:
                 assert code != 3, (argv, text)
+
+
+def test_verify_transition_rows_catch_a_broken_walk(monkeypatch, capsys):
+    """The transition rows read the sparse integer rows of P: moving mass
+    within a quotient row keeps it stochastic but breaks detailed balance
+    and the stationary fixed point; adding mass to one cover row breaks its
+    sum and the flip symmetry."""
+    import dataclasses
+
+    from hodgewalk import walks
+    from hodgewalk.exact import ScaledMatrix
+
+    real = walks.transition_full
+
+    def broken(cover, view="quotient"):
+        P = real(cover, view)
+        m = P.matrix
+        body = [{j: Fraction(v, m.den) for j, v in row.items()} for row in m.rows]
+        b1, b2 = sorted(body[0])[:2]
+        eps = body[0][b2] / 2
+        body[0][b1] += eps
+        if view == "quotient":
+            body[0][b2] -= eps
+        moved = ScaledMatrix._from_rows(m.row_scale, m.col_scale, body)
+        return dataclasses.replace(P, matrix=moved)
+
+    monkeypatch.setattr(walks, "transition_full", broken)
+    code, out = run_cli(capsys, "verify", TET)
+    assert code == 3
+    ok = dict(line.split("\t")[:2] for line in out.splitlines()[1:])
+    assert ok["row_stochastic_quotient"] == "yes"
+    assert ok["row_stochastic_cover"] == "no"
+    assert ok["detailed_balance_quotient"] == "no"
+    assert ok["flip_commutation"] == "no"
+    assert ok["stationary_fixed_point_0"] == "no"

@@ -49,3 +49,17 @@ def test_benchmark_job_parses(job):
     # parsing only: a flag the CLI no longer takes raises ValueError here
     args = build_parser().parse_args(job.argv(f"{job.input}.cx"))
     assert args.verb == job.verb
+
+
+def test_readme_states_the_search_budget():
+    import re
+
+    from hodgewalk import cheeger
+
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    # the statement may wrap onto the next line
+    match = re.search(r"`cheeger\.SEARCH_BUDGET` = ([\d,]+)\s+(search \w+)", readme)
+    assert match, "README no longer states cheeger.SEARCH_BUDGET"
+    value, unit = match.groups()
+    assert int(value.replace(",", "")) == cheeger.SEARCH_BUDGET
+    assert str(cheeger._over_budget()).endswith(f"budget of {cheeger.SEARCH_BUDGET} {unit}")
