@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -152,13 +153,17 @@ def cmd_laplacian(args) -> int:
         print("error: laplacian requires a simplicial complex input", file=sys.stderr)
         return EXIT_INVALID
     lap = laplacians.hodge(cx, args.k, normalized=args.normalized)
+    labels = [str(f) for f in cx.faces_by_dim[args.k]]
     rows = []
     for which, mat in (("up", lap.up), ("down", lap.down)):
-        labels = [str(f) for f in cx.faces_by_dim[args.k]]
-        fl = mat.to_float()
+        # each stored entry as ScaledMatrix.to_float rounds it, without numpy:
+        # the same correctly rounded sqrt, outer product and entry product
+        den = mat.den
+        r = [math.sqrt(float(x)) for x in mat.row_scale]
+        c = [math.sqrt(float(x)) for x in mat.col_scale]
         for i, row in enumerate(mat.rows):
             for j in sorted(row):
-                rows.append((which, labels[i], labels[j], float(fl[i, j])))
+                rows.append((which, labels[i], labels[j], (row[j] / den) * (r[i] * c[j])))
     emit(rows, ("part", "row", "col", "value"), args.format)
     return EXIT_OK
 
@@ -381,12 +386,10 @@ def _path_count_oracle(cover) -> bool:
 
 
 def _adjacency_consistent(cover, cx) -> bool:
-    from .complex_core import adjacency
-
     for k in range(cx.dimension + 1):
         for direction in ("up", "down"):
             mine = cover.adjacency(k, direction)
-            theirs = adjacency(cx, k, direction)
+            theirs = complex_core.adjacency(cx, k, direction)
             for face, neighbors in theirs.items():
                 q = cx.index_of(face)
                 if {cx.index_of(g) for g in neighbors} != mine[q]:

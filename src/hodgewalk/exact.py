@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _sqrt_ratio(num: int, den: int) -> tuple[int, int] | None:
@@ -191,6 +192,8 @@ class ScaledMatrix:
     @property
     def body(self) -> np.ndarray:
         """Read-only dense Fraction array of the body, built on each access."""
+        import numpy as np  # loads numpy: imported only where a dense view is built
+
         out = np.empty(self.shape, dtype=object)
         out.fill(Fraction(0))
         for i, row in enumerate(self.rows):
@@ -381,6 +384,8 @@ class ScaledMatrix:
     # -- floating mirror ----------------------------------------------
 
     def to_float(self) -> np.ndarray:
+        import numpy as np  # loads numpy: imported only where a float mirror is built
+
         r = np.sqrt(np.array([float(x) for x in self.row_scale]))
         c = np.sqrt(np.array([float(x) for x in self.col_scale]))
         out = np.zeros(self.shape)

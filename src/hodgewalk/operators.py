@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import ScaledMatrix, rational_rank
 from .graded_cover import (
     GradedSignedDoubleCover,
@@ -244,6 +242,8 @@ def eigen(operator) -> tuple[float, ...]:
     The eigenvectors are computed only for the residual contract: when
     max|Av - lambda v| exceeds the bound, EigenResidualError is raised.
     """
+    import numpy as np  # loads numpy: imported only where a spectrum is solved
+
     if isinstance(operator, ScaledMatrix):
         mat = operator.to_float()
     else:
@@ -424,7 +424,7 @@ def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool
 
     Returns (min over components of 2/(E[len]+1), bound holds numerically).
     """
-    from .walks import expected_path_length
+    from .walks import expected_path_length  # walks imports operators: a cycle at module level
 
     comps = components(cover, "quotient")
     bound = min(Fraction(2) / (expected_path_length(cover, comp) + 1) for comp in comps)

@@ -14,14 +14,14 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Iterator
 
-import numpy as np
-
 BLOCK = 4096
 _SPAN = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 
 
 def _blocks(seed: int) -> Iterator[list[int]]:
+    import numpy as np  # loads numpy: imported only where words are drawn
+
     # only array operands: numpy wraps uint64 array arithmetic silently,
     # but warns on scalar overflow
     offsets = np.arange(1, BLOCK + 1, dtype=np.uint64)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import operators, rng
 from .exact import ScaledMatrix
@@ -25,6 +24,9 @@ from .graded_cover import (
     component_correspondence,
     detect_coherent,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CoherentComponentError(ValueError):
@@ -232,6 +234,7 @@ def simulate(
             moves.append((up, down))
 
     import hashlib  # loads OpenSSL: imported only where a walk is simulated
+    import numpy as np  # loads numpy: likewise
 
     next_word = rng.words(seed).__next__
     below = rng.below

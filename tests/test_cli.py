@@ -371,6 +371,46 @@ def test_cli_import_leaves_hashlib_unloaded():
     assert not loaded_by_cli_import("hashlib")
 
 
+# the verbs that make no float, with the flags the probe runs them with;
+# the rest import numpy at their first eigensolve or RNG block
+NUMPY_FREE_RUNS = (
+    ["lp"],
+    ["stationary"],
+    ["coherent", "--k", "1", "--direction", "up"],
+    ["partition", "--k", "1"],
+    ["cheeger", "--k", "1"],
+    ["laplacian", "--k", "1", "--normalized"],
+    ["hodge"],
+)
+
+
+def test_numpy_free_verbs_leave_numpy_unloaded():
+    # numpy's import is about half of the start-up of a short job; one
+    # probe runs every numpy-free verb on every fixture and names the
+    # first step after which numpy is loaded
+    runs = [[verb, str(path), *flags] for verb, *flags in NUMPY_FREE_RUNS
+            for path in sorted(FIXTURES.iterdir())]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import hodgewalk, hodgewalk.cli\n"
+        "def loaded(step):\n"
+        "    if 'numpy' in sys.modules:\n"
+        "        print(step)\n"
+        "        sys.exit()\n"
+        "loaded('import hodgewalk')\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        hodgewalk.cli.run(argv)\n"
+        "    loaded(' '.join(argv))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hodgewalk.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out == "", f"numpy loaded by: {out.strip()}"
+
+
 def test_path_count_oracle_long_chain():
     n = 1100
     spec = [f"node n{i} {i}" for i in range(n)]
@@ -548,14 +588,18 @@ VERB_RUNS = (
 )
 
 
-def test_verb_runs_cover_every_subcommand():
-    subcommands = next(
+def subcommands() -> set[str]:
+    """The verbs `build_parser` accepts."""
+    return set(next(
         action.choices
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
-    )
-    assert {argv[0] for argv in VERB_RUNS} == set(subcommands)
-    assert {argv[0] for argv in verb_argvs("input.cx")} == set(subcommands)
+    ))
+
+
+def test_verb_runs_cover_every_subcommand():
+    assert {argv[0] for argv in VERB_RUNS} == subcommands()
+    assert {argv[0] for argv in verb_argvs("input.cx")} == subcommands()
 
 
 @pytest.mark.parametrize("verb", VERB_RUNS, ids=" ".join)
@@ -603,15 +647,9 @@ def test_walk_sim_start_takes_a_one_token_flipped_lift(tmp_path, capsys):
     assert run_cli(capsys, *base, "--start", "+a")[1] != out
 
 
-def test_verify_rows_are_pinned(tmp_path, capsys):
-    """The (check, ok) column of `verify`, TOTAL included, on every fixture
-    and on annuli 3x2 and 4x2 from the benchmark's generator at seed 0;
-    only the detail column may change."""
-    golden = collections.defaultdict(list)
-    lines = (Path(__file__).resolve().parent / "verify_rows.tsv").read_text().splitlines()
-    for line in lines[1:]:
-        name, check, ok = line.split("\t")
-        golden[name].append((check, ok))
+def fixtures_and_annuli(tmp_path):
+    """{file name: path} of every fixture and of annuli 3x2 and 4x2 from the
+    benchmark's generator at seed 0, written to tmp_path."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     )
@@ -621,6 +659,46 @@ def test_verify_rows_are_pinned(tmp_path, capsys):
     for name in ("annulus_3x2", "annulus_4x2"):
         paths[f"{name}.cx"] = tmp_path / f"{name}.cx"
         paths[f"{name}.cx"].write_text(inputs.make_input(name, 0)[0])
+    return paths
+
+
+def test_laplacian_prints_the_float_mirror(tmp_path, capsys):
+    """`laplacian` rounds each stored entry without numpy; ScaledMatrix.to_float,
+    the mirror `eigen` reads, is its reference on every complex input."""
+    header = ["part", "row", "col", "value"]
+    for name, path in sorted(fixtures_and_annuli(tmp_path).items()):
+        if path.suffix != ".cx":
+            continue
+        cx = hodgewalk.parse_complex(path.read_text())
+        for k in range(cx.dimension + 1):
+            labels = [str(f) for f in cx.faces_by_dim[k]]
+            for normalized in ((), ("--normalized",)):
+                lap = laplacians.hodge(cx, k, normalized=bool(normalized))
+                rows = []
+                for which, mat in (("up", lap.up), ("down", lap.down)):
+                    fl = mat.to_float()
+                    rows += [
+                        [which, labels[i], labels[j], f"{float(fl[i, j]):.12g}"]
+                        for i, row in enumerate(mat.rows)
+                        for j in sorted(row)
+                    ]
+                argv = ("laplacian", str(path), "--k", str(k), *normalized)
+                tsv = "".join("\t".join(r) + "\n" for r in [header] + rows)
+                assert run_cli(capsys, *argv) == (0, tsv), (name, k, normalized)
+                as_json = json.dumps({"header": header, "rows": rows}) + "\n"
+                assert run_cli(capsys, *argv, "--format", "json") == (0, as_json)
+
+
+def test_verify_rows_are_pinned(tmp_path, capsys):
+    """The (check, ok) column of `verify`, TOTAL included, on every fixture
+    and on annuli 3x2 and 4x2 from the benchmark's generator at seed 0;
+    only the detail column may change."""
+    golden = collections.defaultdict(list)
+    lines = (Path(__file__).resolve().parent / "verify_rows.tsv").read_text().splitlines()
+    for line in lines[1:]:
+        name, check, ok = line.split("\t")
+        golden[name].append((check, ok))
+    paths = fixtures_and_annuli(tmp_path)
     assert set(golden) == set(paths)
     for name, path in sorted(paths.items()):
         code, out = run_cli(capsys, "verify", str(path))

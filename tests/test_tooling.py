@@ -51,6 +51,18 @@ def test_benchmark_job_parses(job):
     assert args.verb == job.verb
 
 
+def test_readme_lists_the_numpy_verbs():
+    import re
+
+    from test_cli import NUMPY_FREE_RUNS, subcommands
+
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"The verbs that load numpy are\s+([^.:]*)", readme)
+    assert match, "README no longer lists the verbs that load numpy"
+    listed = set(re.findall(r"`([\w-]+)`", match.group(1)))
+    assert listed == subcommands() - {verb for verb, *_flags in NUMPY_FREE_RUNS}
+
+
 def test_readme_states_the_search_budget():
     import re
 
