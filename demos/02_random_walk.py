@@ -22,8 +22,9 @@ from hodgewalk import (
 cover = cover_from_complex(parse_complex("x0 x1 x2 x3"))
 pw = compute_path_weights(cover)
 
+# P is the body of an exact matrix: entry (a, b) is P.rows[a].get(b, 0) / P.den
 P = transition_full(cover, "quotient")
-print("row sums all equal 1:", all(s == 1 for s in P.row_sums()))
+print("row sums all equal 1:", all(sum(row.values()) == P.den for row in P.rows))
 
 comp = components(cover, "quotient")[0]
 pi = stationary(cover, comp, "quotient")
@@ -36,7 +37,7 @@ print("normalizer:", pi.normalizer, "= 24 paths x (E[len]+1), E[len] =",
 
 # detailed balance holds exactly on the quotient
 ok = all(
-    pw.through(a) * P.entries[a, b] == pw.through(b) * P.entries[b, a]
+    pw.through(a) * P.rows[a].get(b, 0) == pw.through(b) * P.rows[b].get(a, 0)
     for a in range(15)
     for b in range(15)
 )

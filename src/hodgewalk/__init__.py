@@ -5,12 +5,10 @@ Cheeger constants with combined spectral bounds."""
 from .complex_core import (
     ComplexFormatError,
     Face,
-    OrientedFace,
     SimplicialComplex,
     adjacency,
     boundary_matrix,
     incidence_sign,
-    oriented_face_from_sequence,
     parse_complex,
 )
 from .graded_cover import (
@@ -28,9 +26,7 @@ from .graded_cover import (
     parse_cover_spec,
 )
 from .walks import (
-    CoherentComponentError,
     StationaryDistribution,
-    TransitionMatrix,
     convergence_rate,
     expected_path_length,
     simulate,
@@ -51,7 +47,6 @@ from .operators import (
     verify_split,
 )
 from .laplacians import (
-    HodgeLaplacian,
     HodgeReport,
     betti_numbers,
     check_laplacian_walk_identity,

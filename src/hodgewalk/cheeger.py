@@ -36,7 +36,7 @@ from .graded_cover import (
     memoized,
     propagate_signs,
 )
-from .operators import build_conditional, eigen, on_component
+from .operators import build_conditional, eigen, on_component, spectral_top
 
 # Search steps one cut search may take before it gives up.  A step is one
 # search node; the signed search also counts each edge its bound updates.
@@ -155,7 +155,7 @@ def aux_laplacian(aux: AuxiliaryGraph, flavor: str) -> ScaledMatrix:
         body[i][j] += off
         body[j][i] += off
     inv_measure = tuple(Fraction(1) / m for m in aux.measure)
-    return ScaledMatrix._from_rows(inv_measure, inv_measure, body)
+    return ScaledMatrix(inv_measure, inv_measure, body)
 
 
 def _integerized(aux: AuxiliaryGraph):
@@ -451,13 +451,6 @@ def _sandwiched(lower, gap, upper) -> bool:
     return float(lower) <= gap + 1e-9 and gap <= float(upper) + 1e-9
 
 
-def _restricted_gap(op: ScaledMatrix, flavor: str) -> float:
-    ev = eigen(op)
-    if flavor == "quotient":
-        return 1.0 - ev[-2]
-    return 1.0 - (-ev[0])
-
-
 def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerReport]:
     """Combined Cheeger bounds for every paired component in dimensions k-1/k.
 
@@ -491,13 +484,13 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
             constants[side] = cheeger_signed(sides[side])[0], cheeger_quotient(sides[side])[0]
         h_s_up, h_q_up = constants["up"]
         h_s_down, h_q_down = constants.get("down", (None, None))
-        up_q = build_conditional(cover, k - 1, "up", "quotient")
-        gap_q = _restricted_gap(on_component(cover, up_q, up_comp), "quotient")
+        up_q = on_component(cover, build_conditional(cover, k - 1, "up", "quotient"), up_comp)
+        gap_q = 1.0 - spectral_top(eigen(up_q), "quotient")
         # coherence is decided exactly and pins the signed gap at 0
         gap_s = 0.0
         if not coherent:
-            up_s = build_conditional(cover, k - 1, "up", "signed")
-            gap_s = _restricted_gap(on_component(cover, up_s, up_comp), "signed")
+            up_s = on_component(cover, build_conditional(cover, k - 1, "up", "signed"), up_comp)
+            gap_s = 1.0 - spectral_top(eigen(up_s), "signed")
         lower_q, upper_q = _combined_bounds(((h_q_up, k), (h_q_down, d_down)), k)
         if coherent:
             lower_s = upper_s = Fraction(0)

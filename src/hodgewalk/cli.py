@@ -152,10 +152,9 @@ def cmd_laplacian(args) -> int:
     if cx is None:
         print("error: laplacian requires a simplicial complex input", file=sys.stderr)
         return EXIT_INVALID
-    lap = laplacians.hodge(cx, args.k, normalized=args.normalized)
     labels = [str(f) for f in cx.faces_by_dim[args.k]]
     rows = []
-    for which, mat in (("up", lap.up), ("down", lap.down)):
+    for which, mat in zip(("up", "down"), laplacians.hodge(cx, args.k, normalized=args.normalized)):
         # each stored entry as ScaledMatrix.to_float rounds it, without numpy:
         # the same correctly rounded sqrt, outer product and entry product
         den = mat.den
@@ -321,8 +320,8 @@ def _verify_checks(cover, cx):
     # (entry (a, b) is rows[a][b] / den)
     full = {view: walks.transition_full(cover, view) for view in ("quotient", "cover")}
     for view, P in full.items():
-        yield f"row_stochastic_{view}", all(s == 1 for s in P.row_sums()), ""
-    rows, den = full["quotient"].matrix.rows, full["quotient"].matrix.den
+        yield f"row_stochastic_{view}", all(sum(row.values()) == P.den for row in P.rows), ""
+    rows, den = full["quotient"].rows, full["quotient"].den
     # each stored entry against its mirror covers every pair with a nonzero side
     balanced = all(
         pw.through(a) * v == pw.through(b) * rows[b].get(a, 0)
@@ -332,7 +331,7 @@ def _verify_checks(cover, cx):
     yield "detailed_balance_quotient", balanced, ""
     n = cover.n_quotient
     flip = lambda u: (u + n) % (2 * n)
-    cover_rows = full["cover"].matrix.rows
+    cover_rows = full["cover"].rows
     yield "flip_commutation", all(
         {flip(v): x for v, x in row.items()} == cover_rows[flip(u)]
         for u, row in enumerate(cover_rows)

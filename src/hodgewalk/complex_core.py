@@ -1,4 +1,4 @@
-"""Simplicial complexes: faces, orientations, incidence signs, boundaries.
+"""Simplicial complexes: faces, incidence signs, boundaries.
 
 The reference orientation of every face is its ascending-label vertex
 order; this convention fixes the sign of every matrix in the package.
@@ -9,7 +9,6 @@ layouts are reproducible regardless of input file order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .exact import ScaledMatrix
@@ -45,42 +44,6 @@ class Face:
         if self.dimension == 0:
             return []
         return [Face(self.vertices[:i] + self.vertices[i + 1:]) for i in range(len(self.vertices))]
-
-
-@dataclass(frozen=True)
-class OrientedFace:
-    """One of the two orientation classes of a face.
-
-    ``flipped=False`` is the ascending-label (reference) class; flipping
-    corresponds to an odd permutation of the vertex order.
-    """
-
-    face: Face
-    flipped: bool = False
-
-    def __neg__(self) -> "OrientedFace":
-        return OrientedFace(self.face, not self.flipped)
-
-
-def permutation_parity(sequence, sorted_sequence) -> bool:
-    """True when ``sequence`` is an odd permutation of ``sorted_sequence``."""
-    seq = list(sequence)
-    target = list(sorted_sequence)
-    if sorted(seq) != target:
-        raise ValueError("not a permutation")
-    parity = False
-    for i in range(len(seq)):
-        if seq[i] != target[i]:
-            j = seq.index(target[i], i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-            parity = not parity
-    return parity
-
-
-def oriented_face_from_sequence(labels) -> OrientedFace:
-    """Oriented face given by an explicit vertex ordering."""
-    face = Face.of(labels)
-    return OrientedFace(face, permutation_parity(list(labels), face.vertices))
 
 
 class SimplicialComplex:
@@ -142,25 +105,20 @@ def parse_complex(text: str) -> SimplicialComplex:
     return SimplicialComplex(faces)
 
 
-def incidence_sign(tau: OrientedFace, sigma: OrientedFace) -> int:
-    """Boundary incidence sign between an oriented face and an oriented subface.
+def incidence_sign(tau: Face, sigma: Face) -> int:
+    """Boundary incidence sign between a face and a subface, both in the
+    reference orientation.
 
-    With ascending-label representatives, the subface obtained by dropping
-    the i-th vertex carries sign (-1)**i, so that the boundary of an edge
-    is its ending point minus its starting point.  Flipping either argument
-    negates the result.
+    The subface obtained by dropping the i-th vertex carries sign (-1)**i,
+    so that the boundary of an edge is its ending point minus its starting
+    point.  The other orientation of a face is its flipped lift in the
+    double cover, and flipping either end negates the sign there.
     """
-    tv, sv = tau.face.vertices, sigma.face.vertices
+    tv, sv = tau.vertices, sigma.vertices
     if len(tv) != len(sv) + 1 or not set(sv) < set(tv):
-        raise ValueError(f"{sigma.face} is not a boundary subface of {tau.face}")
+        raise ValueError(f"{sigma} is not a boundary subface of {tau}")
     missing = (set(tv) - set(sv)).pop()
-    i = tv.index(missing)
-    sign = -1 if i % 2 else 1
-    if tau.flipped:
-        sign = -sign
-    if sigma.flipped:
-        sign = -sign
-    return sign
+    return -1 if tv.index(missing) % 2 else 1
 
 
 def boundary_matrix(complex: SimplicialComplex, k: int) -> ScaledMatrix:
@@ -173,9 +131,8 @@ def boundary_matrix(complex: SimplicialComplex, k: int) -> ScaledMatrix:
     rows: list[dict[int, int]] = [{} for _ in faces]
     for j, sigma in enumerate(complex.faces_by_dim[k]):
         for rho in sigma.boundary():
-            rows[row_pos[rho]][j] = incidence_sign(OrientedFace(sigma), OrientedFace(rho))
-    one = Fraction(1)
-    return ScaledMatrix._new((one,) * len(faces), (one,) * complex.n_faces(k), rows, 1)
+            rows[row_pos[rho]][j] = incidence_sign(sigma, rho)
+    return ScaledMatrix([1] * len(faces), [1] * complex.n_faces(k), rows)
 
 
 def adjacency(complex: SimplicialComplex, k: int, direction: str) -> dict[Face, frozenset[Face]]:

@@ -10,6 +10,8 @@ maps a column j to the integer numerator of body entry (i, j), and the one
 positive integer ``den`` is the denominator of every entry.  The form is
 canonical: no zero is stored and gcd(den, every entry) = 1, so two bodies
 over the same scales are equal exactly when their ``den`` and ``rows`` are.
+Every matrix is built by ``ScaledMatrix(row_scale, col_scale, rows)`` from
+rows of rationals, or is the result of an operation on built ones.
 
 Products, sums, negation, scaling, transposes, restrictions and rebases
 work on Python integers and visit only stored entries.  The square roots
@@ -43,14 +45,6 @@ def _sqrt_ratio(num: int, den: int) -> tuple[int, int] | None:
     if a * a == num and b * b == den:
         return a, b
     return None
-
-
-def frac_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    root = _sqrt_ratio(x.numerator, x.denominator)
-    return None if root is None else Fraction(*root)
 
 
 def _scales(xs: Iterable) -> tuple[Fraction, ...]:
@@ -149,17 +143,17 @@ class ScaledMatrix:
 
     __slots__ = ("row_scale", "col_scale", "rows", "den")
 
-    def __init__(self, row_scale: Iterable, col_scale: Iterable, body: np.ndarray):
-        """From a dense rational body (an array of ints or Fractions)."""
+    def __init__(self, row_scale: Iterable, col_scale: Iterable, rows: Sequence[dict]):
+        """From positive scales and one row {column: int or Fraction} per
+        row scale; zero entries are dropped and the body made canonical."""
         self.row_scale = _scales(row_scale)
         self.col_scale = _scales(col_scale)
-        if body.shape != (len(self.row_scale), len(self.col_scale)):
-            raise ValueError("body shape does not match scales")
-        self.rows, self.den = _integer_rows(
-            [{j: Fraction(v) for j, v in enumerate(row) if v} for row in body.tolist()]
-        )
-
-    # -- constructors -------------------------------------------------
+        n_cols = len(self.col_scale)
+        if len(rows) != len(self.row_scale) or any(
+            not 0 <= j < n_cols for row in rows for j in row
+        ):
+            raise ValueError("rows do not match the scales")
+        self.rows, self.den = _integer_rows(rows)
 
     @classmethod
     def _new(cls, row_scale: tuple, col_scale: tuple, rows: list, den: int) -> "ScaledMatrix":
@@ -167,16 +161,6 @@ class ScaledMatrix:
         m = object.__new__(cls)
         m.row_scale, m.col_scale, m.rows, m.den = row_scale, col_scale, rows, den
         return m
-
-    @classmethod
-    def _from_rows(cls, row_scale: tuple, col_scale: tuple, rows: Sequence[dict]) -> "ScaledMatrix":
-        """For builders: validated scale tuples and rows {col: int or Fraction}."""
-        return cls._new(row_scale, col_scale, *_integer_rows(rows))
-
-    @staticmethod
-    def from_rational(mat: np.ndarray) -> "ScaledMatrix":
-        r, c = mat.shape
-        return ScaledMatrix([Fraction(1)] * r, [Fraction(1)] * c, mat)
 
     @staticmethod
     def identity(n: int) -> "ScaledMatrix":
@@ -227,16 +211,6 @@ class ScaledMatrix:
             tuple(self.col_scale[j] for j in cols),
             *_reduced(out, self.den),
         )
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """Exact entry value; raises if the entry is irrational."""
-        v = self.rows[i].get(j, 0)
-        if v == 0:
-            return Fraction(0)
-        root = frac_sqrt(self.row_scale[i] * self.col_scale[j])
-        if root is None:
-            raise ValueError("entry is irrational")
-        return Fraction(v, self.den) * root
 
     # -- algebra ------------------------------------------------------
 

@@ -18,7 +18,7 @@ import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complex_core import Face, OrientedFace, SimplicialComplex, incidence_sign
+from .complex_core import Face, SimplicialComplex, incidence_sign
 
 
 class CoverSpecError(ValueError):
@@ -92,11 +92,10 @@ class GradedSignedDoubleCover:
         self.strong: bool = all(
             self.dims[p] == self.dims[c] + 1 for (c, p) in self.sign_ref
         )
-        self.nodes_by_dim: dict[int, tuple[int, ...]] = {}
+        by_dim: dict[int, list[int]] = {}
         for q, d in enumerate(self.dims):
-            self.nodes_by_dim.setdefault(d, ())
-        for d in self.nodes_by_dim:
-            self.nodes_by_dim[d] = tuple(q for q, dq in enumerate(self.dims) if dq == d)
+            by_dim.setdefault(d, []).append(q)
+        self.nodes_by_dim: dict[int, tuple[int, ...]] = {d: tuple(qs) for d, qs in by_dim.items()}
 
     # -- basic structure ------------------------------------------------
 
@@ -195,7 +194,7 @@ def cover_from_complex(complex: SimplicialComplex) -> GradedSignedDoubleCover:
     for tau in faces:
         for rho in tau.boundary():
             edges.append((index[rho], index[tau]))
-            signs.append(incidence_sign(OrientedFace(tau), OrientedFace(rho)))
+            signs.append(incidence_sign(tau, rho))
     return GradedSignedDoubleCover(
         dims=[f.dimension for f in faces],
         edges=edges,

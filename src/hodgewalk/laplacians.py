@@ -25,16 +25,6 @@ from .operators import build_conditional, eigen, multiplicity
 
 
 @dataclass(frozen=True)
-class HodgeLaplacian:
-    up: ScaledMatrix
-    down: ScaledMatrix
-
-    @property
-    def full(self) -> ScaledMatrix:
-        return self.up + self.down
-
-
-@dataclass(frozen=True)
 class HodgeReport:
     rank_up: int
     rank_down: int
@@ -69,13 +59,15 @@ def normalized_coboundary(complex: SimplicialComplex, k: int) -> ScaledMatrix:
 
 
 @memoized
-def hodge(complex: SimplicialComplex, k: int, normalized: bool = False) -> HodgeLaplacian:
-    """Up and down Hodge Laplacians in dimension k."""
+def hodge(
+    complex: SimplicialComplex, k: int, normalized: bool = False
+) -> tuple[ScaledMatrix, ScaledMatrix]:
+    """(up, down) Hodge Laplacians in dimension k."""
     if not 0 <= k <= complex.dimension:
         raise ValueError(f"k={k} out of range 0..{complex.dimension}")
     dk = _coboundary(complex, k, normalized)
     dkm1 = _coboundary(complex, k - 1, normalized)
-    return HodgeLaplacian(dk.T @ dk, dkm1 @ dkm1.T)
+    return dk.T @ dk, dkm1 @ dkm1.T
 
 
 @memoized
@@ -102,11 +94,11 @@ def betti_numbers(complex: SimplicialComplex) -> tuple[int, ...]:
 
 def check_laplacian_walk_identity(complex: SimplicialComplex, k: int) -> bool:
     """Normalized Laplacians equal the negated signed conditional operators, exactly."""
-    lap = hodge(complex, k, normalized=True)
+    up, down = hodge(complex, k, normalized=True)
     cover = cover_from_complex(complex)
     a_up = build_conditional(cover, k, "up", "signed")
     a_down = build_conditional(cover, k, "down", "signed")
-    return lap.up.equals(-a_up) and lap.down.equals(-a_down)
+    return up.equals(-a_up) and down.equals(-a_down)
 
 
 def verify_hodge_properties(complex: SimplicialComplex) -> dict:
@@ -122,39 +114,40 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
     # L_up(k) = d_k^T d_k and L_down(k) = d_(k-1) d_(k-1)^T: Gram products are
     # PSD, and L_up(k-1), L_down(k) share d_(k-1), hence their nonzero spectra
     grams = {}
-    for (k, nrm), lap in laps.items():
+    for (k, nrm), (up, down) in laps.items():
         d, d_prev = _coboundary(complex, k, nrm), _coboundary(complex, k - 1, nrm)
-        grams[(k, nrm)] = (lap.up.equals(d.T @ d), lap.down.equals(d_prev @ d_prev.T))
+        grams[(k, nrm)] = (up.equals(d.T @ d), down.equals(d_prev @ d_prev.T))
     for k in range(dim + 1):
         for nrm in (False, True):
-            lap = laps[(k, nrm)]
+            up, down = laps[(k, nrm)]
             tag = f"k={k}" + (" normalized" if nrm else "")
             check(
                 f"annihilation {tag}",
-                (lap.up @ lap.down).is_zero() and (lap.down @ lap.up).is_zero(),
+                (up @ down).is_zero() and (down @ up).is_zero(),
             )
             check(
                 f"symmetry {tag}",
-                lap.up.is_symmetric() and lap.down.is_symmetric(),
+                up.is_symmetric() and down.is_symmetric(),
             )
             check(f"positive_semidefinite {tag}", all(grams[(k, nrm)]))
             if nrm:
-                ev = eigen(lap.up) + eigen(lap.down)
+                ev = eigen(up) + eigen(down)
                 check(f"spectrum_bounded_by_one {tag}", all(v <= 1 + 1e-10 for v in ev))
         # the harmonic number from the boundary ranks against the nullity of
         # the normalized Laplacian itself
+        up, down = laps[(k, True)]
         check(
             f"normalized_harmonic_dim k={k}",
             hodge_decomposition(complex, k).harmonic
-            == complex.n_faces(k) - rational_rank(laps[(k, True)].full),
+            == complex.n_faces(k) - rational_rank(up + down),
         )
     for k in range(1, dim + 1):
         for nrm in (False, True):
             tag = f"k={k}" + (" normalized" if nrm else "")
             check(f"nonzero_spectra_match {tag}", grams[(k - 1, nrm)][0] and grams[(k, nrm)][1])
         # multiplicity of eigenvalue 1 counts coherent components
-        mult_up = multiplicity(laps[(k - 1, True)].up, 1)
-        mult_down = multiplicity(laps[(k, True)].down, 1)
+        mult_up = multiplicity(laps[(k - 1, True)][0], 1)
+        mult_down = multiplicity(laps[(k, True)][1], 1)
         n_coherent = sum(
             1
             for comp in components(cover, "quotient-up", k - 1)

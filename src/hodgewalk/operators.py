@@ -144,8 +144,8 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
     q_sym = [{q: 1, q + n: 1} for q in range(n)]
     q_alt = [{q: 1, q + n: -1} for q in range(n)]
 
-    sm_c = lambda body: ScaledMatrix._from_rows(hc, ihc, body)
-    sm_q = lambda body: ScaledMatrix._from_rows(hq, ihq, body)
+    sm_c = lambda body: ScaledMatrix(hc, ihc, body)
+    sm_q = lambda body: ScaledMatrix(hq, ihq, body)
     return OperatorBundle(
         cover=cover,
         a_cover=sm_c(a_cover),
@@ -162,8 +162,8 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
         theta_r=sm_c(theta_r),
         pi_l=sm_q(pi_l),
         pi_r=sm_q(pi_r),
-        q_sym=ScaledMatrix._from_rows(hq, ihc, q_sym),
-        q_alt=ScaledMatrix._from_rows(hq, ihc, q_alt),
+        q_sym=ScaledMatrix(hq, ihc, q_sym),
+        q_alt=ScaledMatrix(hq, ihc, q_alt),
         r=sm_c(r_mat),
     )
 
@@ -216,7 +216,7 @@ def build_conditional(
             for fa in (0, 1):
                 body[i + m * fa][j + m * (fa ^ (s == 1))] += w
     copies = 2 if flavor == "cover" else 1
-    return ScaledMatrix._from_rows(
+    return ScaledMatrix(
         tuple(hq[q] for q in nodes) * copies, tuple(1 / hq[q] for q in nodes) * copies, body
     )
 
@@ -258,6 +258,13 @@ def eigen(operator) -> tuple[float, ...]:
     if residual > bound:
         raise EigenResidualError(f"residual {residual} exceeds {bound}")
     return tuple(float(x) for x in vals)
+
+
+def spectral_top(eigenvalues: tuple[float, ...], flavor: str) -> float:
+    """The eigenvalue behind a component's spectral gap (1 - top) and
+    convergence rate, from the ascending ``eigen`` of an operator on the
+    component: lambda_2 of a quotient operator, or -lambda_min of a signed one."""
+    return eigenvalues[-2] if flavor == "quotient" else -eigenvalues[0]
 
 
 def multiplicity(operator: ScaledMatrix, value) -> int:

@@ -12,9 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 from . import operators, rng
 from .exact import ScaledMatrix
@@ -24,36 +22,6 @@ from .graded_cover import (
     component_correspondence,
     detect_coherent,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-class CoherentComponentError(ValueError):
-    """Raised when a convergence rate is requested for a coherent component."""
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """P as the body of ``matrix``: entry (i, j) is
-    ``matrix.rows[i].get(j, 0) / matrix.den`` (see ``_from_operator``)."""
-
-    matrix: ScaledMatrix
-    index: tuple[str, ...]
-    nodes: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.index)
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """Dense read-only Fraction array of P, built on first access."""
-        return self.matrix.body
-
-    def row_sums(self) -> list[Fraction]:
-        den = self.matrix.den
-        return [Fraction(sum(row.values()), den) for row in self.matrix.rows]
 
 
 @dataclass(frozen=True)
@@ -79,8 +47,10 @@ def _from_operator(sm: ScaledMatrix, through) -> ScaledMatrix:
 def transition_full(
     cover: GradedSignedDoubleCover,
     view: str = "quotient",
-) -> TransitionMatrix:
-    """Transition matrix of the root-to-leaf path random walk.
+) -> ScaledMatrix:
+    """Transition matrix P of the root-to-leaf path random walk, as the body
+    of a matrix (entry (i, j) of P is ``rows[i].get(j, 0) / den``) whose
+    rows follow the quotient nodes, or the cover nodes for the cover view.
 
     Quotient rows: 1/2 * LP(v)/LP(u) up, 1/2 * RP(t)/RP(u) down, with lazy
     mass 1/2 (leaf xor root) or 1 (isolated) on the diagonal.  Cover rows
@@ -91,15 +61,11 @@ def transition_full(
     if view not in ("quotient", "cover"):
         raise ValueError("view must be 'quotient' or 'cover'")
     pw = compute_path_weights(cover)
-    n = cover.n_quotient
     bundle = operators.build_bundle(cover)
-    through = [Fraction(pw.through(q)) for q in range(n)]
+    through = [Fraction(pw.through(q)) for q in range(cover.n_quotient)]
     if view == "quotient":
-        mat = _from_operator(bundle.a_quotient, through)
-        return TransitionMatrix(mat, tuple(cover.labels), tuple(range(n)))
-    mat = _from_operator(bundle.a_cover, through * 2)
-    labels = tuple(cover.cover_label(u) for u in range(2 * n))
-    return TransitionMatrix(mat, labels, tuple(range(2 * n)))
+        return _from_operator(bundle.a_quotient, through)
+    return _from_operator(bundle.a_cover, through * 2)
 
 
 def transition_conditional(
@@ -107,22 +73,17 @@ def transition_conditional(
     k: int,
     direction: str,
     view: str = "quotient",
-) -> TransitionMatrix:
+) -> ScaledMatrix:
     """Transition matrix of the conditional up- or down-walk in dimension k,
-    derived from the conditional operator of the matching flavor."""
+    derived from the conditional operator of the matching flavor, whose
+    rows it follows (``cover.nodes_by_dim[k]``, or ``cover.lifts(k)``)."""
     if view not in ("quotient", "cover"):
         raise ValueError("view must be 'quotient' or 'cover'")
     pw = compute_path_weights(cover)
     op = operators.build_conditional(cover, k, direction, view)
-    if view == "quotient":
-        nodes = cover.nodes_by_dim.get(k, ())
-        labels = tuple(cover.labels[q] for q in nodes)
-    else:
-        nodes = cover.lifts(k)
-        labels = tuple(cover.cover_label(u) for u in nodes)
+    nodes = cover.nodes_by_dim.get(k, ()) if view == "quotient" else cover.lifts(k)
     n = cover.n_quotient
-    mat = _from_operator(op, [Fraction(pw.through(u % n)) for u in nodes])
-    return TransitionMatrix(mat, labels, nodes)
+    return _from_operator(op, [Fraction(pw.through(u % n)) for u in nodes])
 
 
 def stationary(
@@ -280,8 +241,8 @@ def convergence_rate(
     max(lambda_{max-1} of the quotient up-operator, -lambda_min of the
     signed up-operator), maximized over the paired non-leaf components.
     Raises ValueError when dimensions k-1/k have no paired components (k < 1
-    included), and CoherentComponentError when any paired component is
-    coherent (the conditional walk is then not aperiodic).
+    included), or when any paired component is coherent (the conditional
+    walk is then not aperiodic).
     """
     cover.require_strong()
     pairs = component_correspondence(cover, k) if k >= 1 else []
@@ -292,10 +253,8 @@ def convergence_rate(
     sgn = operators.build_conditional(cover, k - 1, "up", "signed")
     for _down_comp, up_comp in pairs:
         if detect_coherent(cover, up_comp, "up") is not None:
-            raise CoherentComponentError(
-                "conditional walk is not aperiodic on a coherent component"
-            )
-        ev_quot = operators.eigen(operators.on_component(cover, quot, up_comp))
-        ev_sgn = operators.eigen(operators.on_component(cover, sgn, up_comp))
-        rate = max(rate, ev_quot[-2], -ev_sgn[0])
+            raise ValueError("conditional walk is not aperiodic on a coherent component")
+        for flavor, op in (("quotient", quot), ("signed", sgn)):
+            ev = operators.eigen(operators.on_component(cover, op, up_comp))
+            rate = max(rate, operators.spectral_top(ev, flavor))
     return rate

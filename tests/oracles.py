@@ -28,6 +28,7 @@ from itertools import product
 import numpy as np
 
 from hodgewalk.cheeger import _integerized
+from hodgewalk.exact import ScaledMatrix
 from hodgewalk.graded_cover import propagate_signs
 
 
@@ -398,8 +399,6 @@ def normalized_graph_laplacian(complex):
     Returned exactly as D^(-1/2) (D - A) D^(-1/2), i.e. a ScaledMatrix with
     scales 1/deg and body D - A; entries themselves are irrational.
     """
-    from hodgewalk.exact import ScaledMatrix
-
     vertices = complex.faces_by_dim[0]
     pos = {f.vertices[0]: i for i, f in enumerate(vertices)}
     nv = len(vertices)
@@ -416,7 +415,7 @@ def normalized_graph_laplacian(complex):
     for i in range(nv):
         body[i, i] = deg[i]
     inv = [Fraction(1) / d for d in deg]
-    return ScaledMatrix(inv, inv, body)
+    return from_dense(inv, inv, body)
 
 
 # -- reference cut searches: the full ascending scans and Gray-code walk --
@@ -565,7 +564,7 @@ def float_multiplicity(values, target, gap=1e-7) -> int:
 # Fractions), standing for diag(rows)^(1/2) @ body @ diag(cols)^(1/2).
 
 
-def _exact_sqrt(x):
+def exact_sqrt(x):
     """Square root of a nonnegative Fraction when it is rational, else None."""
     a, b = math.isqrt(x.numerator), math.isqrt(x.denominator)
     return Fraction(a, b) if a * a == x.numerator and b * b == x.denominator else None
@@ -574,6 +573,11 @@ def _exact_sqrt(x):
 def dense_of(m):
     """The dense triple of a ScaledMatrix."""
     return tuple(m.row_scale), tuple(m.col_scale), [list(row) for row in m.body]
+
+
+def from_dense(row_scale, col_scale, body):
+    """The ScaledMatrix over the given scales with a dense body (rows of ints or Fractions)."""
+    return ScaledMatrix(row_scale, col_scale, [dict(enumerate(row)) for row in body])
 
 
 def dense_matmul(a, b):
@@ -585,7 +589,7 @@ def dense_matmul(a, b):
         for i in range(len(ra)):
             for j in range(len(cb)):
                 if x[i][k] and y[k][j]:
-                    root = _exact_sqrt(ca[k] * rb[k])
+                    root = exact_sqrt(ca[k] * rb[k])
                     if root is None:
                         raise ValueError("irrational inner factor")
                     out[i][j] += x[i][k] * root * y[k][j]
@@ -600,7 +604,7 @@ def dense_rebase(a, rows, cols):
     for i, row in enumerate(x):
         new = []
         for j, v in enumerate(row):
-            f = _exact_sqrt(ra[i] * ca[j] / (rows[i] * cols[j])) if v else Fraction(0)
+            f = exact_sqrt(ra[i] * ca[j] / (rows[i] * cols[j])) if v else Fraction(0)
             if f is None:
                 raise ValueError("irrational conversion factor")
             new.append(v * f)

@@ -16,7 +16,7 @@ from hodgewalk.cheeger import (
 from hodgewalk.complex_core import parse_complex
 from hodgewalk.exact import ScaledMatrix
 from hodgewalk.graded_cover import components, cover_from_complex, detect_coherent
-from hodgewalk.operators import build_conditional, on_component
+from hodgewalk.operators import build_conditional, eigen, on_component, spectral_top
 
 import oracles
 from conftest import COMPLEX_NAMES, load_cover
@@ -270,13 +270,13 @@ def test_coherent_signed_gap_is_exact_zero(name, monkeypatch):
     from hodgewalk import cheeger
 
     solved = []
-    real = cheeger._restricted_gap
+    real = cheeger.spectral_top
 
     def spy(op, flavor):
         solved.append(flavor)
         return real(op, flavor)
 
-    monkeypatch.setattr(cheeger, "_restricted_gap", spy)
+    monkeypatch.setattr(cheeger, "spectral_top", spy)
     cov = load_cover(name)
     reps = [rep for k in range(1, max(cov.dims) + 1) for rep in combined_report(cov, k)]
     assert any(rep.coherent for rep in reps)
@@ -300,7 +300,6 @@ def test_sandwich_everywhere(name, covers):
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_up_down_gap_equality(name, covers):
     """The dim-(k-1) up gap equals the dim-k down gap on paired components."""
-    from hodgewalk.cheeger import _restricted_gap
     from hodgewalk.graded_cover import component_correspondence
 
     cov = covers[name]
@@ -311,8 +310,8 @@ def test_up_down_gap_equality(name, covers):
             for flavor in ("quotient", "signed"):
                 up = build_conditional(cov, k - 1, "up", flavor)
                 down = build_conditional(cov, k, "down", flavor)
-                g_up = _restricted_gap(on_component(cov, up, up_comp), flavor)
-                g_down = _restricted_gap(on_component(cov, down, down_comp), flavor)
+                g_up = 1.0 - spectral_top(eigen(on_component(cov, up, up_comp)), flavor)
+                g_down = 1.0 - spectral_top(eigen(on_component(cov, down, down_comp)), flavor)
                 assert abs(g_up - g_down) < 1e-9
 
 
@@ -324,7 +323,6 @@ def test_signed_spectrum_vanishes_iff_coherent(name, covers):
     an eigensolve, so its signed sandwich holds there by construction; this
     solves the signed operator anyway and checks it.
     """
-    from hodgewalk.cheeger import _restricted_gap
     from hodgewalk.graded_cover import component_correspondence
 
     cov = covers[name]
@@ -334,7 +332,7 @@ def test_signed_spectrum_vanishes_iff_coherent(name, covers):
             if len(up_comp) < 2:
                 continue
             coherent = detect_coherent(cov, down_comp, "down") is not None
-            gap = _restricted_gap(on_component(cov, up, up_comp), "signed")
+            gap = 1.0 - spectral_top(eigen(on_component(cov, up, up_comp)), "signed")
             assert (abs(gap) < 1e-9) == coherent, (name, k, gap)
 
 

@@ -3,13 +3,12 @@ import pytest
 from hodgewalk.complex_core import (
     ComplexFormatError,
     Face,
-    OrientedFace,
     adjacency,
     boundary_matrix,
     incidence_sign,
-    oriented_face_from_sequence,
     parse_complex,
 )
+from hodgewalk.graded_cover import cover_from_complex
 
 from conftest import load_complex, random_complex
 
@@ -52,30 +51,26 @@ def test_face_ordering_is_input_independent():
 
 
 def test_incidence_sign_edge():
-    tau = OrientedFace(Face.of(["x0", "x1"]))
-    x0 = OrientedFace(Face.of(["x0"]))
-    x1 = OrientedFace(Face.of(["x1"]))
+    tau = Face.of(["x0", "x1"])
     # boundary of an edge is its ending point minus its starting point
-    assert incidence_sign(tau, x1) == 1
-    assert incidence_sign(tau, x0) == -1
-    assert incidence_sign(tau, -x1) == -1
-    assert incidence_sign(-tau, x1) == -1
-    assert incidence_sign(-tau, -x1) == 1
+    assert incidence_sign(tau, Face.of(["x1"])) == 1
+    assert incidence_sign(tau, Face.of(["x0"])) == -1
+    # the other orientation of a face is its flipped lift q + N in the cover
+    cover = cover_from_complex(parse_complex("x0 x1"))
+    n = cover.n_quotient
+    x1, edge = cover.labels.index("x1"), cover.labels.index("x0 x1")
+    assert cover.cover_sign(x1, edge) == 1
+    assert cover.cover_sign(x1 + n, edge) == -1
+    assert cover.cover_sign(x1, edge + n) == -1
+    assert cover.cover_sign(x1 + n, edge + n) == 1
 
 
 def test_incidence_sign_rejects_non_subface():
-    tau = OrientedFace(Face.of(["x0", "x1"]))
+    tau = Face.of(["x0", "x1"])
     with pytest.raises(ValueError):
-        incidence_sign(tau, OrientedFace(Face.of(["x2"])))
+        incidence_sign(tau, Face.of(["x2"]))
     with pytest.raises(ValueError):
-        incidence_sign(tau, OrientedFace(Face.of(["x0", "x1"])))
-
-
-def test_oriented_face_from_sequence_parity():
-    assert oriented_face_from_sequence(["x0", "x1", "x2"]).flipped is False
-    assert oriented_face_from_sequence(["x1", "x0", "x2"]).flipped is True
-    assert oriented_face_from_sequence(["x2", "x0", "x1"]).flipped is False
-    assert oriented_face_from_sequence(["x2", "x1", "x0"]).flipped is True
+        incidence_sign(tau, Face.of(["x0", "x1"]))
 
 
 def test_boundary_matrix_shapes_and_k0():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hodgewalk.exact import ScaledMatrix, frac_sqrt, rational_rank
+from hodgewalk.exact import ScaledMatrix, rational_rank
 
 from oracles import (
     as_object_array,
@@ -14,16 +14,9 @@ from oracles import (
     dense_rebase,
     dense_sum,
     dense_to_float,
+    exact_sqrt,
+    from_dense,
 )
-
-
-def test_frac_sqrt():
-    assert frac_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert frac_sqrt(Fraction(0)) == 0
-    assert frac_sqrt(Fraction(2)) is None
-    assert frac_sqrt(Fraction(1, 3)) is None
-    with pytest.raises(ValueError):
-        frac_sqrt(Fraction(-1))
 
 
 def test_bareiss_rank():
@@ -38,14 +31,14 @@ def test_rational_rank_matches_numpy():
     for _ in range(20):
         m = rng.integers(-3, 4, size=(4, 5))
         mat = as_object_array([[Fraction(int(x), 3) for x in row] for row in m])
-        assert rational_rank(ScaledMatrix.from_rational(mat)) == np.linalg.matrix_rank(m.astype(float))
+        assert rational_rank(from_dense([1] * 4, [1] * 5, mat)) == np.linalg.matrix_rank(m.astype(float))
 
 
 def test_scaled_matrix_product_and_transpose():
     h = [Fraction(2), Fraction(1, 2)]
     inv = [Fraction(1) / x for x in h]
-    body = as_object_array([[0, 1], [3, 0]])
-    m = ScaledMatrix(h, inv, body)
+    body = [[0, 1], [3, 0]]
+    m = from_dense(h, inv, body)
     # (M^T)^T = M and (MN)^T = N^T M^T
     assert m.T.T.equals(m)
     prod = m @ m
@@ -54,23 +47,23 @@ def test_scaled_matrix_product_and_transpose():
 
 
 def test_scaled_matrix_equality_across_scales():
-    body_a = as_object_array([[1, 2], [0, 1]])
-    a = ScaledMatrix([Fraction(4), Fraction(1)], [Fraction(1), Fraction(1)], body_a)
+    body_a = [[1, 2], [0, 1]]
+    a = from_dense([Fraction(4), Fraction(1)], [Fraction(1), Fraction(1)], body_a)
     # same entries written with different scales
-    body_b = as_object_array([[Fraction(1), Fraction(2, 3)], [0, Fraction(1, 9)]])
-    b = ScaledMatrix([Fraction(4), Fraction(9)], [Fraction(1), Fraction(9)], body_b)
+    body_b = [[Fraction(1), Fraction(2, 3)], [0, Fraction(1, 9)]]
+    b = from_dense([Fraction(4), Fraction(9)], [Fraction(1), Fraction(9)], body_b)
     assert a.equals(b)
-    body_c = as_object_array([[1, 2], [0, -1]])
-    c = ScaledMatrix([Fraction(4), Fraction(1)], [Fraction(1), Fraction(1)], body_c)
+    body_c = [[1, 2], [0, -1]]
+    c = from_dense([Fraction(4), Fraction(1)], [Fraction(1), Fraction(1)], body_c)
     assert not a.equals(c)
     # same squared magnitudes under other scales, opposite sign
-    d = ScaledMatrix([Fraction(1)], [Fraction(1)], as_object_array([[1]]))
-    e = ScaledMatrix([Fraction(4)], [Fraction(1)], as_object_array([[Fraction(-1, 2)]]))
+    d = from_dense([Fraction(1)], [Fraction(1)], [[1]])
+    e = from_dense([Fraction(4)], [Fraction(1)], [[Fraction(-1, 2)]])
     assert not d.equals(e) and not e.equals(d)
 
 
 def test_scaled_matrix_rebase_requires_square_factors():
-    m = ScaledMatrix([Fraction(2)], [Fraction(1, 2)], as_object_array([[1]]))
+    m = from_dense([Fraction(2)], [Fraction(1, 2)], [[1]])
     rebased = m.rebase([Fraction(8)], [Fraction(1, 8)])
     assert rebased.equals(m)
     with pytest.raises(ValueError):
@@ -80,7 +73,7 @@ def test_scaled_matrix_rebase_requires_square_factors():
 def test_scaled_matrix_add_rebases_either_side():
     h = [Fraction(2), Fraction(3)]
     eye = ScaledMatrix.identity(2)
-    m = ScaledMatrix(h, [Fraction(1) / x for x in h], as_object_array([[1, 0], [0, 1]]))
+    m = from_dense(h, [Fraction(1) / x for x in h], [[1, 0], [0, 1]])
     total = eye + m
     assert total.equals(m.scale(2))
     assert (m - m).is_zero()
@@ -88,15 +81,44 @@ def test_scaled_matrix_add_rebases_either_side():
 
 def test_to_float_matches_entries():
     h = [Fraction(2), Fraction(1, 2)]
-    m = ScaledMatrix(h, [Fraction(1) / x for x in h], as_object_array([[0, 3], [1, 0]]))
+    m = from_dense(h, [Fraction(1) / x for x in h], [[0, 3], [1, 0]])
     fl = m.to_float()
     assert fl[0, 1] == pytest.approx(3 * 2.0)  # sqrt(2) * sqrt(2) * 3
     assert fl[1, 0] == pytest.approx(0.5)
-    assert m.entry(0, 1) == Fraction(6)
+    # the entries themselves are rational here
+    assert m.equals(from_dense([1, 1], [1, 1], [[0, 6], [Fraction(1, 2), 0]]))
+
+
+@pytest.mark.parametrize(
+    "row_scale, col_scale, rows",
+    [
+        ([0], [1], [{}]),
+        ([1], [Fraction(-1, 2)], [{}]),
+        ([1, 1], [1], [{0: 1}]),
+        ([1], [1], [{0: 1}, {}]),
+        ([1], [1, 1], [{2: 1}]),
+        ([1], [1, 1], [{-1: 1}]),
+    ],
+    ids=["zero-row-scale", "negative-col-scale", "too-few-rows", "too-many-rows",
+         "column-past-the-end", "negative-column"],
+)
+def test_constructor_rejects_bad_scales_and_shapes(row_scale, col_scale, rows):
     with pytest.raises(ValueError):
-        ScaledMatrix(
-            [Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)], as_object_array([[1, 1], [1, 1]])
-        ).entry(0, 0)
+        ScaledMatrix(row_scale, col_scale, rows)
+
+
+def test_constructor_accepts_ints_and_fractions_and_is_canonical():
+    m = ScaledMatrix([1, 2], [1, 1, 3], [{0: 2, 1: 0, 2: Fraction(4, 6)}, {1: Fraction(0), 2: 6}])
+    assert_canonical(m)
+    assert m.row_scale == (1, 2) and all(type(x) is Fraction for x in m.row_scale + m.col_scale)
+    # 2, 2/3 and 6 over their common denominator 3; both zeros dropped
+    assert (m.rows, m.den) == ([{0: 6, 2: 2}, {2: 18}], 3)
+    halves = ScaledMatrix([1], [1, 1], [{0: Fraction(2, 4), 1: Fraction(3, 2)}])
+    assert (halves.rows, halves.den) == ([{0: 1, 1: 3}], 2)
+    ints = ScaledMatrix([1], [1, 1], [{0: 4, 1: 6}])
+    assert (ints.rows, ints.den) == ([{0: 4, 1: 6}], 1)
+    assert ScaledMatrix([], [1], []).shape == (0, 1)
+    assert ScaledMatrix([1, 1], [], [{}, {}]).shape == (2, 0)
 
 
 # -- property tests of the sparse kernels against dense Fraction references --
@@ -121,7 +143,7 @@ def sparse_body(n_rows, n_cols):
 def scaled(draw, n_rows, n_cols):
     rows = draw(st.lists(BASES, min_size=n_rows, max_size=n_rows))
     cols = draw(st.lists(BASES, min_size=n_cols, max_size=n_cols))
-    return ScaledMatrix(rows, cols, draw(sparse_body(n_rows, n_cols)))
+    return from_dense(rows, cols, draw(sparse_body(n_rows, n_cols)))
 
 
 @st.composite
@@ -129,12 +151,12 @@ def product_pair(draw):
     """Left and right factors whose inner scale products are squares."""
     n, m, p = (draw(st.integers(0, 5)) for _ in range(3))
     inner = draw(st.lists(BASES, min_size=m, max_size=m))
-    left = ScaledMatrix(
+    left = from_dense(
         draw(st.lists(BASES, min_size=n, max_size=n)),
         [b * draw(SQUARES) for b in inner],
         draw(sparse_body(n, m)),
     )
-    right = ScaledMatrix(
+    right = from_dense(
         [b * draw(SQUARES) for b in inner],
         draw(st.lists(BASES, min_size=p, max_size=p)),
         draw(sparse_body(m, p)),
@@ -175,8 +197,8 @@ def test_sparse_algebra_matches_dense(case, data):
     # b: another body, written with scales a square factor away from a's
     rows = [r * s for r, s in zip(a.row_scale, x)]
     cols = [c * s for c, s in zip(a.col_scale, y)]
-    b = ScaledMatrix(rows, cols, data.draw(sparse_body(n, m)))
-    root = [[frac_sqrt(x[i] * y[j]) for j in range(m)] for i in range(n)]
+    b = from_dense(rows, cols, data.draw(sparse_body(n, m)))
+    root = [[exact_sqrt(x[i] * y[j]) for j in range(m)] for i in range(n)]
     # b in a's scales: each entry times sqrt(x_i * y_j)
     b_in_a = [[b.body[i, j] * root[i][j] for j in range(m)] for i in range(n)]
     total = a + b
@@ -208,7 +230,7 @@ def test_sparse_equals_detects_each_change(case, data):
     a, x, y = case
     nz = [(i, j) for i in range(a.shape[0]) for j in range(a.shape[1]) if a.body[i, j]]
     for other in (
-        ScaledMatrix(a.row_scale, a.col_scale, a.body.copy()),
+        from_dense(a.row_scale, a.col_scale, a.body),
         a.rebase([r * s for r, s in zip(a.row_scale, x)], [c * s for c, s in zip(a.col_scale, y)]),
     ):
         assert other.equals(a) and a.equals(other)
@@ -219,7 +241,7 @@ def test_sparse_equals_detects_each_change(case, data):
         for change in (Fraction(0), 2 * other.body[i, j], -other.body[i, j]):
             body = other.body.copy()
             body[i, j] = change
-            changed = ScaledMatrix(other.row_scale, other.col_scale, body)
+            changed = from_dense(other.row_scale, other.col_scale, body)
             assert not changed.equals(a) and not a.equals(changed)
 
 
@@ -239,7 +261,7 @@ WIDE_FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2
 def wide_matrix(draw, rows, cols):
     entry = st.one_of(st.just(0), st.just(0), WIDE_FRACTIONS)
     body = [[draw(entry) for _ in cols] for _ in rows]
-    return ScaledMatrix(rows, cols, object_matrix(body, len(cols)))
+    return from_dense(rows, cols, body)
 
 
 @st.composite
@@ -270,9 +292,9 @@ def assert_canonical(m):
 
 # a @ b and a + c cancel to zero entries, which must not be stored
 CANCELLING = (
-    ScaledMatrix([1], [1, 4], as_object_array([[1, Fraction(1, 2)]])),
-    ScaledMatrix([1, 1], [1], as_object_array([[1], [-1]])),
-    ScaledMatrix([9], [1, 1], as_object_array([[Fraction(-1, 3), 1]])),
+    from_dense([1], [1, 4], [[1, Fraction(1, 2)]]),
+    from_dense([1, 1], [1], [[1], [-1]]),
+    from_dense([9], [1, 1], [[Fraction(-1, 3), 1]]),
     Fraction(3, 5),
     [0, 0],
     [1, 0, 1],
@@ -311,26 +333,26 @@ def test_every_operation_is_canonical_and_matches_dense(case):
         assert_canonical(got)
         assert dense_of(got) == want
         assert got.to_float().tobytes() == dense_to_float(want).tobytes()
-        assert got.equals(ScaledMatrix(want[0], want[1], object_matrix(want[2], len(want[1]))))
+        assert got.equals(from_dense(*want))
 
 
 def test_irrational_inner_scale_needs_an_empty_row_or_column():
-    left = ScaledMatrix([1, 1], [2, 1], as_object_array([[0, 1], [0, 2]]))
-    right = ScaledMatrix([1, 1], [1, 1], as_object_array([[5, 7], [1, 1]]))
+    left = from_dense([1, 1], [2, 1], [[0, 1], [0, 2]])
+    right = from_dense([1, 1], [1, 1], [[5, 7], [1, 1]])
     # column 0 of the left factor is zero: sqrt(2 * 1) never contracts
     prod = left @ right
     assert body_list(prod) == [[1, 1], [2, 2]]
-    empty_row = ScaledMatrix([1, 1], [1, 1], as_object_array([[0, 0], [1, 1]]))
-    full_column = ScaledMatrix([1, 1], [2, 1], as_object_array([[3, 1], [0, 2]]))
+    empty_row = from_dense([1, 1], [1, 1], [[0, 0], [1, 1]])
+    full_column = from_dense([1, 1], [2, 1], [[3, 1], [0, 2]])
     assert body_list(full_column @ empty_row) == [[1, 1], [2, 2]]
     # the same left factor with a nonzero in column 0
-    left = ScaledMatrix([1, 1], [2, 1], as_object_array([[0, 1], [1, 2]]))
+    left = from_dense([1, 1], [2, 1], [[0, 1], [1, 2]])
     with pytest.raises(ValueError, match="inner scales do not compose exactly"):
         left @ right
 
 
 def test_rebase_rejects_incompatible_scales():
-    m = ScaledMatrix([1, 1], [1, 1], as_object_array([[0, 1], [0, 0]]))
+    m = from_dense([1, 1], [1, 1], [[0, 1], [0, 0]])
     # (0, 1) needs sqrt(1/2): rejected; row 1 is zero, so any row scale works
     with pytest.raises(ValueError, match="scales are not compatible"):
         m.rebase([2, 1], [1, 1])
@@ -342,7 +364,7 @@ def test_rebase_rejects_incompatible_scales():
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_empty_shapes(shape):
     n, m = shape
-    a = ScaledMatrix([1] * n, [1] * m, np.empty(shape, dtype=object))
+    a = from_dense([1] * n, [1] * m, np.empty(shape, dtype=object))
     assert a.is_zero() and a.equals(a) and (a + a).shape == shape
     assert (-a).shape == shape and a.scale(3).shape == shape
     assert a.to_float().shape == shape
@@ -402,10 +424,11 @@ def test_rational_rank_matches_dense_bareiss(rows):
     n_cols = len(rows[0]) if rows else 0
     mat = object_matrix(rows, n_cols)
     want = dense_rank(rows)
-    assert rational_rank(ScaledMatrix.from_rational(mat)) == want
-    assert rational_rank(ScaledMatrix.from_rational(mat.T.copy())) == want
+    assert rational_rank(from_dense([1] * len(rows), [1] * n_cols, mat)) == want
+    assert rational_rank(from_dense([1] * n_cols, [1] * len(rows), mat.T)) == want
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
 def test_rational_rank_of_empty_shapes(shape):
-    assert rational_rank(ScaledMatrix.from_rational(np.empty(shape, dtype=object))) == 0
+    n, m = shape
+    assert rational_rank(from_dense([1] * n, [1] * m, np.empty(shape, dtype=object))) == 0

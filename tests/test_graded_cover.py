@@ -332,20 +332,21 @@ def test_random_cover_walk_invariants(seed):
     for q in range(cov.n_quotient):
         assert pw.lp[q] == len(oracles.ascending_paths(cov, q))
         assert pw.rp[q] == len(oracles.descending_paths(cov, q))
-    P = transition_full(cov, "quotient")
+    Pq = transition_full(cov, "quotient")
     Pc = transition_full(cov, "cover")
-    assert (P.entries == oracles.one_step_transition(cov, "quotient")).all()
-    assert (Pc.entries == oracles.one_step_transition(cov, "cover")).all()
-    assert all(s == 1 for s in P.row_sums())
-    assert all(s == 1 for s in Pc.row_sums())
+    P = Pq.body
+    assert (P == oracles.one_step_transition(cov, "quotient")).all()
+    assert (Pc.body == oracles.one_step_transition(cov, "cover")).all()
+    assert all(sum(row.values()) == Pq.den for row in Pq.rows)
+    assert all(sum(row.values()) == Pc.den for row in Pc.rows)
     for a in range(cov.n_quotient):
         for b in range(cov.n_quotient):
-            assert pw.through(a) * P.entries[a, b] == pw.through(b) * P.entries[b, a]
+            assert pw.through(a) * P[a, b] == pw.through(b) * P[b, a]
     for comp in components(cov, "quotient"):
         pi = stationary(cov, comp, "quotient")
         vec = [pi.weights.get(q, Fraction(0)) for q in range(cov.n_quotient)]
         for b in range(cov.n_quotient):
-            assert sum(vec[a] * P.entries[a, b] for a in range(cov.n_quotient)) == vec[b]
+            assert sum(vec[a] * P[a, b] for a in range(cov.n_quotient)) == vec[b]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -413,9 +414,9 @@ def test_random_strong_cover_properties(seed):
             lonely = cov.is_leaf if direction == "up" else cov.is_root
             nodes, want = oracles.two_step_conditional(P, cov.dims, k, direction, lonely)
             got = transition_conditional(cov, k, direction, "quotient")
-            assert list(got.nodes) == nodes and (got.entries == want).all()
+            assert list(cov.nodes_by_dim[k]) == nodes and (got.body == want).all()
             cnodes, cwant = oracles.two_step_conditional_cover(
                 Pc, cov.dims, cov.n_quotient, k, direction, lonely
             )
             cgot = transition_conditional(cov, k, direction, "cover")
-            assert list(cgot.nodes) == cnodes and (cgot.entries == cwant).all()
+            assert list(cov.lifts(k)) == cnodes and (cgot.body == cwant).all()

@@ -8,7 +8,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hodgewalk import operators
-from hodgewalk.exact import ScaledMatrix
 from hodgewalk.complex_core import parse_complex
 from hodgewalk.graded_cover import (
     components,
@@ -29,7 +28,7 @@ from hodgewalk.operators import (
 from hodgewalk.walks import transition_conditional, transition_full
 
 from conftest import COMPLEX_NAMES, load_cover
-from oracles import as_object_array, float_multiplicity, multiset_match
+from oracles import as_object_array, float_multiplicity, from_dense, multiset_match
 
 
 def test_bundle_isolated_pair():
@@ -67,12 +66,12 @@ def test_operators_are_similar_to_transitions():
         pw = compute_path_weights(cov)
         b = build_bundle(cov)
         d = [Fraction(pw.through(q)) for q in range(cov.n_quotient)]
-        P = transition_full(cov, "quotient").entries
-        assert ScaledMatrix(d, [1 / x for x in d], P).equals(b.a_quotient)
-        assert ScaledMatrix([1 / x for x in d], d, P.T.copy()).equals(b.a_quotient)
+        P = transition_full(cov, "quotient").body
+        assert from_dense(d, [1 / x for x in d], P).equals(b.a_quotient)
+        assert from_dense([1 / x for x in d], d, P.T).equals(b.a_quotient)
         dc = d + d
-        Pc = transition_full(cov, "cover").entries
-        simc = ScaledMatrix([1 / x for x in dc], dc, Pc.T.copy())
+        Pc = transition_full(cov, "cover").body
+        simc = from_dense([1 / x for x in dc], dc, Pc.T)
         assert simc.equals(b.a_cover)
 
 
@@ -81,16 +80,15 @@ def test_conditional_similar_to_transitions():
     pw = compute_path_weights(cov)
     for k, direction in ((0, "up"), (1, "up"), (1, "down"), (2, "down"), (3, "down")):
         op = build_conditional(cov, k, direction, "quotient")
+        # P's rows follow its operator's: the dimension-k nodes, or their lifts
         P = transition_conditional(cov, k, direction, "quotient")
-        assert P.nodes == cov.nodes_by_dim[k]
-        d = [Fraction(pw.through(q)) for q in P.nodes]
-        assert ScaledMatrix(d, [1 / x for x in d], P.entries).equals(op)
+        d = [Fraction(pw.through(q)) for q in cov.nodes_by_dim[k]]
+        assert from_dense(d, [1 / x for x in d], P.body).equals(op)
         opc = build_conditional(cov, k, direction, "cover")
         Pc = transition_conditional(cov, k, direction, "cover")
-        assert Pc.nodes == cov.lifts(k)
         n = cov.n_quotient
-        dc = [Fraction(pw.through(u % n)) for u in Pc.nodes]
-        assert ScaledMatrix(dc, [1 / x for x in dc], Pc.entries).equals(opc)
+        dc = [Fraction(pw.through(u % n)) for u in cov.lifts(k)]
+        assert from_dense(dc, [1 / x for x in dc], Pc.body).equals(opc)
 
 
 def test_conditional_tetrahedron_k0_diagonal():
@@ -264,7 +262,7 @@ def switched(op, flipped):
     """The signed operator ``op`` under another orientation: X op X, with
     x = -1 where ``flipped`` is true (one flag per row)."""
     x = np.array([-1 if f else 1 for f in flipped], dtype=object)
-    return ScaledMatrix(op.row_scale, op.col_scale, op.body * np.outer(x, x))
+    return from_dense(op.row_scale, op.col_scale, op.body * np.outer(x, x))
 
 
 def test_alt_operator_antisymmetric_and_imaginary():
@@ -302,7 +300,7 @@ def bumped(sm, i=0, j=0):
     float tolerance, so only an exact row can notice it."""
     body = sm.body.copy()
     body[i, j] += Fraction(1, 10**12)
-    return ScaledMatrix(sm.row_scale, sm.col_scale, body)
+    return from_dense(sm.row_scale, sm.col_scale, body)
 
 
 def filled_triangle():
@@ -405,9 +403,9 @@ def rational_spectrum_case(draw):
 def test_multiplicity_is_exact_on_rational_spectra(case):
     lam, mat, h = case
     body = as_object_array(mat)
-    plain = ScaledMatrix.from_rational(body)
+    plain = from_dense([1] * len(h), [1] * len(h), body)
     # the walk operators' form D^(1/2) B D^(-1/2) is similar to B
-    similar = ScaledMatrix(h, [1 / x for x in h], body)
+    similar = from_dense(h, [1 / x for x in h], body)
     floats = np.linalg.eigvalsh(np.array(mat, dtype=float))
     for t in set(lam) | {Fraction(-2), Fraction(1, 5)}:
         want = lam.count(t)
@@ -425,7 +423,7 @@ def test_multiplicity_matches_eigvalsh_at_separated_values(seed_):
     m = rng.integers(-3, 4, size=(n, n))
     m = m + m.T
     m[:, 0] = m[0, :] = 0  # a zero row: 0 is an eigenvalue
-    sm = ScaledMatrix.from_rational(np.array([[Fraction(int(x)) for x in r] for r in m], dtype=object))
+    sm = from_dense([1] * n, [1] * n, [[int(x) for x in r] for r in m])
     floats = np.linalg.eigvalsh(m.astype(float))
     for t in [Fraction(0)] + [Fraction(x, 7) for x in range(-60, 61, 11)]:
         gap = np.abs(floats - float(t))

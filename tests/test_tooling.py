@@ -40,6 +40,34 @@ def test_tracer_target_resolves(mod_name, attr):
         assert callable(getattr(module, attr))
 
 
+def test_tracer_hooks_count_the_smoke_jobs(capsys):
+    """The hooks read `.body` of each product's factors, `AuxiliaryGraph.n`,
+    `simulate(steps=)` and `emit(rows=)`: every smoke job runs traced, exits
+    0 and moves the counter each hook keeps."""
+    from hodgewalk import cli
+
+    fixtures = PERFBENCH.parent / "fixtures"
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        codes = [
+            cli.run(job.argv(str(fixtures / f"{job.input}.cx")))
+            for job in workloads.WORKLOADS["smoke"].jobs
+        ]
+    finally:
+        traced.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(codes)
+    for counter in (
+        "exact.matmul_calls",
+        "operators.eigen_calls",
+        "cheeger.aux_nodes_max",
+        "walks.steps",
+        "cli.rows",
+    ):
+        assert traced.counters[counter] > 0, counter
+
+
 @pytest.mark.parametrize(
     "job",
     [job for w in workloads.WORKLOADS.values() for job in w.jobs],

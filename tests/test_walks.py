@@ -4,7 +4,6 @@ import pytest
 
 from hodgewalk.graded_cover import components, compute_path_weights, parse_cover_spec
 from hodgewalk.walks import (
-    CoherentComponentError,
     convergence_rate,
     expected_path_length,
     simulate,
@@ -20,9 +19,12 @@ from oracles import SplitMix64
 
 
 def label_entry(P, cov, a, b):
-    ia = list(cov.labels).index(a)
-    ib = list(cov.labels).index(b)
-    return P.entries[P.nodes.index(ia), P.nodes.index(ib)]
+    """Entry of a quotient transition matrix, whose rows follow the quotient nodes."""
+    return P.body[cov.labels.index(a), cov.labels.index(b)]
+
+
+def row_sums(P):
+    return [Fraction(sum(row.values()), P.den) for row in P.rows]
 
 
 def test_transition_quotient_single_edge():
@@ -38,7 +40,7 @@ def test_transition_quotient_single_edge():
 def test_transition_cover_isolated_pair():
     cov = load_cover("single_vertex")
     P = transition_full(cov, "cover")
-    assert [list(row) for row in P.entries] == [
+    assert [list(row) for row in P.body] == [
         [Fraction(1, 2), Fraction(1, 2)],
         [Fraction(1, 2), Fraction(1, 2)],
     ]
@@ -48,7 +50,7 @@ def test_transition_cover_isolated_pair():
 @pytest.mark.parametrize("view", ["quotient", "cover"])
 def test_row_stochastic(name, view, covers):
     P = transition_full(covers[name], view)
-    assert all(s == 1 for s in P.row_sums())
+    assert all(s == 1 for s in row_sums(P))
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES + ["nonstrong"])
@@ -58,13 +60,13 @@ def test_transition_full_matches_action_oracle(name, view):
 
     cov = parse_cover_spec(fixture_text(name)) if name == "nonstrong" else load_cover(name)
     want = oracles.one_step_transition(cov, view)
-    assert (transition_full(cov, view).entries == want).all()
+    assert (transition_full(cov, view).body == want).all()
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_flip_commutation(name, covers):
     cov = covers[name]
-    P = transition_full(cov, "cover").entries
+    P = transition_full(cov, "cover").body
     n = cov.n_quotient
     flip = lambda u: (u + n) % (2 * n)
     for u in range(2 * n):
@@ -75,7 +77,7 @@ def test_flip_commutation(name, covers):
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_detailed_balance_quotient(name, covers, weights):
     cov, pw = covers[name], weights[name]
-    P = transition_full(cov, "quotient").entries
+    P = transition_full(cov, "quotient").body
     for a in range(cov.n_quotient):
         for b in range(cov.n_quotient):
             assert pw.through(a) * P[a, b] == pw.through(b) * P[b, a]
@@ -83,7 +85,7 @@ def test_detailed_balance_quotient(name, covers, weights):
 
 def test_cover_breaks_detailed_balance():
     cov = load_cover("single_edge")
-    P = transition_full(cov, "cover").entries
+    P = transition_full(cov, "cover").body
     pi = stationary(cov, range(cov.n_quotient), "cover").weights
     violated = any(
         pi[a] * P[a, b] != pi[b] * P[b, a]
@@ -120,28 +122,32 @@ def test_stationary_examples():
 def test_stationary_fixed_point(name, covers):
     cov = covers[name]
     for view in ("quotient", "cover"):
-        P = transition_full(cov, view)
+        # rows follow the quotient nodes, or the cover nodes
+        P = transition_full(cov, view).body
+        n = len(P)
         for comp in components(cov, "quotient"):
             pi = stationary(cov, comp, view)
             assert pi.total() == 1
-            vec = [pi.weights.get(u, Fraction(0)) for u in P.nodes]
-            for b in range(P.n):
-                assert sum(vec[a] * P.entries[a, b] for a in range(P.n)) == vec[b]
+            vec = [pi.weights.get(u, Fraction(0)) for u in range(n)]
+            for b in range(n):
+                assert sum(vec[a] * P[a, b] for a in range(n)) == vec[b]
 
 
 def test_conditional_stationary_fixed_point_on_cover():
     cov = load_cover("tetrahedron")
     for k, direction in ((0, "up"), (1, "up"), (1, "down"), (2, "down")):
-        P = transition_conditional(cov, k, direction, "cover")
+        P = transition_conditional(cov, k, direction, "cover").body
         comp = components(cov, f"quotient-{direction}", k)[0]
         pi = stationary(cov, comp, "cover")
-        vec = [pi.weights.get(u, Fraction(0)) for u in P.nodes]
-        for b in range(P.n):
-            assert sum(vec[a] * P.entries[a, b] for a in range(P.n)) == vec[b]
+        # rows follow the lifts of the dimension-k nodes
+        vec = [pi.weights.get(u, Fraction(0)) for u in cov.lifts(k)]
+        n = len(vec)
+        for b in range(n):
+            assert sum(vec[a] * P[a, b] for a in range(n)) == vec[b]
         # reversibility holds on the cover for conditional walks
-        for a in range(P.n):
-            for b in range(P.n):
-                assert vec[a] * P.entries[a, b] == vec[b] * P.entries[b, a]
+        for a in range(n):
+            for b in range(n):
+                assert vec[a] * P[a, b] == vec[b] * P[b, a]
 
 
 def test_expected_path_length_examples():
@@ -152,40 +158,40 @@ def test_expected_path_length_examples():
 
 def test_conditional_quotient_tetrahedron_k0():
     cov = load_cover("tetrahedron")
-    P = transition_conditional(cov, 0, "up", "quotient")
+    P = transition_conditional(cov, 0, "up", "quotient").body
     for i in range(4):
         for j in range(4):
-            assert P.entries[i, j] == (Fraction(1, 2) if i == j else Fraction(1, 6))
+            assert P[i, j] == (Fraction(1, 2) if i == j else Fraction(1, 6))
 
 
 def test_conditional_leaf_row_is_identity():
     cov = load_cover("two_triangles_bridged")
-    P = transition_conditional(cov, 1, "up", "quotient")
-    leaf_pos = [i for i, q in enumerate(P.nodes) if cov.is_leaf(q)]
+    P = transition_conditional(cov, 1, "up", "quotient").body
+    leaf_pos = [i for i, q in enumerate(cov.nodes_by_dim[1]) if cov.is_leaf(q)]
     assert leaf_pos
     for i in leaf_pos:
-        row = list(P.entries[i])
+        row = list(P[i])
         assert row[i] == 1 and sum(row) == 1
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_conditional_matches_two_step_oracle(name, covers):
     cov = covers[name]
-    P = transition_full(cov, "quotient").entries
-    Pc = transition_full(cov, "cover").entries
+    P = transition_full(cov, "quotient").body
+    Pc = transition_full(cov, "cover").body
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
             lonely = cov.is_leaf if direction == "up" else cov.is_root
             nodes, want = oracles.two_step_conditional(P, cov.dims, k, direction, lonely)
             got = transition_conditional(cov, k, direction, "quotient")
-            assert list(got.nodes) == nodes
-            assert (got.entries == want).all()
+            assert list(cov.nodes_by_dim[k]) == nodes
+            assert (got.body == want).all()
             cnodes, cwant = oracles.two_step_conditional_cover(
                 Pc, cov.dims, cov.n_quotient, k, direction, lonely
             )
             cgot = transition_conditional(cov, k, direction, "cover")
-            assert list(cgot.nodes) == cnodes
-            assert (cgot.entries == cwant).all()
+            assert list(cov.lifts(k)) == cnodes
+            assert (cgot.body == cwant).all()
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
@@ -195,7 +201,7 @@ def test_conditional_row_stochastic(name, covers):
         for direction in ("up", "down"):
             for view in ("quotient", "cover"):
                 P = transition_conditional(cov, k, direction, view)
-                assert all(s == 1 for s in P.row_sums())
+                assert all(s == 1 for s in row_sums(P))
 
 
 def test_conditional_requires_strong():
@@ -223,7 +229,7 @@ def test_simulate_deterministic_and_errors():
 
 def test_simulate_steps_are_admissible():
     cov = load_cover("branched")
-    P = transition_full(cov, "cover").entries
+    P = transition_full(cov, "cover").body
     digest, _ = simulate(cov, 0, 3000, seed=5)
     states, _ = oracles.reference_walk(cov, compute_path_weights(cov), 0, 3000, 5)
     # the digest ties the oracle's states to the simulated walk
@@ -289,7 +295,7 @@ def test_one_step_frequencies_match_path_sampling():
     match the transition matrix within 3 sigma."""
     cov = load_cover("branched")
     pw = compute_path_weights(cov)
-    P = transition_full(cov, "cover").entries
+    P = transition_full(cov, "cover").body
     rng = SplitMix64(2024)
     n_trials = 4000
     for u in (0, 9, cov.n_quotient + 2):
@@ -311,7 +317,7 @@ def test_convergence_rate_tetrahedron():
 
 def test_convergence_rate_coherent_raises():
     cov = load_cover("cycle6")
-    with pytest.raises(CoherentComponentError):
+    with pytest.raises(ValueError, match="not aperiodic on a coherent component"):
         convergence_rate(cov, 1)
 
 
