@@ -1,16 +1,19 @@
 """Command-line front end.
 
-Verbs map onto the library operations and print deterministic tables:
-rationals in lowest terms, floats with 12 significant digits, no
-timestamps.  Exit codes: 0 ok, 1 invalid input, 2 computation guard,
-3 verification failure.
+Every verb runs through one pipeline, written once in ``run``: parse the
+arguments, load the input (``load_input``: a complex lifted to its graded
+signed double cover, or a cover spec), call the verb's
+``cmd_*(cover, cx, args)`` for its table ``(header, rows)``, and print
+that table (``emit``).  Tables are deterministic: rationals in lowest
+terms, floats with 12 significant digits, no timestamps.  Exit codes:
+0 ok, 1 invalid input, 2 computation guard, 3 a failed ``verify`` TOTAL
+row; codes 1 and 2 print one ``error:`` or ``guard:`` line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,9 +21,8 @@ from pathlib import Path
 from . import cheeger as cheeger_mod
 from . import complex_core, graded_cover, laplacians, operators, walks
 from .cheeger import BruteForceGuardError, ChildCountError, SharedMidNodeError
-from .complex_core import ComplexFormatError
 from .exact import ScaledMatrix
-from .graded_cover import CoverSpecError, NonStrongGradingError
+from .graded_cover import NonStrongGradingError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -67,8 +69,7 @@ def load_input(path: str, k: int | None = None):
     return cover, cx
 
 
-def cmd_lp(args) -> int:
-    cover, _ = load_input(args.input)
+def cmd_lp(cover, cx, args):
     pw = graded_cover.compute_path_weights(cover)
     leaves, roots = graded_cover.leaves_and_roots(cover)
     rows = []
@@ -77,33 +78,28 @@ def cmd_lp(args) -> int:
         if q in roots:
             role = (role + "+root").lstrip("+") if role else "root"
         rows.append((cover.dims[q], cover.labels[q], pw.lp[q], pw.rp[q], pw.h(q), role))
-    emit(rows, ("k", "face", "lp", "rp", "h", "role"), args.format)
-    return EXIT_OK
+    return ("k", "face", "lp", "rp", "h", "role"), rows
 
 
-def cmd_stationary(args) -> int:
-    cover, _ = load_input(args.input, args.k)
+def cmd_stationary(cover, cx, args):
     kind = "quotient" if args.k is None else f"quotient-{args.direction}"
     rows = []
     for ci, comp in enumerate(graded_cover.components(cover, kind, args.k)):
         pi = walks.stationary(cover, comp, args.view)
         # the mean path length belongs to the full walk's components only
-        e_len = walks.expected_path_length(cover, comp) if args.k is None else ""
+        e_len = graded_cover.expected_path_length(cover, comp) if args.k is None else ""
         for node in pi.support:
             label = cover.labels[node] if args.view == "quotient" else cover.cover_label(node)
             rows.append((ci, label, pi.weights[node], pi.normalizer, e_len))
-    emit(rows, ("component", "node", "pi", "normalizer", "expected_len"), args.format)
-    return EXIT_OK
+    return ("component", "node", "pi", "normalizer", "expected_len"), rows
 
 
-def cmd_walk_sim(args) -> int:
-    cover, _ = load_input(args.input)
+def cmd_walk_sim(cover, cx, args):
     start = 0
     if args.start is not None:
         labels = [cover.cover_label(u) for u in range(cover.n_cover)]
         if args.start not in labels:
-            print(f"error: unknown start node {args.start!r}", file=sys.stderr)
-            return EXIT_INVALID
+            raise ValueError(f"unknown start node {args.start!r}")
         start = labels.index(args.start)
     _digest, empirical = walks.simulate(cover, start, args.steps, args.seed)
     # the cover component of the start is the lift of its quotient component
@@ -118,12 +114,10 @@ def cmd_walk_sim(args) -> int:
         rows.append((cover.cover_label(u), float(emp), target, f"{abs(float(emp - target)):.6f}"))
     tv = walks.total_variation(empirical, pi.weights)
     rows.append(("total-variation", float(tv), "", ""))
-    emit(rows, ("node", "empirical", "stationary", "abs_diff"), args.format)
-    return EXIT_OK
+    return ("node", "empirical", "stationary", "abs_diff"), rows
 
 
-def cmd_spectrum(args) -> int:
-    cover, _ = load_input(args.input, args.k)
+def cmd_spectrum(cover, cx, args):
     rows = []
     if args.k is None:
         ev = operators.eigen(operators.build_bundle(cover).a_quotient)
@@ -143,46 +137,31 @@ def cmd_spectrum(args) -> int:
                 # a coherent pair, or no pair at an end dimension
                 rate = f"undefined: {exc}"
             rows.append(("convergence-rate", "", rate))
-    emit(rows, ("operator", "i", "value"), args.format)
-    return EXIT_OK
+    return ("operator", "i", "value"), rows
 
 
-def cmd_laplacian(args) -> int:
-    cover, cx = load_input(args.input, args.k)
+def cmd_laplacian(cover, cx, args):
     if cx is None:
-        print("error: laplacian requires a simplicial complex input", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("laplacian requires a simplicial complex input")
     labels = [str(f) for f in cx.faces_by_dim[args.k]]
     rows = []
     for which, mat in zip(("up", "down"), laplacians.hodge(cx, args.k, normalized=args.normalized)):
-        # each stored entry as ScaledMatrix.to_float rounds it, without numpy:
-        # the same correctly rounded sqrt, outer product and entry product
-        den = mat.den
-        r = [math.sqrt(float(x)) for x in mat.row_scale]
-        c = [math.sqrt(float(x)) for x in mat.col_scale]
-        for i, row in enumerate(mat.rows):
-            for j in sorted(row):
-                rows.append((which, labels[i], labels[j], (row[j] / den) * (r[i] * c[j])))
-    emit(rows, ("part", "row", "col", "value"), args.format)
-    return EXIT_OK
+        rows.extend((which, labels[i], labels[j], x) for i, j, x in mat.float_entries())
+    return ("part", "row", "col", "value"), rows
 
 
-def cmd_hodge(args) -> int:
-    cover, cx = load_input(args.input)
+def cmd_hodge(cover, cx, args):
     if cx is None:
-        print("error: hodge requires a simplicial complex input", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("hodge requires a simplicial complex input")
     rows = []
     for k in range(cx.dimension + 1):
         rep = laplacians.hodge_decomposition(cx, k)
         rows.append((k, rep.n_k, rep.rank_up, rep.rank_down, rep.harmonic))
     rows.append(("betti", "", "", "", " ".join(map(str, laplacians.betti_numbers(cx)))))
-    emit(rows, ("k", "n_k", "rank_up", "rank_down", "harmonic"), args.format)
-    return EXIT_OK
+    return ("k", "n_k", "rank_up", "rank_down", "harmonic"), rows
 
 
-def cmd_coherent(args) -> int:
-    cover, _ = load_input(args.input, args.k)
+def cmd_coherent(cover, cx, args):
     comps = graded_cover.components(cover, f"quotient-{args.direction}", args.k)
     rows = []
     for ci, comp in enumerate(comps):
@@ -194,15 +173,12 @@ def cmd_coherent(args) -> int:
             ("-" if flip else "+") + cover.labels[q] for q, flip in sorted(witness.items())
         )
         rows.append((ci, len(comp), True, desc))
-    emit(rows, ("component", "size", "coherent", "witness"), args.format)
-    return EXIT_OK
+    return ("component", "size", "coherent", "witness"), rows
 
 
-def cmd_partition(args) -> int:
-    cover, cx = load_input(args.input, args.k)
+def cmd_partition(cover, cx, args):
     if cx is None:
-        print("error: partition requires a simplicial complex input", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("partition requires a simplicial complex input")
     comps = graded_cover.components(cover, "quotient-down", args.k)
     rows = []
     for ci, comp in enumerate(comps):
@@ -211,12 +187,10 @@ def cmd_partition(args) -> int:
             rows.append((ci, len(comp), "none"))
         else:
             rows.append((ci, len(comp), " | ".join(" ".join(cls) for cls in classes)))
-    emit(rows, ("component", "size", "partition"), args.format)
-    return EXIT_OK
+    return ("component", "size", "partition"), rows
 
 
-def cmd_cheeger(args) -> int:
-    cover, _ = load_input(args.input, args.k)
+def cmd_cheeger(cover, cx, args):
     rows = []
     for direction in ("up", "down") if args.direction is None else (args.direction,):
         comps = graded_cover.components(cover, f"quotient-{direction}", args.k)
@@ -228,20 +202,14 @@ def cmd_cheeger(args) -> int:
             except ValueError:
                 rows.append((direction, ci, len(comp), "", "", "", ""))
                 continue
-            hq = hs = ""
-            wq = ws = ""
+            hq = wq = ""
             if aux.n >= 2:
                 hq, wit = cheeger_mod.cheeger_quotient(aux)
                 wq = " ".join(cover.labels[q] for q in wit)
             hs, (wnodes, worient) = cheeger_mod.cheeger_signed(aux)
             ws = " ".join(("-" if worient[q] else "+") + cover.labels[q] for q in wnodes)
             rows.append((direction, ci, len(comp), hq, hs, wq, ws))
-    emit(
-        rows,
-        ("direction", "component", "size", "h_quotient", "h_signed", "cut", "signed_cut"),
-        args.format,
-    )
-    return EXIT_OK
+    return ("direction", "component", "size", "h_quotient", "h_signed", "cut", "signed_cut"), rows
 
 
 def _bound_table_rows(cover):
@@ -273,44 +241,36 @@ def _bound_table_rows(cover):
     return quotient_rows, signed_rows
 
 
-def cmd_report(args) -> int:
-    cover, _ = load_input(args.input, args.k)
-    header = (
-        "table", "k", "d_down", "h_up", "h_down",
-        "lower_up", "lower_down", "gap", "upper_up", "upper_down",
-    )
+def cmd_report(cover, cx, args):
     if args.paper_tables:
         qrows, srows = _bound_table_rows(cover)
-        rows = [("quotient",) + r for r in qrows] + [("signed",) + r for r in srows]
-        emit(rows, header, args.format)
-        return EXIT_OK
+        header = (
+            "table", "k", "d_down", "h_up", "h_down",
+            "lower_up", "lower_down", "gap", "upper_up", "upper_down",
+        )
+        return header, [("quotient",) + r for r in qrows] + [("signed",) + r for r in srows]
     ks = [args.k] if args.k is not None else list(range(1, max(cover.dims) + 1))
-    rows = []
-    for k in ks:
-        for rep in cheeger_mod.combined_report(cover, k):
-            rows.append(
-                (
-                    k,
-                    f"up:{len(rep.up_component)} down:{len(rep.down_component)}",
-                    "coherent" if rep.coherent else "",
-                    rep.lower_quotient, rep.gap_quotient, rep.upper_quotient,
-                    rep.sandwich_quotient_ok,
-                    rep.lower_signed, rep.gap_signed, rep.upper_signed,
-                    rep.sandwich_signed_ok,
-                    rep.rate_lower, rep.rate_upper,
-                )
-            )
-    emit(
-        rows,
+    rows = [
         (
-            "k", "pair", "flags",
-            "lower_q", "gap_q", "upper_q", "ok_q",
-            "lower_s", "gap_s", "upper_s", "ok_s",
-            "rate_lower", "rate_upper",
-        ),
-        args.format,
+            k,
+            f"up:{len(rep.up_component)} down:{len(rep.down_component)}",
+            "coherent" if rep.coherent else "",
+            rep.lower_quotient, rep.gap_quotient, rep.upper_quotient,
+            rep.sandwich_quotient_ok,
+            rep.lower_signed, rep.gap_signed, rep.upper_signed,
+            rep.sandwich_signed_ok,
+            rep.rate_lower, rep.rate_upper,
+        )
+        for k in ks
+        for rep in cheeger_mod.combined_report(cover, k)
+    ]
+    header = (
+        "k", "pair", "flags",
+        "lower_q", "gap_q", "upper_q", "ok_q",
+        "lower_s", "gap_s", "upper_s", "ok_s",
+        "rate_lower", "rate_upper",
     )
-    return EXIT_OK
+    return header, rows
 
 
 def _verify_checks(cover, cx):
@@ -458,17 +418,11 @@ def _verify_cheeger_checks(cover):
                 yield name, ok, f"factor {factor}"
 
 
-def cmd_verify(args) -> int:
-    cover, cx = load_input(args.input)
-    rows = []
-    failures = 0
-    for name, ok, detail in _verify_checks(cover, cx):
-        rows.append((name, ok, detail))
-        if not ok:
-            failures += 1
+def cmd_verify(cover, cx, args):
+    rows = list(_verify_checks(cover, cx))
+    failures = sum(not ok for _name, ok, _detail in rows)
     rows.append(("TOTAL", failures == 0, f"{len(rows)} checks, {failures} failures"))
-    emit(rows, ("check", "ok", "detail"), args.format)
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    return ("check", "ok", "detail"), rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -489,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("input", help="complex (.cx) or cover-spec file")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, k=None)
         return p
 
     add("lp", cmd_lp)
@@ -541,25 +495,27 @@ def _attach_start(argv) -> list[str]:
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(_attach_start(argv))
-        return args.func(args)
+        cover, cx = load_input(args.input, args.k)
+        header, rows = args.func(cover, cx, args)
+        emit(rows, header, args.format)
     except SystemExit:
         # only --help exits from the parser; its usage errors raise ValueError
         return EXIT_OK
-    except (operators.EigenResidualError, OverflowError) as exc:
+    except (
+        BruteForceGuardError,
+        ChildCountError,
+        SharedMidNodeError,
+        NonStrongGradingError,
+        operators.EigenResidualError,
+        OverflowError,
+    ) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ComplexFormatError, CoverSpecError, FileNotFoundError, ValueError) as exc:
-        guards = (
-            BruteForceGuardError,
-            ChildCountError,
-            SharedMidNodeError,
-            NonStrongGradingError,
-        )
-        if isinstance(exc, guards):
-            print(f"guard: {exc}", file=sys.stderr)
-            return EXIT_GUARD
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    # only verify's TOTAL row can fail
+    return EXIT_VERIFY if args.verb == "verify" and not rows[-1][1] else EXIT_OK
 
 
 def main() -> None:

@@ -68,9 +68,6 @@ class SimplicialComplex:
         )
         self._index = {f: i for i, f in enumerate(self.all_faces)}
 
-    def __contains__(self, face: Face) -> bool:
-        return face in self.faces
-
     def n_faces(self, k: int | None = None) -> int:
         if k is None:
             return len(self.all_faces)

@@ -18,16 +18,17 @@ work on Python integers and visit only stored entries.  The square roots
 they meet (sqrt(c_k * r_k) at an inner index of a product, the conversion
 factors of a rebase) are rational or the operation raises; each is folded
 into the integers through the lcm of their denominators, and one gcd pass
-restores the canonical form.  Only the floating-point mirror ``to_float``
-takes irrational roots.  Ranks come from sparse fraction-free integer
-elimination, with no rounding and no modular shortcut.
+restores the canonical form.  Only the floating-point mirror
+(``float_entries``, which ``to_float`` reads) takes irrational roots.
+Ranks come from sparse fraction-free integer elimination, with no
+rounding and no modular shortcut.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -346,9 +347,6 @@ class ScaledMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, ScaledMatrix) and self.equals(other)
 
-    def __hash__(self):
-        raise TypeError("unhashable")
-
     def is_zero(self) -> bool:
         return not any(self.rows)
 
@@ -357,15 +355,23 @@ class ScaledMatrix:
 
     # -- floating mirror ----------------------------------------------
 
+    def float_entries(self) -> Iterator[tuple[int, int, float]]:
+        """(i, j, float of entry (i, j)) per stored entry, columns ascending.
+
+        The one rounding of the float mirror, in pure Python: v / den is
+        correctly rounded (int / int, as float(Fraction) is), and so is
+        each square root of a scale."""
+        r = [math.sqrt(float(x)) for x in self.row_scale]
+        c = [math.sqrt(float(x)) for x in self.col_scale]
+        den = self.den
+        for i, row in enumerate(self.rows):
+            for j in sorted(row):
+                yield i, j, (row[j] / den) * (r[i] * c[j])
+
     def to_float(self) -> np.ndarray:
         import numpy as np  # loads numpy: imported only where a float mirror is built
 
-        r = np.sqrt(np.array([float(x) for x in self.row_scale]))
-        c = np.sqrt(np.array([float(x) for x in self.col_scale]))
         out = np.zeros(self.shape)
-        den = self.den
-        for i, row in enumerate(self.rows):
-            if row:
-                # int / int is correctly rounded, as float(Fraction) is
-                out[i, list(row)] = [v / den for v in row.values()]
-        return out * np.outer(r, c)
+        for i, j, x in self.float_entries():
+            out[i, j] = x
+        return out

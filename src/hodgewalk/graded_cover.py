@@ -281,6 +281,22 @@ def compute_path_weights(cover: GradedSignedDoubleCover) -> PathWeights:
     return PathWeights(tuple(lp), tuple(rp))
 
 
+def expected_path_length(
+    cover: GradedSignedDoubleCover,
+    component,
+) -> Fraction:
+    """Mean length of a uniformly sampled root-to-leaf path in the component.
+
+    Uses the identity K = #paths * (E[len] + 1), where K is the sum of
+    LP * RP over the component and #paths is the LP-sum over its roots.
+    """
+    pw = compute_path_weights(cover)
+    comp = tuple(sorted(component))
+    K = sum(pw.through(q) for q in comp)
+    n_paths = sum(pw.lp[q] for q in comp if cover.is_root(q))
+    return Fraction(K, n_paths) - 1
+
+
 def leaves_and_roots(cover: GradedSignedDoubleCover) -> tuple[frozenset[int], frozenset[int]]:
     leaves = frozenset(q for q in range(cover.n_quotient) if cover.is_leaf(q))
     roots = frozenset(q for q in range(cover.n_quotient) if cover.is_root(q))

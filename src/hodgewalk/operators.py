@@ -22,6 +22,7 @@ from .graded_cover import (
     compute_path_weights,
     conditional_triples,
     detect_coherent,
+    expected_path_length,
     memoized,
 )
 
@@ -431,8 +432,6 @@ def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool
 
     Returns (min over components of 2/(E[len]+1), bound holds numerically).
     """
-    from .walks import expected_path_length  # walks imports operators: a cycle at module level
-
     comps = components(cover, "quotient")
     bound = min(Fraction(2) / (expected_path_length(cover, comp) + 1) for comp in comps)
     lam_min = eigen(build_bundle(cover).a_quotient)[0]

@@ -21,6 +21,7 @@ from .graded_cover import (
     compute_path_weights,
     component_correspondence,
     detect_coherent,
+    expected_path_length,  # re-exported: walks.expected_path_length stays public
 )
 
 
@@ -113,22 +114,6 @@ def stationary(
         weights[q + n] = w
     support = tuple(sorted(weights))
     return StationaryDistribution(weights, support, 2 * normalizer)
-
-
-def expected_path_length(
-    cover: GradedSignedDoubleCover,
-    component,
-) -> Fraction:
-    """Mean length of a uniformly sampled root-to-leaf path in the component.
-
-    Uses the identity K = #paths * (E[len] + 1), where K is the sum of
-    LP * RP over the component and #paths is the LP-sum over its roots.
-    """
-    pw = compute_path_weights(cover)
-    comp = tuple(sorted(component))
-    K = sum(pw.through(q) for q in comp)
-    n_paths = sum(pw.lp[q] for q in comp if cover.is_root(q))
-    return Fraction(K, n_paths) - 1
 
 
 def simulate(

@@ -269,6 +269,13 @@ def test_invalid_input_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_directory_input_is_one_error_line(tmp_path, capsys):
+    code = run(["lp", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_guard_exit_two(tmp_path, capsys, monkeypatch):
     from hodgewalk import cheeger
 

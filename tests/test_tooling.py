@@ -1,14 +1,20 @@
 """The benchmark's tracer must find every function it wraps in the package,
-and every benchmark job must be a command line the CLI accepts."""
+every benchmark job must be a command line the CLI accepts, and the CLI
+entry points the benchmark calls must keep their contracts."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from hodgewalk import cli
 from hodgewalk.cli import build_parser
+
+from test_cli import TET, VERB_RUNS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,6 +83,27 @@ def test_benchmark_job_parses(job):
     # parsing only: a flag the CLI no longer takes raises ValueError here
     args = build_parser().parse_args(job.argv(f"{job.input}.cx"))
     assert args.verb == job.verb
+
+
+def test_setup_child_loads_every_fixture():
+    # the benchmark's setup_s is measured through cli.load_input(path)
+    fixtures = sorted(str(p) for p in (PERFBENCH.parent / "fixtures").iterdir())
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_child.py"), *fixtures],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("verb", VERB_RUNS, ids=" ".join)
+def test_verb_returns_its_table_and_prints_nothing(verb, capsys):
+    # cli.run loads the input and prints the table; the verb only computes it
+    args = build_parser().parse_args([verb[0], TET, *verb[1:]])
+    header, rows = args.func(*cli.load_input(args.input, args.k), args)
+    assert capsys.readouterr().out == ""
+    assert isinstance(header, tuple) and isinstance(rows, list) and rows
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_readme_lists_the_numpy_verbs():
