@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import ScaledMatrix
+from .exact import ScaledMatrix, inertia
 from .graded_cover import (
     GradedSignedDoubleCover,
     component_correspondence,
@@ -80,8 +80,9 @@ class CheegerReport:
     h_quotient_down: Fraction | None
     h_signed_up: Fraction
     h_signed_down: Fraction | None
-    gap_quotient: float
-    gap_signed: float
+    # the up operators on up_component; the signed one is None when coherent
+    up_quotient: ScaledMatrix
+    up_signed: ScaledMatrix | None
     lower_quotient: Fraction
     upper_quotient: Fraction
     lower_signed: Fraction
@@ -90,6 +91,19 @@ class CheegerReport:
     sandwich_signed_ok: bool
     rate_lower: Fraction | None
     rate_upper: Fraction | None
+
+    @property
+    def gap_quotient(self) -> float:
+        """The float gap, solved on each read: only printing reads it, since
+        the sandwich flags are eigenvalue counts."""
+        return 1.0 - spectral_top(eigen(self.up_quotient), "quotient")
+
+    @property
+    def gap_signed(self) -> float:
+        """0 on a coherent pair, where coherence pins the gap exactly."""
+        if self.up_signed is None:
+            return 0.0
+        return 1.0 - spectral_top(eigen(self.up_signed), "signed")
 
 
 @memoized
@@ -447,8 +461,16 @@ def _combined_bounds(sides, k: int):
     return max(lower for lower, _ in bounds), min(upper for _, upper in bounds)
 
 
-def _sandwiched(lower, gap, upper) -> bool:
-    return float(lower) <= gap + 1e-9 and gap <= float(upper) + 1e-9
+def _sandwiched(op: ScaledMatrix, flavor: str, lower: Fraction, upper: Fraction) -> bool:
+    """lower <= gap <= upper, by eigenvalue counts of the up operator ``op``.
+
+    Quotient: gap = 1 - lambda_2, so at most one eigenvalue lies above
+    1 - lower and at least two at or above 1 - upper.  Signed: gap =
+    1 + lambda_min, so none lies below lower - 1 and one at or below upper - 1.
+    """
+    if flavor == "quotient":
+        return inertia(op, 1 - lower)[2] <= 1 and sum(inertia(op, 1 - upper)[1:]) >= 2
+    return inertia(op, lower - 1)[0] == 0 and sum(inertia(op, upper - 1)[:2]) >= 1
 
 
 def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerReport]:
@@ -458,8 +480,10 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
     ``side_bounds`` of the up side (degree k) and the down side (degree
     d_down), with the shared spectral gap between them.  Coherent or
     singleton pairs get the all-zero signed triple (coherence is decided
-    exactly, so no eigensolve backs that gap); a singleton down-component
-    additionally drops the quotient down-constant.  Raises ChildCountError
+    exactly, so no eigenvalue count backs that gap); a singleton
+    down-component additionally drops the quotient down-constant.  The
+    sandwich flags are exact eigenvalue counts; the float gaps are solved
+    only when read.  Raises ChildCountError
     when a down-component node has other than k+1 children.
     """
     cover.require_strong()
@@ -485,16 +509,12 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
         h_s_up, h_q_up = constants["up"]
         h_s_down, h_q_down = constants.get("down", (None, None))
         up_q = on_component(cover, build_conditional(cover, k - 1, "up", "quotient"), up_comp)
-        gap_q = 1.0 - spectral_top(eigen(up_q), "quotient")
+        lower_q, upper_q = _combined_bounds(((h_q_up, k), (h_q_down, d_down)), k)
         # coherence is decided exactly and pins the signed gap at 0
-        gap_s = 0.0
+        up_s = None
+        lower_s = upper_s = Fraction(0)
         if not coherent:
             up_s = on_component(cover, build_conditional(cover, k - 1, "up", "signed"), up_comp)
-            gap_s = 1.0 - spectral_top(eigen(up_s), "signed")
-        lower_q, upper_q = _combined_bounds(((h_q_up, k), (h_q_down, d_down)), k)
-        if coherent:
-            lower_s = upper_s = Fraction(0)
-        else:
             lower_s, upper_s = _combined_bounds(((h_s_up, k), (h_s_down, d_down)), k)
         rate_lower = rate_upper = None
         if not coherent and h_q_down is not None:
@@ -510,14 +530,14 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
                 h_quotient_down=h_q_down,
                 h_signed_up=h_s_up,
                 h_signed_down=h_s_down,
-                gap_quotient=gap_q,
-                gap_signed=gap_s,
+                up_quotient=up_q,
+                up_signed=up_s,
                 lower_quotient=lower_q,
                 upper_quotient=upper_q,
                 lower_signed=lower_s,
                 upper_signed=upper_s,
-                sandwich_quotient_ok=_sandwiched(lower_q, gap_q, upper_q),
-                sandwich_signed_ok=_sandwiched(lower_s, gap_s, upper_s),
+                sandwich_quotient_ok=_sandwiched(up_q, "quotient", lower_q, upper_q),
+                sandwich_signed_ok=up_s is None or _sandwiched(up_s, "signed", lower_s, upper_s),
                 rate_lower=rate_lower,
                 rate_upper=rate_upper,
             )

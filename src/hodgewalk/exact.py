@@ -1,4 +1,4 @@
-"""Exact linear algebra: scaled rational matrices and exact ranks.
+"""Exact linear algebra: scaled rational matrices, exact ranks and inertia.
 
 Many operators in this package have entries of the form q * sqrt(a_i / a_j)
 with q, a_i, a_j rational.  They are stored exactly as
@@ -20,7 +20,8 @@ factors of a rebase) are rational or the operation raises; each is folded
 into the integers through the lcm of their denominators, and one gcd pass
 restores the canonical form.  Only the floating-point mirror
 (``float_entries``, which ``to_float`` reads) takes irrational roots.
-Ranks come from sparse fraction-free integer elimination, with no
+Ranks, and the eigenvalue counts below, at and above a rational threshold
+(``inertia``), come from sparse fraction-free integer elimination, with no
 rounding and no modular shortcut.
 """
 
@@ -132,6 +133,108 @@ def rational_rank(mat: "ScaledMatrix") -> int:
                 del in_col[j]
         rank += 1
     return rank
+
+
+def inertia(mat: "ScaledMatrix", mu) -> tuple[int, int, int]:
+    """(below, at, above): how many eigenvalues of the symmetric ScaledMatrix
+    ``mat`` lie below, at and above the rational ``mu``, exactly.
+
+    By Sylvester's law of inertia these are the signs of any matrix
+    congruent to M - mu I.  Congruence by diag(row_scale)^(-1/2) gives
+    N = (rows/den) diag(sqrt(c/r)) - mu diag(1/r), which is rational when
+    c/r is a rational square in every column with a stored entry: a walk
+    operator has r*c = 1, so N = (rows/den - mu I) diag(c), and a
+    Laplacian has r = c, so N = rows/den - mu diag(1/r).  Other scales, and
+    a matrix that is not symmetric, raise ValueError.
+
+    A positive multiple of N is eliminated on its integer rows.  A pivot
+    is a nonzero diagonal entry with the fewest entries in its row, and
+    its sign is the sign of one eigenvalue; when every remaining diagonal
+    entry is 0, an off-diagonal pair (i, j) is eliminated together, a 2x2
+    block [[0, a], [b, 0]] with ab > 0 that counts one eigenvalue of each
+    sign.  Each other row is updated with a positive multiplier and
+    divided by its content, so the rows stay a positive diagonal times the
+    symmetric Schur complement, whose pattern is symmetric: the rows a
+    pivot reaches are the columns of the pivot row.  What is left when
+    every row is empty is the nullity.
+    """
+    n = mat.shape[0]
+    if mat.shape[1] != n:
+        raise ValueError("matrix must be square")
+    mu = Fraction(mu)
+    den = mat.den
+    # per column j: sqrt(c_j / r_j) as (a_j, b_j)
+    roots = {}
+    for j in set().union(*mat.rows):
+        r, c = mat.row_scale[j], mat.col_scale[j]
+        root = _sqrt_ratio(c.numerator * r.denominator, c.denominator * r.numerator)
+        if root is None:
+            raise ValueError("scales are not congruent to a rational matrix")
+        roots[j] = root
+    shifts = [mu / r for r in mat.row_scale]
+    body_den = den * math.lcm(*(b for _, b in roots.values()))
+    total = math.lcm(body_den, *(s.denominator for s in shifts))
+    mult = {j: a * (total // (den * b)) for j, (a, b) in roots.items()}
+    rows = {}
+    for i, row in enumerate(mat.rows):
+        new = {j: v * mult[j] for j, v in row.items()}
+        d = new.pop(i, 0) - shifts[i].numerator * (total // shifts[i].denominator)
+        if d:
+            new[i] = d
+        if new:
+            rows[i] = new
+    if any(rows.get(j, {}).get(i) != v for i, row in rows.items() for j, v in row.items()):
+        raise ValueError("matrix must be symmetric")
+
+    def update(k, scale, *terms):
+        """rows[k] = scale * rows[k] + the sum of f * other over the
+        (f, other) terms, divided by its content; dropped when empty."""
+        row = rows[k]
+        if scale != 1:
+            for j in row:
+                row[j] *= scale
+        for f, other in terms:
+            if f:
+                for j, v in other.items():
+                    x = row.get(j, 0) + f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        if not row:
+            del rows[k]
+            return
+        g = math.gcd(*row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
+
+    below = above = 0
+    while rows:
+        p = min((i for i, row in rows.items() if i in row), key=lambda i: len(rows[i]), default=None)
+        if p is not None:
+            pivot = rows.pop(p)
+            d = pivot.pop(p)
+            if d > 0:
+                above += 1
+            else:
+                below += 1
+            # row k becomes |d| row_k - sign(d) row_k[p] pivot
+            for k in pivot:
+                f = rows[k].pop(p)
+                update(k, abs(d), (-f if d > 0 else f, pivot))
+        else:
+            i = min(rows, key=lambda i: len(rows[i]))
+            j = min(rows[i], key=lambda j: len(rows[j]))
+            row_i, row_j = rows.pop(i), rows.pop(j)
+            a, b = row_i.pop(j), row_j.pop(i)
+            below += 1
+            above += 1
+            # row k becomes ab row_k - b row_k[j] row_i - a row_k[i] row_j
+            for k in set(row_i) | set(row_j):
+                fi, fj = rows[k].pop(i, 0), rows[k].pop(j, 0)
+                update(k, a * b, (-b * fj, row_i), (-a * fi, row_j))
+    return below, n - below - above, above
 
 
 class ScaledMatrix:

@@ -5,8 +5,10 @@ of sqrt(H(u)) * sqrt(H(u'))^(-1) factors, where H = LP/RP.  Which nodes
 its rows follow is fixed by the builder (see ``build_conditional``), so
 no record carries them along.  Algebraic identities between operators,
 and the spectral facts they imply, are checked in rational arithmetic
-with zero tolerance; eigenvalue ranges and gaps come from a
-floating-point mirror fed to numpy's LAPACK ``eigh``.
+with zero tolerance: every statement about where an eigenvalue sits is
+an eigenvalue count at a rational threshold (``exact.inertia``).  Only
+printed spectra, gaps and rates come from a floating-point mirror fed to
+numpy's LAPACK ``eigh``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ScaledMatrix, rational_rank
+from .exact import ScaledMatrix, inertia, rational_rank
 from .graded_cover import (
     GradedSignedDoubleCover,
     components,
@@ -285,7 +287,7 @@ def verify_split(cover: GradedSignedDoubleCover) -> dict:
     The block-diagonalization through the symmetric/alternating
     projections proves each multiset split, and the intertwinings
     A Q^T = Q^T B and delta A_up = A_down delta carry eigenfunctions
-    across.  Only the ranges of the conditional spectra are floats.
+    across.  The ranges of the conditional spectra are eigenvalue counts.
     """
     b = build_bundle(cover)
     n = cover.n_quotient
@@ -390,6 +392,7 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
             cover_id = (r_k @ (dc @ dc.T) + theta_r_k).equals(a_cov)
             quot_id = (dq @ dq.T + pi_r_k).equals(a_quot)
             sgn_id = (dg @ dg.T).scale(-1).equals(a_sgn)
+        symmetric = a_cov.is_symmetric() and a_quot.is_symmetric() and a_sgn.is_symmetric()
         ok = (
             cover_id
             and (plus + minus).equals(a_cov)
@@ -398,19 +401,17 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
             and (a_cov @ r_k).equals(r_k @ a_cov)
             and quot_id
             and sgn_id
-            and a_cov.is_symmetric()
-            and a_quot.is_symmetric()
-            and a_sgn.is_symmetric()
+            and symmetric
         )
         check(f"conditional_factorization_{direction}_{k}", ok)
         split = (q_s.T @ a_quot @ q_s + q_a.T @ a_sgn @ q_a).scale(half).equals(a_cov)
-        ev_q = eigen(a_quot)
-        ev_s = eigen(a_sgn)
         check(
             f"conditional_split_{direction}_{k}",
             split
-            and all(-1e-10 <= v <= 1 + 1e-10 for v in ev_q)
-            and all(-1 - 1e-10 <= v <= 1e-10 for v in ev_s),
+            and symmetric
+            # quotient spectrum in [0, 1], signed in [-1, 0]: none below or above
+            and inertia(a_quot, 0)[0] == inertia(a_quot, 1)[2] == 0
+            and inertia(a_sgn, -1)[0] == inertia(a_sgn, 0)[2] == 0,
             f"cover spectrum = quotient + signed in dim {k} ({direction})",
         )
 
@@ -430,13 +431,31 @@ def _verify_transfer_dim(cover, b: OperatorBundle, k: int, check) -> None:
 def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool]:
     """Bound on how far the minimal quotient eigenvalue sits above -1.
 
-    Returns (min over components of 2/(E[len]+1), bound holds numerically).
+    Returns (the min over components of 2/(E[len]+1), whether lambda_min
+    <= -1 + that bound), decided exactly.  On a component attaining the
+    min, the Rayleigh quotient of x = (-1)^dim (LP*RP)^(1/2) is rational
+    (the scales are (H, 1/H) with H = LP/RP) and at least lambda_min
+    (Courant-Fischer), so it decides when it is at most -1 + bound; an
+    eigenvalue count of A - (-1 + bound) I decides otherwise.
     """
-    comps = components(cover, "quotient")
-    bound = min(Fraction(2) / (expected_path_length(cover, comp) + 1) for comp in comps)
-    lam_min = eigen(build_bundle(cover).a_quotient)[0]
-    holds = lam_min <= float(-1 + bound) + 1e-9
-    return bound, holds
+    bound, comp = min(
+        ((Fraction(2) / (expected_path_length(cover, c) + 1), c)
+         for c in components(cover, "quotient")),
+        key=lambda pair: pair[0],
+    )
+    a = build_bundle(cover).a_quotient
+    pw = compute_path_weights(cover)
+    # x^T A x = sum of sign * LP(i) * body(i, j) * RP(j), and x^T x = sum of LP*RP
+    sign = {q: -1 if cover.dims[q] % 2 else 1 for q in comp}
+    num = sum(
+        sign[i] * sign[j] * pw.lp[i] * v * pw.rp[j]
+        for i in comp
+        for j, v in a.rows[i].items()
+    )
+    if Fraction(num, a.den * sum(pw.through(q) for q in comp)) <= bound - 1:
+        return bound, True
+    below, at, _above = inertia(a, bound - 1)
+    return bound, below + at > 0
 
 
 def coherent_spectrum_check(
@@ -458,11 +477,8 @@ def coherent_spectrum_check(
     sgn = on_component(cover, build_conditional(cover, k, direction, "signed"), comp)
     witness = detect_coherent(cover, comp, direction)
     if witness is None:
-        lam_min = eigen(sgn)[0]
-        report["not_coherent_gap"] = (
-            lam_min > -1 + 1e-10,
-            f"lambda_min = {lam_min:.12g} > -1",
-        )
+        below, at, _above = inertia(sgn, -1)
+        report["not_coherent_gap"] = (below + at == 0, "lambda_min > -1 (exact)")
         return report
     # re-orient by sign conjugation X S X, with x = -1 on the flipped nodes
     x = [-1 if witness[q] else 1 for q in comp]

@@ -244,6 +244,29 @@ def test_combined_report_tetrahedron_tables():
     assert rep2.upper_quotient == Fraction(2, 3)
 
 
+def test_sandwich_is_exact_at_a_tight_bound():
+    """On the tetrahedron the upper bounds equal the gaps, 2/3 and 1/3: the
+    sandwich holds at the tie and fails 10^-12 past either end, which the
+    1e-9 slack of a float comparison accepted.  The diagonal operators have
+    a simple lambda_2 and lambda_min, so each count is off by one there."""
+    from hodgewalk.cheeger import _sandwiched
+
+    rep = combined_report(load_cover("tetrahedron"), 1)[0]
+    half = Fraction(1, 2)
+    diagonal = lambda *d: ScaledMatrix([1] * 3, [1] * 3, [{i: x} for i, x in enumerate(d)])
+    cases = [
+        (rep.up_quotient, "quotient", rep.upper_quotient),
+        (rep.up_signed, "signed", rep.upper_signed),
+        (diagonal(1, half, 0), "quotient", half),
+        (diagonal(-half, 0, 0), "signed", half),
+    ]
+    eps = Fraction(1, 10**12)
+    for op, flavor, gap in cases:
+        assert _sandwiched(op, flavor, gap, gap)
+        assert not _sandwiched(op, flavor, gap, gap - eps)
+        assert not _sandwiched(op, flavor, gap + eps, 1)
+
+
 def test_combined_report_degenerate_singleton():
     cov = load_cover("single_edge")
     (rep,) = combined_report(cov, 1)
@@ -279,10 +302,15 @@ def test_coherent_signed_gap_is_exact_zero(name, monkeypatch):
     monkeypatch.setattr(cheeger, "spectral_top", spy)
     cov = load_cover(name)
     reps = [rep for k in range(1, max(cov.dims) + 1) for rep in combined_report(cov, k)]
+    # the sandwich flags are eigenvalue counts: the reports solve a gap only when read
+    assert solved == []
     assert any(rep.coherent for rep in reps)
     for rep in reps:
+        rep.gap_quotient
         if rep.coherent:
             assert rep.gap_signed == 0.0 and rep.sandwich_signed_ok
+        else:
+            rep.gap_signed
     paired = [rep for rep in reps if len(rep.up_component) >= 2]
     assert solved.count("quotient") == len(paired)
     assert solved.count("signed") == sum(not rep.coherent for rep in paired)

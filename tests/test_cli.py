@@ -20,10 +20,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import hodgewalk
-from hodgewalk import cheeger, exact, graded_cover, laplacians
+from hodgewalk import cheeger, exact, graded_cover, laplacians, operators
 from hodgewalk.cli import _path_count_oracle, build_parser, run
 
 from conftest import FIXTURES, load_cover
+from oracles import dense_of, dense_to_float
 
 TET = str(FIXTURES / "tetrahedron.cx")
 BRANCHED = str(FIXTURES / "branched.cx")
@@ -388,6 +389,7 @@ NUMPY_FREE_RUNS = (
     ["cheeger", "--k", "1"],
     ["laplacian", "--k", "1", "--normalized"],
     ["hodge"],
+    ["verify"],
 )
 
 
@@ -416,6 +418,28 @@ def test_numpy_free_verbs_leave_numpy_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out == "", f"numpy loaded by: {out.strip()}"
+
+
+def test_verify_solves_no_spectrum(monkeypatch, capsys):
+    """Every spectral row of `verify` is an exact eigenvalue count, and
+    `spectrum` solves the full quotient spectrum once, for printing."""
+    calls = []
+    real = operators.eigen
+
+    def counting(op):
+        calls.append(op)
+        return real(op)
+
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "hodgewalk"]:
+        for alias, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, alias, counting)
+    for path in sorted(FIXTURES.iterdir()):
+        assert run(["verify", str(path)]) == 0
+        assert calls == [], path.name
+    assert run(["spectrum", TET]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_path_count_oracle_long_chain():
@@ -670,8 +694,9 @@ def fixtures_and_annuli(tmp_path):
 
 
 def test_laplacian_prints_the_float_mirror(tmp_path, capsys):
-    """`laplacian` rounds each stored entry without numpy; ScaledMatrix.to_float,
-    the mirror `eigen` reads, is its reference on every complex input."""
+    """`laplacian` rounds each stored entry without numpy; the dense oracle
+    `dense_to_float`, which shares no code with it, is its reference on
+    every complex input."""
     header = ["part", "row", "col", "value"]
     for name, path in sorted(fixtures_and_annuli(tmp_path).items()):
         if path.suffix != ".cx":
@@ -683,7 +708,7 @@ def test_laplacian_prints_the_float_mirror(tmp_path, capsys):
                 lap = laplacians.hodge(cx, k, normalized=bool(normalized))
                 rows = []
                 for which, mat in zip(("up", "down"), lap):
-                    fl = mat.to_float()
+                    fl = dense_to_float(dense_of(mat))
                     rows += [
                         [which, labels[i], labels[j], f"{float(fl[i, j]):.12g}"]
                         for i, row in enumerate(mat.rows)

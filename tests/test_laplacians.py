@@ -164,6 +164,25 @@ def test_hodge_rows_read_the_laplacians(row, k, nrm, part, monkeypatch):
     assert not verify_hodge_properties(cx)[row][0]
 
 
+def test_spectrum_bounded_by_one_has_no_slack(monkeypatch):
+    """The even cycle's normalized up Laplacian in dimension 0 has the
+    eigenvalue 1; stretched by 1 + 10^-12 it breaks the bound by less than
+    the 1e-10 slack a float check allowed."""
+    cx = load_complex("cycle6")
+    real = laplacians.hodge
+    stretch = 1 + Fraction(1, 10**12)
+    assert max(eigen(real(cx, 0, True)[0])) == pytest.approx(1.0, abs=1e-12)
+
+    def stretched(complex, kk, normalized=False):
+        up, down = real(complex, kk, normalized)
+        return (up.scale(stretch), down) if (kk, normalized) == (0, True) else (up, down)
+
+    monkeypatch.setattr(laplacians, "hodge", stretched)
+    report = verify_hodge_properties(cx)
+    assert not report["spectrum_bounded_by_one k=0 normalized"][0]
+    assert report["spectrum_bounded_by_one k=1 normalized"][0]
+
+
 def test_coboundary_squared_zero():
     for name in ("tetrahedron", "branched"):
         cx = load_complex(name)

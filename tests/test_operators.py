@@ -14,6 +14,7 @@ from hodgewalk.graded_cover import (
     compute_path_weights,
     cover_from_complex,
     detect_coherent,
+    parse_cover_spec,
 )
 from hodgewalk.operators import (
     build_bundle,
@@ -25,10 +26,11 @@ from hodgewalk.operators import (
     on_component,
     verify_split,
 )
+from hodgewalk.exact import ScaledMatrix, inertia
 from hodgewalk.walks import transition_conditional, transition_full
 
-from conftest import COMPLEX_NAMES, load_cover
-from oracles import as_object_array, float_multiplicity, from_dense, multiset_match
+from conftest import COMPLEX_NAMES, fixture_text, load_cover
+from oracles import as_object_array, exact_sqrt, float_multiplicity, from_dense, multiset_match
 
 
 def test_bundle_isolated_pair():
@@ -429,3 +431,137 @@ def test_multiplicity_matches_eigvalsh_at_separated_values(seed_):
         gap = np.abs(floats - float(t))
         if np.all((gap < 1e-9) | (gap > 1e-3)):
             assert multiplicity(sm, t) == float_multiplicity(floats, float(t))
+
+
+# -- exact eigenvalue counts --------------------------------------------------
+
+
+@seed(20261019)
+@settings(max_examples=120, deadline=None)
+@given(rational_spectrum_case(), st.data())
+def test_inertia_counts_rational_spectra_exactly(case, data):
+    """Q diag(lam) Q^T has its eigenvalues exactly at lam, so the counts
+    at each of them are ties that only exact arithmetic gets right.  The
+    same matrix is stored plainly, in the walk operators' form (scales s,
+    1/s) and in the Laplacians' form (scales s, s)."""
+    lam, mat, _h = case
+    n = len(lam)
+    s = data.draw(st.lists(st.sampled_from([Fraction(1), Fraction(4), Fraction(1, 9)]),
+                           min_size=n, max_size=n))
+    root = [exact_sqrt(x) for x in s]
+    plain = from_dense([1] * n, [1] * n, mat)
+    walk = from_dense(s, [1 / x for x in s],
+                      [[mat[i][j] * root[j] / root[i] for j in range(n)] for i in range(n)])
+    lap = from_dense(s, s, [[mat[i][j] / (root[i] * root[j]) for j in range(n)] for i in range(n)])
+    assert walk.equals(plain) and lap.equals(plain)
+    for t in set(lam) | {Fraction(-2), Fraction(1, 5), Fraction(3)}:
+        want = (sum(x < t for x in lam), lam.count(t), sum(x > t for x in lam))
+        assert inertia(plain, t) == inertia(walk, t) == inertia(lap, t) == want
+
+
+@st.composite
+def symmetric_integer_matrix(draw):
+    """m + m^T for a random integer m; hollow (zero diagonal) half the time,
+    which forces the 2x2 elimination step."""
+    n = draw(st.integers(1, 8))
+    m = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=n, max_size=n)))
+    m = m + m.T
+    if draw(st.booleans()):
+        np.fill_diagonal(m, 0)
+    return m
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(symmetric_integer_matrix())
+def test_inertia_matches_eigvalsh_at_separated_thresholds(m):
+    n = m.shape[0]
+    sm = from_dense([1] * n, [1] * n, [[int(x) for x in row] for row in m])
+    floats = np.linalg.eigvalsh(m.astype(float))
+    for t in [Fraction(0)] + [Fraction(x, 4) for x in range(-40, 41, 7)]:
+        gap = floats - float(t)
+        # an integer matrix's eigenvalue within 1e-9 of 0 is 0
+        if np.all((np.abs(gap) > 1e-6) | (t == 0) & (np.abs(gap) < 1e-9)):
+            at = int(np.sum(np.abs(gap) < 1e-9))
+            assert inertia(sm, t) == (int(np.sum(gap < -1e-9)), at, int(np.sum(gap > 1e-9)))
+
+
+@pytest.mark.parametrize(
+    "rows, mu, want",
+    [
+        ([[0, 1], [1, 0]], 0, (1, 0, 1)),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 0, (2, 0, 1)),
+        ([[0, 2, 0], [2, 0, 0], [0, 0, 0]], 0, (1, 1, 1)),
+        # after the first pivot, the Schur complement is [[0, 1], [1, 0]]
+        ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], 0, (1, 0, 2)),
+        ([[0]], 0, (0, 1, 0)),
+        ([], 0, (0, 0, 0)),
+    ],
+)
+def test_inertia_takes_a_2x2_step_on_a_hollow_matrix(rows, mu, want):
+    n = len(rows)
+    assert inertia(from_dense([1] * n, [1] * n, rows), mu) == want
+
+
+def test_inertia_rejects_what_it_cannot_count():
+    with pytest.raises(ValueError, match="symmetric"):
+        inertia(from_dense([1, 1], [1, 1], [[0, 1], [0, 0]]), 0)
+    # D^(1/2) B D^(-1/2) with a symmetric B is similar to B, but not symmetric
+    with pytest.raises(ValueError, match="symmetric"):
+        inertia(from_dense([1, 4], [1, Fraction(1, 4)], [[0, 1], [1, 0]]), 0)
+    # diag(sqrt(2), 1) is symmetric, but no rational matrix is congruent to it
+    # through the scales
+    with pytest.raises(ValueError, match="scales"):
+        inertia(from_dense([2, 1], [1, 1], [[1, 0], [0, 1]]), 0)
+    with pytest.raises(ValueError, match="square"):
+        inertia(from_dense([1], [1, 1], [[1, 0]]), 0)
+
+
+@pytest.mark.parametrize("shift", [Fraction(1, 10**12), Fraction(-1, 10**12)])
+def test_conditional_split_ranges_have_no_slack(shift, monkeypatch):
+    """The single edge's dimension-1 down operators are [1] (quotient) and
+    [-1] (signed), at the ends of their ranges.  Shifting all three flavors
+    by the same t keeps the split identity exact but moves one spectrum
+    10^-12 out of its range (t > 0 the quotient, t < 0 the signed), which
+    the 1e-10 slack of a float range accepted."""
+    cov = load_cover("single_edge")
+    real = operators.build_conditional
+    one = ScaledMatrix.identity(1)
+    assert real(cov, 1, "down", "quotient").equals(one)
+    assert real(cov, 1, "down", "signed").equals(-one)
+
+    def shifted(cover, k, direction, flavor):
+        op = real(cover, k, direction, flavor)
+        if (k, direction) != (1, "down"):
+            return op
+        return op + ScaledMatrix.identity(op.shape[0]).scale(shift)
+
+    monkeypatch.setattr(operators, "build_conditional", shifted)
+    assert not verify_split(cov)["conditional_split_down_1"][0]
+
+
+def test_not_coherent_gap_is_exact(monkeypatch):
+    """The row counts the eigenvalues at or below -1: a signed spectrum
+    10^-12 above -1 passes (a float test, lambda_min > -1 + 1e-10, refused
+    it), and one at -1 fails."""
+    cov = load_cover("cycle5")
+    comp = components(cov, "quotient-down", 1)[0]
+    assert detect_coherent(cov, comp, "down") is None
+    for value, ok in ((-1 + Fraction(1, 10**12), True), (-1, False)):
+        signed = ScaledMatrix.identity(len(comp)).scale(value)
+        monkeypatch.setattr(operators, "build_conditional", lambda *args: signed)
+        assert coherent_spectrum_check(cov, comp, "down")["not_coherent_gap"][0] is ok
+
+
+def test_min_eigenvalue_bound_counts_only_where_the_rayleigh_quotient_fails(monkeypatch):
+    """The Rayleigh quotient of (-1)^dim sqrt(LP*RP) decides the bound on
+    every complex fixture; on nonstrong.cover it is +1/4, above -1 + bound,
+    and an eigenvalue count decides."""
+    counted = []
+    real = operators.inertia
+    monkeypatch.setattr(operators, "inertia", lambda op, mu: counted.append(mu) or real(op, mu))
+    assert all(min_eigenvalue_bound(load_cover(name))[1] for name in COMPLEX_NAMES)
+    assert counted == []
+    assert min_eigenvalue_bound(parse_cover_spec(fixture_text("nonstrong")))[1]
+    assert len(counted) == 1

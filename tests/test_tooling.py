@@ -130,3 +130,21 @@ def test_readme_states_the_search_budget():
     value, unit = match.groups()
     assert int(value.replace(",", "")) == cheeger.SEARCH_BUDGET
     assert str(cheeger._over_budget()).endswith(f"budget of {cheeger.SEARCH_BUDGET} {unit}")
+
+
+def test_spectral_predicates_read_no_tolerance():
+    """The range, bound and sandwich predicates are exact eigenvalue counts;
+    the eigensolver's residual bound EIGEN_TOL is the one slack left."""
+    import ast
+    import io
+    import tokenize
+
+    src = PERFBENCH.parent / "src" / "hodgewalk"
+    found = []
+    for name in ("operators.py", "laplacians.py", "cheeger.py"):
+        text = (src / name).read_text(encoding="utf-8")
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NUMBER and ast.literal_eval(tok.string) in (1e-9, 1e-10):
+                if tok.line.strip() != "EIGEN_TOL = 1e-9":
+                    found.append(f"{name}:{tok.start[0]}: {tok.line.strip()}")
+    assert found == []
