@@ -22,7 +22,7 @@ from .graded_cover import (
     detect_coherent,
     memoized,
 )
-from .operators import build_conditional, multiplicity
+from .operators import build_conditional
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,8 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
             tag = f"k={k}" + (" normalized" if nrm else "")
             check(f"nonzero_spectra_match {tag}", grams[(k - 1, nrm)][0] and grams[(k, nrm)][1])
         # multiplicity of eigenvalue 1 counts coherent components
-        mult_up = multiplicity(laps[(k - 1, True)][0], 1)
-        mult_down = multiplicity(laps[(k, True)][1], 1)
+        mult_up = inertia(laps[(k - 1, True)][0], 1)[1]
+        mult_down = inertia(laps[(k, True)][1], 1)[1]
         n_coherent = sum(
             1
             for comp in components(cover, "quotient-up", k - 1)

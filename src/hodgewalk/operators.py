@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ScaledMatrix, inertia, rational_rank
+from .exact import ScaledMatrix, inertia
 from .graded_cover import (
     GradedSignedDoubleCover,
     components,
@@ -270,14 +270,6 @@ def spectral_top(eigenvalues: tuple[float, ...], flavor: str) -> float:
     return eigenvalues[-2] if flavor == "quotient" else -eigenvalues[0]
 
 
-def multiplicity(operator: ScaledMatrix, value) -> int:
-    """Multiplicity of the rational eigenvalue ``value`` of a symmetric
-    operator, exactly: its nullity n - rank(A - value I)."""
-    n = operator.shape[0]
-    shifted = operator - ScaledMatrix.identity(n).scale(value)
-    return n - rational_rank(shifted)
-
-
 # -- verification -----------------------------------------------------------
 
 
@@ -432,30 +424,12 @@ def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool
     """Bound on how far the minimal quotient eigenvalue sits above -1.
 
     Returns (the min over components of 2/(E[len]+1), whether lambda_min
-    <= -1 + that bound), decided exactly.  On a component attaining the
-    min, the Rayleigh quotient of x = (-1)^dim (LP*RP)^(1/2) is rational
-    (the scales are (H, 1/H) with H = LP/RP) and at least lambda_min
-    (Courant-Fischer), so it decides when it is at most -1 + bound; an
-    eigenvalue count of A - (-1 + bound) I decides otherwise.
+    <= -1 + that bound), decided exactly by counting the eigenvalues of
+    the quotient operator at or below -1 + bound.
     """
-    bound, comp = min(
-        ((Fraction(2) / (expected_path_length(cover, c) + 1), c)
-         for c in components(cover, "quotient")),
-        key=lambda pair: pair[0],
-    )
-    a = build_bundle(cover).a_quotient
-    pw = compute_path_weights(cover)
-    # x^T A x = sum of sign * LP(i) * body(i, j) * RP(j), and x^T x = sum of LP*RP
-    sign = {q: -1 if cover.dims[q] % 2 else 1 for q in comp}
-    num = sum(
-        sign[i] * sign[j] * pw.lp[i] * v * pw.rp[j]
-        for i in comp
-        for j, v in a.rows[i].items()
-    )
-    if Fraction(num, a.den * sum(pw.through(q) for q in comp)) <= bound - 1:
-        return bound, True
-    below, at, _above = inertia(a, bound - 1)
-    return bound, below + at > 0
+    bound = min(Fraction(2) / (expected_path_length(cover, c) + 1)
+                for c in components(cover, "quotient"))
+    return bound, sum(inertia(build_bundle(cover).a_quotient, bound - 1)[:2]) > 0
 
 
 def coherent_spectrum_check(
@@ -467,7 +441,7 @@ def coherent_spectrum_check(
 
     Coherent: the signed operator under the witness orientation is exactly
     the negative of the quotient operator (so the spectra are opposite), -1
-    is attained with multiplicity one (a rank count), and (LP*RP)^(1/2) is
+    is attained with multiplicity one (an eigenvalue count), and (LP*RP)^(1/2) is
     the eigenfunction (checked exactly through the rational body).  Not
     coherent: the minimal signed eigenvalue stays strictly above -1.
     """
@@ -490,7 +464,7 @@ def coherent_spectrum_check(
         "signed operator equals minus the quotient operator under the witness",
     )
     report["minus_one_multiplicity"] = (
-        multiplicity(sgn, -1) == 1,
+        inertia(sgn, -1)[1] == 1,
         "-1 attained with multiplicity one",
     )
     # S f = -f for f = (LP*RP)^(1/2) exactly when the body takes RP = H^(-1/2) f to -RP

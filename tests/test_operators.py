@@ -14,7 +14,6 @@ from hodgewalk.graded_cover import (
     compute_path_weights,
     cover_from_complex,
     detect_coherent,
-    parse_cover_spec,
 )
 from hodgewalk.operators import (
     build_bundle,
@@ -22,14 +21,13 @@ from hodgewalk.operators import (
     coherent_spectrum_check,
     eigen,
     min_eigenvalue_bound,
-    multiplicity,
     on_component,
     verify_split,
 )
 from hodgewalk.exact import ScaledMatrix, inertia
 from hodgewalk.walks import transition_conditional, transition_full
 
-from conftest import COMPLEX_NAMES, fixture_text, load_cover
+from conftest import COMPLEX_NAMES, load_cover
 from oracles import as_object_array, exact_sqrt, float_multiplicity, from_dense, multiset_match
 
 
@@ -254,7 +252,7 @@ def test_minus_one_multiplicity_via_eigen():
     sgn = switched(on_component(cov, build_conditional(cov, 1, "down", "signed"), comp),
                    [witness[q] for q in comp])
     ev = eigen(sgn)
-    assert float_multiplicity(ev, -1.0) == multiplicity(sgn, -1) == 1
+    assert float_multiplicity(ev, -1.0) == inertia(sgn, -1)[1] == 1
     # the opposite spectra follow from the exact opposite operators
     quot = on_component(cov, build_conditional(cov, 1, "down", "quotient"), comp)
     assert multiset_match(ev, [-v for v in eigen(quot)])
@@ -378,7 +376,7 @@ def test_minus_one_multiplicity_reads_the_signed_operator(monkeypatch):
     assert not coherent_spectrum_check(cov, comp, "down")["minus_one_multiplicity"][0]
 
 
-# -- the rank-based multiplicity ----------------------------------------------
+# -- exact multiplicities -------------------------------------------------------
 
 
 @st.composite
@@ -404,14 +402,16 @@ def rational_spectrum_case(draw):
 @given(rational_spectrum_case())
 def test_multiplicity_is_exact_on_rational_spectra(case):
     lam, mat, h = case
-    body = as_object_array(mat)
-    plain = from_dense([1] * len(h), [1] * len(h), body)
-    # the walk operators' form D^(1/2) B D^(-1/2) is similar to B
-    similar = from_dense(h, [1 / x for x in h], body)
+    n = len(h)
+    plain = from_dense([1] * n, [1] * n, as_object_array(mat))
+    # the same matrix in the walk operators' form, scales (h^2, h^-2)
+    walk = from_dense([x * x for x in h], [1 / (x * x) for x in h],
+                      [[mat[i][j] * h[j] / h[i] for j in range(n)] for i in range(n)])
+    assert walk.equals(plain)
     floats = np.linalg.eigvalsh(np.array(mat, dtype=float))
     for t in set(lam) | {Fraction(-2), Fraction(1, 5)}:
         want = lam.count(t)
-        assert multiplicity(plain, t) == multiplicity(similar, t) == want
+        assert inertia(plain, t)[1] == inertia(walk, t)[1] == want
         # the eigenvalues sit at least 1/6 apart, far beyond the float count's gap
         assert float_multiplicity(floats, float(t)) == want
 
@@ -430,7 +430,7 @@ def test_multiplicity_matches_eigvalsh_at_separated_values(seed_):
     for t in [Fraction(0)] + [Fraction(x, 7) for x in range(-60, 61, 11)]:
         gap = np.abs(floats - float(t))
         if np.all((gap < 1e-9) | (gap > 1e-3)):
-            assert multiplicity(sm, t) == float_multiplicity(floats, float(t))
+            assert inertia(sm, t)[1] == float_multiplicity(floats, float(t))
 
 
 # -- exact eigenvalue counts --------------------------------------------------
@@ -554,14 +554,14 @@ def test_not_coherent_gap_is_exact(monkeypatch):
         assert coherent_spectrum_check(cov, comp, "down")["not_coherent_gap"][0] is ok
 
 
-def test_min_eigenvalue_bound_counts_only_where_the_rayleigh_quotient_fails(monkeypatch):
-    """The Rayleigh quotient of (-1)^dim sqrt(LP*RP) decides the bound on
-    every complex fixture; on nonstrong.cover it is +1/4, above -1 + bound,
-    and an eigenvalue count decides."""
-    counted = []
-    real = operators.inertia
-    monkeypatch.setattr(operators, "inertia", lambda op, mu: counted.append(mu) or real(op, mu))
-    assert all(min_eigenvalue_bound(load_cover(name))[1] for name in COMPLEX_NAMES)
-    assert counted == []
-    assert min_eigenvalue_bound(parse_cover_spec(fixture_text("nonstrong")))[1]
-    assert len(counted) == 1
+def test_min_eigenvalue_bound_is_exact(monkeypatch):
+    """The bound holds when some quotient eigenvalue sits at or below
+    -1 + bound: one exactly at it passes, and one 10^-12 above it fails (a
+    float test, lambda_min <= -1 + bound + 1e-9, accepted it)."""
+    cov = load_cover("tetrahedron")
+    bundle = build_bundle(cov)
+    n = bundle.a_quotient.shape[0]
+    for value, ok in ((Fraction(-1, 2), True), (Fraction(-1, 2) + Fraction(1, 10**12), False)):
+        fake = replace(bundle, a_quotient=ScaledMatrix.identity(n).scale(value))
+        monkeypatch.setattr(operators, "build_bundle", lambda _cover: fake)
+        assert min_eigenvalue_bound(cov) == (Fraction(1, 2), ok)
