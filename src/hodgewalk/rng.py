@@ -1,25 +1,27 @@
-"""Seedable 64-bit RNG (SplitMix64) drawn in blocks, with exact bounded draws.
+"""Seedable 64-bit RNG (SplitMix64) drawn in blocks, and the rejection limit
+of exact bounded draws.
 
 SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) is counter-based: word i
 (from 1) of the stream for a seed is mix(seed + i * GAMMA) modulo 2**64.
-``words`` computes ``BLOCK`` words at a time with numpy ``uint64`` array
-arithmetic, which wraps modulo 2**64, and hands them out one Python int at
-a time, so the stream does not depend on the block size.  Bounded draws
-reject whole words with integer arithmetic only, which keeps walk traces
-bit-reproducible.
+``blocks`` computes ``BLOCK`` words at a time with numpy ``uint64`` array
+arithmetic, which wraps modulo 2**64, and yields each block as one list of
+Python ints, so the stream does not depend on the block size; callers
+iterate the words of a block themselves.  A bounded draw below n rejects
+every word at or above ``rejection_limit(n)`` and takes the next one,
+with integer arithmetic only, which keeps walk traces bit-reproducible.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Callable, Iterator
+from typing import Iterator
 
 BLOCK = 4096
 _SPAN = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _blocks(seed: int) -> Iterator[list[int]]:
+def blocks(seed: int) -> Iterator[list[int]]:
+    """The endless word stream for ``seed`` (any int, mod 2**64), ``BLOCK`` words a block."""
     import numpy as np  # loads numpy: imported only where words are drawn
 
     # only array operands: numpy wraps uint64 array arithmetic silently,
@@ -39,24 +41,7 @@ def _blocks(seed: int) -> Iterator[list[int]]:
         base = (base + stride) % _SPAN
 
 
-def words(seed: int) -> Iterator[int]:
-    """The endless SplitMix64 word stream for ``seed`` (any int, taken mod 2**64)."""
-    return chain.from_iterable(_blocks(seed))
-
-
 def rejection_limit(n: int) -> int:
     """Largest multiple of n (n >= 1) not above 2**64: words at or above it are redrawn."""
     return _SPAN - _SPAN % n
 
-
-def below(next_word: Callable[[], int], n: int, limit: int) -> int:
-    """Uniform integer in [0, n) for n >= 2, with ``limit = rejection_limit(n)``.
-
-    Draws words until one falls below ``limit`` and returns it modulo n,
-    so it is unbiased.  A draw from [0, 1) takes no word; callers resolve
-    it without calling here.
-    """
-    w = next_word()
-    while w >= limit:
-        w = next_word()
-    return w % n

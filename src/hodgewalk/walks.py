@@ -116,6 +116,20 @@ def stationary(
     return StationaryDistribution(weights, support, 2 * normalizer)
 
 
+# A weighted move whose total is above this bisects its cumulative weights.
+TABLE_CAP = 64
+
+
+class _Bisected:
+    """Draw table of a total above ``TABLE_CAP``: entries found by bisection, not stored."""
+
+    def __init__(self, weights, targets):
+        self.cum, self.targets = list(accumulate(weights)), targets
+
+    def __getitem__(self, r):
+        return self.targets[bisect_right(self.cum, r)]
+
+
 def simulate(
     cover: GradedSignedDoubleCover,
     start: int,
@@ -124,20 +138,23 @@ def simulate(
 ) -> tuple[str, dict[int, Fraction]]:
     """Simulate the root-to-leaf path random walk on the cover.
 
-    One step: draw the action (S, U or D according to leaf/root status,
-    each with probability 1/2, from the low bit of one word), then resolve
-    it — S flips a fair coin between u and -u, U picks a parent with
-    LP-proportional odds moving to the coherently oriented lift, D picks a
-    child with RP-proportional odds moving to the oppositely oriented
-    lift.  A weighted pick draws one bounded integer below the total
-    weight and takes no word when that total is 1.
+    One step: the action (S, U or D according to leaf/root status, each
+    with probability 1/2), then its move — S flips a fair coin between u
+    and -u, U picks a parent with LP-proportional odds moving to the
+    coherently oriented lift, D picks a child with RP-proportional odds
+    moving to the oppositely oriented lift.
 
-    Each cover state's two possible actions are tabled once, with their
-    targets and rejection limits.  The walk keeps only the visit counts
-    and a running SHA-256 of the state sequence (the start included, each
-    state a little-endian uint64), so memory does not grow with ``steps``.
-    Returns the hex digest and the empirical distribution over all
-    visited states.
+    The loop takes the words of each RNG block in turn.  An action word's
+    low bit picks the move; a move of total weight 1 is taken at once,
+    any other waits for its draw word, which is rejected at or above the
+    move's limit and else moves the walk to ``table[w % total]``.  Each
+    state's moves are built once as (limit, total, table), the table one
+    target per residue below the total (bisected above ``TABLE_CAP``, so
+    memory stays O(edges)).  States past ``steps`` in the last block are
+    dropped.  The walk keeps only the visit counts and a running SHA-256
+    of the state sequence (the start included, each state a little-endian
+    uint64), so memory does not grow with ``steps``.  Returns the hex
+    digest and the empirical distribution over all visited states.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -147,11 +164,15 @@ def simulate(
     pw = compute_path_weights(cover)
 
     def pick(weights, targets):
-        """A move: its target when the total weight is 1, else its draw table."""
-        cum = list(accumulate(weights))
-        if cum[-1] == 1:
+        """A move: its target when the total weight is 1, else its draw."""
+        total = sum(weights)
+        if total == 1:
             return targets[0]
-        return rng.rejection_limit(cum[-1]), cum[-1], cum, targets
+        if total > TABLE_CAP:
+            table = _Bisected(weights, targets)
+        else:
+            table = [t for t, w in zip(targets, weights) for _ in range(w)]
+        return rng.rejection_limit(total), total, table
 
     # moves[u][bit]: the move that the action bit ``bit`` selects at state u
     moves = []
@@ -182,8 +203,6 @@ def simulate(
     import hashlib  # loads OpenSSL: imported only where a walk is simulated
     import numpy as np  # loads numpy: likewise
 
-    next_word = rng.words(seed).__next__
-    below = rng.below
     counts = np.zeros(2 * n, dtype=np.int64)
     digest = hashlib.sha256()
 
@@ -195,20 +214,29 @@ def simulate(
         counts[:] += np.bincount(visited, minlength=2 * n)
 
     record([start])
-    u = start
-    for done in range(0, steps, rng.BLOCK):
+    u, left, pending = start, steps, False
+    for block in rng.blocks(seed):
         trail = []
-        for _ in range(min(rng.BLOCK, steps - done)):
-            move = moves[u][next_word() & 1]
-            if move.__class__ is int:
-                u = move
+        append = trail.append
+        for w in block:
+            if pending:
+                if w < limit:
+                    u = table[w % total]
+                    append(u)
+                    pending = False
             else:
-                limit, total, cum, targets = move
-                u = targets[bisect_right(cum, below(next_word, total, limit))]
-            trail.append(u)
-        record(trail)
-    total = steps + 1
-    empirical = {u: Fraction(int(c), total) for u, c in enumerate(counts) if c}
+                move = moves[u][w & 1]
+                if move.__class__ is int:
+                    u = move
+                    append(u)
+                else:
+                    limit, total, table = move
+                    pending = True
+        record(trail[:left])
+        left -= len(trail)
+        if left <= 0:
+            break
+    empirical = {u: Fraction(int(c), steps + 1) for u, c in enumerate(counts) if c}
     return digest.hexdigest(), empirical
 
 

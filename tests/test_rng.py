@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -49,24 +49,8 @@ def test_block_words_match_scalar_stream(monkeypatch, block, seed):
     """Word i of the stream is the same whatever block it falls in."""
     monkeypatch.setattr(rng, "BLOCK", block)
     scalar = SplitMix64(seed)
-    assert list(islice(rng.words(seed), 25)) == [scalar.next_word() for _ in range(25)]
-
-
-def test_bounded_draw_matches_randbelow_under_rejection():
-    """n = 3 * 2**62 rejects every word at or above 3 * 2**62: about 1 in 4."""
-    n = 3 * 2**62
-    limit = rng.rejection_limit(n)
-    assert limit == n
-    for seed in range(200):
-        scalar = SplitMix64(seed)
-        stream = rng.words(seed)
-        draws = [rng.below(stream.__next__, n, limit) for _ in range(20)]
-        assert draws == [scalar.randbelow(n) for _ in range(20)]
-        # both sides consumed the same words
-        assert next(stream) == scalar.next_word()
-    words = list(islice(rng.words(1), 4000))
-    share = sum(w >= limit for w in words) / len(words)
-    assert 0.2 < share < 0.3
+    words = chain.from_iterable(rng.blocks(seed))
+    assert list(islice(words, 25)) == [scalar.next_word() for _ in range(25)]
 
 
 def test_rejection_limit():

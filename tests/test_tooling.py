@@ -148,3 +148,33 @@ def test_spectral_predicates_read_no_tolerance():
                 if tok.line.strip() != "EIGEN_TOL = 1e-9":
                     found.append(f"{name}:{tok.start[0]}: {tok.line.strip()}")
     assert found == []
+
+
+def test_walk_makes_no_python_call_per_step():
+    """The walk loop reads the words of each RNG block inline, with a few
+    calls per block: 20,000 steps (about 8 blocks) make fewer than 100 more
+    Python-level calls than 2,000 steps, where a call per step or per draw
+    would make thousands.  Both walks visit every state of the fixture, so
+    they build the same number of empirical Fractions."""
+    from hodgewalk import walks
+
+    from conftest import load_cover
+
+    cov = load_cover("branched")
+
+    def calls(steps):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            walks.simulate(cov, 0, steps, seed=1)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    calls(1)  # warm the builder caches
+    assert calls(20_000) - calls(2_000) < 100

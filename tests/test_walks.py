@@ -255,14 +255,89 @@ def test_simulate_matches_reference_walk(name):
 
 
 def test_simulate_digest_ignores_block_size(monkeypatch):
+    """At block sizes 1, 2, 3 and 64, and step counts around the block size,
+    the walk equals the per-word reference: this covers a draw whose action
+    word ends one block and whose draw word starts the next, and the
+    surplus states of the last block."""
     from hodgewalk import rng
 
     cov = load_cover("branched")
-    want, emp = simulate(cov, 0, 500, seed=9)
-    for block in (1, 3, 64):
+    pw = compute_path_weights(cov)
+    for block in (1, 2, 3, 64):
         monkeypatch.setattr(rng, "BLOCK", block)
-        got, got_emp = simulate(cov, 0, 500, seed=9)
-        assert got == want and got_emp == emp
+        for steps in sorted({1, block - 1, block, block + 1, 3 * block + 2} - {0}):
+            digest, emp = simulate(cov, 0, steps, seed=9)
+            states, counts = oracles.reference_walk(cov, pw, 0, steps, 9)
+            assert digest == oracles.states_digest(states), (block, steps)
+            assert emp == {u: Fraction(c, steps + 1) for u, c in enumerate(counts) if c}
+
+
+def layered_spec(layers, wide):
+    """Two nodes per layer, three in layer ``wide``, each node joined to
+    every node of the next layer: LP and RP are products of layer widths."""
+    width = [3 if i == wide else 2 for i in range(layers)]
+    spec = [f"node n{i}_{j} {i}" for i in range(layers) for j in range(width[i])]
+    spec += [
+        f"edge n{i}_{a} n{i + 1}_{b} +1"
+        for i in range(layers - 1) for a in range(width[i]) for b in range(width[i + 1])
+    ]
+    return "\n".join(spec)
+
+
+def test_simulate_matches_reference_walk_under_rejection(monkeypatch):
+    """64 layers with a wide middle one: the draw totals at both ends are
+    3 * 2**62, whose rejection limit is the total itself, so about a quarter
+    of their draw words are rejected.  Every total above ``TABLE_CAP`` is
+    resolved by bisection, and no table of a total's size is built."""
+    import tracemalloc
+
+    from hodgewalk import rng, walks
+
+    cov = parse_cover_spec(layered_spec(64, 32))
+    pw = compute_path_weights(cov)
+    n = cov.n_quotient
+    top = 3 * 2**62
+    assert max(pw.lp) == max(pw.rp) == rng.rejection_limit(top) == top
+    assert walks.TABLE_CAP < top
+
+    used = {"words": 0, "bits": 0, "draws": 0}
+    next_word, next_bit, randbelow = (
+        SplitMix64.next_word, SplitMix64.next_bit, SplitMix64.randbelow
+    )
+
+    def counted_word(self):
+        used["words"] += 1
+        return next_word(self)
+
+    def counted_bit(self):
+        used["bits"] += 1
+        return next_bit(self)
+
+    def counted_draw(self, m):
+        used["draws"] += m > 1  # a draw below 1 takes no word
+        return randbelow(self, m)
+
+    monkeypatch.setattr(SplitMix64, "next_word", counted_word)
+    monkeypatch.setattr(SplitMix64, "next_bit", counted_bit)
+    monkeypatch.setattr(SplitMix64, "randbelow", counted_draw)
+    simulate(cov, 0, 10, seed=0)  # warm the builder caches
+    for seed in (0, 3, 2**64 - 1):
+        for start in (0, 2 * n - 1):
+            tracemalloc.start()
+            try:
+                digest, emp = simulate(cov, start, 3000, seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one table of a total above 2**17 would take 1 MiB on its own
+            assert peak < 1 << 20
+            used.update(words=0, bits=0, draws=0)
+            states, counts = oracles.reference_walk(cov, pw, start, 3000, seed)
+            assert digest == oracles.states_digest(states)
+            assert emp == {u: Fraction(c, 3001) for u, c in enumerate(counts) if c}
+            # every word is an action bit, a coin flip, an accepted draw or a rejection
+            rejected = used["words"] - used["bits"] - used["draws"]
+            assert rejected > 0
 
 
 def test_simulate_memory_does_not_grow_with_steps():
