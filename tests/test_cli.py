@@ -390,6 +390,9 @@ NUMPY_FREE_RUNS = (
     ["laplacian", "--k", "1", "--normalized"],
     ["hodge"],
     ["verify"],
+    ["report"],
+    ["report", "--k", "1"],
+    ["report", "--paper-tables"],
 )
 
 
@@ -440,6 +443,20 @@ def test_verify_solves_no_spectrum(monkeypatch, capsys):
     assert run(["spectrum", TET]) == 0
     assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_spectrum_builds_only_the_quotient_operator(monkeypatch, capsys):
+    """`spectrum` with no --k prints the full quotient spectrum and the
+    min-eigenvalue bound without building the operator bundle."""
+    def no_bundle(cover):
+        raise AssertionError("spectrum built the operator bundle")
+
+    for name in ("tetrahedron", "branched", "single_edge"):
+        path = str(FIXTURES / f"{name}.cx")
+        want = run_cli(capsys, "spectrum", path)
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "build_bundle", no_bundle)
+            assert run_cli(capsys, "spectrum", path) == want
 
 
 def test_path_count_oracle_long_chain():
@@ -593,6 +610,7 @@ MEMOIZED = (
     ("graded_cover", "compute_path_weights"),
     ("graded_cover", "components"),
     ("graded_cover", "component_correspondence"),
+    ("operators", "quotient_operator"),
     ("operators", "build_bundle"),
     ("operators", "build_conditional"),
     ("laplacians", "normalization_weights"),

@@ -22,9 +22,11 @@ from hodgewalk.operators import (
     eigen,
     min_eigenvalue_bound,
     on_component,
+    quotient_operator,
     verify_split,
 )
-from hodgewalk.exact import ScaledMatrix, inertia
+from hodgewalk import exact
+from hodgewalk.exact import ScaledMatrix, eigenvalue, inertia
 from hodgewalk.walks import transition_conditional, transition_full
 
 from conftest import COMPLEX_NAMES, load_cover
@@ -559,9 +561,96 @@ def test_min_eigenvalue_bound_is_exact(monkeypatch):
     -1 + bound: one exactly at it passes, and one 10^-12 above it fails (a
     float test, lambda_min <= -1 + bound + 1e-9, accepted it)."""
     cov = load_cover("tetrahedron")
-    bundle = build_bundle(cov)
-    n = bundle.a_quotient.shape[0]
+    n = quotient_operator(cov).shape[0]
     for value, ok in ((Fraction(-1, 2), True), (Fraction(-1, 2) + Fraction(1, 10**12), False)):
-        fake = replace(bundle, a_quotient=ScaledMatrix.identity(n).scale(value))
-        monkeypatch.setattr(operators, "build_bundle", lambda _cover: fake)
+        fake = ScaledMatrix.identity(n).scale(value)
+        monkeypatch.setattr(operators, "quotient_operator", lambda _cover: fake)
         assert min_eigenvalue_bound(cov) == (Fraction(1, 2), ok)
+
+
+def test_bundle_reads_the_quotient_operator():
+    cov = load_cover("branched")
+    assert build_bundle(cov).a_quotient is quotient_operator(cov)
+
+
+# -- exact eigenvalues ----------------------------------------------------------
+
+
+@st.composite
+def symmetric_operator(draw):
+    """A symmetric ScaledMatrix S_ij / sqrt(s_i s_j) in the walk operators'
+    form (scales s, 1/s; body S_ij / s_i) or S_ij sqrt(s_i s_j) in the
+    Laplacians' form (scales s, s; body S), for a random symmetric rational
+    S: irrational entries in both forms, both accepted by ``inertia``."""
+    n = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7]))
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    sym = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    s = draw(st.lists(st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 5), Fraction(4)]),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):
+        body = [[x / s[i] for x in row] for i, row in enumerate(sym)]
+        return from_dense(s, [1 / x for x in s], body)
+    return from_dense(s, s, sym)
+
+
+def assert_nearest(mat, index, x):
+    """``x`` is the double nearest eigenvalue ``index``, proved by counts:
+    the eigenvalue lies between the doubles next to x, and between the
+    midpoints of x and each of them."""
+    prev, nxt = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    assert inertia(mat, prev)[0] <= index < sum(inertia(mat, nxt)[:2])
+    half_down, half_up = (Fraction(prev) + Fraction(x)) / 2, (Fraction(x) + Fraction(nxt)) / 2
+    assert inertia(mat, half_down)[0] <= index < inertia(mat, half_up)[0]
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(symmetric_operator())
+def test_eigenvalue_matches_eigvalsh_and_is_certified(mat):
+    n = mat.shape[0]
+    floats = np.linalg.eigvalsh(mat.to_float())
+    for index in range(n):
+        x = eigenvalue(mat, index)
+        assert abs(x - floats[index]) <= 1e-12 * (1 + abs(floats[index]))
+        assert_nearest(mat, index, x)
+        assert eigenvalue(mat, index - n) == x
+
+
+def test_eigenvalue_hits_a_dyadic_midpoint(monkeypatch):
+    """diag(1/2, 1) has Gershgorin interval [0, 1], whose first midpoint is
+    the lower eigenvalue: the count after the one at 0 finds it.  On I/2
+    the interval is [0, 1/2] and the eigenvalue its end, which the last
+    count picks."""
+    calls = []
+    real = exact.inertia
+
+    def counting(mat, mu):
+        calls.append(mu)
+        return real(mat, mu)
+
+    monkeypatch.setattr(exact, "inertia", counting)
+    assert eigenvalue(from_dense([1, 1], [1, 1], [[Fraction(1, 2), 0], [0, 1]]), 0) == 0.5
+    assert calls == [0.0, 0.5]
+    half = ScaledMatrix.identity(3).scale(Fraction(1, 2))
+    assert [eigenvalue(half, i) for i in range(-3, 3)] == [0.5] * 6
+    # the single edge's up operator has a zero eigenvalue at the end of its
+    # interval [0, 1]: halving from 1 would take about 1075 counts to reach
+    # it, and the first count, at 0, finds it
+    calls.clear()
+    assert eigenvalue(ScaledMatrix([1, 1], [1, 1], [{0: Fraction(1, 2), 1: Fraction(1, 2)}] * 2),
+                      0) == 0.0
+    assert calls == [0.0]
+
+
+def test_eigenvalue_rejects_what_inertia_cannot_count():
+    with pytest.raises(IndexError):
+        eigenvalue(ScaledMatrix.identity(2), 2)
+    with pytest.raises(IndexError):
+        eigenvalue(ScaledMatrix.identity(0), 0)
+    with pytest.raises(ValueError, match="scales"):
+        eigenvalue(from_dense([2, 1], [1, 1], [[1, 0], [0, 1]]), 0)
+    with pytest.raises(ValueError, match="symmetric"):
+        eigenvalue(from_dense([1, 1], [1, 1], [[0, 1], [0, 0]]), 0)
+    with pytest.raises(ValueError, match="square"):
+        eigenvalue(from_dense([1, 1], [1], [[1], [1]]), 0)

@@ -57,3 +57,7 @@ def test_rejection_limit():
     assert rng.rejection_limit(1) == 2**64
     assert rng.rejection_limit(2) == 2**64
     assert rng.rejection_limit(3) == 2**64 - 1
+    assert rng.rejection_limit(2**64) == 2**64
+    # above 2**64 every word would be rejected
+    with pytest.raises(OverflowError):
+        rng.rejection_limit(2**64 + 1)

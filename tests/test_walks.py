@@ -340,6 +340,29 @@ def test_simulate_matches_reference_walk_under_rejection(monkeypatch):
             assert rejected > 0
 
 
+def test_walk_sim_refuses_a_draw_above_64_bits(tmp_path):
+    """70 layers: the draw totals reach 3 * 2**68, whose one-word rejection
+    limit would reject every word.  The walk is refused before it starts,
+    with one guard line and exit 2, instead of never returning."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hodgewalk
+
+    spec = tmp_path / "deep.cover"
+    spec.write_text(layered_spec(70, 35))
+    env = {**os.environ, "PYTHONPATH": str(Path(hodgewalk.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "hodgewalk.cli", "walk-sim", str(spec), "--steps", "10"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("guard: ")
+
+
 def test_simulate_memory_does_not_grow_with_steps():
     """Ten times the steps: the peak stays within a fixed slack."""
     import tracemalloc
