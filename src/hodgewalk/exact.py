@@ -20,9 +20,12 @@ factors of a rebase) are rational or the operation raises; each is folded
 into the integers through the lcm of their denominators, and one gcd pass
 restores the canonical form.  Only the floating-point mirror
 (``float_entries``, which ``to_float`` reads) takes irrational roots.
-Ranks, and the eigenvalue counts below, at and above a rational threshold
-(``inertia``), come from sparse fraction-free integer elimination, with no
-rounding and no modular shortcut; ``eigenvalue`` bisects on those counts.
+The eigenvalue counts below, at and above a rational threshold
+(``inertia``) come from one sparse fraction-free integer elimination of a
+symmetric matrix (``_eliminate``), with no rounding and no modular shortcut.
+A rank is such a count too: rank B is the negative count of
+[[0, B], [B^T, 0]].  ``eigenvalue`` bisects on counts of one matrix, set
+up once (``_prepare``) and counted at each threshold (``_count``).
 """
 
 from __future__ import annotations
@@ -82,109 +85,22 @@ def _integer_rows(rows: Sequence[dict]) -> tuple[list[dict[int, int]], int]:
     ], den
 
 
-def rational_rank(mat: "ScaledMatrix") -> int:
-    """Rank of a ScaledMatrix, computed exactly.
+def _eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """(below, above): the negative and positive eigenvalue counts of the
+    symmetric integer matrix whose nonempty rows are ``rows`` (row index ->
+    {column: nonzero int}), by Sylvester's law of inertia.  Consumes ``rows``.
 
-    The scales and the common denominator are positive, so the rank is the
-    rank of the integer rows, which are eliminated as they are,
-    fraction-free in Markowitz order: the pivot column is one with the
-    fewest active rows, the pivot row its shortest.  Every other row r
-    through that column becomes p*r - r[c]*pivot (p the pivot entry)
-    divided by its content (the gcd of its entries), so the entries stay
-    small.  Each step is invertible over the rationals, so the number of
-    pivots is the rank.
+    A pivot is a nonzero diagonal entry with the fewest entries in its row,
+    and its sign is the sign of one eigenvalue; when every remaining
+    diagonal entry is 0, an off-diagonal pair (i, j) is eliminated
+    together, a 2x2 block [[0, a], [b, 0]] with ab > 0 that counts one
+    eigenvalue of each sign.  Each other row is updated with a positive
+    multiplier and divided by its content (the gcd of its entries), so the
+    rows stay a positive diagonal times the symmetric Schur complement,
+    whose pattern is symmetric: the rows a pivot reaches are the columns of
+    the pivot row.  The rows left out, and those emptied on the way, are
+    the nullity.
     """
-    rows = {i: dict(row) for i, row in enumerate(mat.rows) if row}
-    in_col: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            in_col.setdefault(j, set()).add(i)
-    rank = 0
-    while in_col:
-        col = min(in_col, key=lambda j: len(in_col[j]))
-        through = in_col.pop(col)
-        top = min(through, key=lambda i: len(rows[i]))
-        pivot = rows.pop(top)
-        p = pivot.pop(col)
-        for j in pivot:
-            in_col[j].discard(top)
-        through.discard(top)
-        for i in through:
-            row = rows[i]
-            f = row.pop(col)
-            for j in row:
-                row[j] *= p
-            for j, v in pivot.items():
-                x = row.get(j, 0) - f * v
-                if x:
-                    if j not in row:
-                        in_col[j].add(i)
-                    row[j] = x
-                elif j in row:
-                    del row[j]
-                    in_col[j].discard(i)
-            g = math.gcd(*row.values())
-            if g > 1:
-                for j in row:
-                    row[j] //= g
-        # only the pivot's columns lost rows
-        for j in pivot:
-            if not in_col[j]:
-                del in_col[j]
-        rank += 1
-    return rank
-
-
-def inertia(mat: "ScaledMatrix", mu) -> tuple[int, int, int]:
-    """(below, at, above): how many eigenvalues of the symmetric ScaledMatrix
-    ``mat`` lie below, at and above the rational ``mu``, exactly.
-
-    By Sylvester's law of inertia these are the signs of any matrix
-    congruent to M - mu I.  Congruence by diag(row_scale)^(-1/2) gives
-    N = (rows/den) diag(sqrt(c/r)) - mu diag(1/r), which is rational when
-    c/r is a rational square in every column with a stored entry: a walk
-    operator has r*c = 1, so N = (rows/den - mu I) diag(c), and a
-    Laplacian has r = c, so N = rows/den - mu diag(1/r).  Other scales, and
-    a matrix that is not symmetric, raise ValueError.
-
-    A positive multiple of N is eliminated on its integer rows.  A pivot
-    is a nonzero diagonal entry with the fewest entries in its row, and
-    its sign is the sign of one eigenvalue; when every remaining diagonal
-    entry is 0, an off-diagonal pair (i, j) is eliminated together, a 2x2
-    block [[0, a], [b, 0]] with ab > 0 that counts one eigenvalue of each
-    sign.  Each other row is updated with a positive multiplier and
-    divided by its content, so the rows stay a positive diagonal times the
-    symmetric Schur complement, whose pattern is symmetric: the rows a
-    pivot reaches are the columns of the pivot row.  What is left when
-    every row is empty is the nullity.
-    """
-    n = mat.shape[0]
-    if mat.shape[1] != n:
-        raise ValueError("matrix must be square")
-    mu = Fraction(mu)
-    den = mat.den
-    # per column j: sqrt(c_j / r_j) as (a_j, b_j)
-    roots = {}
-    for j in set().union(*mat.rows):
-        r, c = mat.row_scale[j], mat.col_scale[j]
-        root = _sqrt_ratio(c.numerator * r.denominator, c.denominator * r.numerator)
-        if root is None:
-            raise ValueError("scales are not congruent to a rational matrix")
-        roots[j] = root
-    shifts = [mu / r for r in mat.row_scale]
-    body_den = den * math.lcm(*(b for _, b in roots.values()))
-    total = math.lcm(body_den, *(s.denominator for s in shifts))
-    mult = {j: a * (total // (den * b)) for j, (a, b) in roots.items()}
-    rows = {}
-    for i, row in enumerate(mat.rows):
-        new = {j: v * mult[j] for j, v in row.items()}
-        d = new.pop(i, 0) - shifts[i].numerator * (total // shifts[i].denominator)
-        if d:
-            new[i] = d
-        if new:
-            rows[i] = new
-    if any(rows.get(j, {}).get(i) != v for i, row in rows.items() for j, v in row.items()):
-        raise ValueError("matrix must be symmetric")
 
     def update(k, scale, *terms):
         """rows[k] = scale * rows[k] + the sum of f * other over the
@@ -234,7 +150,86 @@ def inertia(mat: "ScaledMatrix", mu) -> tuple[int, int, int]:
             for k in set(row_i) | set(row_j):
                 fi, fj = rows[k].pop(i, 0), rows[k].pop(j, 0)
                 update(k, a * b, (-b * fj, row_i), (-a * fi, row_j))
-    return below, n - below - above, above
+    return below, above
+
+
+def rational_rank(mat: "ScaledMatrix") -> int:
+    """Rank of a ScaledMatrix, computed exactly.
+
+    The scales and the common denominator are positive, so the rank is
+    that of the integer rows B.  The symmetric [[0, B], [B^T, 0]] has the
+    eigenvalues +-sigma_i of B's nonzero singular values and zeros, so
+    rank B is its negative count, which ``_eliminate`` takes.  Its diagonal stays
+    zero and its pattern bipartite, so every step is a 2x2 step on an entry
+    p of B: an updated row is p times the fraction-free Gaussian update
+    p*r - r[c]*pivot, and content division removes that factor.
+    """
+    m = mat.shape[0]
+    double: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(mat.rows):
+        if row:
+            double[i] = {m + j: v for j, v in row.items()}
+            for j, v in row.items():
+                double.setdefault(m + j, {})[i] = v
+    return _eliminate(double)[0]
+
+
+def _prepare(mat: "ScaledMatrix") -> tuple[tuple[Fraction, ...], list[dict[int, int]], int]:
+    """The mu-free part of ``inertia``: (row_scale, rows, den), where the
+    integer rows over den are (mat.rows / mat.den) diag(sqrt(c/r))."""
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError("matrix must be square")
+    den = mat.den
+    # per column j: sqrt(c_j / r_j) as (a_j, b_j)
+    roots = {}
+    for j in set().union(*mat.rows):
+        r, c = mat.row_scale[j], mat.col_scale[j]
+        root = _sqrt_ratio(c.numerator * r.denominator, c.denominator * r.numerator)
+        if root is None:
+            raise ValueError("scales are not congruent to a rational matrix")
+        roots[j] = root
+    body_den = den * math.lcm(*(b for _, b in roots.values()))
+    mult = {j: a * (body_den // (den * b)) for j, (a, b) in roots.items()}
+    rows = [{j: v * mult[j] for j, v in row.items()} for row in mat.rows]
+    if any(rows[j].get(i) != v for i, row in enumerate(rows) for j, v in row.items()):
+        raise ValueError("matrix must be symmetric")
+    return mat.row_scale, rows, body_den
+
+
+def _count(prepared: tuple, mu) -> tuple[int, int, int]:
+    """``inertia`` of a ``_prepare``d matrix at mu: a positive integer
+    multiple of rows / den - mu diag(1/r), eliminated on a fresh copy."""
+    row_scale, body, den = prepared
+    mu = Fraction(mu)
+    shifts = [mu / r for r in row_scale]
+    total = math.lcm(den, *(s.denominator for s in shifts))
+    m = total // den
+    rows = {}
+    for i, (row, s) in enumerate(zip(body, shifts)):
+        new = {j: v * m for j, v in row.items()}
+        d = new.pop(i, 0) - s.numerator * (total // s.denominator)
+        if d:
+            new[i] = d
+        if new:
+            rows[i] = new
+    below, above = _eliminate(rows)
+    return below, len(body) - below - above, above
+
+
+def inertia(mat: "ScaledMatrix", mu) -> tuple[int, int, int]:
+    """(below, at, above): how many eigenvalues of the symmetric ScaledMatrix
+    ``mat`` lie below, at and above the rational ``mu``, exactly.
+
+    By Sylvester's law of inertia these are the signs of any matrix
+    congruent to M - mu I.  Congruence by diag(row_scale)^(-1/2) gives
+    N = (rows/den) diag(sqrt(c/r)) - mu diag(1/r), which is rational when
+    c/r is a rational square in every column with a stored entry: a walk
+    operator has r*c = 1, so N = (rows/den - mu I) diag(c), and a
+    Laplacian has r = c, so N = rows/den - mu diag(1/r).  Other scales, and
+    a matrix that is not symmetric, raise ValueError.  A positive integer
+    multiple of N is eliminated by ``_eliminate``.
+    """
+    return _count(_prepare(mat), mu)
 
 
 def eigenvalue(mat: "ScaledMatrix", index: int) -> float:
@@ -250,11 +245,12 @@ def eigenvalue(mat: "ScaledMatrix", index: int) -> float:
     if not -n <= index < n:
         raise IndexError("eigenvalue index out of range")
     index %= n
+    prepared = _prepare(mat)
     lo = hi = Fraction(0)
-    # a stored row with an irrational root, or a non-square matrix, fails the first count
+    # _prepare has made every stored row's r/c, hence r*c, a rational square
     for i, (row, r, c) in enumerate(zip(mat.rows, mat.row_scale, mat.col_scale)):
-        root = _sqrt_ratio(r.numerator * c.numerator, r.denominator * c.denominator)
-        if row and root:
+        if row:
+            root = _sqrt_ratio(r.numerator * c.numerator, r.denominator * c.denominator)
             s = Fraction(*root) / mat.den
             radius = s * sum(abs(v) for j, v in row.items() if j != i)
             lo, hi = min(lo, s * row.get(i, 0) - radius), max(hi, s * row.get(i, 0) + radius)
@@ -263,13 +259,13 @@ def eigenvalue(mat: "ScaledMatrix", index: int) -> float:
     hi = hi_f if hi_f >= hi else math.nextafter(hi_f, math.inf)
     mid = 0.0
     while True:
-        below, at, _ = inertia(mat, mid)
+        below, at, _ = _count(prepared, mid)
         if below <= index < below + at:
             return mid
         lo, hi = (lo, mid) if below > index else (mid, hi)
         mid = (lo + hi) / 2
         if mid in (lo, hi):
-            return lo if inertia(mat, (Fraction(lo) + Fraction(hi)) / 2)[0] > index else hi
+            return lo if _count(prepared, (Fraction(lo) + Fraction(hi)) / 2)[0] > index else hi
 
 
 class ScaledMatrix:

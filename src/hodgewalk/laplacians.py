@@ -3,8 +3,9 @@
 The normalization weight of a k-face is W_k = LP / (k+1)!, which is the
 cover's H = LP/RP (a k-face has RP = (k+1)! paths down to the vertices).
 It makes the normalized up/down Laplacians the negatives of the signed
-conditional-walk operators.  Ranks (hence Betti numbers) and eigenvalue
-counts come from exact fraction-free elimination, never from
+conditional-walk operators.  Ranks (hence Betti numbers), nullities and
+eigenvalue counts all come from ``exact``'s one fraction-free elimination
+(a rank is the negative eigenvalue count of [[0, B], [B^T, 0]]), never from
 floating-point decompositions.
 """
 
@@ -139,8 +140,7 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
         up, down = laps[(k, True)]
         check(
             f"normalized_harmonic_dim k={k}",
-            hodge_decomposition(complex, k).harmonic
-            == complex.n_faces(k) - rational_rank(up + down),
+            hodge_decomposition(complex, k).harmonic == inertia(up + down, 0)[1],
         )
     for k in range(1, dim + 1):
         for nrm in (False, True):

@@ -160,9 +160,12 @@ class SplitMix64:
         return self.next_word() & 1
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection; unbiased for n < 2**64."""
+        """Uniform integer in [0, n) by rejection, for 1 <= n <= 2**64; a
+        larger n needs more than one word and raises OverflowError."""
         if n <= 0:
             raise ValueError("n must be positive")
+        if n > 1 << 64:
+            raise OverflowError(f"a draw below {n} needs more than one 64-bit word")
         if n == 1:
             return 0
         limit = (1 << 64) - ((1 << 64) % n)

@@ -1,11 +1,15 @@
+import copy
 from fractions import Fraction
 
 import pytest
 
 from hodgewalk import laplacians
-from hodgewalk.exact import inertia, rational_rank
+from hodgewalk.complex_core import boundary_matrix
+from hodgewalk.exact import eigenvalue, inertia, rational_rank
+from hodgewalk.graded_cover import cover_from_complex
 from hodgewalk.laplacians import (
     betti_numbers,
+    boundary_rank,
     check_laplacian_walk_identity,
     hodge,
     hodge_decomposition,
@@ -13,7 +17,7 @@ from hodgewalk.laplacians import (
     normalized_coboundary,
     verify_hodge_properties,
 )
-from hodgewalk.operators import eigen
+from hodgewalk.operators import build_conditional, eigen, quotient_operator
 
 import oracles
 from conftest import COMPLEX_NAMES, load_complex, parse_complex, random_complex
@@ -202,6 +206,31 @@ def test_random_complex_properties(seed):
         ev = eigen((up + down).to_float())
         assert all(-1e-10 <= v <= 1 + 1e-10 for v in ev)
         assert check_laplacian_walk_identity(cx, k)
+        # positive scales leave a rank alone: only the integer body is read
+        assert rational_rank(normalized_coboundary(cx, k)) == boundary_rank(cx, k + 1)
+
+
+def test_exact_counts_leave_their_input_unchanged():
+    """The elimination kernel consumes the rows it is given, so no exact
+    count may hand it a matrix's own rows: the memoized Laplacians and
+    operators, and the boundaries they share rows with, keep their rows,
+    and a second call gives the same result."""
+    cx = load_complex("branched")
+    cover = cover_from_complex(cx)
+    rectangular = [boundary_matrix(cx, k) for k in range(1, cx.dimension + 1)]
+    rectangular += [normalized_coboundary(cx, k) for k in range(cx.dimension)]
+    symmetric = [quotient_operator(cover)]
+    for k in range(cx.dimension + 1):
+        symmetric += [*hodge(cx, k, False), *hodge(cx, k, True)]
+    symmetric += [build_conditional(cover, 1, "down", flavor) for flavor in ("quotient", "signed")]
+    counts = [(rational_rank, m) for m in rectangular + symmetric]
+    counts += [(lambda m: inertia(m, Fraction(1, 2)), m) for m in symmetric]
+    counts += [(lambda m: eigenvalue(m, 0), m) for m in symmetric]
+    for count, mat in counts:
+        before = copy.deepcopy(mat.rows)
+        first = count(mat)
+        assert mat.rows == before
+        assert count(mat) == first
 
 
 def test_k_out_of_range():

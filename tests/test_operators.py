@@ -621,19 +621,27 @@ def test_eigenvalue_hits_a_dyadic_midpoint(monkeypatch):
     """diag(1/2, 1) has Gershgorin interval [0, 1], whose first midpoint is
     the lower eigenvalue: the count after the one at 0 finds it.  On I/2
     the interval is [0, 1/2] and the eigenvalue its end, which the last
-    count picks."""
-    calls = []
-    real = exact.inertia
+    count picks.  Each call prepares its matrix once, however many counts
+    it makes."""
+    calls, prepared = [], []
+    real_count, real_prepare = exact._count, exact._prepare
 
-    def counting(mat, mu):
+    def counting(prep, mu):
         calls.append(mu)
-        return real(mat, mu)
+        return real_count(prep, mu)
 
-    monkeypatch.setattr(exact, "inertia", counting)
+    def preparing(mat):
+        prepared.append(mat)
+        return real_prepare(mat)
+
+    monkeypatch.setattr(exact, "_count", counting)
+    monkeypatch.setattr(exact, "_prepare", preparing)
     assert eigenvalue(from_dense([1, 1], [1, 1], [[Fraction(1, 2), 0], [0, 1]]), 0) == 0.5
     assert calls == [0.0, 0.5]
+    assert len(prepared) == 1
     half = ScaledMatrix.identity(3).scale(Fraction(1, 2))
     assert [eigenvalue(half, i) for i in range(-3, 3)] == [0.5] * 6
+    assert len(prepared) == 7
     # the single edge's up operator has a zero eigenvalue at the end of its
     # interval [0, 1]: halving from 1 would take about 1075 counts to reach
     # it, and the first count, at 0, finds it
@@ -641,6 +649,7 @@ def test_eigenvalue_hits_a_dyadic_midpoint(monkeypatch):
     assert eigenvalue(ScaledMatrix([1, 1], [1, 1], [{0: Fraction(1, 2), 1: Fraction(1, 2)}] * 2),
                       0) == 0.0
     assert calls == [0.0]
+    assert len(prepared) == 8
 
 
 def test_eigenvalue_rejects_what_inertia_cannot_count():

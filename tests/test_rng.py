@@ -32,6 +32,26 @@ def test_randbelow_bounds_and_coverage():
     assert gen.randbelow(1) == 0
 
 
+def test_randbelow_refuses_a_total_above_one_word(monkeypatch):
+    """Above 2**64 the oracle's limit would be 0 and every word rejected; it
+    raises as ``rng.rejection_limit`` does, before drawing.  2**64 itself
+    takes one word."""
+    gen, ref = SplitMix64(5), SplitMix64(5)
+    assert gen.randbelow(2**64) == ref.next_word()
+    drawn = []
+    real = SplitMix64.next_word
+
+    def bounded(self):
+        drawn.append(1)
+        assert len(drawn) < 100, "the draw rejects every word"
+        return real(self)
+
+    monkeypatch.setattr(SplitMix64, "next_word", bounded)
+    with pytest.raises(OverflowError):
+        gen.randbelow(2**64 + 1)
+    assert not drawn
+
+
 def test_weighted_index_frequencies():
     gen = SplitMix64(4)
     cum = [1, 4, 8]  # weights 1, 3, 4
