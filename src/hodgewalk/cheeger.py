@@ -22,9 +22,9 @@ steps raises BruteForceGuardError.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .exact import ScaledMatrix, eigenvalue, inertia
 from .graded_cover import (
@@ -58,8 +58,7 @@ class ChildCountError(ValueError):
     k+1 children, the count the combined bounds' constants assume."""
 
 
-@dataclass(frozen=True)
-class AuxiliaryGraph:
+class AuxiliaryGraph(NamedTuple):
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     sign: tuple[int, ...]
@@ -71,8 +70,7 @@ class AuxiliaryGraph:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class CheegerReport:
+class CheegerReport(NamedTuple):
     up_component: tuple[int, ...]
     down_component: tuple[int, ...]
     d_down: Fraction

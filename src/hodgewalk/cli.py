@@ -13,7 +13,6 @@ row; codes 1 and 2 print one ``error:`` or ``guard:`` line to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +41,8 @@ def fmt(value) -> str:
 
 def emit(rows, header, fmt_name: str) -> None:
     if fmt_name == "json":
+        import json  # imported only where a table is printed as json
+
         print(json.dumps({"header": header, "rows": [[fmt(v) for v in r] for r in rows]}))
         return
     print("\t".join(header))

@@ -8,8 +8,8 @@ layouts are reproducible regardless of input file order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .exact import ScaledMatrix
 
@@ -18,8 +18,7 @@ class ComplexFormatError(ValueError):
     """Raised on malformed complex input."""
 
 
-@dataclass(frozen=True, order=True)
-class Face:
+class Face(NamedTuple):
     """A face as a sorted tuple of vertex labels."""
 
     vertices: tuple[str, ...]

@@ -14,9 +14,8 @@ function of that cover or complex, so no caller passes such objects on.
 from __future__ import annotations
 
 import functools
-import inspect
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complex_core import Face, SimplicialComplex, incidence_sign
 
@@ -34,23 +33,31 @@ def memoized(fn):
 
     The result is kept in a dict on the first argument (a cover or a
     complex), keyed by ``fn`` and the remaining arguments with their
-    defaults filled in, so it lives exactly as long as that input.  Every
-    caller gets the same object back and must not mutate it.  A call with
-    an unhashable argument (a component passed as a list, say) is computed
-    afresh.  The builder itself stays reachable as ``uncached``;
+    defaults filled in (read from the ``__code__`` and ``__defaults__`` of
+    ``fn``, through ``__wrapped__``), so it lives exactly as long as that
+    input.  Every caller gets the same object back and must not mutate it.
+    A call with an unhashable argument (a component passed as a list, say)
+    is computed afresh.  The builder itself stays reachable as ``uncached``;
     ``__wrapped__`` is not set, because tracers mark their own wrappers
     with it.
     """
-    sig = inspect.signature(fn)
+    inner = fn
+    while hasattr(inner, "__wrapped__"):
+        inner = inner.__wrapped__
+    # the positional-or-keyword parameters; a call that passes any other
+    # argument does not bind below, and runs uncached
+    names = inner.__code__.co_varnames[:inner.__code__.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(inner.__defaults__ or ())))
 
     def wrapper(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        owner, *rest = bound.arguments.values()
-        key = (fn, *rest)
+        rest = names[len(args):]
+        if len(args) > len(names) or not kwargs.keys() <= set(rest):
+            return fn(*args, **kwargs)
         try:
+            owner, *values = *args, *[kwargs[n] if n in kwargs else defaults[n] for n in rest]
+            key = (fn, *values)
             hash(key)
-        except TypeError:
+        except (KeyError, TypeError):  # a missing argument (fn raises) or an unhashable one
             return fn(*args, **kwargs)
         memo = vars(owner).setdefault("_memo", {})
         if key not in memo:
@@ -59,7 +66,6 @@ def memoized(fn):
 
     functools.update_wrapper(wrapper, fn)
     del wrapper.__wrapped__
-    wrapper.__signature__ = sig
     wrapper.uncached = fn
     return wrapper
 
@@ -253,8 +259,7 @@ def parse_cover_spec(text: str) -> GradedSignedDoubleCover:
 # -- path weights ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathWeights:
+class PathWeights(NamedTuple):
     """Leaf-path and root-path counts per quotient node (exact integers)."""
 
     lp: tuple[int, ...]

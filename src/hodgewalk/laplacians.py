@@ -11,8 +11,8 @@ floating-point decompositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complex_core import SimplicialComplex, boundary_matrix
 from .exact import ScaledMatrix, inertia, rational_rank
@@ -26,8 +26,7 @@ from .graded_cover import (
 from .operators import build_conditional
 
 
-@dataclass(frozen=True)
-class HodgeReport:
+class HodgeReport(NamedTuple):
     rank_up: int
     rank_down: int
     harmonic: int

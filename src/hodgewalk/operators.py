@@ -14,8 +14,8 @@ numpy's LAPACK ``eigh``; printed gaps are bisected on counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import ScaledMatrix, inertia
 from .graded_cover import (
@@ -33,8 +33,7 @@ class EigenResidualError(RuntimeError):
     """Raised when the eigensolver does not meet its residual contract."""
 
 
-@dataclass(frozen=True)
-class OperatorBundle:
+class OperatorBundle(NamedTuple):
     cover: GradedSignedDoubleCover
     a_cover: ScaledMatrix
     a_sym: ScaledMatrix

@@ -20,8 +20,17 @@ _SPAN = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def blocks(seed: int) -> Iterator[list[int]]:
-    """The endless word stream for ``seed`` (any int, mod 2**64), ``BLOCK`` words a block."""
+def blocks(seed: int, modulus: int = _SPAN) -> Iterator[list[int]]:
+    """The endless word stream for ``seed`` (any int, mod 2**64), ``BLOCK`` words a block.
+
+    A block whose words all lie below ``rejection_limit(modulus)`` comes
+    reduced modulo the even ``modulus`` (2**64 reduces nothing), any other
+    block raw.  A reader of action bits and of draws below totals t that
+    divide ``modulus`` sees the same bits and draws either way: a multiple
+    of ``modulus`` is one of t, so ``rejection_limit(modulus)`` <=
+    ``rejection_limit(t)`` and every word w of a reduced block is accepted,
+    as is its residue r < ``modulus``; r = w (mod t), and r & 1 == w & 1.
+    """
     import numpy as np  # loads numpy: imported only where words are drawn
 
     # only array operands: numpy wraps uint64 array arithmetic silently,
@@ -30,6 +39,7 @@ def blocks(seed: int) -> Iterator[list[int]]:
     offsets *= np.uint64(_GAMMA)
     base = seed % _SPAN
     stride = BLOCK * _GAMMA % _SPAN
+    limit = rejection_limit(modulus)
     while True:
         z = offsets + np.uint64(base)
         z ^= z >> np.uint64(30)
@@ -37,6 +47,9 @@ def blocks(seed: int) -> Iterator[list[int]]:
         z ^= z >> np.uint64(27)
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
+        # as an int: the limit of a power of two is 2**64, beyond uint64
+        if modulus < _SPAN and int(z.max()) < limit:
+            z %= np.uint64(modulus)
         yield z.tolist()
         base = (base + stride) % _SPAN
 

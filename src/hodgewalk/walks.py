@@ -10,9 +10,10 @@ visit counts and a digest instead of storing it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
+from typing import NamedTuple
 
 from . import operators, rng
 from .exact import ScaledMatrix
@@ -25,8 +26,7 @@ from .graded_cover import (
 )
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
+class StationaryDistribution(NamedTuple):
     weights: dict[int, Fraction]
     support: tuple[int, ...]
     normalizer: Fraction
@@ -149,11 +149,14 @@ def simulate(
     move's limit and else moves the walk to ``table[w % total]``.  Each
     state's moves are built once as (limit, total, table), the table one
     target per residue below the total (bisected above ``TABLE_CAP``, so
-    memory stays O(edges)).  States past ``steps`` in the last block are
-    dropped.  The walk keeps only the visit counts and a running SHA-256
-    of the state sequence (the start included, each state a little-endian
-    uint64), so memory does not grow with ``steps``.  Returns the hex
-    digest and the empirical distribution over all visited states.
+    memory stays O(edges)).  The blocks come reduced modulo the lcm of 2
+    and every total (``rng.blocks``: the same bits and draws), so on the
+    annuli, whose totals are 2, 6 and 12, the words are below 12.  States
+    past ``steps`` in the last block are dropped.  The walk keeps only the
+    visit counts and a running SHA-256 of the state sequence (the start
+    included, each state a little-endian uint64), so memory does not grow
+    with ``steps``.  Returns the hex digest and the empirical distribution
+    over all visited states.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -161,12 +164,15 @@ def simulate(
     if not 0 <= start < 2 * n:
         raise ValueError(f"start node {start} not in cover")
     pw = compute_path_weights(cover)
+    modulus = 2  # the lcm of 2 and every draw total, capped at 2**64 (no reduction)
 
     def pick(weights, targets):
         """A move: its target when the total weight is 1, else its draw."""
+        nonlocal modulus
         total = sum(weights)
         if total == 1:
             return targets[0]
+        modulus = min(lcm(modulus, total), 1 << 64)
         if total > TABLE_CAP:
             table = _Bisected(weights, targets)
         else:
@@ -214,7 +220,7 @@ def simulate(
 
     record([start])
     u, left, pending = start, steps, False
-    for block in rng.blocks(seed):
+    for block in rng.blocks(seed, modulus):
         trail = []
         append = trail.append
         for w in block:

@@ -32,6 +32,18 @@ def load_cover(name: str):
     return cover_from_complex(load_complex(name))
 
 
+def benchmark_input(name: str, seed: int = 0) -> str:
+    """Text of one of the benchmark's generated inputs (``perfbench/inputs.py``)."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", FIXTURES.parent / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.make_input(name, seed)[0]
+
+
 @pytest.fixture(scope="session")
 def complexes():
     return {name: load_complex(name) for name in COMPLEX_NAMES}

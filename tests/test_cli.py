@@ -3,11 +3,11 @@ import collections
 import contextlib
 import functools
 import importlib
-import importlib.util
 import inspect
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -23,7 +23,7 @@ import hodgewalk
 from hodgewalk import cheeger, exact, graded_cover, laplacians, operators
 from hodgewalk.cli import _path_count_oracle, build_parser, run
 
-from conftest import FIXTURES, load_cover
+from conftest import FIXTURES, benchmark_input, load_cover
 from oracles import dense_of, dense_to_float
 
 TET = str(FIXTURES / "tetrahedron.cx")
@@ -379,6 +379,13 @@ def test_cli_import_leaves_hashlib_unloaded():
     assert not loaded_by_cli_import("hashlib")
 
 
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "json"])
+def test_cli_import_leaves_start_up_modules_unloaded(module):
+    # dataclasses pulls in inspect, about 23 ms of every start; the records
+    # are NamedTuples, and only a json table imports json
+    assert not loaded_by_cli_import(module)
+
+
 # the verbs that make no float, with the flags the probe runs them with;
 # the rest import numpy at their first eigensolve or RNG block
 NUMPY_FREE_RUNS = (
@@ -699,15 +706,10 @@ def test_walk_sim_start_takes_a_one_token_flipped_lift(tmp_path, capsys):
 def fixtures_and_annuli(tmp_path):
     """{file name: path} of every fixture and of annuli 3x2 and 4x2 from the
     benchmark's generator at seed 0, written to tmp_path."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    )
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
     paths = {p.name: p for p in FIXTURES.iterdir()}
     for name in ("annulus_3x2", "annulus_4x2"):
         paths[f"{name}.cx"] = tmp_path / f"{name}.cx"
-        paths[f"{name}.cx"].write_text(inputs.make_input(name, 0)[0])
+        paths[f"{name}.cx"].write_text(benchmark_input(name))
     return paths
 
 
@@ -793,18 +795,45 @@ def random_input(draw):
     return "\n".join(lines) + "\n", ".cover", False
 
 
-@seed(20261018)
-@settings(max_examples=20, deadline=None)
-@given(random_input())
-def test_every_verb_ends_in_a_defined_exit(case):
-    text, suffix, is_complex = case
+# a verb call that runs this long has hung: every verb call of the tests
+# below ends well inside one second
+VERB_SECONDS = 20
+
+
+class VerbTimeout(BaseException):
+    """Raised into a verb call that outlives VERB_SECONDS; a BaseException,
+    so that no handler of the CLI takes it for a failed input."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise VerbTimeout
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_every_verb_ends(text, suffix, is_complex):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"input{suffix}"
         path.write_text(text)
         for argv in verb_argvs(str(path)):
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run(argv)
+            try:
+                with (
+                    contextlib.redirect_stdout(out),
+                    contextlib.redirect_stderr(err),
+                    time_limit(VERB_SECONDS),
+                ):
+                    code = run(argv)
+            except VerbTimeout:
+                pytest.fail(f"{argv} ran past {VERB_SECONDS} s on {text[:200]!r}")
             assert code in (0, 1, 2, 3), (argv, text)
             if code in (1, 2):
                 lines = err.getvalue().splitlines()
@@ -812,6 +841,24 @@ def test_every_verb_ends_in_a_defined_exit(case):
                 assert len(lines) == 1 and lines[0].startswith(prefix), (argv, text, lines)
             if is_complex:
                 assert code != 3, (argv, text)
+
+
+@seed(20261018)
+@settings(max_examples=20, deadline=None)
+@given(random_input())
+def test_every_verb_ends_in_a_defined_exit(case):
+    assert_every_verb_ends(*case)
+
+
+@pytest.mark.parametrize("layers, wide", [(65, 32), (70, 35)])
+def test_every_verb_ends_on_deep_layered_specs(layers, wide):
+    """Past 64 layers the largest draw total exceeds 2**64 (3 * 2**63 at 65
+    layers, 3 * 2**68 at 70), which `walk-sim` refuses with exit 2; the
+    random specs above have at most 7 nodes, so no draw total of theirs
+    comes near that limit."""
+    from test_walks import layered_spec
+
+    assert_every_verb_ends(layered_spec(layers, wide), ".cover", False)
 
 
 def test_verify_transition_rows_catch_a_broken_walk(monkeypatch, capsys):

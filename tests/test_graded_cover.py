@@ -420,3 +420,37 @@ def test_random_strong_cover_properties(seed):
             )
             cgot = transition_conditional(cov, k, direction, "cover")
             assert list(cov.lifts(k)) == cnodes and (cgot.body == cwant).all()
+
+
+def test_memoized_keys_a_call_by_its_bound_arguments():
+    """`hodge(cx, 1, True)` and `hodge(cx, 1, normalized=True)` share one
+    key, and so does a call that leaves `normalized` to its default with
+    the explicit `False` call; the same holds through a `functools.wraps`
+    wrapper, whose own code takes (*args, **kwargs).  A call that does not
+    bind raises the builder's TypeError."""
+    import functools
+
+    from hodgewalk.graded_cover import memoized
+    from hodgewalk.laplacians import hodge
+
+    cx = load_complex("tetrahedron")
+    assert hodge(cx, 1, True) is hodge(cx, 1, normalized=True)
+    assert hodge(cx, 1, True) is hodge(complex=cx, k=1, normalized=True)
+    assert hodge(cx, 1) is hodge(cx, 1, False)
+    assert hodge(cx, 1) is not hodge(cx, 1, True)
+
+    calls = []
+
+    @functools.wraps(hodge.uncached)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hodge.uncached(*args, **kwargs)
+
+    wrapped = memoized(counted)
+    assert wrapped(cx, 1, True) is wrapped(cx, 1, normalized=True) is wrapped(cx, k=1, normalized=True)
+    assert wrapped(cx, 1) is wrapped(cx, 1, False)
+    assert len(calls) == 2
+    for args, kwargs in (((cx,), {}), ((cx, 1, True, 0), {}), ((cx, 1), {"normalised": True}),
+                         ((cx, 1), {"k": 1})):
+        with pytest.raises(TypeError):
+            wrapped(*args, **kwargs)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -333,7 +332,7 @@ def test_split_rows_read_the_bundle(row, field, entry, monkeypatch):
     cov = filled_triangle()
     b = build_bundle(cov)
     assert verify_split(cov)[row][0]
-    fake = replace(b, **{field: bumped(getattr(b, field), *entry)})
+    fake = b._replace(**{field: bumped(getattr(b, field), *entry)})
     monkeypatch.setattr(operators, "build_bundle", lambda cover: fake)
     assert not verify_split(cov)[row][0]
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import chain, islice
 
 import pytest
@@ -81,3 +82,40 @@ def test_rejection_limit():
     # above 2**64 every word would be rejected
     with pytest.raises(OverflowError):
         rng.rejection_limit(2**64 + 1)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("modulus", [3 * 2**62, 3 * 2**61], ids=["3x2^62", "3x2^61"])
+def test_blocks_reduce_only_below_the_limit(monkeypatch, block, modulus):
+    """A block whose words all lie below ``rejection_limit(modulus)`` comes
+    reduced modulo ``modulus``, any other block raw.  Both moduli reject
+    about a quarter of the words, so both kinds occur; below 3 * 2**61 the
+    limit is twice the modulus, so a reduced word can differ from its raw one."""
+    monkeypatch.setattr(rng, "BLOCK", block)
+    limit = rng.rejection_limit(modulus)
+    kinds = Counter()
+    for raw, reduced in islice(zip(rng.blocks(7), rng.blocks(7, modulus)), 200):
+        if max(raw) < limit:
+            kinds["reduced"] += 1
+            assert reduced == [w % modulus for w in raw]
+        else:
+            kinds["raw"] += 1
+            assert reduced == raw
+    assert kinds["reduced"] and kinds["raw"]
+
+
+@pytest.mark.parametrize("modulus", [2, 2**63], ids=["2", "2^63"])
+def test_blocks_of_a_power_of_two_always_reduce(monkeypatch, modulus):
+    """The rejection limit of a power of two is 2**64 itself, which no word
+    reaches: every block comes reduced."""
+    monkeypatch.setattr(rng, "BLOCK", 64)
+    assert rng.rejection_limit(modulus) == 2**64
+    for raw, reduced in islice(zip(rng.blocks(3), rng.blocks(3, modulus)), 20):
+        assert reduced == [w % modulus for w in raw]
+
+
+def test_blocks_modulo_two_to_the_64_are_the_words(monkeypatch):
+    monkeypatch.setattr(rng, "BLOCK", 3)
+    scalar = SplitMix64(11)
+    words = chain.from_iterable(rng.blocks(11, 2**64))
+    assert list(islice(words, 25)) == [scalar.next_word() for _ in range(25)]

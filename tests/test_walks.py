@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -338,6 +339,63 @@ def test_simulate_matches_reference_walk_under_rejection(monkeypatch):
             # every word is an action bit, a coin flip, an accepted draw or a rejection
             rejected = used["words"] - used["bits"] - used["draws"]
             assert rejected > 0
+
+
+def spy_on_blocks(monkeypatch):
+    """Replace ``rng.blocks`` by a spy that passes the same blocks on and
+    records each call's modulus and each block's kind and largest word."""
+    from hodgewalk import rng
+
+    real = rng.blocks
+    seen = {"moduli": [], "kinds": Counter(), "largest": 0}
+
+    def spy(seed, modulus=2**64):
+        seen["moduli"].append(modulus)
+        limit = rng.rejection_limit(modulus)
+        for raw, block in zip(real(seed), real(seed, modulus)):
+            seen["kinds"]["reduced" if max(raw) < limit else "raw"] += 1
+            seen["largest"] = max(seen["largest"], *block)
+            yield block
+
+    monkeypatch.setattr(rng, "blocks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("layers", [63, 64])
+def test_simulate_matches_reference_walk_on_reduced_and_raw_blocks(monkeypatch, block, layers):
+    """The lcm of the draw totals is 3 * 2**62 (64 layers) or 3 * 2**61 (63),
+    whose limit rejects a quarter of the words: with one to three words a
+    block, both reduced and raw blocks occur, and the walk equals the
+    per-word reference on either."""
+    from hodgewalk import rng
+
+    cov = parse_cover_spec(layered_spec(layers, layers // 2))
+    pw = compute_path_weights(cov)
+    monkeypatch.setattr(rng, "BLOCK", block)
+    seen = spy_on_blocks(monkeypatch)
+    for seed in (0, 5):
+        digest, emp = simulate(cov, 0, 400, seed)
+        states, counts = oracles.reference_walk(cov, pw, 0, 400, seed)
+        assert digest == oracles.states_digest(states)
+        assert emp == {u: Fraction(c, 401) for u, c in enumerate(counts) if c}
+    assert set(seen["moduli"]) == {3 * 2 ** (layers - 2)}
+    assert seen["kinds"]["reduced"] and seen["kinds"]["raw"]
+
+
+def test_annulus_walk_reads_words_below_twelve(monkeypatch):
+    """The annuli's draw totals are 2, 6 and 12: the walk on annulus 8x5
+    reads its blocks modulo 12, every one of them reduced."""
+    from hodgewalk import cover_from_complex, parse_complex
+
+    from conftest import benchmark_input
+
+    cov = cover_from_complex(parse_complex(benchmark_input("annulus_8x5")))
+    seen = spy_on_blocks(monkeypatch)
+    simulate(cov, 0, 20_000, seed=0)
+    assert seen["moduli"] == [12]
+    assert seen["kinds"]["reduced"] >= 2 and not seen["kinds"]["raw"]
+    assert seen["largest"] < 12
 
 
 def test_walk_sim_refuses_a_draw_above_64_bits(tmp_path):
