@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .exact import ScaledMatrix
+from . import exact
 
 
 class ComplexFormatError(ValueError):
@@ -117,7 +117,7 @@ def incidence_sign(tau: Face, sigma: Face) -> int:
     return -1 if tv.index(missing) % 2 else 1
 
 
-def boundary_matrix(complex: SimplicialComplex, k: int) -> ScaledMatrix:
+def boundary_matrix(complex: SimplicialComplex, k: int) -> exact.ScaledMatrix:
     """Integer boundary matrix from k-faces to (k-1)-faces (reference
     orientation), with unit scales."""
     if not 0 <= k <= complex.dimension:
@@ -128,7 +128,7 @@ def boundary_matrix(complex: SimplicialComplex, k: int) -> ScaledMatrix:
     for j, sigma in enumerate(complex.faces_by_dim[k]):
         for rho in sigma.boundary():
             rows[row_pos[rho]][j] = incidence_sign(sigma, rho)
-    return ScaledMatrix([1] * len(faces), [1] * complex.n_faces(k), rows)
+    return exact.ScaledMatrix([1] * len(faces), [1] * complex.n_faces(k), rows)
 
 
 def adjacency(complex: SimplicialComplex, k: int, direction: str) -> dict[Face, frozenset[Face]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import operators
 from .complex_core import SimplicialComplex, boundary_matrix
 from .exact import ScaledMatrix, inertia, rational_rank
 from .graded_cover import (
@@ -23,7 +24,6 @@ from .graded_cover import (
     detect_coherent,
     memoized,
 )
-from .operators import build_conditional
 
 
 class HodgeReport(NamedTuple):
@@ -97,8 +97,8 @@ def check_laplacian_walk_identity(complex: SimplicialComplex, k: int) -> bool:
     """Normalized Laplacians equal the negated signed conditional operators, exactly."""
     up, down = hodge(complex, k, normalized=True)
     cover = cover_from_complex(complex)
-    a_up = build_conditional(cover, k, "up", "signed")
-    a_down = build_conditional(cover, k, "down", "signed")
+    a_up = operators.build_conditional(cover, k, "up", "signed")
+    a_down = operators.build_conditional(cover, k, "down", "signed")
     return up.equals(-a_up) and down.equals(-a_down)
 
 

@@ -13,10 +13,9 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import operators, rng
-from .exact import ScaledMatrix
 from .graded_cover import (
     GradedSignedDoubleCover,
     compute_path_weights,
@@ -24,6 +23,9 @@ from .graded_cover import (
     detect_coherent,
     expected_path_length,  # re-exported: walks.expected_path_length stays public
 )
+
+if TYPE_CHECKING:
+    from .exact import ScaledMatrix
 
 
 class StationaryDistribution(NamedTuple):

@@ -360,11 +360,18 @@ def test_float_mirror_overflow_is_a_guard_exit(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def cli_env(**changes) -> dict:
+    """The environment with this tree's package first on the path; a change
+    to None removes that variable."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hodgewalk.__file__).parents[1])}
+    env.update(changes)
+    return {key: value for key, value in env.items() if value is not None}
+
+
 def loaded_by_cli_import(module):
     probe = f"import sys, hodgewalk.cli; print({module!r} in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(hodgewalk.__file__).parents[1])}
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=cli_env()
     ).stdout
     return out == "True\n"
 
@@ -423,11 +430,138 @@ def test_numpy_free_verbs_leave_numpy_unloaded():
         "        hodgewalk.cli.run(argv)\n"
         "    loaded(' '.join(argv))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(hodgewalk.__file__).parents[1])}
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=cli_env()
     ).stdout
     assert out == "", f"numpy loaded by: {out.strip()}"
+
+
+# the package's public names by the submodule that owns them
+PUBLIC = {
+    "complex_core": "ComplexFormatError Face SimplicialComplex adjacency boundary_matrix "
+    "incidence_sign parse_complex",
+    "graded_cover": "CoverSpecError GradedSignedDoubleCover NonStrongGradingError PathWeights "
+    "component_correspondence components compute_path_weights cover_from_complex "
+    "detect_coherent expected_path_length find_partition leaves_and_roots parse_cover_spec",
+    "walks": "StationaryDistribution convergence_rate simulate stationary total_variation "
+    "transition_conditional transition_full",
+    "operators": "EigenResidualError OperatorBundle build_bundle build_conditional "
+    "coherent_spectrum_check eigen min_eigenvalue_bound on_component verify_split",
+    "laplacians": "HodgeReport betti_numbers check_laplacian_walk_identity hodge "
+    "hodge_decomposition normalization_weights normalized_coboundary verify_hodge_properties",
+    "cheeger": "AuxiliaryGraph BruteForceGuardError CheegerReport build_aux aux_laplacian "
+    "cheeger_quotient cheeger_signed combined_report",
+    "exact": "",
+    "rng": "",
+}
+
+
+def test_package_exports_every_public_name_and_submodule():
+    names = [name for names in PUBLIC.values() for name in names.split()]
+    assert len(names) == 52
+    assert hodgewalk.__all__ == sorted([*PUBLIC, *names])
+    for module, owned in PUBLIC.items():
+        assert getattr(hodgewalk, module) is sys.modules[f"hodgewalk.{module}"]
+        for name in owned.split():
+            assert getattr(hodgewalk, name) is getattr(getattr(hodgewalk, module), name), name
+    with pytest.raises(AttributeError):
+        hodgewalk.no_such_name
+
+
+def test_cli_import_registers_every_submodule():
+    # rebinding tools (tracers, monkeypatching) find every module, compiled
+    # or not, in sys.modules
+    probe = "import sys, hodgewalk.cli; print(*sorted(n for n in sys.modules if 'hodgewalk.' in n))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=cli_env()
+    ).stdout
+    assert out.split() == sorted(f"hodgewalk.{m}" for m in [*PUBLIC, "cli"])
+
+
+# the submodules a run has compiled, by verb form; `import hodgewalk.cli`
+# compiles the first three
+BASE = {"cli", "complex_core", "graded_cover"}
+COMPILED_BY = (
+    (["lp"], BASE),
+    (["stationary", "--k", "1", "--direction", "down", "--view", "cover"], BASE | {"walks"}),
+    (["walk-sim", "--steps", "1000"], BASE | {"rng", "walks"}),
+    (["spectrum"], BASE | {"exact", "operators"}),
+    (["spectrum", "--k", "1", "--direction", "up", "--flavor", "cover", "--rate"],
+     BASE | {"exact", "operators", "walks"}),
+    (["laplacian", "--k", "1", "--normalized"], BASE | {"exact", "laplacians"}),
+    (["hodge"], BASE | {"exact", "laplacians"}),
+    (["coherent", "--k", "1", "--direction", "down"], BASE),
+    (["partition", "--k", "1"], BASE),
+    (["cheeger", "--k", "1"], BASE | {"cheeger", "exact", "operators"}),
+    (["report"], BASE | {"cheeger", "exact", "operators"}),
+    (["verify"], BASE | {"cheeger", "exact", "laplacians", "operators", "walks"}),
+)
+
+
+def test_each_verb_compiles_only_the_modules_it_touches():
+    # one forked child per verb form, from one process that has imported
+    # the CLI; a module not yet compiled is still a lazy module object
+    argvs = [[verb, TET, *flags] for (verb, *flags), _ in COMPILED_BY]
+    probe = (
+        "import contextlib, io, os, sys, types\n"
+        "import hodgewalk.cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    if os.fork() == 0:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            code = hodgewalk.cli.run(argv)\n"
+        "        names = [n.split('.')[1] for n, m in sys.modules.items()\n"
+        "                 if n.startswith('hodgewalk.') and type(m) is types.ModuleType]\n"
+        "        print(code, *sorted(names), flush=True)\n"
+        "        os._exit(0)\n"
+        "    os.wait()\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=cli_env()
+    ).stdout
+    assert out.splitlines() == [f"0 {' '.join(sorted(mods))}" for _, mods in COMPILED_BY]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lp", TET], 0),
+    (["laplacian", TET, "--k", "1", "--normalized", "--format", "json"], 0),
+    (["--help"], 0),
+    (["lp", str(FIXTURES / "missing.cx")], 1),
+    (["walk-sim", "{deep}", "--steps", "10"], 2),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_process_exit_matches_run(argv, code, unbuffered, tmp_path, capsys, monkeypatch):
+    """`main` ends the process with os._exit: the files it leaves and its
+    exit code are what in-process `run` prints and returns."""
+    from test_walks import layered_spec
+
+    monkeypatch.setenv("COLUMNS", "80")  # one help width on both sides
+    deep = tmp_path / "deep.cover"
+    deep.write_text(layered_spec(70, 35))
+    argv = [str(deep) if a == "{deep}" else a for a in argv]
+    assert run(argv) == code
+    want = capsys.readouterr()
+    out, err = tmp_path / "out", tmp_path / "err"
+    with out.open("wb") as fout, err.open("wb") as ferr:
+        proc = subprocess.run([sys.executable, "-m", "hodgewalk.cli", *argv],
+                              stdout=fout, stderr=ferr, env=cli_env(PYTHONUNBUFFERED=unbuffered))
+    assert proc.returncode == code
+    assert out.read_text() == want.out
+    assert err.read_text() == want.err
+    assert len(want.err.splitlines()) == (code in (1, 2))
+    assert want.err.startswith({0: "", 1: "error: ", 2: "guard: "}[code])
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_closed_stdout_pipe_is_one_error_line(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hodgewalk.cli", "lp", TET],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=cli_env(PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def test_verify_solves_no_spectrum(monkeypatch, capsys):
