@@ -14,8 +14,8 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 _EXPORTS = {
     "complex_core": "ComplexFormatError Face SimplicialComplex adjacency boundary_matrix "
     "incidence_sign parse_complex",
-    "graded_cover": "CoverSpecError GradedSignedDoubleCover NonStrongGradingError PathWeights "
-    "component_correspondence components compute_path_weights cover_from_complex "
+    "graded_cover": "CoverSpecError GradedSignedDoubleCover GuardError NonStrongGradingError "
+    "PathWeights component_correspondence components compute_path_weights cover_from_complex "
     "detect_coherent expected_path_length find_partition leaves_and_roots parse_cover_spec",
     "walks": "StationaryDistribution convergence_rate simulate stationary total_variation "
     "transition_conditional transition_full",

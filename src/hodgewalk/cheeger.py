@@ -29,6 +29,7 @@ from typing import NamedTuple
 from .exact import ScaledMatrix, eigenvalue, inertia
 from .graded_cover import (
     GradedSignedDoubleCover,
+    GuardError,
     component_correspondence,
     compute_path_weights,
     conditional_triples,
@@ -44,16 +45,16 @@ from .operators import build_conditional, eigen, on_component
 SEARCH_BUDGET = 4_000_000
 
 
-class BruteForceGuardError(ValueError):
+class BruteForceGuardError(GuardError):
     """Raised when a cut search would take more than SEARCH_BUDGET steps."""
 
 
-class SharedMidNodeError(ValueError):
+class SharedMidNodeError(GuardError):
     """Raised when two faces share several mid-nodes, so the auxiliary
     edge weight (defined through the unique shared face) is undefined."""
 
 
-class ChildCountError(ValueError):
+class ChildCountError(GuardError):
     """Raised when a node of a dimension-k down-component has other than
     k+1 children, the count the combined bounds' constants assume."""
 
@@ -107,12 +108,13 @@ class CheegerReport(NamedTuple):
 
 
 @memoized
-def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> AuxiliaryGraph:
+def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> AuxiliaryGraph | None:
     """Auxiliary weighted signed graph of one up- or down-component.
 
     Up: nodes weighted by LP, edges by LP of the shared coface, signs by
     the product of the two incidence signs.  Down: edge weight
-    LP(a) * LP(b) / LP(shared face).
+    LP(a) * LP(b) / LP(shared face).  None where the component has no
+    auxiliary graph: a leaf singleton (up) or any singleton (down).
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -121,12 +123,8 @@ def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> Auxi
     k = cover.dims[comp[0]]
     if any(cover.dims[q] != k for q in comp):
         raise ValueError("component mixes dimensions")
-    if direction == "up":
-        if len(comp) == 1 and cover.is_leaf(comp[0]):
-            raise ValueError("up auxiliary graph requires a non-leaf component")
-    else:
-        if len(comp) < 2:
-            raise ValueError("down auxiliary graph requires at least two faces")
+    if len(comp) == 1 and (direction == "down" or cover.is_leaf(comp[0])):
+        return None
     pos = {q: i for i, q in enumerate(comp)}
     mid: dict[tuple[int, int], tuple[int, int]] = {}
     for a, b, v, s in conditional_triples(cover, k, direction, comp):
@@ -238,8 +236,9 @@ def cheeger_quotient(aux: AuxiliaryGraph):
     return h, witness
 
 
-def _signed_best_orientation(members, pairs_in, limit):
-    """Least within-subset negative weight below ``limit``, with witness.
+def _signed_best_orientation(members, pairs_in, neg):
+    """The lowest-Gray-rank orientation whose within-subset negative
+    weight is ``neg``, the least one.
 
     Orientations fix one node per connected piece of the induced graph
     (switching equivalence); the negative pair weight counts both ordered
@@ -248,10 +247,8 @@ def _signed_best_orientation(members, pairs_in, limit):
     orientation (node ``free[b]`` is flipped when bit b of t ^ (t >> 1) is
     set), most significant bit first and 0 before 1, so leaves come in
     ascending t.  An edge's frustrated weight is added once both ends are
-    decided, and a branch whose partial weight is not below the current
-    limit is cut.  Each leaf that gets through lowers the limit, so the
-    result is the lowest-rank minimizer.  Returns (neg, x), or None when
-    no orientation has neg < limit.
+    decided, and a branch whose partial weight is above ``neg`` is cut, so
+    the first leaf is the lowest-rank minimizer.
     """
     pieces = propagate_signs(range(len(members)), [(i, j, 1) for (i, j, _w, _s) in pairs_in])[1]
     free = [x for piece in pieces for x in piece[1:]]
@@ -268,7 +265,6 @@ def _signed_best_orientation(members, pairs_in, limit):
             edges_at[bj].append((i, 2 * w, s))
     level_total = [sum(w2 for _o, w2, _s in es) for es in edges_at]
     x = [1] * len(members)
-    best_neg, best_x = limit, None
     budget, visited = SEARCH_BUDGET, 0
     # (level just decided, its sign, its bit of t, partial weight)
     stack = [(top, 1, 0, 0)]
@@ -277,13 +273,12 @@ def _signed_best_orientation(members, pairs_in, limit):
         visited += 1
         if visited > budget:
             raise _over_budget()
-        if partial >= best_neg:
+        if partial > neg:
             continue
         if b < top:
             x[free[b]] = v
         if b == 0:
-            best_neg, best_x = partial, list(x)
-            continue
+            return x
         b -= 1
         # frustrated weight added by x = +1 (x_o * s == -1); x = -1 frustrates the rest
         plus = 0
@@ -294,9 +289,7 @@ def _signed_best_orientation(members, pairs_in, limit):
         # Gray bit b is t ^ t_above: x = +1 exactly when t equals t_above; t = 0 pops first
         for t in (1, 0):
             stack.append((b, 1, t, partial + plus) if t == t_above else (b, -1, t, partial + minus))
-    if best_x is None:
-        return None
-    return best_neg, best_x
+    raise AssertionError(f"no orientation has negative weight {neg}")
 
 
 def cheeger_signed(aux: AuxiliaryGraph):
@@ -329,7 +322,8 @@ def cheeger_signed(aux: AuxiliaryGraph):
     no node is undecided.  Each decision costs one search step plus two
     per such edge (apply and undo), and a fall of the incumbent n steps
     (every floor is refreshed).  The orientation of the witness subset is
-    then searched again for the lowest Gray rank.
+    then searched again, at its least frustrated weight N - cut, for the
+    lowest Gray rank.
     """
     n = aux.n
     if n == 0:
@@ -440,7 +434,7 @@ def cheeger_signed(aux: AuxiliaryGraph):
         if (best_mask >> i) & (best_mask >> j) & 1
     ]
     cut = sum(w for (i, j), w in zip(aux.edges, wints) if (best_mask >> i ^ best_mask >> j) & 1)
-    _neg, x = _signed_best_orientation(members, pairs_in, N - cut + 1)
+    x = _signed_best_orientation(members, pairs_in, N - cut)
     h = Fraction(N, wden) / Fraction(D, mden)
     witness_nodes = tuple(aux.nodes[i] for i in members)
     witness_orientation = {aux.nodes[i]: (xi == -1) for i, xi in zip(members, x)}
@@ -496,7 +490,7 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
                     f" {cover.labels[q]} has {len(cover.children[q])}"
                 )
         coherent = detect_coherent(cover, down_comp, "down") is not None
-        aux_down = build_aux(cover, down_comp, "down") if len(down_comp) >= 2 else None
+        aux_down = build_aux(cover, down_comp, "down")
         d_down = _down_degree_term(cover, down_comp, k)
         # every down node has k+1 >= 2 children, all in up_comp
         aux_up = build_aux(cover, up_comp, "up")

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import cheeger as cheeger_mod
 from . import complex_core, exact, graded_cover, laplacians, operators, walks
-from .graded_cover import NonStrongGradingError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -76,7 +75,7 @@ def cmd_lp(cover, cx, args):
     for q in range(cover.n_quotient):
         role = "leaf" if q in leaves else ""
         if q in roots:
-            role = (role + "+root").lstrip("+") if role else "root"
+            role = "leaf+root" if role else "root"
         rows.append((cover.dims[q], cover.labels[q], pw.lp[q], pw.rp[q], pw.h(q), role))
     return ("k", "face", "lp", "rp", "h", "role"), rows
 
@@ -195,11 +194,8 @@ def cmd_cheeger(cover, cx, args):
     for direction in ("up", "down") if args.direction is None else (args.direction,):
         comps = graded_cover.components(cover, f"quotient-{direction}", args.k)
         for ci, comp in enumerate(comps):
-            try:
-                aux = cheeger_mod.build_aux(cover, comp, direction)
-            except cheeger_mod.SharedMidNodeError:
-                raise
-            except ValueError:
+            aux = cheeger_mod.build_aux(cover, comp, direction)
+            if aux is None:
                 rows.append((direction, ci, len(comp), "", "", "", ""))
                 continue
             hq = wq = ""
@@ -361,12 +357,11 @@ def _verify_cheeger_checks(cover):
     for k in range(1, dim + 1):
         try:
             reports = cheeger_mod.combined_report(cover, k)
-        except (cheeger_mod.BruteForceGuardError, cheeger_mod.SharedMidNodeError) as exc:
+        except graded_cover.GuardError as exc:
             yield f"cheeger_k{k}", True, f"skipped: {exc}"
-            continue
-        except cheeger_mod.ChildCountError as exc:
             # only the bounds need k+1 children; the identities below do not
-            yield f"cheeger_k{k}", True, f"skipped: {exc}"
+            if not isinstance(exc, cheeger_mod.ChildCountError):
+                continue
             reports = []
         for rep in reports:
             tag = f"k{k}_comp{rep.down_component[0]}"
@@ -392,7 +387,10 @@ def _verify_cheeger_checks(cover):
             for comp in comps:
                 try:
                     aux = cheeger_mod.build_aux(cover, comp, direction)
-                except ValueError:
+                except cheeger_mod.SharedMidNodeError:
+                    # reached only after a ChildCountError at this k, on a cover spec
+                    continue
+                if aux is None:
                     continue
                 name = f"aux_laplacian_identity_{direction}_{kk}_{comp[0]}"
                 mids = sorted({v for q in comp for v in cover.parents[q]})
@@ -506,14 +504,8 @@ def run(argv) -> int:
     except SystemExit:
         # only --help exits from the parser; its usage errors raise ValueError
         return EXIT_OK
-    except (
-        cheeger_mod.BruteForceGuardError,
-        cheeger_mod.ChildCountError,
-        cheeger_mod.SharedMidNodeError,
-        NonStrongGradingError,
-        operators.EigenResidualError,
-        OverflowError,
-    ) as exc:
+    # every refusal is a GuardError; the RNG and the float mirror raise the builtin
+    except (graded_cover.GuardError, OverflowError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (OSError, ValueError) as exc:

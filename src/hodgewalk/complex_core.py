@@ -56,7 +56,6 @@ class SimplicialComplex:
             for size in range(1, len(f.vertices)):
                 for sub in combinations(f.vertices, size):
                     face_set.add(Face(sub))
-        self.faces: frozenset[Face] = frozenset(face_set)
         self.dimension: int = max(f.dimension for f in face_set)
         self.faces_by_dim: dict[int, tuple[Face, ...]] = {
             k: tuple(sorted(f for f in face_set if f.dimension == k))

@@ -24,7 +24,13 @@ class CoverSpecError(ValueError):
     """Raised on malformed cover-spec input."""
 
 
-class NonStrongGradingError(ValueError):
+class GuardError(Exception):
+    """A computation the package refuses, where the input itself is valid:
+    the CLI's exit 2.  Not a ValueError, so no handler of invalid input
+    catches one."""
+
+
+class NonStrongGradingError(GuardError):
     """Raised when dimension-k machinery is requested on a non-strong grading."""
 
 

@@ -20,6 +20,7 @@ from typing import NamedTuple
 from .exact import ScaledMatrix, inertia
 from .graded_cover import (
     GradedSignedDoubleCover,
+    GuardError,
     components,
     compute_path_weights,
     conditional_triples,
@@ -29,7 +30,7 @@ from .graded_cover import (
 )
 
 
-class EigenResidualError(RuntimeError):
+class EigenResidualError(GuardError):
     """Raised when the eigensolver does not meet its residual contract."""
 
 
@@ -359,40 +360,28 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
     half = Fraction(1, 2)
     lifts = cover.lifts(k)
     r_k = b.r.restrict(lifts, lifts)
-    theta_l_k = b.theta_l.restrict(lifts, lifts)
-    theta_r_k = b.theta_r.restrict(lifts, lifts)
     nodes = list(cover.nodes_by_dim[k])
-    pi_l_k = b.pi_l.restrict(nodes, nodes)
-    pi_r_k = b.pi_r.restrict(nodes, nodes)
     q_s = b.q_sym.restrict(nodes, lifts)
     q_a = b.q_alt.restrict(nodes, lifts)
     for direction in ("up", "down"):
+        up = direction == "up"
         a_cov = build_conditional(cover, k, direction, "cover")
         a_quot = build_conditional(cover, k, direction, "quotient")
         a_sgn = build_conditional(cover, k, direction, "signed")
-        if direction == "up":
-            dc = b.delta_block("cover", k)
-            ds = b.delta_block("sym", k)
-            da = b.delta_block("alt", k)
-            dq = b.delta_block("quotient", k)
-            dg = b.delta_block("signed", k)
-            plus = ds.T @ ds + theta_l_k
-            minus = (da.T @ da).scale(-1)
-            # on the cover, the action-D operator is delta^T followed by the flip
-            cover_id = ((dc.T @ dc) @ r_k + theta_l_k).equals(a_cov)
-            quot_id = (dq.T @ dq + pi_l_k).equals(a_quot)
-            sgn_id = (dg.T @ dg).scale(-1).equals(a_sgn)
-        else:
-            dc = b.delta_block("cover", k - 1)
-            ds = b.delta_block("sym", k - 1)
-            da = b.delta_block("alt", k - 1)
-            dq = b.delta_block("quotient", k - 1)
-            dg = b.delta_block("signed", k - 1)
-            plus = ds @ ds.T + theta_r_k
-            minus = (da @ da.T).scale(-1)
-            cover_id = (r_k @ (dc @ dc.T) + theta_r_k).equals(a_cov)
-            quot_id = (dq @ dq.T + pi_r_k).equals(a_quot)
-            sgn_id = (dg @ dg.T).scale(-1).equals(a_sgn)
+        # up: delta^T delta over the blocks at k; down: delta delta^T over those at k-1
+        dc, ds, da, dq, dg = (
+            b.delta_block(flavor, k if up else k - 1)
+            for flavor in ("cover", "sym", "alt", "quotient", "signed")
+        )
+        gram = (lambda d: d.T @ d) if up else (lambda d: d @ d.T)
+        theta, pi = (b.theta_l, b.pi_l) if up else (b.theta_r, b.pi_r)
+        theta, pi = theta.restrict(lifts, lifts), pi.restrict(nodes, nodes)
+        plus = gram(ds) + theta
+        minus = gram(da).scale(-1)
+        # on the cover, the action-D operator is delta^T followed by the flip
+        cover_id = ((gram(dc) @ r_k if up else r_k @ gram(dc)) + theta).equals(a_cov)
+        quot_id = (gram(dq) + pi).equals(a_quot)
+        sgn_id = gram(dg).scale(-1).equals(a_sgn)
         symmetric = a_cov.is_symmetric() and a_quot.is_symmetric() and a_sgn.is_symmetric()
         ok = (
             cover_id

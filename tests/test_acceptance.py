@@ -124,9 +124,8 @@ def test_criterion_3_exact_identity_suite(covers, weights, capsys):
             for k in range(1, cx.dimension + 1):
                 for direction, kk in (("up", k - 1), ("down", k)):
                     for comp in components(cov, f"quotient-{direction}", kk):
-                        try:
-                            aux = build_aux(cov, comp, direction)
-                        except ValueError:
+                        aux = build_aux(cov, comp, direction)
+                        if aux is None:
                             continue
                         from hodgewalk.cheeger import aux_laplacian
 
@@ -217,9 +216,8 @@ def test_criterion_6_oracle_equivalence(covers, weights, capsys):
                     for comp in components(cov, f"quotient-{direction}", k):
                         if len(comp) > 12:
                             continue
-                        try:
-                            aux = build_aux(cov, comp, direction)
-                        except ValueError:
+                        aux = build_aux(cov, comp, direction)
+                        if aux is None:
                             continue
                         if aux.n >= 2:
                             assert cheeger_quotient(aux)[0] == oracles.naive_cheeger_quotient(aux)

@@ -296,6 +296,38 @@ def test_nonstrong_guard(capsys):
     assert code == 2
 
 
+GUARDS = (
+    graded_cover.NonStrongGradingError,
+    cheeger.BruteForceGuardError,
+    cheeger.SharedMidNodeError,
+    cheeger.ChildCountError,
+    operators.EigenResidualError,
+)
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=lambda cls: cls.__name__)
+def test_every_guard_is_a_guard_error_and_no_value_error(guard):
+    # a ValueError guard would be caught by the handlers of invalid input
+    assert issubclass(guard, graded_cover.GuardError)
+    assert not issubclass(guard, ValueError)
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    *((guard("refused"), 2, "guard") for guard in GUARDS),
+    (OverflowError("refused"), 2, "guard"),
+    (ValueError("refused"), 1, "error"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_run_decides_the_exit_by_exception_class(exc, code, prefix, monkeypatch, capsys):
+    def refuse(cover, cx, args):
+        raise exc
+
+    monkeypatch.setattr(hodgewalk.cli, "cmd_lp", refuse)
+    assert run(["lp", TET]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}: refused\n"
+
+
 @pytest.mark.parametrize("k", ["9", "-1"])
 @pytest.mark.parametrize(
     "verb",
@@ -440,8 +472,8 @@ def test_numpy_free_verbs_leave_numpy_unloaded():
 PUBLIC = {
     "complex_core": "ComplexFormatError Face SimplicialComplex adjacency boundary_matrix "
     "incidence_sign parse_complex",
-    "graded_cover": "CoverSpecError GradedSignedDoubleCover NonStrongGradingError PathWeights "
-    "component_correspondence components compute_path_weights cover_from_complex "
+    "graded_cover": "CoverSpecError GradedSignedDoubleCover GuardError NonStrongGradingError "
+    "PathWeights component_correspondence components compute_path_weights cover_from_complex "
     "detect_coherent expected_path_length find_partition leaves_and_roots parse_cover_spec",
     "walks": "StationaryDistribution convergence_rate simulate stationary total_variation "
     "transition_conditional transition_full",
@@ -458,7 +490,7 @@ PUBLIC = {
 
 def test_package_exports_every_public_name_and_submodule():
     names = [name for names in PUBLIC.values() for name in names.split()]
-    assert len(names) == 52
+    assert len(names) == 53
     assert hodgewalk.__all__ == sorted([*PUBLIC, *names])
     for module, owned in PUBLIC.items():
         assert getattr(hodgewalk, module) is sys.modules[f"hodgewalk.{module}"]
@@ -496,12 +528,20 @@ COMPILED_BY = (
     (["report"], BASE | {"cheeger", "exact", "operators"}),
     (["verify"], BASE | {"cheeger", "exact", "laplacians", "operators", "walks"}),
 )
+# runs that end in an error or a guard, by exit code: deciding the code
+# compiles nothing beyond what the run reached
+FAILED_RUNS = (
+    (["lp", str(FIXTURES / "missing.cx")], 1),
+    (["stationary", TET, "--k", "9"], 1),
+    (["stationary", NONSTRONG, "--k", "1"], 2),
+)
 
 
 def test_each_verb_compiles_only_the_modules_it_touches():
     # one forked child per verb form, from one process that has imported
     # the CLI; a module not yet compiled is still a lazy module object
     argvs = [[verb, TET, *flags] for (verb, *flags), _ in COMPILED_BY]
+    argvs += [argv for argv, _ in FAILED_RUNS]
     probe = (
         "import contextlib, io, os, sys, types\n"
         "import hodgewalk.cli\n"
@@ -518,7 +558,10 @@ def test_each_verb_compiles_only_the_modules_it_touches():
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=cli_env()
     ).stdout
-    assert out.splitlines() == [f"0 {' '.join(sorted(mods))}" for _, mods in COMPILED_BY]
+    assert out.splitlines() == [
+        *(f"0 {' '.join(sorted(mods))}" for _, mods in COMPILED_BY),
+        *(f"{code} {' '.join(sorted(BASE))}" for _, code in FAILED_RUNS),
+    ]
 
 
 @pytest.mark.parametrize("argv, code", [
