@@ -26,7 +26,7 @@ pw = compute_path_weights(cover)
 P = transition_full(cover, "quotient")
 print("row sums all equal 1:", all(sum(row.values()) == P.den for row in P.rows))
 
-comp = components(cover, "quotient")[0]
+comp = components(cover)[0]
 pi = stationary(cover, comp, "quotient")
 print("stationary weight by dimension:")
 for k in range(4):

@@ -26,7 +26,7 @@ for text, name in (
     for k in range(cx.dimension + 1):
         rep = hodge_decomposition(cx, k)
         up, down = hodge(cx, k, normalized=True)
-        ev = eigen((up + down).to_float())
+        ev = eigen(up + down)
         print(
             f"  k={k}: n={rep.n_k} rank_up={rep.rank_up} rank_down={rep.rank_down}"
             f" harmonic={rep.harmonic}  spectrum in [{min(ev):.3f}, {max(ev):.3f}]"
@@ -40,5 +40,5 @@ cx = parse_complex("x0 x1\nx1 x2\nx0 x2")
 w = normalization_weights(cx)
 print("\ntriangle graph weights W_0 (vertex degrees):", w[0])
 up, _down = hodge(cx, 0, normalized=True)
-ev = eigen(up.to_float())
+ev = eigen(up)
 print("spectrum of the dim-0 up-Laplacian:", [round(v, 6) for v in ev], "(half of 0, 3/2, 3/2)")

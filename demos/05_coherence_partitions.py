@@ -17,19 +17,21 @@ from hodgewalk import (
 )
 
 print("== even cycle (6 edges): bipartite graph")
-c6 = cover_from_complex(parse_complex("\n".join(f"x{i} x{(i + 1) % 6}" for i in range(6))))
-edges = components(c6, "quotient-down", 1)[0]
+cx6 = parse_complex("\n".join(f"x{i} x{(i + 1) % 6}" for i in range(6)))
+c6 = cover_from_complex(cx6)
+edges = components(c6, 1, "down")[0]
 witness = detect_coherent(c6, edges, "down")
 print("coherent-down in dim 1:", witness is not None)
-print("2-partition:", find_partition(c6, edges))
+print("2-partition:", find_partition(cx6, edges))
 for name, (ok, detail) in coherent_spectrum_check(c6, edges, "down").items():
     print(f"  {name}: {'ok' if ok else 'FAIL'} ({detail})")
 
 print("\n== odd cycle (5 edges): not bipartite")
-c5 = cover_from_complex(parse_complex("\n".join(f"x{i} x{(i + 1) % 5}" for i in range(5))))
-edges5 = components(c5, "quotient-down", 1)[0]
+cx5 = parse_complex("\n".join(f"x{i} x{(i + 1) % 5}" for i in range(5)))
+c5 = cover_from_complex(cx5)
+edges5 = components(c5, 1, "down")[0]
 print("coherent:", detect_coherent(c5, edges5, "down") is not None)
-print("partition:", find_partition(c5, edges5))
+print("partition:", find_partition(cx5, edges5))
 print("signed spectrum stays above -1:", coherent_spectrum_check(c5, edges5, "down"))
 
 print("\n== ring of eight triangles: coherent without a 3-partition")
@@ -43,10 +45,11 @@ x1 x2 x6
 x1 x5 x6
 x0 x1 x5
 """
-ring = cover_from_complex(parse_complex(ring_text))
-tris = components(ring, "quotient-down", 2)[0]
+ring_cx = parse_complex(ring_text)
+ring = cover_from_complex(ring_cx)
+tris = components(ring, 2, "down")[0]
 witness = detect_coherent(ring, tris, "down")
 print("all 8 triangles form one coherent-down-component:", witness is not None)
 oriented = [("-" if witness[q] else "+") + ring.labels[q] for q in sorted(witness)]
 print("witness orientation:", oriented)
-print("3-partition of the vertices:", find_partition(ring, tris))
+print("3-partition of the vertices:", find_partition(ring_cx, tris))

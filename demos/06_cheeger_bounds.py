@@ -19,7 +19,7 @@ from hodgewalk import (
 cover = cover_from_complex(parse_complex("x0 x1 x2 x3"))
 
 print("auxiliary graph on the 6 edges (up-adjacency):")
-edges = components(cover, "quotient-up", 1)[0]
+edges = components(cover, 1, "up")[0]
 aux = build_aux(cover, edges, "up")
 print(f"  nodes={aux.n} edges={len(aux.edges)} weights={set(aux.weight)} measures={set(aux.measure)}")
 h, cut = cheeger_quotient(aux)

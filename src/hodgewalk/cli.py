@@ -81,9 +81,8 @@ def cmd_lp(cover, cx, args):
 
 
 def cmd_stationary(cover, cx, args):
-    kind = "quotient" if args.k is None else f"quotient-{args.direction}"
     rows = []
-    for ci, comp in enumerate(graded_cover.components(cover, kind, args.k)):
+    for ci, comp in enumerate(graded_cover.components(cover, args.k, args.direction)):
         pi = walks.stationary(cover, comp, args.view)
         # the mean path length belongs to the full walk's components only
         e_len = graded_cover.expected_path_length(cover, comp) if args.k is None else ""
@@ -103,7 +102,7 @@ def cmd_walk_sim(cover, cx, args):
     _digest, empirical = walks.simulate(cover, start, args.steps, args.seed)
     # the cover component of the start is the lift of its quotient component
     comp = next(
-        c for c in graded_cover.components(cover, "quotient") if start % cover.n_quotient in c
+        c for c in graded_cover.components(cover) if start % cover.n_quotient in c
     )
     pi = walks.stationary(cover, comp, "cover")
     rows = []
@@ -161,7 +160,7 @@ def cmd_hodge(cover, cx, args):
 
 
 def cmd_coherent(cover, cx, args):
-    comps = graded_cover.components(cover, f"quotient-{args.direction}", args.k)
+    comps = graded_cover.components(cover, args.k, args.direction)
     rows = []
     for ci, comp in enumerate(comps):
         witness = graded_cover.detect_coherent(cover, comp, args.direction)
@@ -178,10 +177,10 @@ def cmd_coherent(cover, cx, args):
 def cmd_partition(cover, cx, args):
     if cx is None:
         raise ValueError("partition requires a simplicial complex input")
-    comps = graded_cover.components(cover, "quotient-down", args.k)
+    comps = graded_cover.components(cover, args.k, "down")
     rows = []
     for ci, comp in enumerate(comps):
-        classes = graded_cover.find_partition(cover, comp)
+        classes = graded_cover.find_partition(cx, comp)
         if classes is None:
             rows.append((ci, len(comp), "none"))
         else:
@@ -192,7 +191,7 @@ def cmd_partition(cover, cx, args):
 def cmd_cheeger(cover, cx, args):
     rows = []
     for direction in ("up", "down") if args.direction is None else (args.direction,):
-        comps = graded_cover.components(cover, f"quotient-{direction}", args.k)
+        comps = graded_cover.components(cover, args.k, direction)
         for ci, comp in enumerate(comps):
             aux = cheeger_mod.build_aux(cover, comp, direction)
             if aux is None:
@@ -292,7 +291,7 @@ def _verify_checks(cover, cx):
         {flip(v): x for v, x in row.items()} == cover_rows[flip(u)]
         for u, row in enumerate(cover_rows)
     ), ""
-    for comp in graded_cover.components(cover, "quotient"):
+    for comp in graded_cover.components(cover):
         pi = walks.stationary(cover, comp, "quotient")
         image: dict[int, Fraction] = {}
         for a, w in pi.weights.items():
@@ -381,7 +380,7 @@ def _verify_cheeger_checks(cover):
         # to share one RP (up: RP(v) = c*sqrt(RP(a)*RP(b)) for a, b under v)
         pw = graded_cover.compute_path_weights(cover)
         for direction, kk in (("up", k - 1), ("down", k)):
-            comps = graded_cover.components(cover, f"quotient-{direction}", kk)
+            comps = graded_cover.components(cover, kk, direction)
             quot = operators.build_conditional(cover, kk, direction, "quotient")
             sgn = operators.build_conditional(cover, kk, direction, "signed")
             for comp in comps:

@@ -4,7 +4,8 @@ A cover is stored through its involutory quotient: an ordered list of
 graded nodes, dimension-increasing edges, and one reference sign per
 quotient edge.  The 2N cover nodes are indexed as q (unflipped) and
 q + N (flipped); signs between arbitrary lifts follow from the
-compatibility rules  [-v : u] = [v : -u] = -[v : u].
+compatibility rules  [-v : u] = [v : -u] = -[v : u], which ``cover_sign``
+alone applies.
 
 Everything derived from one parsed input (path weights, components,
 operators, Laplacians, auxiliary graphs) is built by a ``memoized``
@@ -17,7 +18,7 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complex_core import Face, SimplicialComplex, incidence_sign
+from .complex_core import SimplicialComplex, incidence_sign
 
 
 class CoverSpecError(ValueError):
@@ -79,10 +80,9 @@ def memoized(fn):
 class GradedSignedDoubleCover:
     """Quotient view of a double cover of a graded signed graph."""
 
-    def __init__(self, dims, edges, signs, labels, faces=None):
+    def __init__(self, dims, edges, signs, labels):
         self.dims: tuple[int, ...] = tuple(dims)
         self.labels: tuple[str, ...] = tuple(labels)
-        self.faces: tuple[Face, ...] | None = tuple(faces) if faces is not None else None
         n = len(self.dims)
         parents: list[list[int]] = [[] for _ in range(n)]
         children: list[list[int]] = [[] for _ in range(n)]
@@ -130,14 +130,11 @@ class GradedSignedDoubleCover:
         return ("-" if u >= n else "+") + self.labels[u % n]
 
     def cover_sign(self, child_u: int, parent_u: int) -> int:
-        """Sign of the cover edge between two lifts (compatibility rules)."""
+        """Sign of the cover edge between two lifts: the reference sign,
+        negated once per flipped end."""
         n = self.n_quotient
         s = self.sign_ref[(child_u % n, parent_u % n)]
-        if child_u >= n:
-            s = -s
-        if parent_u >= n:
-            s = -s
-        return s
+        return s if (child_u >= n) == (parent_u >= n) else -s
 
     def lifts(self, k: int) -> tuple[int, ...]:
         """Cover indices of the dimension-k nodes, then of their flips."""
@@ -212,7 +209,6 @@ def cover_from_complex(complex: SimplicialComplex) -> GradedSignedDoubleCover:
         edges=edges,
         signs=signs,
         labels=[str(f) for f in faces],
-        faces=faces,
     )
 
 
@@ -316,8 +312,6 @@ def leaves_and_roots(cover: GradedSignedDoubleCover) -> tuple[frozenset[int], fr
 
 # -- components -----------------------------------------------------------
 
-COMPONENT_KINDS = ("quotient", "quotient-up", "quotient-down")
-
 
 def propagate_signs(nodes, edges):
     """Sign propagation over a signed graph (Harary's balance test).
@@ -355,25 +349,23 @@ def propagate_signs(nodes, edges):
 @memoized
 def components(
     cover: GradedSignedDoubleCover,
-    kind: str,
     k: int | None = None,
+    direction: str | None = None,
 ) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the requested kind, as ascending tuples
-    ordered by smallest member.
+    """Connected components as ascending tuples ordered by smallest member.
 
-    'quotient' joins nodes along the graded edges; 'quotient-up' and
-    'quotient-down' join the dimension-k nodes that share a parent or a
+    Without k, those of the walk, joining nodes along the graded edges;
+    with k and a direction ('up' or 'down'), those of the dimension-k up-
+    or down-walk, joining the dimension-k nodes that share a parent or a
     child.  The components of the cover are the lifts {q, q + N} of these
     quotient components: a node and its flip share every neighbour.
     """
-    if kind not in COMPONENT_KINDS:
-        raise ValueError(f"unknown component kind {kind!r}")
-    if kind == "quotient":
+    if k is None:
         edges = [(c, p, 1) for (c, p) in cover.sign_ref]
         return tuple(propagate_signs(range(cover.n_quotient), edges)[1])
-    if k is None:
-        raise ValueError("up/down component kinds require a dimension k")
-    adj = cover.adjacency(k, kind.split("-")[1])
+    if direction not in ("up", "down"):
+        raise ValueError("direction must be 'up' or 'down'")
+    adj = cover.adjacency(k, direction)
     return tuple(propagate_signs(adj, [(a, b, 1) for a in adj for b in adj[a] if a < b])[1])
 
 
@@ -387,8 +379,8 @@ def component_correspondence(cover: GradedSignedDoubleCover, k: int):
     cover.require_strong()
     if k < 1:
         raise ValueError("k must be at least 1")
-    down = components(cover, "quotient-down", k)
-    up = components(cover, "quotient-up", k - 1)
+    down = components(cover, k, "down")
+    up = components(cover, k - 1, "up")
     up_of = {q: comp for comp in up for q in comp}
     pairs = []
     for comp in down:
@@ -441,10 +433,11 @@ def detect_coherent(cover: GradedSignedDoubleCover, component, direction: str):
 # -- (k+1)-partitions ------------------------------------------------------
 
 
-def find_partition(cover: GradedSignedDoubleCover, component):
+def find_partition(complex: SimplicialComplex, component):
     """Search for a (k+1)-partition of the vertices under a down-component.
 
-    Only defined for covers of simplicial complexes.  Backtracks over
+    ``component`` holds quotient nodes of the complex's cover, which are
+    numbered in the complex's face order (``all_faces``).  Backtracks over
     vertex-to-class assignments in lexicographic vertex order, pruning on
     the constraint that the vertices of every member face take pairwise
     distinct classes; classes are introduced in first-use order so the
@@ -452,13 +445,10 @@ def find_partition(cover: GradedSignedDoubleCover, component):
     cursor instead of recursing, so long vertex lists cannot exhaust the
     interpreter stack.  Returns k+1 vertex-label lists or None.
     """
-    if cover.faces is None:
-        raise ValueError("partitions are only defined for simplicial covers")
-    comp = tuple(sorted(component))
-    k = cover.dims[comp[0]]
-    if any(cover.dims[q] != k for q in comp):
+    member_faces = [complex.all_faces[q] for q in sorted(component)]
+    k = member_faces[0].dimension
+    if any(f.dimension != k for f in member_faces):
         raise ValueError("component mixes dimensions")
-    member_faces = [cover.faces[q] for q in comp]
     vertices = sorted({v for f in member_faces for v in f.vertices})
     vpos = {v: i for i, v in enumerate(vertices)}
     face_vertexsets = [tuple(vpos[v] for v in f.vertices) for f in member_faces]

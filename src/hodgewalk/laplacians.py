@@ -150,7 +150,7 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
         mult_down = inertia(laps[(k, True)][1], 1)[1]
         n_coherent = sum(
             1
-            for comp in components(cover, "quotient-up", k - 1)
+            for comp in components(cover, k - 1, "up")
             if detect_coherent(cover, comp, "up") is not None
         )
         check(

@@ -102,7 +102,7 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
     theta_l, theta_r, r_mat = rows(2 * n), rows(2 * n), rows(2 * n)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     for u in range(2 * n):
-        q, flip = u % n, u >= n
+        q = u % n
         r_mat[u][(u + n) % (2 * n)] = 1
         leaf, root = cover.is_leaf(q), cover.is_root(q)
         if leaf:
@@ -117,10 +117,8 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
             a_sym[u][q] = a_sym[u][q + n] = quarter
         # row u = v acting on subfaces u' (body factor for scales (H, 1/H) is rational)
         for t in cover.children[q]:
-            s_ref = cover.sign_ref[(t, q)]
-            for tflip in (False, True):
-                u2 = t + n * tflip
-                s = s_ref * (-1 if flip else 1) * (-1 if tflip else 1)
+            for u2 in (t, t + n):
+                s = cover.cover_sign(u2, u)
                 a_sym[u][u2] += quarter
                 a_alt[u][u2] += Fraction(s, 4)
                 d_sym[u][u2] += half
@@ -130,11 +128,9 @@ def build_bundle(cover: GradedSignedDoubleCover) -> OperatorBundle:
                     d_cover[u][u2] += 1
         # row u = t below supfaces u'
         for v in cover.parents[q]:
-            s_ref = cover.sign_ref[(q, v)]
             ratio = hq[v] / hq[q]
-            for vflip in (False, True):
-                u2 = v + n * vflip
-                s = s_ref * (-1 if flip else 1) * (-1 if vflip else 1)
+            for u2 in (v, v + n):
+                s = cover.cover_sign(u, u2)
                 a_sym[u][u2] += quarter * ratio
                 a_alt[u][u2] += Fraction(-s, 4) * ratio
                 if s == -1:
@@ -249,35 +245,24 @@ def on_component(cover: GradedSignedDoubleCover, op: ScaledMatrix, component) ->
 EIGEN_TOL = 1e-9
 
 
-def eigen(operator) -> tuple[float, ...]:
-    """Eigenvalues of a symmetric ScaledMatrix or float array, ascending.
+def eigen(operator: ScaledMatrix) -> tuple[float, ...]:
+    """Eigenvalues of a symmetric ScaledMatrix, ascending.
 
-    The eigenvectors are computed only for the residual contract: when
-    max|Av - lambda v| exceeds the bound, EigenResidualError is raised.
+    Symmetry is decided exactly.  The eigenvectors are computed only for
+    the residual contract: when max|Av - lambda v| exceeds the bound,
+    EigenResidualError is raised.
     """
+    if not operator.is_symmetric():
+        raise ValueError("matrix must be symmetric")
     import numpy as np  # loads numpy: imported only where a spectrum is solved
 
-    if isinstance(operator, ScaledMatrix):
-        mat = operator.to_float()
-    else:
-        mat = np.array(operator, dtype=float)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(mat, mat.T, atol=1e-12 * (1 + np.abs(mat).max(initial=0.0))):
-        raise ValueError("matrix must be symmetric")
+    mat = operator.to_float()
     vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
     residual = float(np.abs(mat @ vecs - vecs * vals).max(initial=0.0))
     bound = EIGEN_TOL * (1 + np.abs(vals).max(initial=0.0))
     if residual > bound:
         raise EigenResidualError(f"residual {residual} exceeds {bound}")
     return tuple(float(x) for x in vals)
-
-
-def spectral_top(eigenvalues: tuple[float, ...], flavor: str) -> float:
-    """The eigenvalue behind a component's spectral gap (1 - top) and
-    convergence rate, from the ascending ``eigen`` of an operator on the
-    component: lambda_2 of a quotient operator, or -lambda_min of a signed one."""
-    return eigenvalues[-2] if flavor == "quotient" else -eigenvalues[0]
 
 
 # -- verification -----------------------------------------------------------
@@ -426,7 +411,7 @@ def min_eigenvalue_bound(cover: GradedSignedDoubleCover) -> tuple[Fraction, bool
     the quotient operator at or below -1 + bound.
     """
     bound = min(Fraction(2) / (expected_path_length(cover, c) + 1)
-                for c in components(cover, "quotient"))
+                for c in components(cover))
     return bound, sum(inertia(quotient_operator(cover), bound - 1)[:2]) > 0
 
 

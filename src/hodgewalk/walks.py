@@ -181,22 +181,23 @@ def simulate(
             table = [t for t, w in zip(targets, weights) for _ in range(w)]
         return rng.rejection_limit(total), total, table
 
-    # moves[u][bit]: the move that the action bit ``bit`` selects at state u
+    # moves[u][bit]: the move that the action bit ``bit`` selects at state u;
+    # up to the parent lift of sign +1, down to the child lift of sign -1
     moves = []
     for u in range(2 * n):
-        q, flip = u % n, u // n
+        q = u % n
         leaf, root = cover.is_leaf(q), cover.is_root(q)
         lazy = pick((1, 1), (q, q + n))
         up = down = None
         if not leaf:
             up = pick(
                 [pw.lp[v] for v in cover.parents[q]],
-                [v + n * (flip ^ (cover.sign_ref[(q, v)] == -1)) for v in cover.parents[q]],
+                [v + n * (cover.cover_sign(u, v) == -1) for v in cover.parents[q]],
             )
         if not root:
             down = pick(
                 [pw.rp[t] for t in cover.children[q]],
-                [t + n * (flip ^ (cover.sign_ref[(t, q)] == 1)) for t in cover.children[q]],
+                [t + n * (cover.cover_sign(t, u) == 1) for t in cover.children[q]],
             )
         if leaf and root:
             moves.append((q, q + n))
@@ -274,7 +275,7 @@ def convergence_rate(
     for _down_comp, up_comp in pairs:
         if detect_coherent(cover, up_comp, "up") is not None:
             raise ValueError("conditional walk is not aperiodic on a coherent component")
-        for flavor, op in (("quotient", quot), ("signed", sgn)):
-            ev = operators.eigen(operators.on_component(cover, op, up_comp))
-            rate = max(rate, operators.spectral_top(ev, flavor))
+        lam_2 = operators.eigen(operators.on_component(cover, quot, up_comp))[-2]
+        lam_min = operators.eigen(operators.on_component(cover, sgn, up_comp))[0]
+        rate = max(rate, lam_2, -lam_min)
     return rate

@@ -123,7 +123,7 @@ def test_criterion_3_exact_identity_suite(covers, weights, capsys):
             assert (b.q_alt.T @ b.q_alt).equals(i2n - b.r)
             for k in range(1, cx.dimension + 1):
                 for direction, kk in (("up", k - 1), ("down", k)):
-                    for comp in components(cov, f"quotient-{direction}", kk):
+                    for comp in components(cov, kk, direction):
                         aux = build_aux(cov, comp, direction)
                         if aux is None:
                             continue
@@ -153,25 +153,25 @@ def test_criterion_4_spectral_transfer_suite(covers, capsys):
             }
             cx = load_complex(name)
             for k in range(1, cx.dimension + 1):
-                up = eigen(hodge(cx, k - 1, True)[0].to_float())
-                down = eigen(hodge(cx, k, True)[1].to_float())
+                up = eigen(hodge(cx, k - 1, True)[0])
+                down = eigen(hodge(cx, k, True)[1])
                 assert oracles.multiset_match(
                     [v for v in up if abs(v) > 1e-8], [v for v in down if abs(v) > 1e-8]
                 )
             for k in range(cx.dimension + 1):
                 up, down = hodge(cx, k, True)
-                ev = eigen((up + down).to_float())
+                ev = eigen(up + down)
                 assert all(-1e-10 <= v <= 1 + 1e-10 for v in ev)
         report(4, True, "spectrum splits, transfers and bounds hold on all fixtures")
 
 
-def test_criterion_5_coherence_partition_suite(covers, capsys):
+def test_criterion_5_coherence_partition_suite(covers, complexes, capsys):
     """Signed h = 0 <=> coherent <=> -1 attained; ring has no 3-partition."""
     with capsys.disabled():
         coherent_cases = [("cycle6", 1), ("triangle_ring", 2), ("two_triangles_bridged", 2)]
         for name, k in coherent_cases:
             cov = covers[name]
-            for comp in components(cov, "quotient-down", k):
+            for comp in components(cov, k, "down"):
                 witness = detect_coherent(cov, comp, "down")
                 assert witness is not None
                 spec_checks = coherent_spectrum_check(cov, comp, "down")
@@ -180,11 +180,11 @@ def test_criterion_5_coherence_partition_suite(covers, capsys):
                     h, _ = cheeger_signed(build_aux(cov, comp, "down"))
                     assert h == 0
         ring = covers["triangle_ring"]
-        comp = components(ring, "quotient-down", 2)[0]
+        comp = components(ring, 2, "down")[0]
         assert detect_coherent(ring, comp, "down") is not None
-        assert find_partition(ring, comp) is None
+        assert find_partition(complexes["triangle_ring"], comp) is None
         c5 = covers["cycle5"]
-        comp5 = components(c5, "quotient-down", 1)[0]
+        comp5 = components(c5, 1, "down")[0]
         assert detect_coherent(c5, comp5, "down") is None
         h5, _ = cheeger_signed(build_aux(c5, comp5, "down"))
         assert h5 > 0
@@ -213,7 +213,7 @@ def test_criterion_6_oracle_equivalence(covers, weights, capsys):
             cov = covers[name]
             for k in sorted(cov.nodes_by_dim):
                 for direction in ("up", "down"):
-                    for comp in components(cov, f"quotient-{direction}", k):
+                    for comp in components(cov, k, direction):
                         if len(comp) > 12:
                             continue
                         aux = build_aux(cov, comp, direction)
@@ -231,7 +231,7 @@ def test_criterion_7_monte_carlo(covers, capsys):
     """Seeded 10^6-step walk: TV to stationary < 0.02, traces reproducible."""
     with capsys.disabled():
         cov = covers["tetrahedron"]
-        comp = components(cov, "quotient")[0]
+        comp = components(cov)[0]
         pi = stationary(cov, comp, "cover")
         digest1, emp1 = simulate(cov, 0, 10**6, seed=7)
         digest2, emp2 = simulate(cov, 0, 10**6, seed=7)

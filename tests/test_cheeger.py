@@ -21,21 +21,21 @@ from hodgewalk.graded_cover import (
     detect_coherent,
     parse_cover_spec,
 )
-from hodgewalk.operators import build_conditional, eigen, on_component, spectral_top
+from hodgewalk.operators import build_conditional, eigen, on_component
 
 import oracles
 from conftest import COMPLEX_NAMES, load_cover
 
 
-def the_component(cov, kind, k):
-    comps = [c for c in components(cov, kind, k) if len(c) > 1]
+def the_component(cov, k, direction):
+    comps = [c for c in components(cov, k, direction) if len(c) > 1]
     assert len(comps) == 1
     return comps[0]
 
 
 def test_build_aux_tetrahedron_edges_up():
     cov = load_cover("tetrahedron")
-    comp = the_component(cov, "quotient-up", 1)
+    comp = the_component(cov, 1, "up")
     aux = build_aux(cov, comp, "up")
     assert aux.n == 6
     assert len(aux.edges) == 12
@@ -45,8 +45,8 @@ def test_build_aux_tetrahedron_edges_up():
 
 def test_build_aux_degree_terms():
     cov = load_cover("tetrahedron")
-    assert _down_degree_term(cov, the_component(cov, "quotient-down", 1), 1) == Fraction(4, 3)
-    assert _down_degree_term(cov, the_component(cov, "quotient-down", 2), 2) == Fraction(3, 2)
+    assert _down_degree_term(cov, the_component(cov, 1, "down"), 1) == Fraction(4, 3)
+    assert _down_degree_term(cov, the_component(cov, 2, "down"), 2) == Fraction(3, 2)
 
 
 def test_build_aux_weighted_degree_matches_term():
@@ -60,7 +60,7 @@ def test_build_aux_weighted_degree_matches_term():
         ("cycle6", 1, "down"),
     ):
         cov = load_cover(name)
-        comp = the_component(cov, f"quotient-{direction}", k)
+        comp = the_component(cov, k, direction)
         aux = build_aux(cov, comp, direction)
         deg = [Fraction(0)] * aux.n
         for (i, j), w in zip(aux.edges, aux.weight):
@@ -76,10 +76,10 @@ def test_build_aux_weighted_degree_matches_term():
 def test_build_aux_preconditions():
     cov = load_cover("two_triangles_bridged")
     leaf_singleton = next(
-        c for c in components(cov, "quotient-up", 1) if len(c) == 1
+        c for c in components(cov, 1, "up") if len(c) == 1
     )
     assert build_aux(cov, leaf_singleton, "up") is None
-    singleton_down = components(cov, "quotient-down", 2)[0]
+    singleton_down = components(cov, 2, "down")[0]
     assert build_aux(cov, singleton_down, "down") is None
     # a singleton with a parent has a one-node graph
     chain = parse_cover_spec("node a 0\nnode b 1\nedge a b +1\n")
@@ -94,7 +94,7 @@ def test_build_aux_preconditions():
 def test_aux_laplacian_affine_identities():
     cov = load_cover("tetrahedron")
     # up in dimension m scales by m+2, down by m+1
-    comp = the_component(cov, "quotient-up", 1)
+    comp = the_component(cov, 1, "up")
     aux = build_aux(cov, comp, "up")
     eye = ScaledMatrix.identity(aux.n)
     a_q = on_component(cov, build_conditional(cov, 1, "up", "quotient"), comp)
@@ -102,7 +102,7 @@ def test_aux_laplacian_affine_identities():
     a_s = on_component(cov, build_conditional(cov, 1, "up", "signed"), comp)
     assert aux_laplacian(aux, "signed").equals((eye + a_s).scale(3))
 
-    comp = the_component(cov, "quotient-down", 1)
+    comp = the_component(cov, 1, "down")
     aux = build_aux(cov, comp, "down")
     a_q = on_component(cov, build_conditional(cov, 1, "down", "quotient"), comp)
     assert aux_laplacian(aux, "quotient").equals((eye - a_q).scale(2))
@@ -112,7 +112,7 @@ def test_aux_laplacian_kernel_contains_sqrt_measure():
     import numpy as np
 
     cov = load_cover("branched")
-    comp = the_component(cov, "quotient-down", 1)
+    comp = the_component(cov, 1, "down")
     aux = build_aux(cov, comp, "down")
     lap = aux_laplacian(aux, "quotient")
     # Lap @ mu^(1/2) = 0: with scales (1/mu, 1/mu) the vector mu^(1/2)
@@ -140,7 +140,7 @@ TABLE_SIGNED = {
 def test_tetrahedron_cheeger_constants(key):
     k, direction = key
     cov = load_cover("tetrahedron")
-    aux = build_aux(cov, the_component(cov, f"quotient-{direction}", k), direction)
+    aux = build_aux(cov, the_component(cov, k, direction), direction)
     h, witness = cheeger_quotient(aux)
     assert h == TABLE_QUOTIENT[key]
     assert 0 < len(witness) < aux.n
@@ -151,7 +151,7 @@ def test_tetrahedron_cheeger_constants(key):
 
 def test_even_cycle_signed_zero():
     cov = load_cover("cycle6")
-    aux = build_aux(cov, the_component(cov, "quotient-down", 1), "down")
+    aux = build_aux(cov, the_component(cov, 1, "down"), "down")
     h, (nodes, orient) = cheeger_signed(aux)
     assert h == 0
     assert len(nodes) == aux.n  # witness is the whole component
@@ -164,7 +164,7 @@ def test_signed_zero_iff_coherent(name, covers):
     cov = covers[name]
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
-            for comp in components(cov, f"quotient-{direction}", k):
+            for comp in components(cov, k, direction):
                 aux = build_aux(cov, comp, direction)
                 if aux is None:
                     continue
@@ -179,7 +179,7 @@ def test_naive_oracle_equivalence(covers):
         cov = covers[name]
         for k in sorted(cov.nodes_by_dim):
             for direction in ("up", "down"):
-                for comp in components(cov, f"quotient-{direction}", k):
+                for comp in components(cov, k, direction):
                     if len(comp) > 12:
                         continue
                     aux = build_aux(cov, comp, direction)
@@ -197,7 +197,7 @@ def test_brute_force_guard(monkeypatch):
     from hodgewalk import cheeger
 
     cov = load_cover("triangle_ring")
-    aux = build_aux(cov, the_component(cov, "quotient-down", 1), "down")
+    aux = build_aux(cov, the_component(cov, 1, "down"), "down")
     monkeypatch.setattr(cheeger, "SEARCH_BUDGET", 50)
     message = "cut search exceeds its budget of 50 search steps"
     with pytest.raises(BruteForceGuardError, match=message):
@@ -217,7 +217,7 @@ def test_budget_counts_the_bound_work(monkeypatch):
     # the signed search on this 16-node, 48-edge component decides 3,548
     # search nodes; updating its bound over their edges takes 22,438 steps
     cov = load_cover("triangle_ring")
-    aux = build_aux(cov, the_component(cov, "quotient-down", 1), "down")
+    aux = build_aux(cov, the_component(cov, 1, "down"), "down")
     assert cheeger_signed(aux)[0] == Fraction(7, 18)
     monkeypatch.setattr(cheeger, "SEARCH_BUDGET", 10_000)
     with pytest.raises(BruteForceGuardError, match="budget of 10000 search steps"):
@@ -226,7 +226,7 @@ def test_budget_counts_the_bound_work(monkeypatch):
 
 def test_witness_tiebreak_is_lowest_mask():
     cov = load_cover("tetrahedron")
-    aux = build_aux(cov, the_component(cov, "quotient-up", 0), "up")
+    aux = build_aux(cov, the_component(cov, 0, "up"), "up")
     h, witness = cheeger_quotient(aux)
     assert h == Fraction(2, 3)
     # all 2-subsets tie; the lexicographically smallest bitmask wins
@@ -332,10 +332,10 @@ def test_report_gaps_match_the_float_eigensolver(name, covers):
     cov = covers[name]
     for k in range(1, max(cov.dims) + 1):
         for rep in combined_report(cov, k):
-            want = 1 - spectral_top(eigen(rep.up_quotient), "quotient")
+            want = 1 - eigen(rep.up_quotient)[-2]
             assert rep.gap_quotient == pytest.approx(want, rel=0, abs=1e-12)
             if not rep.coherent:
-                want = 1 - spectral_top(eigen(rep.up_signed), "signed")
+                want = 1 + eigen(rep.up_signed)[0]
                 assert rep.gap_signed == pytest.approx(want, rel=0, abs=1e-12)
 
 
@@ -348,7 +348,7 @@ def test_eigenvalue_of_a_spectrum_outside_the_unit_interval():
     from hodgewalk.exact import eigenvalue
 
     cov = load_cover("tetrahedron")
-    lap = aux_laplacian(build_aux(cov, the_component(cov, "quotient-up", 1), "up"), "signed")
+    lap = aux_laplacian(build_aux(cov, the_component(cov, 1, "up"), "up"), "signed")
     floats = eigen(lap)
     assert floats[-1] > 2
     for index, want in enumerate(floats):
@@ -376,11 +376,12 @@ def test_up_down_gap_equality(name, covers):
         for down_comp, up_comp in component_correspondence(cov, k):
             if len(up_comp) < 2 or len(down_comp) < 2:
                 continue
-            for flavor in ("quotient", "signed"):
+            # the gap is 1 - lambda_2 (quotient) or 1 + lambda_min (signed)
+            for flavor, top in (("quotient", lambda ev: ev[-2]), ("signed", lambda ev: -ev[0])):
                 up = build_conditional(cov, k - 1, "up", flavor)
                 down = build_conditional(cov, k, "down", flavor)
-                g_up = 1.0 - spectral_top(eigen(on_component(cov, up, up_comp)), flavor)
-                g_down = 1.0 - spectral_top(eigen(on_component(cov, down, down_comp)), flavor)
+                g_up = 1.0 - top(eigen(on_component(cov, up, up_comp)))
+                g_down = 1.0 - top(eigen(on_component(cov, down, down_comp)))
                 assert abs(g_up - g_down) < 1e-9
 
 
@@ -401,7 +402,7 @@ def test_signed_spectrum_vanishes_iff_coherent(name, covers):
             if len(up_comp) < 2:
                 continue
             coherent = detect_coherent(cov, down_comp, "down") is not None
-            gap = 1.0 - spectral_top(eigen(on_component(cov, up, up_comp)), "signed")
+            gap = 1.0 + eigen(on_component(cov, up, up_comp))[0]
             assert (abs(gap) < 1e-9) == coherent, (name, k, gap)
 
 
@@ -425,7 +426,7 @@ def test_annulus_6x4_vertex_component():
             lines.append(f"v{i}_{j} v{nxt}_{j} v{nxt}_{j + 1}")
             lines.append(f"v{i}_{j} v{i}_{j + 1} v{nxt}_{j + 1}")
     cov = cover_from_complex(parse_complex("\n".join(lines)))
-    aux = build_aux(cov, the_component(cov, "quotient-up", 0), "up")
+    aux = build_aux(cov, the_component(cov, 0, "up"), "up")
     assert aux.n == 24
     h, witness = cheeger_quotient(aux)
     assert h == Fraction(2, 9)

@@ -208,7 +208,7 @@ def test_coherent_witness_column_is_detect_coherent(capsys):
     code, out = run_cli(capsys, "coherent", path, "--k", "1", "--direction", "up")
     assert code == 0
     cov = load_cover("two_triangles_bridged")
-    comps = graded_cover.components(cov, "quotient-up", 1)
+    comps = graded_cover.components(cov, 1, "up")
     rows = [line.split("\t") for line in out.splitlines()[1:]]
     assert len(rows) == len(comps)
     witnesses = [graded_cover.detect_coherent(cov, comp, "up") for comp in comps]

@@ -92,15 +92,15 @@ def test_rp_is_factorial_on_simplicial(name, covers, weights):
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
-def test_lp_leaf_sum_formula(name, covers, weights):
-    cov, pw = covers[name], weights[name]
+def test_lp_leaf_sum_formula(name, covers, weights, complexes):
+    cov, pw, faces = covers[name], weights[name], complexes[name].all_faces
     leaves, _ = leaves_and_roots(cov)
     for q in range(cov.n_quotient):
-        face = cov.faces[q]
+        face = faces[q]
         total = sum(
-            factorial(cov.faces[l].dimension - face.dimension)
+            factorial(faces[l].dimension - face.dimension)
             for l in leaves
-            if set(face.vertices) <= set(cov.faces[l].vertices)
+            if set(face.vertices) <= set(faces[l].vertices)
         )
         assert pw.lp[q] == total
 
@@ -142,14 +142,14 @@ def test_leaves_and_roots_examples():
 
 def test_components_quotient_and_cover():
     single = load_cover("single_vertex")
-    assert components(single, "quotient") == ((0,),)
+    assert components(single) == ((0,),)
     tet = load_cover("tetrahedron")
-    assert len(components(tet, "quotient")) == 1
+    assert len(components(tet)) == 1
 
 
 def test_components_bridged_up_dim1():
     cov = load_cover("two_triangles_bridged")
-    comps = components(cov, "quotient-up", 1)
+    comps = components(cov, 1, "up")
     assert len(comps) == 4
     sizes = sorted(len(c) for c in comps)
     assert sizes == [1, 1, 3, 3]
@@ -159,7 +159,7 @@ def test_components_bridged_up_dim1():
 
 def test_components_tetrahedron_down_dim2():
     cov = load_cover("tetrahedron")
-    comps = components(cov, "quotient-down", 2)
+    comps = components(cov, 2, "down")
     assert len(comps) == 1 and len(comps[0]) == 4
 
 
@@ -168,15 +168,12 @@ def test_components_require_strong_and_k():
 
     cov = parse_cover_spec(fixture_text("nonstrong"))
     with pytest.raises(NonStrongGradingError):
-        components(cov, "quotient-up", 0)
+        components(cov, 0, "up")
     tet = load_cover("tetrahedron")
     with pytest.raises(ValueError):
-        components(tet, "quotient-up")
+        components(tet, 1, "sideways")
     with pytest.raises(ValueError):
-        components(tet, "sideways")
-    # cover components are the lifts of quotient components, not a kind of their own
-    with pytest.raises(ValueError):
-        components(tet, "cover")
+        components(tet, 1)
 
 
 def test_component_correspondence_tetrahedron():
@@ -215,7 +212,7 @@ def test_detect_coherent_examples(name, k, direction, expected, covers):
     cov = covers[name]
     comps = [
         c
-        for c in components(cov, f"quotient-{direction}", k)
+        for c in components(cov, k, direction)
         if len(c) > 1
     ]
     assert len(comps) == 1
@@ -243,12 +240,12 @@ def _assert_witness_valid(cov, comp, direction, witness):
 
 def test_detect_coherent_singletons():
     cov = load_cover("two_triangles_bridged")
-    for comp in components(cov, "quotient-up", 1):
+    for comp in components(cov, 1, "up"):
         if len(comp) == 1:
             # bridge edges are leaves: not coherent by definition
             assert detect_coherent(cov, comp, "up") is None
     # a single triangle is a non-root singleton down-component in dim 2
-    for comp in components(cov, "quotient-down", 2):
+    for comp in components(cov, 2, "down"):
         assert len(comp) == 1
         assert detect_coherent(cov, comp, "down") == {comp[0]: False}
 
@@ -258,7 +255,7 @@ def test_detect_coherent_matches_enumeration(name, covers):
     cov = covers[name]
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
-            for comp in components(cov, f"quotient-{direction}", k):
+            for comp in components(cov, k, direction):
                 if len(comp) > 16:
                     continue
                 got = detect_coherent(cov, comp, direction) is not None
@@ -266,23 +263,23 @@ def test_detect_coherent_matches_enumeration(name, covers):
                 assert got == want, (name, k, direction, comp)
 
 
-def test_find_partition_examples(covers):
+def test_find_partition_examples(covers, complexes):
     c6 = covers["cycle6"]
-    comp = components(c6, "quotient-down", 1)[0]
-    classes = find_partition(c6, comp)
+    comp = components(c6, 1, "down")[0]
+    classes = find_partition(complexes["cycle6"], comp)
     assert classes == [["x0", "x2", "x4"], ["x1", "x3", "x5"]]
     ring = covers["triangle_ring"]
-    comp = components(ring, "quotient-down", 2)[0]
-    assert find_partition(ring, comp) is None
+    comp = components(ring, 2, "down")[0]
+    assert find_partition(complexes["triangle_ring"], comp) is None
     tet = covers["tetrahedron"]
-    comp = components(tet, "quotient-down", 3)[0]
-    assert find_partition(tet, comp) == [["x0"], ["x1"], ["x2"], ["x3"]]
+    comp = components(tet, 3, "down")[0]
+    assert find_partition(complexes["tetrahedron"], comp) == [["x0"], ["x1"], ["x2"], ["x3"]]
 
 
-def test_find_partition_odd_cycle_none(covers):
+def test_find_partition_odd_cycle_none(covers, complexes):
     c5 = covers["cycle5"]
-    comp = components(c5, "quotient-down", 1)[0]
-    assert find_partition(c5, comp) is None
+    comp = components(c5, 1, "down")[0]
+    assert find_partition(complexes["cycle5"], comp) is None
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -290,8 +287,8 @@ def test_partition_implies_coherent(seed):
     cx = random_complex(seed + 100)
     cov = cover_from_complex(cx)
     for k in sorted(cov.nodes_by_dim):
-        for comp in components(cov, "quotient-down", k):
-            classes = find_partition(cov, comp)
+        for comp in components(cov, k, "down"):
+            classes = find_partition(cx, comp)
             if classes is not None and not (len(comp) == 1 and cov.is_root(comp[0])):
                 assert detect_coherent(cov, comp, "down") is not None
 
@@ -342,7 +339,7 @@ def test_random_cover_walk_invariants(seed):
     for a in range(cov.n_quotient):
         for b in range(cov.n_quotient):
             assert pw.through(a) * P[a, b] == pw.through(b) * P[b, a]
-    for comp in components(cov, "quotient"):
+    for comp in components(cov):
         pi = stationary(cov, comp, "quotient")
         vec = [pi.weights.get(q, Fraction(0)) for q in range(cov.n_quotient)]
         for b in range(cov.n_quotient):
@@ -408,7 +405,7 @@ def test_random_strong_cover_properties(seed):
     Pc = oracles.one_step_transition(cov, "cover")
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
-            for comp in components(cov, f"quotient-{direction}", k):
+            for comp in components(cov, k, direction):
                 got = detect_coherent(cov, comp, direction) is not None
                 assert got == oracles.coherence_by_enumeration(cov, comp, direction)
             lonely = cov.is_leaf if direction == "up" else cov.is_root

@@ -76,7 +76,7 @@ def test_graph_specialization_half_normalized_laplacian():
 
 def test_hollow_triangle_spectrum():
     cx = load_complex("hollow_triangle")
-    ev = eigen(hodge(cx, 0, normalized=True)[0].to_float())
+    ev = eigen(hodge(cx, 0, normalized=True)[0])
     assert ev == pytest.approx((0.0, 0.75, 0.75), abs=1e-9)
 
 
@@ -122,16 +122,16 @@ def test_verify_hodge_properties(name):
 def test_saturation_multiplicity_examples():
     # tetrahedron: eigenvalue 2/3 is the top of the dim-0 up spectrum
     cx = load_complex("tetrahedron")
-    ev = eigen(hodge(cx, 0, normalized=True)[0].to_float())
+    ev = eigen(hodge(cx, 0, normalized=True)[0])
     assert ev == pytest.approx((0.0, 2 / 3, 2 / 3, 2 / 3), abs=1e-9)
     # even cycle: eigenvalue 1 attained once (single coherent component)
     c6 = load_complex("cycle6")
-    ev = eigen(hodge(c6, 0, normalized=True)[0].to_float())
+    ev = eigen(hodge(c6, 0, normalized=True)[0])
     assert oracles.float_multiplicity(ev, 1.0) == 1
     assert inertia(hodge(c6, 0, normalized=True)[0], 1)[1] == 1
     # bridged triangles: two coherent edge families in dimension 1
     br = load_complex("two_triangles_bridged")
-    ev = eigen(hodge(br, 1, normalized=True)[0].to_float())
+    ev = eigen(hodge(br, 1, normalized=True)[0])
     assert oracles.float_multiplicity(ev, 1.0) == 2
     assert inertia(hodge(br, 1, normalized=True)[0], 1)[1] == 2
 
@@ -203,7 +203,7 @@ def test_random_complex_properties(seed):
     for k in range(cx.dimension + 1):
         up, down = hodge(cx, k, normalized=True)
         assert (up @ down).is_zero()
-        ev = eigen((up + down).to_float())
+        ev = eigen(up + down)
         assert all(-1e-10 <= v <= 1 + 1e-10 for v in ev)
         assert check_laplacian_walk_identity(cx, k)
         # positive scales leave a rank alone: only the integer body is read

@@ -121,23 +121,33 @@ def test_quotient_eigenvalue_one_eigenvector():
     for k in sorted(cov.nodes_by_dim):
         for direction in ("up", "down"):
             op = build_conditional(cov, k, direction, "quotient")
-            for comp in components(cov, f"quotient-{direction}", k):
+            for comp in components(cov, k, direction):
                 body = on_component(cov, op, comp).body
                 w = np.array([Fraction(pw.rp[q]) for q in comp], dtype=object)
                 assert all((body @ w)[i] == w[i] for i in range(len(comp)))
 
 
 def test_eigen_identity_and_ordering():
-    assert eigen(np.eye(3)) == (1.0, 1.0, 1.0)
-    mat = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert eigen(ScaledMatrix.identity(3)) == (1.0, 1.0, 1.0)
+    mat = ScaledMatrix([1, 1], [1, 1], [{0: 2, 1: 1}, {0: 1, 1: 2}])
     assert eigen(mat) == pytest.approx((1.0, 3.0))
 
 
 def test_eigen_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
-        eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        eigen(np.zeros((2, 3)))
+        eigen(ScaledMatrix([1, 1], [1, 1], [{1: 1}, {}]))
+    # a matrix that is not square is not symmetric either
+    with pytest.raises(ValueError, match="symmetric"):
+        eigen(ScaledMatrix([1, 1], [1, 1, 1], [{}, {}]))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**10), Fraction(1, 10**6)])
+def test_eigen_decides_symmetry_exactly(eps):
+    # [[1, 1], [1 + eps, 1]] is not symmetric, however small eps; a float
+    # tolerance took it for symmetric at 1e-10 and tripped the residual
+    # guard at 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        eigen(ScaledMatrix([1, 1], [1, 1], [{0: 1, 1: 1}, {0: 1 + eps, 1: 1}]))
 
 
 def random_symmetric(rng, n, repeated):
@@ -157,7 +167,9 @@ def test_eigen_contract(seed):
     for n in range(11):
         for repeated in (False, True):
             m = random_symmetric(rng, n, repeated)
-            ev = eigen(m)
+            # exactly symmetric: the upper triangle of the draw, mirrored
+            rows = [{j: Fraction(m[min(i, j), max(i, j)]) for j in range(n)} for i in range(n)]
+            ev = eigen(ScaledMatrix([1] * n, [1] * n, rows))
             vals = np.array(ev)
             assert isinstance(ev, tuple) and vals.shape == (n,)
             assert np.all(np.diff(vals) >= 0)
@@ -216,7 +228,7 @@ def test_min_eigenvalue_bound_all_fixtures(name, covers):
 
 def test_coherent_spectrum_check_cycle():
     cov = load_cover("cycle6")
-    comp = components(cov, "quotient-down", 1)[0]
+    comp = components(cov, 1, "down")[0]
     report = coherent_spectrum_check(cov, comp, "down")
     assert all(ok for ok, _ in report.values())
     assert set(report) == {
@@ -229,7 +241,7 @@ def test_coherent_spectrum_check_cycle():
 def test_coherent_spectrum_check_not_coherent():
     cov = load_cover("tetrahedron")
     for k in (1, 2):
-        comp = components(cov, "quotient-down", k)[0]
+        comp = components(cov, k, "down")[0]
         report = coherent_spectrum_check(cov, comp, "down")
         assert report["not_coherent_gap"][0]
 
@@ -238,7 +250,7 @@ def test_coherent_spectrum_singleton_non_leaf():
     """A non-leaf singleton up-component has quotient spectrum {1} and
     signed spectrum {-1}."""
     cov = load_cover("single_edge")
-    comp = components(cov, "quotient-down", 1)[0]
+    comp = components(cov, 1, "down")[0]
     assert len(comp) == 1
     quot = on_component(cov, build_conditional(cov, 1, "down", "quotient"), comp)
     assert eigen(quot) == pytest.approx((1.0,))
@@ -248,7 +260,7 @@ def test_coherent_spectrum_singleton_non_leaf():
 
 def test_minus_one_multiplicity_via_eigen():
     cov = load_cover("cycle6")
-    comp = components(cov, "quotient-down", 1)[0]
+    comp = components(cov, 1, "down")[0]
     witness = detect_coherent(cov, comp, "down")
     sgn = switched(on_component(cov, build_conditional(cov, 1, "down", "signed"), comp),
                    [witness[q] for q in comp])
@@ -274,7 +286,7 @@ def test_alt_operator_antisymmetric_and_imaginary():
     sgn = b.a_signed.to_float()
     assert np.allclose(sgn, -sgn.T)
     # squared magnitudes come from a PSD product
-    mags = eigen(sgn @ sgn.T)
+    mags = eigen(b.a_signed @ b.a_signed.T)
     assert all(v >= -1e-12 for v in mags)
 
 
@@ -365,7 +377,7 @@ def test_split_rows_read_the_conditional_operators(row, k, direction, flavor, mo
 
 def test_minus_one_multiplicity_reads_the_signed_operator(monkeypatch):
     cov = load_cover("cycle6")
-    comp = components(cov, "quotient-down", 1)[0]
+    comp = components(cov, 1, "down")[0]
     assert coherent_spectrum_check(cov, comp, "down")["minus_one_multiplicity"][0]
     real = operators.build_conditional
 
@@ -547,7 +559,7 @@ def test_not_coherent_gap_is_exact(monkeypatch):
     10^-12 above -1 passes (a float test, lambda_min > -1 + 1e-10, refused
     it), and one at -1 fails."""
     cov = load_cover("cycle5")
-    comp = components(cov, "quotient-down", 1)[0]
+    comp = components(cov, 1, "down")[0]
     assert detect_coherent(cov, comp, "down") is None
     for value, ok in ((-1 + Fraction(1, 10**12), True), (-1, False)):
         signed = ScaledMatrix.identity(len(comp)).scale(value)

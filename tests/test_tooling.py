@@ -133,20 +133,26 @@ def test_readme_states_the_search_budget():
 
 
 def test_spectral_predicates_read_no_tolerance():
-    """The range, bound and sandwich predicates are exact eigenvalue counts;
-    the eigensolver's residual bound EIGEN_TOL is the one slack left."""
+    """Every predicate of the package is exact: no module calls ``allclose``
+    or ``isclose``, and the one float literal in (0, 1e-6] is the
+    eigensolver's residual bound EIGEN_TOL, the one slack left."""
     import ast
-    import io
-    import tokenize
 
     src = PERFBENCH.parent / "src" / "hodgewalk"
     found = []
-    for name in ("operators.py", "laplacians.py", "cheeger.py"):
-        text = (src / name).read_text(encoding="utf-8")
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type == tokenize.NUMBER and ast.literal_eval(tok.string) in (1e-9, 1e-10):
-                if tok.line.strip() != "EIGEN_TOL = 1e-9":
-                    found.append(f"{name}:{tok.start[0]}: {tok.line.strip()}")
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                tolerant = name in ("allclose", "isclose")
+            else:
+                tolerant = isinstance(node, ast.Constant) and type(node.value) is float and (
+                    0 < node.value <= 1e-6 and lines[node.lineno - 1].strip() != "EIGEN_TOL = 1e-9"
+                )
+            if tolerant:
+                found.append(f"{path.name}:{node.lineno}: {lines[node.lineno - 1].strip()}")
     assert found == []
 
 

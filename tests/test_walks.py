@@ -126,7 +126,7 @@ def test_stationary_fixed_point(name, covers):
         # rows follow the quotient nodes, or the cover nodes
         P = transition_full(cov, view).body
         n = len(P)
-        for comp in components(cov, "quotient"):
+        for comp in components(cov):
             pi = stationary(cov, comp, view)
             assert pi.total() == 1
             vec = [pi.weights.get(u, Fraction(0)) for u in range(n)]
@@ -138,7 +138,7 @@ def test_conditional_stationary_fixed_point_on_cover():
     cov = load_cover("tetrahedron")
     for k, direction in ((0, "up"), (1, "up"), (1, "down"), (2, "down")):
         P = transition_conditional(cov, k, direction, "cover").body
-        comp = components(cov, f"quotient-{direction}", k)[0]
+        comp = components(cov, k, direction)[0]
         pi = stationary(cov, comp, "cover")
         # rows follow the lifts of the dimension-k nodes
         vec = [pi.weights.get(u, Fraction(0)) for u in cov.lifts(k)]
