@@ -116,15 +116,11 @@ def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> Auxi
     LP(a) * LP(b) / LP(shared face).  None where the component has no
     auxiliary graph: a leaf singleton (up) or any singleton (down).
     """
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
     pw = compute_path_weights(cover)
     comp = tuple(sorted(component))
     k = cover.dims[comp[0]]
     if any(cover.dims[q] != k for q in comp):
         raise ValueError("component mixes dimensions")
-    if len(comp) == 1 and (direction == "down" or cover.is_leaf(comp[0])):
-        return None
     pos = {q: i for i, q in enumerate(comp)}
     mid: dict[tuple[int, int], tuple[int, int]] = {}
     for a, b, v, s in conditional_triples(cover, k, direction, comp):
@@ -135,6 +131,9 @@ def build_aux(cover: GradedSignedDoubleCover, component, direction: str) -> Auxi
                     f" {cover.labels[b]} share several"
                 )
             mid[(pos[a], pos[b])] = (v, s)
+    # after the triples, which vet the cover and the direction
+    if len(comp) == 1 and (direction == "down" or cover.is_leaf(comp[0])):
+        return None
     edges = sorted(mid)
     signs = [mid[e][1] for e in edges]
     if direction == "up":
@@ -480,7 +479,6 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
     only when read.  Raises ChildCountError
     when a down-component node has other than k+1 children.
     """
-    cover.require_strong()
     reports = []
     for down_comp, up_comp in component_correspondence(cover, k):
         for q in down_comp:

@@ -340,14 +340,15 @@ def _path_count_oracle(cover) -> bool:
 
 
 def _adjacency_consistent(cover, cx) -> bool:
+    """The neighbour pairs of the conditional triples against those of
+    ``complex_core.adjacency``, the oracle, in every dimension and direction."""
     for k in range(cx.dimension + 1):
         for direction in ("up", "down"):
-            mine = cover.adjacency(k, direction)
             theirs = complex_core.adjacency(cx, k, direction)
-            for face, neighbors in theirs.items():
-                q = cx.index_of(face)
-                if {cx.index_of(g) for g in neighbors} != mine[q]:
-                    return False
+            pairs = {(cx.index_of(f), cx.index_of(g)) for f in theirs for g in theirs[f]}
+            triples = graded_cover.conditional_triples(cover, k, direction)
+            if {(a, b) for a, b, _v, _s in triples if a != b} != pairs:
+                return False
     return True
 
 

@@ -13,9 +13,19 @@ from typing import NamedTuple
 
 from . import exact
 
+# Subfaces the downward closure may enumerate, 2^n - 2 per listed face of
+# n vertices: a 15-vertex face fits, a 16-vertex one does not.
+CLOSURE_BUDGET = 40_000
+
 
 class ComplexFormatError(ValueError):
     """Raised on malformed complex input."""
+
+
+class GuardError(Exception):
+    """A computation the package refuses, where the input itself is valid:
+    the CLI's exit 2.  Not a ValueError, so no handler of invalid input
+    catches one."""
 
 
 class Face(NamedTuple):
@@ -52,6 +62,10 @@ class SimplicialComplex:
         face_set = set(faces)
         if not face_set:
             raise ComplexFormatError("complex has no faces")
+        subsets = sum(2 ** len(f.vertices) - 2 for f in face_set)
+        if subsets > CLOSURE_BUDGET:
+            raise GuardError(f"downward closure would enumerate {subsets} subfaces,"
+                             f" over its budget of {CLOSURE_BUDGET} subfaces")
         for f in list(face_set):
             for size in range(1, len(f.vertices)):
                 for sub in combinations(f.vertices, size):

@@ -18,17 +18,11 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complex_core import SimplicialComplex, incidence_sign
+from .complex_core import GuardError, SimplicialComplex, incidence_sign
 
 
 class CoverSpecError(ValueError):
     """Raised on malformed cover-spec input."""
-
-
-class GuardError(Exception):
-    """A computation the package refuses, where the input itself is valid:
-    the CLI's exit 2.  Not a ValueError, so no handler of invalid input
-    catches one."""
 
 
 class NonStrongGradingError(GuardError):
@@ -153,15 +147,6 @@ class GradedSignedDoubleCover:
     def shared_children(self, a: int, b: int) -> tuple[int, ...]:
         return tuple(sorted(set(self.children[a]) & set(self.children[b])))
 
-    def adjacency(self, k: int, direction: str) -> dict[int, set[int]]:
-        """Dimension-k nodes sharing a parent ('up') or a child ('down')."""
-        self.require_strong()
-        adj: dict[int, set[int]] = {q: set() for q in self.nodes_by_dim.get(k, ())}
-        for a, b, _v, _s in conditional_triples(self, k, direction):
-            if a != b:
-                adj[a].add(b)
-        return adj
-
 
 def conditional_triples(cover: GradedSignedDoubleCover, k: int, direction: str, near=None):
     """Two-step moves of the conditional walk in dimension k, one per mid-node.
@@ -172,7 +157,13 @@ def conditional_triples(cover: GradedSignedDoubleCover, k: int, direction: str, 
     incidence signs.  Mid-nodes come in ascending order, and so do a and b.
     Given dimension-k nodes ``near`` (one component, say), only the
     mid-nodes next to them are visited, so the cost follows their size.
+    The one gate of the conditional walk: the first step raises
+    NonStrongGradingError on a non-strong grading and ValueError on a
+    direction other than 'up' or 'down'.
     """
+    cover.require_strong()
+    if direction not in ("up", "down"):
+        raise ValueError("direction must be 'up' or 'down'")
     up = direction == "up"
     mid_dim = k + 1 if up else k - 1
     mids = cover.nodes_by_dim.get(mid_dim, ())
@@ -363,10 +354,8 @@ def components(
     if k is None:
         edges = [(c, p, 1) for (c, p) in cover.sign_ref]
         return tuple(propagate_signs(range(cover.n_quotient), edges)[1])
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
-    adj = cover.adjacency(k, direction)
-    return tuple(propagate_signs(adj, [(a, b, 1) for a in adj for b in adj[a] if a < b])[1])
+    edges = [(a, b, 1) for a, b, _v, _s in conditional_triples(cover, k, direction) if a < b]
+    return tuple(propagate_signs(cover.nodes_by_dim.get(k, ()), edges)[1])
 
 
 @memoized
@@ -411,19 +400,17 @@ def detect_coherent(cover: GradedSignedDoubleCover, component, direction: str):
     shared-mid-node pairs; two shared mid-nodes asking for contradictory
     pair signs leave one of their edges frustrated.
     """
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
     comp = tuple(sorted(component))
-    if len(comp) == 1:
-        q = comp[0]
-        lonely = cover.is_leaf(q) if direction == "up" else cover.is_root(q)
-        return None if lonely else {q: False}
     members = set(comp)
+    # the triples are read first, so that they vet the cover and the direction
     edges = [
         (a, b, s)
         for a, b, _v, s in conditional_triples(cover, cover.dims[comp[0]], direction, comp)
         if a < b and a in members and b in members
     ]
+    lonely = cover.is_leaf if direction == "up" else cover.is_root
+    if len(comp) == 1 and lonely(comp[0]):
+        return None
     x, _pieces, frustrated = propagate_signs(comp, edges)
     if frustrated:
         return None

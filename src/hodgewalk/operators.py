@@ -192,9 +192,6 @@ def build_conditional(
     disjoint union of the other two).  Rows and columns follow
     ``cover.nodes_by_dim[k]``, or ``cover.lifts(k)`` for the cover flavor.
     """
-    cover.require_strong()
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
     if flavor not in ("quotient", "signed", "cover"):
         raise ValueError("flavor must be 'quotient', 'signed' or 'cover'")
     pw = compute_path_weights(cover)

@@ -16,6 +16,7 @@ from hodgewalk.cheeger import (
 from hodgewalk.complex_core import parse_complex
 from hodgewalk.exact import ScaledMatrix
 from hodgewalk.graded_cover import (
+    NonStrongGradingError,
     components,
     cover_from_complex,
     detect_coherent,
@@ -24,7 +25,7 @@ from hodgewalk.graded_cover import (
 from hodgewalk.operators import build_conditional, eigen, on_component
 
 import oracles
-from conftest import COMPLEX_NAMES, load_cover
+from conftest import COMPLEX_NAMES, fixture_text, load_cover
 
 
 def the_component(cov, k, direction):
@@ -84,11 +85,22 @@ def test_build_aux_preconditions():
     # a singleton with a parent has a one-node graph
     chain = parse_cover_spec("node a 0\nnode b 1\nedge a b +1\n")
     assert build_aux(chain, (0,), "up").n == 1
-    # a bad call still raises
-    with pytest.raises(ValueError):
-        build_aux(cov, singleton_down, "sideways")
+    # a bad call still raises: a bad direction before the singleton rule
+    # answers, on a singleton and on a multi-node component alike
+    triangle_edges = max(components(cov, 1, "up"), key=len)
+    for bad in ("UP", "sideways", None):
+        for comp in (leaf_singleton, singleton_down, triangle_edges):
+            with pytest.raises(ValueError, match="direction must be 'up' or 'down'"):
+                build_aux(cov, comp, bad)
+        for flavor in ("quotient", "signed", "cover"):
+            with pytest.raises(ValueError, match="direction must be 'up' or 'down'"):
+                build_conditional(cov, 1, bad, flavor)
     with pytest.raises(ValueError):
         build_aux(cov, (0, cov.n_quotient - 1), "up")
+    nonstrong = parse_cover_spec(fixture_text("nonstrong"))
+    for direction in ("up", "down"):
+        with pytest.raises(NonStrongGradingError):
+            build_aux(nonstrong, (0,), direction)
 
 
 def test_aux_laplacian_affine_identities():

@@ -1038,6 +1038,49 @@ def test_every_verb_ends_on_deep_layered_specs(layers, wide):
     assert_every_verb_ends(layered_spec(layers, wide), ".cover", False)
 
 
+def test_verify_adjacency_row_catches_a_missing_pair(monkeypatch, capsys):
+    """complex_adjacency_consistent compares the conditional triples with
+    complex_core.adjacency: one neighbour pair missing there fails the row."""
+    from hodgewalk import complex_core
+
+    real = complex_core.adjacency
+
+    def missing_pair(cx, k, direction):
+        adj = dict(real(cx, k, direction))
+        if (k, direction) == (1, "up"):
+            f = min(adj)
+            g = min(adj[f])
+            adj[f], adj[g] = adj[f] - {g}, adj[g] - {f}
+        return adj
+
+    monkeypatch.setattr(complex_core, "adjacency", missing_pair)
+    code, out = run_cli(capsys, "verify", TET)
+    assert code == 3
+    ok = dict(line.split("\t")[:2] for line in out.splitlines()[1:])
+    failed = [name for name, v in ok.items() if v != "yes"]
+    assert failed == ["complex_adjacency_consistent", "TOTAL"]
+
+
+@pytest.mark.parametrize("labels, code", [(40, 2), (12, 0)])
+def test_downward_closure_is_bounded(labels, code, tmp_path):
+    """A listed face of n labels has 2^n - 2 proper subfaces: past
+    complex_core.CLOSURE_BUDGET the run refuses before building one."""
+    path = tmp_path / "line.cx"
+    path.write_text(" ".join(f"v{i}" for i in range(labels)) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "hodgewalk.cli", "lp", str(path)],
+                          capture_output=True, text=True, env=cli_env(), timeout=20)
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"guard: downward closure would enumerate {2**40 - 2} subfaces,"
+            f" over its budget of {hodgewalk.complex_core.CLOSURE_BUDGET} subfaces\n"
+        )
+    else:
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 1 + 2**12 - 1
+
+
 def test_verify_transition_rows_catch_a_broken_walk(monkeypatch, capsys):
     """The transition rows read the sparse integer rows of P: moving mass
     within a quotient row keeps it stochastic but breaks detailed balance

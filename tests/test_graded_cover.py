@@ -9,6 +9,7 @@ from hodgewalk.graded_cover import (
     component_correspondence,
     components,
     compute_path_weights,
+    conditional_triples,
     cover_from_complex,
     detect_coherent,
     find_partition,
@@ -169,11 +170,29 @@ def test_components_require_strong_and_k():
     cov = parse_cover_spec(fixture_text("nonstrong"))
     with pytest.raises(NonStrongGradingError):
         components(cov, 0, "up")
+    # conditional_triples is the one gate: coherence refuses the grading too
+    for direction in ("up", "down"):
+        with pytest.raises(NonStrongGradingError):
+            list(conditional_triples(cov, 0, direction))
+        with pytest.raises(NonStrongGradingError):
+            detect_coherent(cov, (0,), direction)
     tet = load_cover("tetrahedron")
     with pytest.raises(ValueError):
         components(tet, 1, "sideways")
     with pytest.raises(ValueError):
         components(tet, 1)
+    # a direction is 'up' or 'down' exactly, near a component or not; a
+    # singleton (a root vertex) is refused before its own rule answers
+    edges = tet.nodes_by_dim[1]
+    for bad in ("UP", "sideways", None):
+        for near in (None, edges, edges[:1]):
+            with pytest.raises(ValueError, match="direction must be 'up' or 'down'"):
+                list(conditional_triples(tet, 1, bad, near))
+        with pytest.raises(ValueError, match="direction must be 'up' or 'down'"):
+            components(tet, 1, bad)
+        for comp in (tet.nodes_by_dim[0][:1], edges):
+            with pytest.raises(ValueError, match="direction must be 'up' or 'down'"):
+                detect_coherent(tet, comp, bad)
 
 
 def test_component_correspondence_tetrahedron():

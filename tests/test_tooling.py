@@ -132,6 +132,23 @@ def test_readme_states_the_search_budget():
     assert str(cheeger._over_budget()).endswith(f"budget of {cheeger.SEARCH_BUDGET} {unit}")
 
 
+def test_readme_states_the_closure_budget():
+    import re
+
+    from hodgewalk import complex_core
+
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"`complex_core\.CLOSURE_BUDGET` = ([\d,]+)\s+(\w+)", readme)
+    assert match, "README no longer states complex_core.CLOSURE_BUDGET"
+    value, unit = match.groups()
+    assert int(value.replace(",", "")) == complex_core.CLOSURE_BUDGET
+    # one face whose closure is over the budget
+    labels = " ".join(f"v{i}" for i in range(complex_core.CLOSURE_BUDGET.bit_length() + 1))
+    with pytest.raises(complex_core.GuardError) as refused:
+        complex_core.parse_complex(labels)
+    assert str(refused.value).endswith(f"budget of {complex_core.CLOSURE_BUDGET} {unit}")
+
+
 def test_spectral_predicates_read_no_tolerance():
     """Every predicate of the package is exact: no module calls ``allclose``
     or ``isclose``, and the one float literal in (0, 1e-6] is the
