@@ -24,7 +24,7 @@ _EXPORTS = {
     "laplacians": "HodgeReport betti_numbers check_laplacian_walk_identity hodge "
     "hodge_decomposition normalization_weights normalized_coboundary verify_hodge_properties",
     "cheeger": "AuxiliaryGraph BruteForceGuardError CheegerReport build_aux aux_laplacian "
-    "cheeger_quotient cheeger_signed combined_report",
+    "cheeger_quotient cheeger_signed combined_report verify_cheeger",
     "exact": "",
     "rng": "",
 }

@@ -31,6 +31,7 @@ from .graded_cover import (
     GradedSignedDoubleCover,
     GuardError,
     component_correspondence,
+    components,
     compute_path_weights,
     conditional_triples,
     detect_coherent,
@@ -535,3 +536,65 @@ def combined_report(cover: GradedSignedDoubleCover, k: int) -> list[CheegerRepor
             )
         )
     return reports
+
+
+def verify_cheeger(cover: GradedSignedDoubleCover) -> dict:
+    """verify's combined bounds and auxiliary-Laplacian identities on a
+    strong cover, every k >= 1; returns {check: (ok, detail)}.
+
+    A guard of ``combined_report(cover, k)`` leaves the row cheeger_k<k> in
+    place of the bound rows of k; the identities of (up, k-1) and (down, k)
+    run either way.  An identity's factor c is the child count of the
+    mid-nodes (up) or of the component's own nodes (down), m+2 and m+1 on
+    the m-faces of a simplicial complex; those nodes' children must share
+    one RP (up: RP(v) = c*sqrt(RP(a)*RP(b)) for a, b under v).
+    """
+    report: dict[str, tuple[bool, str]] = {}
+    pw = compute_path_weights(cover)
+    for k in range(1, max(cover.dims) + 1):
+        try:
+            reports = combined_report(cover, k)
+        except GuardError as exc:
+            report[f"cheeger_k{k}"] = (True, f"skipped: {exc}")
+            reports = []
+        for rep in reports:
+            tag = f"k{k}_comp{rep.down_component[0]}"
+            report[f"sandwich_quotient_{tag}"] = (rep.sandwich_quotient_ok, "")
+            report[f"sandwich_signed_{tag}"] = (rep.sandwich_signed_ok, "")
+            if rep.h_signed_down is not None:
+                report[f"signed_zero_iff_coherent_{tag}"] = (
+                    (rep.h_signed_down == 0) == rep.coherent,
+                    f"h_signed_down = {rep.h_signed_down}",
+                )
+        for direction, kk in (("up", k - 1), ("down", k)):
+            quot = build_conditional(cover, kk, direction, "quotient")
+            sgn = build_conditional(cover, kk, direction, "signed")
+            for comp in components(cover, kk, direction):
+                try:
+                    aux = build_aux(cover, comp, direction)
+                except SharedMidNodeError:
+                    # no auxiliary weights, so no identity; a cover spec only
+                    continue
+                if aux is None:
+                    continue
+                name = f"aux_laplacian_identity_{direction}_{kk}_{comp[0]}"
+                owners = comp
+                if direction == "up":
+                    owners = sorted({v for q in comp for v in cover.parents[q]})
+                counts = {len(cover.children[v]) for v in owners}
+                if len(counts) != 1:
+                    report[name] = (True, "skipped: child counts differ across the component")
+                    continue
+                uneven = [v for v in owners if len({pw.rp[t] for t in cover.children[v]}) > 1]
+                if uneven:
+                    detail = f"skipped: the children of {cover.labels[uneven[0]]} differ in RP"
+                    report[name] = (True, detail)
+                    continue
+                factor = Fraction(counts.pop())
+                eye = ScaledMatrix.identity(aux.n)
+                a_q, a_s = on_component(cover, quot, comp), on_component(cover, sgn, comp)
+                ok = aux_laplacian(aux, "quotient").equals((eye - a_q).scale(factor)) and (
+                    aux_laplacian(aux, "signed").equals((eye + a_s).scale(factor))
+                )
+                report[name] = (ok, f"factor {factor}")
+    return report

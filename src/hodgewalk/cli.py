@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import cheeger as cheeger_mod
-from . import complex_core, exact, graded_cover, laplacians, operators, walks
+from . import complex_core, graded_cover, laplacians, operators, walks
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -314,7 +314,8 @@ def _verify_checks(cover, cx):
             yield name, ok, detail
         yield "complex_adjacency_consistent", _adjacency_consistent(cover, cx), ""
     if cover.strong:
-        yield from _verify_cheeger_checks(cover)
+        for name, (ok, detail) in cheeger_mod.verify_cheeger(cover).items():
+            yield name, ok, detail
 
 
 def _path_count_oracle(cover) -> bool:
@@ -340,80 +341,18 @@ def _path_count_oracle(cover) -> bool:
 
 
 def _adjacency_consistent(cover, cx) -> bool:
-    """The neighbour pairs of the conditional triples against those of
-    ``complex_core.adjacency``, the oracle, in every dimension and direction."""
+    """The neighbour pairs of the conditional triples, as pairs of faces,
+    against those of ``complex_core.adjacency``, the oracle, in every
+    dimension and direction."""
+    faces = cx.all_faces
     for k in range(cx.dimension + 1):
         for direction in ("up", "down"):
             theirs = complex_core.adjacency(cx, k, direction)
-            pairs = {(cx.index_of(f), cx.index_of(g)) for f in theirs for g in theirs[f]}
+            pairs = {(f, g) for f in theirs for g in theirs[f]}
             triples = graded_cover.conditional_triples(cover, k, direction)
-            if {(a, b) for a, b, _v, _s in triples if a != b} != pairs:
+            if {(faces[a], faces[b]) for a, b, _v, _s in triples if a != b} != pairs:
                 return False
     return True
-
-
-def _verify_cheeger_checks(cover):
-    dim = max(cover.dims)
-    for k in range(1, dim + 1):
-        try:
-            reports = cheeger_mod.combined_report(cover, k)
-        except graded_cover.GuardError as exc:
-            yield f"cheeger_k{k}", True, f"skipped: {exc}"
-            # only the bounds need k+1 children; the identities below do not
-            if not isinstance(exc, cheeger_mod.ChildCountError):
-                continue
-            reports = []
-        for rep in reports:
-            tag = f"k{k}_comp{rep.down_component[0]}"
-            yield f"sandwich_quotient_{tag}", rep.sandwich_quotient_ok, ""
-            yield f"sandwich_signed_{tag}", rep.sandwich_signed_ok, ""
-            coherent = rep.coherent
-            if rep.h_signed_down is not None:
-                yield (
-                    f"signed_zero_iff_coherent_{tag}",
-                    (rep.h_signed_down == 0) == coherent,
-                    f"h_signed_down = {rep.h_signed_down}",
-                )
-        # auxiliary Laplacian affine identities, per eligible component: the
-        # factor c is the child count of the mid-nodes (up) or of the
-        # component's own nodes (down), m+2 and m+1 in dimension m of a
-        # simplicial complex; the identities also need those nodes' children
-        # to share one RP (up: RP(v) = c*sqrt(RP(a)*RP(b)) for a, b under v)
-        pw = graded_cover.compute_path_weights(cover)
-        for direction, kk in (("up", k - 1), ("down", k)):
-            comps = graded_cover.components(cover, kk, direction)
-            quot = operators.build_conditional(cover, kk, direction, "quotient")
-            sgn = operators.build_conditional(cover, kk, direction, "signed")
-            for comp in comps:
-                try:
-                    aux = cheeger_mod.build_aux(cover, comp, direction)
-                except cheeger_mod.SharedMidNodeError:
-                    # reached only after a ChildCountError at this k, on a cover spec
-                    continue
-                if aux is None:
-                    continue
-                name = f"aux_laplacian_identity_{direction}_{kk}_{comp[0]}"
-                mids = sorted({v for q in comp for v in cover.parents[q]})
-                owners = mids if direction == "up" else comp
-                counts = {len(cover.children[v]) for v in owners}
-                if len(counts) != 1:
-                    yield name, True, "skipped: child counts differ across the component"
-                    continue
-                uneven = [v for v in owners if len({pw.rp[t] for t in cover.children[v]}) > 1]
-                if uneven:
-                    detail = f"skipped: the children of {cover.labels[uneven[0]]} differ in RP"
-                    yield name, True, detail
-                    continue
-                factor = Fraction(counts.pop())
-                eye = exact.ScaledMatrix.identity(aux.n)
-                a_q = operators.on_component(cover, quot, comp)
-                a_s = operators.on_component(cover, sgn, comp)
-                lap_q = cheeger_mod.aux_laplacian(aux, "quotient")
-                lap_s = cheeger_mod.aux_laplacian(aux, "signed")
-                ok = lap_q.equals((eye - a_q).scale(factor)) and lap_s.equals(
-                    (eye + a_s).scale(factor)
-                )
-                yield name, ok, f"factor {factor}"
 
 
 def cmd_verify(cover, cx, args):

@@ -78,16 +78,11 @@ class SimplicialComplex:
         self.all_faces: tuple[Face, ...] = tuple(
             f for k in range(self.dimension + 1) for f in self.faces_by_dim[k]
         )
-        self._index = {f: i for i, f in enumerate(self.all_faces)}
 
     def n_faces(self, k: int | None = None) -> int:
         if k is None:
             return len(self.all_faces)
         return len(self.faces_by_dim.get(k, ()))
-
-    def index_of(self, face: Face) -> int:
-        """Position of a face in the global (dimension, lexicographic) order."""
-        return self._index[face]
 
 
 def parse_complex(text: str) -> SimplicialComplex:

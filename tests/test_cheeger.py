@@ -12,6 +12,7 @@ from hodgewalk.cheeger import (
     cheeger_quotient,
     cheeger_signed,
     combined_report,
+    verify_cheeger,
 )
 from hodgewalk.complex_core import parse_complex
 from hodgewalk.exact import ScaledMatrix
@@ -25,7 +26,7 @@ from hodgewalk.graded_cover import (
 from hodgewalk.operators import build_conditional, eigen, on_component
 
 import oracles
-from conftest import COMPLEX_NAMES, fixture_text, load_cover
+from conftest import COMPLEX_NAMES, FIXTURES, fixture_text, load_cover
 
 
 def the_component(cov, k, direction):
@@ -653,3 +654,16 @@ def test_budgeted_orientation_matches_gray_walk(graph):
     members, pairs_in = graph
     best, best_x = oracles.reference_signed_best_orientation(members, pairs_in)
     assert _signed_best_orientation(members, pairs_in, best) == best_x
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "branched", "triangle_ring"])
+def test_verify_cheeger_is_the_cli_cheeger_section(name, capsys):
+    """verify prints verify_cheeger's rows, in order, just before TOTAL."""
+    from hodgewalk.cli import fmt, run
+
+    report = verify_cheeger(load_cover(name))
+    assert any(row.startswith("aux_laplacian_identity_") for row in report)
+    assert run(["verify", str(FIXTURES / f"{name}.cx")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = [f"{row}\t{fmt(ok)}\t{detail}" for row, (ok, detail) in report.items()]
+    assert lines[-1 - len(report):-1] == expected

@@ -482,7 +482,7 @@ PUBLIC = {
     "laplacians": "HodgeReport betti_numbers check_laplacian_walk_identity hodge "
     "hodge_decomposition normalization_weights normalized_coboundary verify_hodge_properties",
     "cheeger": "AuxiliaryGraph BruteForceGuardError CheegerReport build_aux aux_laplacian "
-    "cheeger_quotient cheeger_signed combined_report",
+    "cheeger_quotient cheeger_signed combined_report verify_cheeger",
     "exact": "",
     "rng": "",
 }
@@ -490,7 +490,7 @@ PUBLIC = {
 
 def test_package_exports_every_public_name_and_submodule():
     names = [name for names in PUBLIC.values() for name in names.split()]
-    assert len(names) == 53
+    assert len(names) == 54
     assert hodgewalk.__all__ == sorted([*PUBLIC, *names])
     for module, owned in PUBLIC.items():
         assert getattr(hodgewalk, module) is sys.modules[f"hodgewalk.{module}"]
@@ -786,6 +786,25 @@ def test_search_budget_is_a_guard_exit(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "guard: cut search exceeds its budget of 100 search steps\n"
+
+
+def test_search_trip_in_verify_drops_only_the_bound_rows(monkeypatch, capsys):
+    # a tripped cut search leaves the skip row in place of the bounds of its
+    # dimension; the exact auxiliary-Laplacian identities still run
+    monkeypatch.setattr(cheeger, "SEARCH_BUDGET", 100)
+    code, out = run_cli(capsys, "verify", RING)
+    assert code == 0
+    lines = out.splitlines()
+    skipped = "\tyes\tskipped: cut search exceeds its budget of 100 search steps"
+    assert lines[lines.index("cheeger_k1" + skipped):] == [
+        "cheeger_k1" + skipped,
+        "aux_laplacian_identity_up_0_0\tyes\tfactor 2",
+        "aux_laplacian_identity_down_1_8\tyes\tfactor 2",
+        "cheeger_k2" + skipped,
+        "aux_laplacian_identity_up_1_8\tyes\tfactor 3",
+        "aux_laplacian_identity_down_2_24\tyes\tfactor 3",
+        "TOTAL\tyes\t67 checks, 0 failures",
+    ]
 
 
 # every memoized builder, by module and public name

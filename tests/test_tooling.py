@@ -149,6 +149,37 @@ def test_readme_states_the_closure_budget():
     assert str(refused.value).endswith(f"budget of {complex_core.CLOSURE_BUDGET} {unit}")
 
 
+def test_cli_names_no_exception_class_of_another_module():
+    """cli decides exit 2 on graded_cover.GuardError alone and leaves every
+    other refusal to the module that raises it: no name or attribute in
+    cli.py resolves to another hodgewalk module's exception class."""
+    import ast
+
+    import hodgewalk
+
+    found = []
+    local_modules = {}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    local_modules[alias.asname or alias.name] = alias.name
+                else:
+                    # a class imported by name is named there
+                    found.append((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in local_modules:
+            found.append((local_modules[node.value.id], node.attr))
+    classes = {
+        f"{module}.{name}"
+        for module, name in found
+        if isinstance(obj := getattr(getattr(hodgewalk, module), name, None), type)
+        and issubclass(obj, BaseException)
+    }
+    assert classes == {"graded_cover.GuardError"}
+
+
 def test_spectral_predicates_read_no_tolerance():
     """Every predicate of the package is exact: no module calls ``allclose``
     or ``isclose``, and the one float literal in (0, 1e-6] is the
