@@ -18,7 +18,7 @@ _EXPORTS = {
     "PathWeights component_correspondence components compute_path_weights cover_from_complex "
     "detect_coherent expected_path_length find_partition leaves_and_roots parse_cover_spec",
     "walks": "StationaryDistribution convergence_rate simulate stationary total_variation "
-    "transition_conditional transition_full",
+    "transition_conditional transition_full verify_walk",
     "operators": "EigenResidualError OperatorBundle build_bundle build_conditional "
     "coherent_spectrum_check eigen min_eigenvalue_bound on_component verify_split",
     "laplacians": "HodgeReport betti_numbers check_laplacian_walk_identity hodge "

@@ -268,98 +268,17 @@ def cmd_report(cover, cx, args):
     return header, rows
 
 
-def _verify_checks(cover, cx):
-    """The full invariant suite for one input; yields (name, ok, detail)."""
-    pw = graded_cover.compute_path_weights(cover)
-    # transition structure, decided on the sparse integer rows of each P
-    # (entry (a, b) is rows[a][b] / den)
-    full = {view: walks.transition_full(cover, view) for view in ("quotient", "cover")}
-    for view, P in full.items():
-        yield f"row_stochastic_{view}", all(sum(row.values()) == P.den for row in P.rows), ""
-    rows, den = full["quotient"].rows, full["quotient"].den
-    # each stored entry against its mirror covers every pair with a nonzero side
-    balanced = all(
-        pw.through(a) * v == pw.through(b) * rows[b].get(a, 0)
-        for a, row in enumerate(rows)
-        for b, v in row.items()
-    )
-    yield "detailed_balance_quotient", balanced, ""
-    n = cover.n_quotient
-    flip = lambda u: (u + n) % (2 * n)
-    cover_rows = full["cover"].rows
-    yield "flip_commutation", all(
-        {flip(v): x for v, x in row.items()} == cover_rows[flip(u)]
-        for u, row in enumerate(cover_rows)
-    ), ""
-    for comp in graded_cover.components(cover):
-        pi = walks.stationary(cover, comp, "quotient")
-        image: dict[int, Fraction] = {}
-        for a, w in pi.weights.items():
-            for b, v in rows[a].items():
-                image[b] = image.get(b, 0) + w * v
-        fixed = all(image.get(b, 0) == pi.weights.get(b, 0) * den for b in range(n))
-        yield f"stationary_fixed_point_{comp[0]}", fixed, ""
-    # path-count oracle (brute force) on small covers
-    total_paths = sum(pw.lp[q] for q in range(n) if cover.is_root(q))
-    if total_paths <= 10**4:
-        ok = _path_count_oracle(cover)
-        yield "path_count_oracle", ok, f"{total_paths} root-to-leaf paths"
-    # operator identities and spectra
-    for name, (ok, detail) in operators.verify_split(cover).items():
-        yield name, ok, detail
-    bound, holds = operators.min_eigenvalue_bound(cover)
-    yield "min_eigenvalue_bound", holds, f"lambda_min <= -1 + {bound}"
-    if cx is not None:
-        for name, (ok, detail) in laplacians.verify_hodge_properties(cx).items():
-            yield name, ok, detail
-        yield "complex_adjacency_consistent", _adjacency_consistent(cover, cx), ""
-    if cover.strong:
-        for name, (ok, detail) in cheeger_mod.verify_cheeger(cover).items():
-            yield name, ok, detail
-
-
-def _path_count_oracle(cover) -> bool:
-    """LP/RP against a walk of every path up to a leaf and down to a root,
-    one explicit stack entry per partial path (no recursion)."""
-    pw = graded_cover.compute_path_weights(cover)
-
-    def count_paths(q, step, at_end):
-        total, stack = 0, [q]
-        while stack:
-            x = stack.pop()
-            if at_end(x):
-                total += 1
-            else:
-                stack.extend(step[x])
-        return total
-
-    return all(
-        pw.lp[q] == count_paths(q, cover.parents, cover.is_leaf)
-        and pw.rp[q] == count_paths(q, cover.children, cover.is_root)
-        for q in range(cover.n_quotient)
-    )
-
-
-def _adjacency_consistent(cover, cx) -> bool:
-    """The neighbour pairs of the conditional triples, as pairs of faces,
-    against those of ``complex_core.adjacency``, the oracle, in every
-    dimension and direction."""
-    faces = cx.all_faces
-    for k in range(cx.dimension + 1):
-        for direction in ("up", "down"):
-            theirs = complex_core.adjacency(cx, k, direction)
-            pairs = {(f, g) for f in theirs for g in theirs[f]}
-            triples = graded_cover.conditional_triples(cover, k, direction)
-            if {(faces[a], faces[b]) for a, b, _v, _s in triples if a != b} != pairs:
-                return False
-    return True
-
-
 def cmd_verify(cover, cx, args):
-    rows = list(_verify_checks(cover, cx))
+    sections = (
+        walks.verify_walk(cover),
+        operators.verify_split(cover),
+        laplacians.verify_hodge_properties(cx) if cx is not None else {},
+        cheeger_mod.verify_cheeger(cover) if cover.strong else {},
+    )
+    rows = [(name, *section[name]) for section in sections for name in section]
     failures = sum(not ok for _name, ok, _detail in rows)
-    rows.append(("TOTAL", failures == 0, f"{len(rows)} checks, {failures} failures"))
-    return ("check", "ok", "detail"), rows
+    total = ("TOTAL", failures == 0, f"{len(rows)} checks, {failures} failures")
+    return ("check", "ok", "detail"), [*rows, total]
 
 
 class _Parser(argparse.ArgumentParser):

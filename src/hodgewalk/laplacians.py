@@ -14,12 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import operators
+from . import complex_core, operators
 from .complex_core import SimplicialComplex, boundary_matrix
 from .exact import ScaledMatrix, inertia, rational_rank
 from .graded_cover import (
     components,
     compute_path_weights,
+    conditional_triples,
     cover_from_complex,
     detect_coherent,
     memoized,
@@ -103,7 +104,8 @@ def check_laplacian_walk_identity(complex: SimplicialComplex, k: int) -> bool:
 
 
 def verify_hodge_properties(complex: SimplicialComplex) -> dict:
-    """H1-H3 and NH1-NH6 on one complex; returns {check: (ok, detail)}."""
+    """H1-H3 and NH1-NH6 on one complex, then its adjacency against the
+    conditional triples of its cover; returns {check: (ok, detail)}."""
     report: dict[str, tuple[bool, str]] = {}
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -163,4 +165,13 @@ def verify_hodge_properties(complex: SimplicialComplex) -> dict:
             f"walk_identity k={k}",
             check_laplacian_walk_identity(complex, k),
         )
+    # the triples' neighbour pairs, as pairs of faces, against the oracle's
+    faces, adjacent = complex.all_faces, []
+    for k in range(dim + 1):
+        for direction in ("up", "down"):
+            theirs = complex_core.adjacency(complex, k, direction)
+            triples = conditional_triples(cover, k, direction)
+            ours = {(faces[a], faces[b]) for a, b, _v, _s in triples if a != b}
+            adjacent.append(ours == {(f, g) for f in theirs for g in theirs[f]})
+    check("complex_adjacency_consistent", all(adjacent))
     return report

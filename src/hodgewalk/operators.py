@@ -271,7 +271,8 @@ def verify_split(cover: GradedSignedDoubleCover) -> dict:
     The block-diagonalization through the symmetric/alternating
     projections proves each multiset split, and the intertwinings
     A Q^T = Q^T B and delta A_up = A_down delta carry eigenfunctions
-    across.  The ranges of the conditional spectra are eigenvalue counts.
+    across.  The conditional ranges' lower sides are Gram identities, their
+    upper sides eigenvalue counts.
     """
     b = build_bundle(cover)
     n = cover.n_quotient
@@ -335,6 +336,9 @@ def verify_split(cover: GradedSignedDoubleCover) -> dict:
         for k in dims:
             if k - 1 in cover.nodes_by_dim:
                 _verify_transfer_dim(cover, b, k, check)
+        # the Rayleigh quotient behind the bound needs every edge to rise one level
+        bound, holds = min_eigenvalue_bound(cover)
+        check("min_eigenvalue_bound", holds, f"lambda_min <= -1 + {bound}")
     return report
 
 
@@ -364,6 +368,7 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
         cover_id = ((gram(dc) @ r_k if up else r_k @ gram(dc)) + theta).equals(a_cov)
         quot_id = (gram(dq) + pi).equals(a_quot)
         sgn_id = gram(dg).scale(-1).equals(a_sgn)
+        pi_nonneg = all(row.keys() <= {i} and row.get(i, 0) >= 0 for i, row in enumerate(pi.rows))
         symmetric = a_cov.is_symmetric() and a_quot.is_symmetric() and a_sgn.is_symmetric()
         ok = (
             cover_id
@@ -381,9 +386,10 @@ def _verify_conditional_dim(cover, b: OperatorBundle, k: int, check) -> None:
             f"conditional_split_{direction}_{k}",
             split
             and symmetric
-            # quotient spectrum in [0, 1], signed in [-1, 0]: none below or above
-            and inertia(a_quot, 0)[0] == inertia(a_quot, 1)[2] == 0
-            and inertia(a_sgn, -1)[0] == inertia(a_sgn, 0)[2] == 0,
+            # quotient spectrum in [0, 1], signed in [-1, 0]: Gram + a nonnegative
+            # diagonal and -Gram bound them at 0, counts at 1 and -1
+            and quot_id and pi_nonneg and sgn_id
+            and inertia(a_quot, 1)[2] == inertia(a_sgn, -1)[0] == 0,
             f"cover spectrum = quotient + signed in dim {k} ({direction})",
         )
 

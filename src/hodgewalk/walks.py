@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import operators, rng
 from .graded_cover import (
     GradedSignedDoubleCover,
+    components,
     compute_path_weights,
     component_correspondence,
     detect_coherent,
@@ -279,3 +280,65 @@ def convergence_rate(
         lam_min = operators.eigen(operators.on_component(cover, sgn, up_comp))[0]
         rate = max(rate, lam_2, -lam_min)
     return rate
+
+
+# -- verification -----------------------------------------------------------
+
+
+def verify_walk(cover: GradedSignedDoubleCover) -> dict:
+    """Transition, stationary and path-count facts; {check: (ok, detail)}.
+
+    Each P is decided on its integer rows: entry (a, b) is rows[a][b] / den.
+    """
+    pw = compute_path_weights(cover)
+    full = {view: transition_full(cover, view) for view in ("quotient", "cover")}
+    report = {
+        f"row_stochastic_{view}": (all(sum(row.values()) == P.den for row in P.rows), "")
+        for view, P in full.items()
+    }
+    rows, den = full["quotient"].rows, full["quotient"].den
+    # each stored entry against its mirror covers every pair with a nonzero side
+    report["detailed_balance_quotient"] = all(
+        pw.through(a) * v == pw.through(b) * rows[b].get(a, 0)
+        for a, row in enumerate(rows)
+        for b, v in row.items()
+    ), ""
+    n = cover.n_quotient
+    flip = lambda u: (u + n) % (2 * n)
+    cover_rows = full["cover"].rows
+    report["flip_commutation"] = all(
+        {flip(v): x for v, x in row.items()} == cover_rows[flip(u)]
+        for u, row in enumerate(cover_rows)
+    ), ""
+    for comp in components(cover):
+        pi = stationary(cover, comp, "quotient")
+        image: dict[int, Fraction] = {}
+        for a, w in pi.weights.items():
+            for b, v in rows[a].items():
+                image[b] = image.get(b, 0) + w * v
+        fixed = all(image.get(b, 0) == pi.weights.get(b, 0) * den for b in range(n))
+        report[f"stationary_fixed_point_{comp[0]}"] = fixed, ""
+    total_paths = sum(pw.lp[q] for q in range(n) if cover.is_root(q))
+    if total_paths <= 10**4:
+        report["path_count_oracle"] = _path_count_oracle(cover), f"{total_paths} root-to-leaf paths"
+    return report
+
+
+def _path_count_oracle(cover: GradedSignedDoubleCover) -> bool:
+    """LP/RP against a walk of every path up to a leaf and down to a root,
+    one explicit stack entry per partial path (no recursion)."""
+    pw = compute_path_weights(cover)
+
+    def count_paths(q, step, at_end):
+        total, stack = 0, [q]
+        while stack:
+            x = stack.pop()
+            total += at_end(x)  # an end has no step to take
+            stack.extend(step[x])
+        return total
+
+    return all(
+        pw.lp[q] == count_paths(q, cover.parents, cover.is_leaf)
+        and pw.rp[q] == count_paths(q, cover.children, cover.is_root)
+        for q in range(cover.n_quotient)
+    )

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import hodgewalk
 from hodgewalk import cheeger, exact, graded_cover, laplacians, operators
-from hodgewalk.cli import _path_count_oracle, build_parser, run
+from hodgewalk.cli import build_parser, run
+from hodgewalk.walks import _path_count_oracle
 
 from conftest import FIXTURES, benchmark_input, load_cover
 from oracles import dense_of, dense_to_float
@@ -476,7 +477,7 @@ PUBLIC = {
     "PathWeights component_correspondence components compute_path_weights cover_from_complex "
     "detect_coherent expected_path_length find_partition leaves_and_roots parse_cover_spec",
     "walks": "StationaryDistribution convergence_rate simulate stationary total_variation "
-    "transition_conditional transition_full",
+    "transition_conditional transition_full verify_walk",
     "operators": "EigenResidualError OperatorBundle build_bundle build_conditional "
     "coherent_spectrum_check eigen min_eigenvalue_bound on_component verify_split",
     "laplacians": "HodgeReport betti_numbers check_laplacian_walk_identity hodge "
@@ -490,7 +491,7 @@ PUBLIC = {
 
 def test_package_exports_every_public_name_and_submodule():
     names = [name for names in PUBLIC.values() for name in names.split()]
-    assert len(names) == 54
+    assert len(names) == 55
     assert hodgewalk.__all__ == sorted([*PUBLIC, *names])
     for module, owned in PUBLIC.items():
         assert getattr(hodgewalk, module) is sys.modules[f"hodgewalk.{module}"]
@@ -1078,6 +1079,43 @@ def test_verify_adjacency_row_catches_a_missing_pair(monkeypatch, capsys):
     ok = dict(line.split("\t")[:2] for line in out.splitlines()[1:])
     failed = [name for name, v in ok.items() if v != "yes"]
     assert failed == ["complex_adjacency_consistent", "TOTAL"]
+
+
+# random_cover_spec(48) of test_graded_cover: w1 -> w3 skips a level
+SKIPPING_SPEC = """\
+node w0 1
+node w1 2
+node w2 1
+node w3 3
+node w4 1
+node w5 1
+node w6 0
+edge w0 w1 +1
+edge w0 w3 +1
+edge w1 w3 +1
+edge w2 w1 +1
+edge w2 w3 +1
+edge w4 w3 -1
+edge w6 w0 +1
+edge w6 w1 +1
+edge w6 w4 +1
+edge w6 w5 -1
+"""
+
+
+def test_verify_passes_a_cover_whose_edges_skip_levels(tmp_path, capsys):
+    """min_eigenvalue_bound is a Rayleigh identity that needs every edge to
+    rise one level, so verify decides it on strong covers only; `spectrum`
+    still prints the bound, which this cover does not meet."""
+    path = tmp_path / "skip.cover"
+    path.write_text(SKIPPING_SPEC)
+    assert not graded_cover.parse_cover_spec(SKIPPING_SPEC).strong
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert "min_eigenvalue_bound" not in out
+    assert out.splitlines()[-1] == "TOTAL\tyes\t12 checks, 0 failures"
+    code, out = run_cli(capsys, "spectrum", str(path))
+    assert (code, out.splitlines()[-1]) == (0, "min-eigenvalue-bound\t-1 + 7/10\tno")
 
 
 @pytest.mark.parametrize("labels, code", [(40, 2), (12, 0)])

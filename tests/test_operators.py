@@ -349,6 +349,21 @@ def test_split_rows_read_the_bundle(row, field, entry, monkeypatch):
     assert not verify_split(cov)[row][0]
 
 
+def test_conditional_split_reads_the_sign_of_pi(monkeypatch):
+    """The quotient spectrum's lower side 0 is decided by A = Gram + pi with
+    pi a nonnegative diagonal, not by a count: a pi_l whose one nonzero
+    entry, at the triangle, is negated fails the up rows of dimension 2."""
+    cov = filled_triangle()
+    b = build_bundle(cov)
+    assert all(ok for ok, _detail in verify_split(cov).values())
+    body = b.pi_l.body.copy()
+    body[6, 6] = -1
+    fake = b._replace(pi_l=from_dense(b.pi_l.row_scale, b.pi_l.col_scale, body))
+    monkeypatch.setattr(operators, "build_bundle", lambda cover: fake)
+    failed = [row for row, (ok, _detail) in verify_split(cov).items() if not ok]
+    assert failed == ["bundle_sum", "conditional_factorization_up_2", "conditional_split_up_2"]
+
+
 # (row, k, direction, flavor) of the conditional operator that is perturbed
 CONDITIONAL_CASES = [
     ("conditional_split_up_1", 1, "up", "quotient"),

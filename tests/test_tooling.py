@@ -180,6 +180,44 @@ def test_cli_names_no_exception_class_of_another_module():
     assert classes == {"graded_cover.GuardError"}
 
 
+def test_cmd_verify_only_concatenates_the_module_sections():
+    """Each row family of `verify` is computed by the module that owns it:
+    the body of cli.cmd_verify calls only <module>.verify_* functions and
+    builtins, and cli.py keeps none of the old helpers, nor reads a
+    matrix's integer body."""
+    import ast
+    import builtins
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    local_modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_path_count_oracle", "_adjacency_consistent", "_verify_checks"}
+    (cmd_verify,) = [node for node in tree.body if getattr(node, "name", None) == "cmd_verify"]
+    calls = []
+    for node in ast.walk(cmd_verify):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            allowed = hasattr(builtins, func.id)
+        else:
+            allowed = (
+                isinstance(func, ast.Attribute)
+                and getattr(func.value, "id", None) in local_modules
+                and func.attr.startswith("verify_")
+            )
+        if not allowed:
+            calls.append(ast.unparse(func))
+    assert calls == []
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attrs & {"rows", "den"}
+
+
 def test_spectral_predicates_read_no_tolerance():
     """Every predicate of the package is exact: no module calls ``allclose``
     or ``isclose``, and the one float literal in (0, 1e-6] is the

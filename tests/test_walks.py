@@ -12,10 +12,11 @@ from hodgewalk.walks import (
     total_variation,
     transition_conditional,
     transition_full,
+    verify_walk,
 )
 
 import oracles
-from conftest import COMPLEX_NAMES, load_cover
+from conftest import COMPLEX_NAMES, FIXTURES, load_cover
 from oracles import SplitMix64
 
 
@@ -482,3 +483,18 @@ def test_total_variation():
     q = {0: Fraction(1), 1: Fraction(0)}
     assert total_variation(p, q) == Fraction(1, 2)
     assert total_variation(p, p) == 0
+
+
+@pytest.mark.parametrize("name", ["tetrahedron.cx", "branched.cx", "triangle_ring.cx",
+                                  "nonstrong.cover"])
+def test_verify_walk_is_the_cli_walk_section(name, capsys):
+    """verify prints verify_walk's rows, in order, before any other row."""
+    from hodgewalk.cli import fmt, load_input, run
+
+    path = str(FIXTURES / name)
+    report = verify_walk(load_input(path)[0])
+    assert "path_count_oracle" in report
+    assert run(["verify", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = [f"{row}\t{fmt(ok)}\t{detail}" for row, (ok, detail) in report.items()]
+    assert lines[1:1 + len(report)] == expected
