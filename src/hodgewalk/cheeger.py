@@ -3,20 +3,21 @@
 The quotient constant minimizes cut-weight over measure across all proper
 nonempty subsets; the signed constant additionally minimizes over
 orientations of the chosen subset (the subset may be everything).  Both
-searches are exact: comparisons are done by integer cross-multiplication
-after clearing denominators once.
+are exact: comparisons are done by integer cross-multiplication after
+clearing denominators once.
 
-Each constant comes from one depth-first branch-and-bound over node
-states (out/in, or out/+/- for the signed constant), without recursion.
-The quotient search decides nodes from the highest index down and bounds
-a branch by its cut so far over the largest measure it could still reach.
-The signed search decides nodes by descending weighted degree and bounds
+Both constants come from one depth-first branch-and-bound over node
+states, without recursion: out/+/- for the signed constant; out/in for
+the quotient one, which makes every sign +1, keeps the highest node out
+and values a subset at its cut over the smaller of its measure and its
+complement's.  It decides nodes by descending weighted degree and bounds
 a branch at the incumbent ratio (Dinkelbach): every undecided node is
 charged its cheapest state against the decided ones, a bound it keeps up
-to date edge by edge.  The witness is the lowest mask attaining the
-minimum and, for the signed constant, the lowest-Gray-rank orientation of
-that subset.  A search that would take more than SEARCH_BUDGET search
-steps raises BruteForceGuardError.
+to date edge by edge; the quotient also bounds the complement side.  The
+witness is the lowest mask attaining the minimum and, for the signed
+constant, the lowest-Gray-rank orientation of that subset.  A search that
+would take more than SEARCH_BUDGET search steps raises
+BruteForceGuardError.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .graded_cover import (
 from .operators import build_conditional, eigen, on_component
 
 # Search steps one cut search may take before it gives up.  A step is one
-# search node; the signed search also counts each edge its bound updates.
+# search node; both constants' search also counts each edge its bound
+# updates (twice: apply and undo) and, per fall of the incumbent, each node.
 SEARCH_BUDGET = 4_000_000
 
 
@@ -182,58 +184,38 @@ def _over_budget() -> BruteForceGuardError:
     return BruteForceGuardError(f"cut search exceeds its budget of {SEARCH_BUDGET} search steps")
 
 
+def _degree(aux: AuxiliaryGraph, wints) -> list[int]:
+    degree = [0] * aux.n
+    for (i, j), w in zip(aux.edges, wints):
+        degree[i] += w
+        degree[j] += w
+    return degree
+
+
 def cheeger_quotient(aux: AuxiliaryGraph):
     """Exact quotient Cheeger constant with a witness subset.
 
     Minimizes cut/min(mu(S), mu(V-S)) over the proper nonempty subsets S;
-    ties resolve to the lowest bitmask.  A depth-first branch-and-bound
-    decides nodes from the highest index down, out before in, so leaves
-    come in ascending mask order and only a strict improvement replaces
-    the incumbent.  The highest node stays out: a subset and its
-    complement have the same ratio, and the one without that node has the
-    lower mask.  A branch is cut when its cut so far over the largest
-    measure it could still reach is not below the incumbent.
+    ties resolve to the lowest bitmask.  One ``_cut_search`` with every
+    sign +1 and the states out and in only; the highest node stays out: a
+    subset and its complement have the same ratio, and the one without
+    that node has the lower mask.  The incumbent starts at the best
+    singleton, with that singleton's own mask.
     """
     n = aux.n
     if n < 2:
         raise ValueError("quotient Cheeger constant needs at least two nodes")
     wints, wden, mints, mden = _integerized(aux)
-    # each node's edges to higher-index nodes, and below[i], the measure of
-    # the nodes under i
-    above: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (i, j), w in zip(aux.edges, wints):
-        above[min(i, j)].append((max(i, j), w))
-    below = [0]
-    for m in mints:
-        below.append(below[-1] + m)
-    above_w = [sum(w for _j, w in es) for es in above]
-    total_m = below[n]
-    budget, visited = SEARCH_BUDGET, 0
-    best_num = best_den = best_mask = None
-    stack = [(n - 2, 0, 0, 0)]  # (next node, in-mask, cut, measure in)
-    while stack:
-        i, mask, cut, mu = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise _over_budget()
-        if best_num is not None and cut * best_den >= best_num * min(
-            mu + below[i + 1], total_m - mu
-        ):
-            continue
-        if i < 0:
-            if mask:
-                best_num, best_den, best_mask = cut, min(mu, total_m - mu), mask
-            continue
-        into = 0
-        for j, w in above[i]:
-            if mask >> j & 1:
-                into += w
-        # pushed in reverse, so "out" pops first
-        stack.append((i - 1, mask | 1 << i, cut + above_w[i] - into, mu + mints[i]))
-        stack.append((i - 1, mask, cut + into, mu))
-    h = Fraction(best_num, wden) / Fraction(best_den, mden)
-    witness = tuple(aux.nodes[i] for i in range(n) if (best_mask >> i) & 1)
-    return h, witness
+    degree = _degree(aux, wints)
+    total = sum(mints)
+    den = [min(m, total - m) for m in mints]
+    best = min(range(n), key=lambda i: Fraction(degree[i], den[i]))
+    unsigned = aux._replace(sign=(1,) * len(aux.edges))
+    states = [2] * (n - 1) + [1]
+    incumbent = degree[best], den[best], 1 << best
+    N, D, mask = _cut_search(unsigned, wints, mints, degree, states, incumbent, total)
+    h = Fraction(N, wden) / Fraction(D, mden)
+    return h, tuple(aux.nodes[i] for i in range(n) if (mask >> i) & 1)
 
 
 def _signed_best_orientation(members, pairs_in, neg):
@@ -292,18 +274,14 @@ def _signed_best_orientation(members, pairs_in, neg):
     raise AssertionError(f"no orientation has negative weight {neg}")
 
 
-def cheeger_signed(aux: AuxiliaryGraph):
-    """Exact signed Cheeger constant with a (subset, orientation) witness.
+def _cut_search(aux: AuxiliaryGraph, wints, mints, degree, states, incumbent, total=None):
+    """The one cut search of both constants; returns the best (N, D, mask).
 
-    The subset may be the whole node set; the orientation outside the
-    subset is irrelevant.  Zero exactly when the component is coherent
-    (beta = 0 forces the full set with a balanced orientation, which is
-    checked directly by sign propagation).  Otherwise a depth-first
-    branch-and-bound gives each node one of the states out, +, -, deciding
-    the nodes by descending integer weighted degree, the higher index
-    first among equals; the first node of the subset is always +
-    (flipping every sign keeps the value).  The incumbent starts at a
-    cheap upper bound N/D.
+    A depth-first branch-and-bound, without recursion, gives node v one of
+    its first states[v] states out, +, -, deciding the nodes by descending
+    integer weighted degree, the higher index first among equals; the
+    first node of the subset is always + (flipping every sign keeps the
+    value).  The incumbent (N, D, mask) is the caller's upper bound N/D.
 
     A branch is cut by a fractional-programming (Dinkelbach) bound at the
     incumbent ratio: a completion beats N/D only if its weight times D
@@ -313,39 +291,22 @@ def cheeger_signed(aux: AuxiliaryGraph):
     of its cheapest state against the decided nodes: out, it cuts its
     weight a_j + b_j to decided in-nodes; in, it cuts its weight o_j to
     decided out-nodes and frustrates a_j as + or b_j as -.  Edges between
-    undecided nodes add nothing below zero.  A branch whose bound is positive, or zero with
-    its own mask (the lowest it can reach) not below the incumbent's, is
-    cut; a leaf that gets through replaces the incumbent, so the witness
-    is the lowest-mask minimizer in any decision order.  The bound is kept
+    undecided nodes add nothing below zero.  Given ``total``, mu(V), a
+    leaf is valued at its weight over min(mu, mu(V) - mu), and the bound
+    is the larger of the one above and the complement side's
+    partial*D - N*(mu(V) - mu): the weight only grows and the measure left
+    out only shrinks.  A branch whose bound is positive, or zero with its
+    own mask (the lowest it can reach) not below the incumbent's, is cut;
+    a leaf that gets through replaces the incumbent, so the result is the
+    lowest-mask minimizer in any decision order.  The bound is kept
     incrementally: deciding a node or undoing the decision updates only
     its edges to later-decided nodes, and N/D changes only at a leaf, when
     no node is undecided.  Each decision costs one search step plus two
     per such edge (apply and undo), and a fall of the incumbent n steps
-    (every floor is refreshed).  The orientation of the witness subset is
-    then searched again, at its least frustrated weight N - cut, for the
-    lowest Gray rank.
+    (every floor is refreshed).
     """
     n = aux.n
-    if n == 0:
-        raise ValueError("empty auxiliary graph")
-    x, _pieces, frustrated = propagate_signs(
-        range(n), [(i, j, s) for (i, j), s in zip(aux.edges, aux.sign)]
-    )
-    if not frustrated:
-        orientation = {aux.nodes[i]: (x[i] == -1) for i in range(n)}
-        return Fraction(0), (tuple(aux.nodes), orientation)
-    wints, wden, mints, mden = _integerized(aux)
-    degree = [0] * n
-    for (i, j), w in zip(aux.edges, wints):
-        degree[i] += w
-        degree[j] += w
-    # the upper bound: the full set under the propagated orientation, and
-    # every singleton; no mask reaches 1 << n, so a leaf that only ties it
-    # still replaces it
-    N, D, best_mask = sum(2 * wints[e] for e in frustrated), sum(mints), 1 << n
-    for i in range(n):
-        if degree[i] * D < N * mints[i]:
-            N, D = degree[i], mints[i]
+    N, D, best_mask = incumbent
     order = sorted(range(n), key=lambda i: (degree[i], i), reverse=True)
     rank = [0] * n
     for r, i in enumerate(order):
@@ -394,7 +355,7 @@ def cheeger_signed(aux: AuxiliaryGraph):
             partial, mu, mask = saved[depth]
         s += 1
         # the first node of the subset is always +
-        if s == 3 or s == 2 and not mask:
+        if s == states[v] or s == 2 and not mask:
             state[depth] = -1
             depth -= 1
             continue
@@ -412,6 +373,8 @@ def cheeger_signed(aux: AuxiliaryGraph):
             partial += a + b
         slack += shift(v, s, 1) - floor[v]
         bound = partial * D - N * mu + slack
+        if total is not None:
+            bound = max(bound, partial * D - N * (total - mu))
         # a branch that can at best tie holds no mask below its own
         if bound > 0 or bound == 0 and mask >= best_mask:
             continue
@@ -419,13 +382,46 @@ def cheeger_signed(aux: AuxiliaryGraph):
             if mask:
                 # no node is undecided, so slack stays 0; every floor moves
                 # to the new N/D, since undoing a decision adds one back
-                N, D, best_mask = partial, mu, mask
+                N, D, best_mask = partial, mu if total is None else min(mu, total - mu), mask
                 n_mu = [N * m for m in mints]
                 for j, (a, b, o) in enumerate(acc):
                     floor[j] = min((a + b) * D, (o + 2 * min(a, b)) * D - n_mu[j])
                 visited += n
             continue
         depth += 1
+    return N, D, best_mask
+
+
+def cheeger_signed(aux: AuxiliaryGraph):
+    """Exact signed Cheeger constant with a (subset, orientation) witness.
+
+    The subset may be the whole node set; the orientation outside the
+    subset is irrelevant.  Zero exactly when the component is coherent
+    (beta = 0 forces the full set with a balanced orientation, which is
+    checked directly by sign propagation).  Otherwise one ``_cut_search``
+    over the states out, +, - for every node, from a cheap upper bound
+    N/D.  The orientation of the witness subset is then searched again,
+    at its least frustrated weight N - cut, for the lowest Gray rank.
+    """
+    n = aux.n
+    if n == 0:
+        raise ValueError("empty auxiliary graph")
+    x, _pieces, frustrated = propagate_signs(
+        range(n), [(i, j, s) for (i, j), s in zip(aux.edges, aux.sign)]
+    )
+    if not frustrated:
+        orientation = {aux.nodes[i]: (x[i] == -1) for i in range(n)}
+        return Fraction(0), (tuple(aux.nodes), orientation)
+    wints, wden, mints, mden = _integerized(aux)
+    degree = _degree(aux, wints)
+    # the upper bound: the full set under the propagated orientation, and
+    # every singleton; no mask reaches 1 << n, so a leaf that only ties it
+    # still replaces it
+    N, D = sum(2 * wints[e] for e in frustrated), sum(mints)
+    for i in range(n):
+        if degree[i] * D < N * mints[i]:
+            N, D = degree[i], mints[i]
+    N, D, best_mask = _cut_search(aux, wints, mints, degree, [3] * n, (N, D, 1 << n))
     members = [i for i in range(n) if (best_mask >> i) & 1]
     member_pos = {node: p for p, node in enumerate(members)}
     pairs_in = [

@@ -430,6 +430,14 @@ def test_rate_bounds_bracket_rate():
         assert rate <= float(rep.rate_upper) + 1e-9
 
 
+def quotient_ratio(aux, witness):
+    """cut / min(mu(S), mu(V) - mu(S)) of a witness subset, recomputed from the edges."""
+    inside = {aux.nodes.index(q) for q in witness}
+    cut = sum(w for (i, j), w in zip(aux.edges, aux.weight) if (i in inside) != (j in inside))
+    mu = sum(aux.measure[i] for i in inside)
+    return cut / min(mu, sum(aux.measure) - mu)
+
+
 def test_annulus_6x4_vertex_component():
     """The 24-node up-component of the 6x4 annulus, past the old 2**24 scans."""
     lines = []
@@ -443,10 +451,24 @@ def test_annulus_6x4_vertex_component():
     assert aux.n == 24
     h, witness = cheeger_quotient(aux)
     assert h == Fraction(2, 9)
-    inside = {aux.nodes.index(q) for q in witness}
-    cut = sum(w for (i, j), w in zip(aux.edges, aux.weight) if (i in inside) != (j in inside))
-    mu = sum(aux.measure[i] for i in inside)
-    assert cut / min(mu, sum(aux.measure) - mu) == h
+    assert quotient_ratio(aux, witness) == h
+
+
+def test_quotient_search_proves_annulus_4x3_down(monkeypatch):
+    """The 28-node k=1 down-component of the 4x3 annulus inside a million
+    search steps: deciding nodes by degree, with the Dinkelbach and
+    complement bounds, takes 524,830; deciding them by index took 1,970,523."""
+    from hodgewalk import cheeger
+
+    from conftest import benchmark_input
+
+    monkeypatch.setattr(cheeger, "SEARCH_BUDGET", 1_000_000)
+    cov = cover_from_complex(parse_complex(benchmark_input("annulus_4x3")))
+    aux = build_aux(cov, the_component(cov, 1, "down"), "down")
+    assert aux.n == 28
+    h, witness = cheeger_quotient(aux)
+    assert h == Fraction(7, 18)
+    assert quotient_ratio(aux, witness) == h
 
 
 def test_searches_deeper_than_the_recursion_limit():
@@ -479,7 +501,7 @@ def test_random_complex_sandwich(seed):
 
 # -- the pruned searches against the full scans they replaced ----------------
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 SMALL_WEIGHTS = st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)])
@@ -622,6 +644,23 @@ def test_signed_value_ignores_node_order(case):
     assert h_moved == h
     assert witness_ratio(aux, witness) == h
     assert witness_ratio(moved, witness_moved) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_aux())
+@example((DEGREE_FIRST_TIE, [4, 3, 2, 1, 0]))
+@example((DEGREE_FIRST_TIE, [1, 2, 3, 4, 0]))
+def test_quotient_value_ignores_node_order(case):
+    """The quotient search follows degree and index too; relabelling the
+    nodes may change the witness among tied minimizers, never the value."""
+    aux, perm = case
+    assume(aux.n >= 2)
+    h, witness = cheeger_quotient(aux)
+    moved = permuted(aux, perm)
+    h_moved, witness_moved = cheeger_quotient(moved)
+    assert h_moved == h
+    assert quotient_ratio(aux, witness) == h
+    assert quotient_ratio(moved, witness_moved) == h
 
 
 def test_budgeted_orientation_search():

@@ -218,6 +218,25 @@ def test_cmd_verify_only_concatenates_the_module_sections():
     assert not attrs & {"rows", "den"}
 
 
+def test_both_cheeger_constants_share_one_cut_search():
+    """The quotient and signed constants run one branch-and-bound loop:
+    neither public search holds a ``while`` loop of its own, and exactly
+    one function of cheeger.py besides the orientation search does."""
+    import ast
+
+    from hodgewalk import cheeger
+
+    tree = ast.parse(Path(cheeger.__file__).read_text(encoding="utf-8"))
+    looping = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(inner, ast.While) for inner in ast.walk(node))
+    }
+    assert not looping & {"cheeger_quotient", "cheeger_signed"}
+    assert len(looping - {"_signed_best_orientation"}) == 1
+
+
 def test_spectral_predicates_read_no_tolerance():
     """Every predicate of the package is exact: no module calls ``allclose``
     or ``isclose``, and the one float literal in (0, 1e-6] is the
